@@ -48,8 +48,13 @@ def _add_common(parser):
     parser.add_argument("--out-image", help="output image path")
 
 
-def _load_config_file(path, args):
-    """Apply key=value lines from a config file as argument defaults."""
+def _config_defaults(path, args, parser):
+    """Parse a key=value config file with the subcommand's own parser.
+
+    Each value goes through the option's type and choices checks; the
+    result is applied as parser defaults, so command-line flags override it.
+    """
+    tokens, keys = [], []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -60,16 +65,15 @@ def _load_config_file(path, args):
             value = value.strip()
             if not hasattr(args, key):
                 raise SystemExit(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            elif key in ("variances",):
-                value = value
-            setattr(args, key, value)
+            flag = "--" + key.replace("_", "-")
+            keys.append(key)
+            if isinstance(getattr(args, key), bool):
+                if value.lower() in ("1", "true", "yes"):
+                    tokens.append(flag)
+            else:
+                tokens += [flag, value]
+    parsed = parser.parse_args(tokens)
+    return {key: getattr(parsed, key) for key in keys}
 
 
 def _build_config(args, variances=(0.02,), mode="both"):
@@ -201,7 +205,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.config:
-        _load_config_file(args.config, args)
+        command_parser = sub.choices[args.command]
+        command_parser.set_defaults(**_config_defaults(args.config, args, command_parser))
+        args = parser.parse_args(argv)
 
     if args.command in ("denoise", "interpolate", "joint", "sequential"):
         return _run_mode(args, args.command)

@@ -275,12 +275,14 @@ def gsv(view: RandomWalkView, x) -> float:
     return float(r @ r)
 
 
-def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
-    """Map a certified denoiser to the undirected graph whose MAP filter it is.
+def laplacian_eigenpairs(psi: DenoiserOperator, mu: float):
+    """Eigenpairs of the generalized Laplacian ``(inv(psi) - I) / mu``.
 
-    The generalized Laplacian is ``(inv(psi) - I) / mu``; solving the
-    Laplacian-regularized MAP problem with weight ``mu`` then reproduces the
-    denoiser exactly (exercised by the roundtrip tests).
+    Returns ``(evals, evecs)`` with ``L = evecs @ diag(evals) @ evecs.T``,
+    taken from the cached eigendecomposition of ``psi``.  Raises
+    PreconditionError unless ``psi`` is certified and its spectrum is
+    nonsingular within ``PIVOT_RTOL``: these are the conditions under which
+    ``psi`` is the MAP filter of a Laplacian-regularized problem.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -288,17 +290,23 @@ def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
         raise PreconditionError(
             "denoiser must be certified symmetric, PD, and non-expansive"
         )
-    spectrum = psi.spectrum
-    if spectrum is not None and np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(
-        spectrum
-    ).max():
+    spectrum, vecs = psi.spectrum, psi.eigvecs
+    if spectrum is None or vecs is None:
+        spectrum, vecs = np.linalg.eigh(psi.matrix)
+    if np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(spectrum).max():
         raise PreconditionError("denoiser matrix is singular within pivot tolerance")
-    if psi.eigvecs is not None:
-        v = psi.eigvecs
-        lg = (v * ((1.0 / spectrum - 1.0) / mu)) @ v.T
-    else:
-        n = psi.matrix.shape[0]
-        lg = (np.linalg.inv(psi.matrix) - np.eye(n)) / mu
+    return (1.0 / spectrum - 1.0) / mu, vecs
+
+
+def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
+    """Map a certified denoiser to the undirected graph whose MAP filter it is.
+
+    The generalized Laplacian is ``(inv(psi) - I) / mu``; solving the
+    Laplacian-regularized MAP problem with weight ``mu`` then reproduces the
+    denoiser exactly (exercised by the roundtrip tests).
+    """
+    evals, v = laplacian_eigenpairs(psi, mu)
+    lg = (v * evals) @ v.T
     lg = 0.5 * (lg + lg.T)
     return UndirectedGraph.from_generalized_laplacian(lg)
 

@@ -1,9 +1,11 @@
 """Linear interpolation operators for rotation and homography warps.
 
-Each output patch gets a rectangular bilinear-weight matrix over its source
-footprint, which is then padded with dummy unit rows until it is square and
-full rank.  Dummy bookkeeping is kept so dummies can be stripped from all
-outputs and metrics.
+Each output patch gets a rectangular bilinear-weight matrix: one row per
+in-bounds output pixel, one column per pixel of its source footprint.  The
+pipeline's joint solve works on these real rows directly.  `pad_full_rank`
+squares such a matrix with dummy unit rows into the invertible interpolator
+of the paper's directed-graph construction, recording which rows are dummies;
+the tests use it as the reference for the pipeline's joint solve.
 """
 
 from __future__ import annotations
@@ -75,7 +77,12 @@ class Homography:
 
 @dataclass(frozen=True)
 class InterpolatorOperator:
-    """Square padded interpolation matrix with footprint and dummy metadata."""
+    """Interpolation matrix over a source footprint, with dummy metadata.
+
+    Rows are the real outputs, followed by the dummy unit rows that
+    `pad_full_rank` appends (none for an operator from
+    `build_patch_operator`).
+    """
 
     matrix: np.ndarray
     real_output_count: int
@@ -98,7 +105,7 @@ class InterpolatorOperator:
 
 @dataclass(frozen=True)
 class PatchJob:
-    """One output tile: its geometry, dropped pixels, and padded operator."""
+    """One output tile: its geometry, dropped pixels, and real-row operator."""
 
     origin: tuple
     size: tuple
@@ -190,7 +197,7 @@ def pad_full_rank(
 
 
 def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
-    """Assemble the padded interpolation operator for one output tile."""
+    """Assemble the (unpadded) interpolation operator for one output tile."""
     r0, c0 = origin
     ph, pw = size
     rr, cc = np.mgrid[r0 : r0 + ph, c0 : c0 + pw]
@@ -215,9 +222,11 @@ def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
         for tap, wgt in zip(taps, wts):
             theta_raw[i, col_of[tap]] = wgt
 
-    op = pad_full_rank(
-        theta_raw,
-        np.asarray(footprint, dtype=int),
+    op = InterpolatorOperator(
+        matrix=theta_raw,
+        real_output_count=len(real_rows),
+        dummy_rows=(),
+        source_coords=np.asarray(footprint, dtype=int),
         target_coords=np.asarray(real_targets, dtype=int),
         transform=transform,
     )

@@ -101,10 +101,9 @@ def cg_solve(c, b, tol: float = 1e-8, max_iter=None, jacobi: bool = False):
         diag = None
     else:
         c = np.asarray(c, dtype=float)
-        if n <= 32:
-            # Cheap sanity check on small instances; trusted for large ones.
-            if np.linalg.norm(c - c.T) > 1e-8 * max(np.linalg.norm(c), 1.0):
-                raise PreconditionError("CG requires a symmetric matrix")
+        # One O(n^2) norm, against O(iterations * n^2) for the iteration.
+        if np.linalg.norm(c - c.T) > 1e-8 * max(np.linalg.norm(c), 1.0):
+            raise PreconditionError("CG requires a symmetric matrix")
         matvec = lambda v: c @ v
         diag = np.diag(c)
     if max_iter is None:
@@ -308,6 +307,54 @@ def joint_nonseparable(
         iterations=stats["iterations"],
         residual=stats["residual"],
     )
+
+
+def reduced_nonseparable(
+    y,
+    theta_real,
+    laplacian_eigs,
+    weights: SolverWeights,
+    method: str = "cg",
+    cg_tol: float = 1e-8,
+    jacobi: bool = False,
+):
+    """Real interpolated block of the non-separable joint solution.
+
+    Eliminating the original-pixel block of the 2m x 2m system and
+    substituting ``x_n = theta @ w`` leaves the m x m SPD system
+    ``(I + beta * theta_r.T @ L @ theta_r) w = y`` with
+    ``beta = kappa (1 + gamma) / gamma``; the real outputs are
+    ``theta_r @ w``.  Only the real rows ``theta_real`` (n x m) enter: the
+    dummy rows of a padded interpolator carry no prior, so they drop out,
+    and neither the padding nor the interpolator's inverse is needed.
+    ``laplacian_eigs`` is ``(evals, evecs)`` of the n x n generalized
+    Laplacian L on the real outputs, so L itself is never formed.
+
+    `method` "cg" runs conjugate gradient on the reduced matrix; "direct"
+    and "closed-form" run one Cholesky solve.  Returns ``(x_real, stats)``
+    with `iterations` and `residual` (relative) in `stats`.
+    """
+    y = as_vector(y)
+    theta_real = np.asarray(theta_real, dtype=float)
+    evals, evecs = laplacian_eigs
+    n, m = theta_real.shape
+    if len(y) != m or evecs.shape != (n, n) or len(evals) != n:
+        raise ValueError("dimension mismatch between signal, interpolator, and Laplacian")
+    beta = weights.kappa * (1.0 + weights.gamma) / weights.gamma
+    b = evecs.T @ theta_real
+    coeff = np.eye(m) + beta * ((b.T * evals) @ b)
+    if method == "cg":
+        w, stats = cg_solve(coeff, y, tol=cg_tol, jacobi=jacobi)
+    elif method in ("direct", "closed-form"):
+        try:
+            w = sla.cho_solve(sla.cho_factor(coeff), y)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"reduced joint system is not positive definite: {exc}") from exc
+        res = np.linalg.norm(coeff @ w - y) / max(np.linalg.norm(y), 1e-300)
+        stats = {"iterations": 1, "residual": res}
+    else:
+        raise ValueError(f"unknown solve method {method!r}")
+    return theta_real @ w, stats
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

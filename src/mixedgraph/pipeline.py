@@ -20,7 +20,6 @@ from .errors import (
     ImageIOError,
     PatchGeometryError,
     PreconditionError,
-    SingularOperatorError,
     SolverError,
 )
 
@@ -81,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("patch size must be at least 2")
         if self.mode not in ("joint", "sequential", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.method not in ("cg", "direct", "closed-form"):
+            raise ValueError(f"unknown solve method {self.method!r}")
 
     @property
     def modes(self):
@@ -259,7 +260,6 @@ _PATCH_ERRORS = (
     BalanceError,
     PatchGeometryError,
     PreconditionError,
-    SingularOperatorError,
     SolverError,
 )
 
@@ -268,8 +268,7 @@ def build_patch_denoiser(op, interp_values, config):
     """Balanced denoiser over a patch's real output pixels.
 
     Weights are computed from the plain interpolation of the noisy input
-    (clipped to [0, 1] for kernel evaluation only); dummy outputs get
-    identity rows, so the full operator stays doubly stochastic.
+    (clipped to [0, 1] for kernel evaluation only).
     """
     if config.denoiser_kind == "identity":
         return denoisers.identity_operator(op.real_output_count)
@@ -287,40 +286,36 @@ def build_patch_denoiser(op, interp_values, config):
     return psi
 
 
-def run_patch(job, noisy_pixels, config, a_mn=None) -> PatchResult:
-    """Solve one patch in joint and/or sequential mode from shared inputs."""
+def run_patch(job, noisy_pixels, config) -> PatchResult:
+    """Solve one patch in joint and/or sequential mode from shared inputs.
+
+    The joint output is the non-separable MAP solution, computed by one
+    m x m SPD solve over the tile's source footprint
+    (`jointsolver.reduced_nonseparable`).
+    """
     op = job.operator
     src = op.source_coords
     y = np.asarray(noisy_pixels)[src[:, 0], src[:, 1]]
     ty = op.matrix @ y
-    n_real = op.real_output_count
     try:
-        psi = build_patch_denoiser(op, ty[:n_real], config)
+        psi = build_patch_denoiser(op, ty, config)
         sequential = None
         if config.mode in ("sequential", "both"):
-            sequential = psi.matrix @ ty[:n_real]
+            sequential = psi.matrix @ ty
         joint = None
         if config.mode in ("joint", "both"):
-            m = op.size
-            if a_mn is None:
-                a_mn = np.linalg.inv(op.matrix)
-            graph = graphcore.DirectedInterpGraph(
-                original_count=m, new_count=m, block_mn=a_mn
-            )
-            lbar = np.zeros((m, m))
+            joint = ty
             if config.weights.kappa > 0 and config.denoiser_kind != "identity":
-                l_rr = graphcore.denoiser_to_laplacian(psi, config.weights.mu)
-                lbar[:n_real, :n_real] = l_rr.generalized_laplacian
-            sol = jointsolver.joint_nonseparable(
-                y,
-                graph,
-                lbar,
-                config.weights,
-                method=config.method,
-                cg_tol=config.cg_tol,
-                jacobi=config.jacobi,
-            )
-            joint = sol.interpolated_block[:n_real]
+                eigs = graphcore.laplacian_eigenpairs(psi, config.weights.mu)
+                joint, _ = jointsolver.reduced_nonseparable(
+                    y,
+                    op.matrix,
+                    eigs,
+                    config.weights,
+                    method=config.method,
+                    cg_tol=config.cg_tol,
+                    jacobi=config.jacobi,
+                )
         return PatchResult(joint=joint, sequential=sequential, failed=False)
     except _PATCH_ERRORS as exc:
         return PatchResult(joint=None, sequential=None, failed=True, error=str(exc))
@@ -355,9 +350,7 @@ _POOL_STATE: dict = {}
 def _pool_run(args):
     idx, vi = args
     state = _POOL_STATE
-    return run_patch(
-        state["jobs"][idx], state["noisy"][vi], state["config"], state["inv"][idx]
-    )
+    return run_patch(state["jobs"][idx], state["noisy"][vi], state["config"])
 
 
 def build_reference(jobs, clean_pixels, shape):
@@ -381,7 +374,6 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     jobs = interpolators.tile_image(shape, config.transform, config.patch_size)
     if not jobs:
         raise PatchGeometryError("no valid patch jobs for this transform")
-    inverses = [np.linalg.inv(job.operator.matrix) for job in jobs]
     ref, base_mask = build_reference(jobs, clean, shape)
 
     noisy_per_variance = [
@@ -391,9 +383,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
 
     results_per_variance = []
     if config.workers > 1:
-        _POOL_STATE.update(
-            jobs=jobs, inv=inverses, config=config, noisy=noisy_per_variance
-        )
+        _POOL_STATE.update(jobs=jobs, config=config, noisy=noisy_per_variance)
         try:
             ctx = multiprocessing.get_context("fork")
             tasks = [
@@ -413,10 +403,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     else:
         for vi in range(len(config.noise_variances)):
             results_per_variance.append(
-                [
-                    run_patch(job, noisy_per_variance[vi], config, inv)
-                    for job, inv in zip(jobs, inverses)
-                ]
+                [run_patch(job, noisy_per_variance[vi], config) for job in jobs]
             )
 
     transform_label = config.transform.label()

@@ -195,3 +195,18 @@ class TestConfigFile:
         cfg.write_text("no-such-key = 1\n")
         with pytest.raises(SystemExit):
             run_cli(["experiment", "--config", str(cfg), "--texture", "texture-a"])
+
+    def test_command_line_overrides_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("denoiser = gaussian\nvariances = 0.02\nmethod = direct\n")
+        args = ["experiment", "--config", str(cfg), "--texture", "texture-a"]
+        args += ["--texture-size", "30", "--mode", "joint", "--denoiser", "bilateral"]
+        assert run_cli(args) == 0
+        got = capsys.readouterr().out
+        assert ",bilateral,joint," in got and "gaussian" not in got
+
+    def test_file_values_checked_against_choices(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("denoiser = foo\n")
+        with pytest.raises(SystemExit):
+            run_cli(["experiment", "--config", str(cfg), "--texture", "texture-a"])

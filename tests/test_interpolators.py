@@ -113,7 +113,12 @@ class TestPadFullRank:
         assert abs(np.linalg.det(op.matrix)) == pytest.approx(0.5)
 
     def test_rotation_patch_padding_invertible(self):
-        op = rotation_operator(20.0, (200, 200), (10, 10), (512, 512))
+        real = rotation_operator(20.0, (200, 200), (10, 10), (512, 512))
+        assert not real.dummy_rows
+        assert real.matrix.shape == (100, len(real.source_coords))
+        op = pad_full_rank(
+            real.matrix, real.source_coords, real.target_coords, real.transform
+        )
         assert op.real_output_count == 100
         assert len(op.dummy_rows) == op.size - 100 > 0
         svals = np.linalg.svd(op.matrix, compute_uv=False)
@@ -125,7 +130,11 @@ class TestPadFullRank:
             pad_full_rank(theta[:2], [[0, 0], [0, 1]])
 
     def test_strip_and_repad_preserves_real_rows(self):
-        op = rotation_operator(20.0, (100, 100), (10, 10), (256, 256))
+        real = rotation_operator(20.0, (100, 100), (10, 10), (256, 256))
+        op = pad_full_rank(
+            real.matrix, real.source_coords, real.target_coords, real.transform
+        )
+        np.testing.assert_array_equal(op.real_matrix, real.matrix)
         repadded = pad_full_rank(
             op.real_matrix, op.source_coords, op.target_coords, op.transform
         )

@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mixedgraph.denoisers import KernelParams, gaussian_matrix, sinkhorn_balance
-from mixedgraph.errors import PreconditionError, SingularOperatorError, SolverError
+from mixedgraph.denoisers import (
+    KernelParams,
+    bilateral_matrix,
+    gaussian_matrix,
+    sinkhorn_balance,
+)
+from mixedgraph.errors import (
+    PatchGeometryError,
+    PreconditionError,
+    SingularOperatorError,
+    SolverError,
+)
 from mixedgraph.graphcore import (
     DirectedInterpGraph,
     UndirectedGraph,
     denoiser_to_laplacian,
     interpolator_to_adjacency,
+    laplacian_eigenpairs,
+)
+from mixedgraph.interpolators import (
+    Homography,
+    Rotation,
+    build_patch_operator,
+    pad_full_rank,
 )
 from mixedgraph.jointsolver import (
     BlockSystem,
@@ -28,8 +47,10 @@ from mixedgraph.jointsolver import (
     objective_interpolate,
     objective_nonseparable,
     objective_separable,
+    reduced_nonseparable,
 )
 
+PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 PATH_GRAPH_2 = UndirectedGraph.from_generalized_laplacian([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -320,6 +341,14 @@ class TestCgSolve:
         xj, _ = cg_solve(c, b, tol=1e-10, jacobi=True)
         np.testing.assert_allclose(xj, b / diag, atol=1e-8)
 
+    def test_asymmetric_matrix_rejected_at_any_size(self):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(40, 40))
+        c = a @ a.T + 40 * np.eye(40)
+        c[0, 39] += 1.0
+        with pytest.raises(PreconditionError):
+            cg_solve(c, rng.normal(size=40))
+
     def test_max_iter_failure_carries_best_iterate(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(20, 20))
@@ -328,6 +357,89 @@ class TestCgSolve:
             cg_solve(c, rng.normal(size=20), tol=1e-14, max_iter=2)
         assert excinfo.value.best_x is not None
         assert excinfo.value.residual > 0
+
+
+def warped_tile(transform, origin, kind, seed):
+    """Real-row operator, footprint values and balanced denoiser of one tile."""
+    image = np.random.default_rng(seed).uniform(0.0, 1.0, (32, 32))
+    op = build_patch_operator(transform, origin, (6, 6), (32, 32)).operator
+    y = image[op.source_coords[:, 0], op.source_coords[:, 1]]
+    if kind == "gaussian":
+        kernel = gaussian_matrix(op.target_coords, KernelParams())
+    else:
+        kernel = bilateral_matrix(
+            op.target_coords, np.clip(op.matrix @ y, 0.0, 1.0), KernelParams()
+        )
+    return op, y, sinkhorn_balance(kernel, kind=kind)
+
+
+TILE_TRANSFORMS = st.one_of(
+    st.floats(-45.0, 45.0, allow_nan=False).map(Rotation),
+    st.just(Homography(PAPER_H)),
+)
+
+
+class TestReducedNonseparable:
+    """The m x m reduced solve against the padded 2m x 2m oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        transform=TILE_TRANSFORMS,
+        origin=st.tuples(st.integers(0, 26), st.integers(0, 26)),
+        kind=st.sampled_from(["gaussian", "bilateral"]),
+        mu=st.floats(0.05, 2.0),
+        gamma=st.floats(0.1, 2.0),
+        kappa=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_padded_oracle(self, transform, origin, kind, mu, gamma, kappa, seed):
+        try:
+            op, y, psi = warped_tile(transform, origin, kind, seed)
+            padded = pad_full_rank(
+                op.matrix, op.source_coords, op.target_coords, transform
+            )
+        except PatchGeometryError:
+            assume(False)  # out of bounds, or no invertible padding to compare with
+        assume(psi.certified)
+        weights = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
+        n, m = op.matrix.shape
+        lbar = np.zeros((m, m))
+        lbar[:n, :n] = denoiser_to_laplacian(psi, mu).generalized_laplacian
+        graph = interpolator_to_adjacency(padded)
+        want = joint_nonseparable(
+            y, graph, lbar, weights, method="direct"
+        ).interpolated_block[:n]
+        got, _ = reduced_nonseparable(
+            y, op.matrix, laplacian_eigenpairs(psi, mu), weights, method="direct"
+        )
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_kappa_zero_is_plain_interpolation(self, method):
+        op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
+        got, _ = reduced_nonseparable(
+            y,
+            op.matrix,
+            laplacian_eigenpairs(psi, 0.3),
+            SolverWeights(kappa=0.0),
+            method=method,
+        )
+        np.testing.assert_allclose(got, op.matrix @ y, rtol=1e-14, atol=0.0)
+
+    def test_cg_matches_direct(self):
+        op, y, psi = warped_tile(Homography(PAPER_H), (10, 8), "bilateral", 4)
+        eigs = laplacian_eigenpairs(psi, 0.3)
+        direct, stats = reduced_nonseparable(y, op.matrix, eigs, SolverWeights(), "direct")
+        cg, cg_stats = reduced_nonseparable(
+            y, op.matrix, eigs, SolverWeights(), "cg", cg_tol=1e-12, jacobi=True
+        )
+        np.testing.assert_allclose(cg, direct, atol=1e-10)
+        assert stats["residual"] <= 1e-12 and cg_stats["residual"] <= 1e-12
+
+    def test_indefinite_system_is_a_solver_error(self):
+        eigs = (np.array([-100.0]), np.eye(1))
+        with pytest.raises(SolverError):
+            reduced_nonseparable([1.0], [[1.0]], eigs, SolverWeights(), "direct")
 
 
 class TestOptimalityCertificates:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mixedgraph.errors import ImageIOError
-from mixedgraph.interpolators import Rotation, tile_image
+from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import (
     CSV_HEADER,
@@ -189,6 +191,18 @@ class TestProcessImage:
             covered[tc[:, 0], tc[:, 1]] = True
         np.testing.assert_array_equal(out.validity, covered)
 
+    def test_magnified_tiles_are_solved(self):
+        # 4x magnification: each 10x10 tile reads only 4x4 source pixels,
+        # so its rows cannot be padded into an invertible square operator
+        img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 1)
+        config = ExperimentConfig(
+            transform=Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0))),
+            denoiser_kind="bilateral",
+            method="direct",
+        )
+        out = process_image(config, img, "joint")
+        assert out.validity.all() and np.isfinite(out.pixels).all()
+
 
 class TestRunExperiment:
     def make_config(self, **kw):
@@ -239,6 +253,13 @@ class TestRunExperiment:
         for curve in curves:
             assert curve.points[0][1] >= 80.0
 
+    def test_worker_pool_matches_serial(self):
+        img = synthetic_texture("texture-a", 36)
+        config = self.make_config(transform=Rotation(20.0))
+        _, serial = run_experiment(config, img, "tex")
+        _, pooled = run_experiment(replace(config, workers=2), img, "tex")
+        assert pooled == serial
+
     def test_cg_matches_direct(self):
         img = synthetic_texture("texture-a", 30)
         kw = dict(noise_variances=(0.04,), patch_size=10)
@@ -259,6 +280,8 @@ class TestConfigValidation:
             identity_config(patch_size=1)
         with pytest.raises(ValueError):
             identity_config(mode="all")
+        with pytest.raises(ValueError):
+            identity_config(method="lu")
 
     def test_modes_property(self):
         assert identity_config(mode="both").modes == ("joint", "sequential")
