@@ -71,7 +71,8 @@ def _config_defaults(path, args, parser):
                 if value.lower() in ("1", "true", "yes"):
                     tokens.append(flag)
             else:
-                tokens += [flag, value]
+                # one token, so a value starting with "-" is not read as a flag
+                tokens.append(f"{flag}={value}")
     parsed = parser.parse_args(tokens)
     return {key: getattr(parsed, key) for key in keys}
 

@@ -309,15 +309,7 @@ def joint_nonseparable(
     )
 
 
-def reduced_nonseparable(
-    y,
-    theta_real,
-    laplacian_eigs,
-    weights: SolverWeights,
-    method: str = "cg",
-    cg_tol: float = 1e-8,
-    jacobi: bool = False,
-):
+def reduced_nonseparable(y, theta_real, laplacian_eigs, weights: SolverWeights):
     """Real interpolated block of the non-separable joint solution.
 
     Eliminating the original-pixel block of the 2m x 2m system and
@@ -330,9 +322,10 @@ def reduced_nonseparable(
     ``laplacian_eigs`` is ``(evals, evecs)`` of the n x n generalized
     Laplacian L on the real outputs, so L itself is never formed.
 
-    `method` "cg" runs conjugate gradient on the reduced matrix; "direct"
-    and "closed-form" run one Cholesky solve.  Returns ``(x_real, stats)``
-    with `iterations` and `residual` (relative) in `stats`.
+    The matrix is at least I whenever L is positive semidefinite, as it is
+    for a certified denoiser, so one LU solve is stable; numpy's own LAPACK
+    is used because scipy's runs a second BLAS thread pool that contends
+    with numpy's.  A singular system raises SolverError.
     """
     y = as_vector(y)
     theta_real = np.asarray(theta_real, dtype=float)
@@ -343,18 +336,11 @@ def reduced_nonseparable(
     beta = weights.kappa * (1.0 + weights.gamma) / weights.gamma
     b = evecs.T @ theta_real
     coeff = np.eye(m) + beta * ((b.T * evals) @ b)
-    if method == "cg":
-        w, stats = cg_solve(coeff, y, tol=cg_tol, jacobi=jacobi)
-    elif method in ("direct", "closed-form"):
-        try:
-            w = sla.cho_solve(sla.cho_factor(coeff), y)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"reduced joint system is not positive definite: {exc}") from exc
-        res = np.linalg.norm(coeff @ w - y) / max(np.linalg.norm(y), 1e-300)
-        stats = {"iterations": 1, "residual": res}
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
-    return theta_real @ w, stats
+    try:
+        w = np.linalg.solve(coeff, y)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("reduced joint system is singular") from exc
+    return theta_real @ w
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

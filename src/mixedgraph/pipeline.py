@@ -68,6 +68,8 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "both"
     patch_size: int = 10
+    # Still accepted and checked, but the pipeline solves every tile's joint
+    # system with one dense solve, whatever these say.
     method: str = "cg"
     cg_tol: float = 1e-8
     jacobi: bool = False
@@ -307,14 +309,8 @@ def run_patch(job, noisy_pixels, config) -> PatchResult:
             joint = ty
             if config.weights.kappa > 0 and config.denoiser_kind != "identity":
                 eigs = graphcore.laplacian_eigenpairs(psi, config.weights.mu)
-                joint, _ = jointsolver.reduced_nonseparable(
-                    y,
-                    op.matrix,
-                    eigs,
-                    config.weights,
-                    method=config.method,
-                    cg_tol=config.cg_tol,
-                    jacobi=config.jacobi,
+                joint = jointsolver.reduced_nonseparable(
+                    y, op.matrix, eigs, config.weights
                 )
         return PatchResult(joint=joint, sequential=sequential, failed=False)
     except _PATCH_ERRORS as exc:

@@ -210,3 +210,16 @@ class TestConfigFile:
         cfg.write_text("denoiser = foo\n")
         with pytest.raises(SystemExit):
             run_cli(["experiment", "--config", str(cfg), "--texture", "texture-a"])
+
+    def test_file_value_starting_with_minus(self, tmp_path, capsys):
+        # a left-right flip: its first entry is negative
+        cfg = tmp_path / "flip.cfg"
+        cfg.write_text(
+            "transform = homography\n"
+            "homography = -1,0,29;0,1,0;0,0,1\n"
+            "variances = 0.02\n"
+        )
+        args = ["experiment", "--config", str(cfg), "--texture", "texture-a"]
+        args += ["--texture-size", "30", "--mode", "joint", "--method", "direct"]
+        assert run_cli(args) == 0
+        assert "homography(-1,0,29;0,1,0;0,0,1)" in capsys.readouterr().out

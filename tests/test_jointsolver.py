@@ -382,7 +382,7 @@ TILE_TRANSFORMS = st.one_of(
 class TestReducedNonseparable:
     """The m x m reduced solve against the padded 2m x 2m oracle."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         transform=TILE_TRANSFORMS,
         origin=st.tuples(st.integers(0, 26), st.integers(0, 26)),
@@ -401,6 +401,8 @@ class TestReducedNonseparable:
         except PatchGeometryError:
             assume(False)  # out of bounds, or no invertible padding to compare with
         assume(psi.certified)
+        # the oracle inverts the padded operator; keep it well conditioned
+        assume(np.linalg.cond(padded.matrix) < 1e4)
         weights = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
         n, m = op.matrix.shape
         lbar = np.zeros((m, m))
@@ -409,37 +411,21 @@ class TestReducedNonseparable:
         want = joint_nonseparable(
             y, graph, lbar, weights, method="direct"
         ).interpolated_block[:n]
-        got, _ = reduced_nonseparable(
-            y, op.matrix, laplacian_eigenpairs(psi, mu), weights, method="direct"
-        )
+        got = reduced_nonseparable(y, op.matrix, laplacian_eigenpairs(psi, mu), weights)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("method", ["cg", "direct"])
-    def test_kappa_zero_is_plain_interpolation(self, method):
+    def test_kappa_zero_is_plain_interpolation(self):
         op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
-        got, _ = reduced_nonseparable(
-            y,
-            op.matrix,
-            laplacian_eigenpairs(psi, 0.3),
-            SolverWeights(kappa=0.0),
-            method=method,
+        got = reduced_nonseparable(
+            y, op.matrix, laplacian_eigenpairs(psi, 0.3), SolverWeights(kappa=0.0)
         )
         np.testing.assert_allclose(got, op.matrix @ y, rtol=1e-14, atol=0.0)
 
-    def test_cg_matches_direct(self):
-        op, y, psi = warped_tile(Homography(PAPER_H), (10, 8), "bilateral", 4)
-        eigs = laplacian_eigenpairs(psi, 0.3)
-        direct, stats = reduced_nonseparable(y, op.matrix, eigs, SolverWeights(), "direct")
-        cg, cg_stats = reduced_nonseparable(
-            y, op.matrix, eigs, SolverWeights(), "cg", cg_tol=1e-12, jacobi=True
-        )
-        np.testing.assert_allclose(cg, direct, atol=1e-10)
-        assert stats["residual"] <= 1e-12 and cg_stats["residual"] <= 1e-12
-
-    def test_indefinite_system_is_a_solver_error(self):
-        eigs = (np.array([-100.0]), np.eye(1))
+    def test_singular_system_is_a_solver_error(self):
+        # beta = kappa (1 + gamma) / gamma = 1, so I + beta * L is zero
+        eigs = (np.array([-1.0]), np.eye(1))
         with pytest.raises(SolverError):
-            reduced_nonseparable([1.0], [[1.0]], eigs, SolverWeights(), "direct")
+            reduced_nonseparable([1.0], [[1.0]], eigs, SolverWeights(gamma=1.0, kappa=0.5))
 
 
 class TestOptimalityCertificates:

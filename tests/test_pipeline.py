@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from mixedgraph.errors import ImageIOError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
@@ -11,6 +12,7 @@ from mixedgraph.pipeline import (
     ExperimentConfig,
     ImageBuffer,
     add_gaussian_noise,
+    build_patch_denoiser,
     build_reference,
     load_pgm,
     process_image,
@@ -20,6 +22,8 @@ from mixedgraph.pipeline import (
     save_pgm,
     synthetic_texture,
 )
+
+MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def identity_config(**kw):
@@ -195,13 +199,32 @@ class TestProcessImage:
         # 4x magnification: each 10x10 tile reads only 4x4 source pixels,
         # so its rows cannot be padded into an invertible square operator
         img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 1)
-        config = ExperimentConfig(
-            transform=Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0))),
-            denoiser_kind="bilateral",
-            method="direct",
-        )
+        config = ExperimentConfig(transform=MAGNIFY_4X, denoiser_kind="bilateral")
         out = process_image(config, img, "joint")
         assert out.validity.all() and np.isfinite(out.pixels).all()
+
+    def test_magnified_tile_minimises_reduced_objective(self):
+        # With more outputs than footprint pixels (n > m) the joint output
+        # is theta_r @ w, where w minimises
+        # gamma/(1+gamma) |y - w|^2 + kappa (theta_r w)^T L (theta_r w),
+        # L = (inv(psi) - I) / mu; solved here as a stacked least squares.
+        img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 1)
+        config = ExperimentConfig(transform=MAGNIFY_4X, denoiser_kind="bilateral")
+        job = tile_image((40, 40), config.transform, 10)[5]
+        op = job.operator
+        n, m = op.matrix.shape
+        assert n > m
+        got = run_patch(job, img.pixels, config)
+        y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
+        psi = build_patch_denoiser(op, op.matrix @ y, config)
+        wts = config.weights
+        lap = (np.linalg.inv(psi.matrix) - np.eye(n)) / wts.mu
+        a = np.sqrt(wts.gamma / (1.0 + wts.gamma))
+        lhs = np.vstack([a * np.eye(m), np.sqrt(wts.kappa) * sqrtm(lap).real @ op.matrix])
+        rhs = np.concatenate([a * y, np.zeros(n)])
+        w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        np.testing.assert_allclose(got.joint, op.matrix @ w, rtol=1e-8)
+        np.testing.assert_allclose(got.sequential, psi.matrix @ op.matrix @ y)
 
 
 class TestRunExperiment:
