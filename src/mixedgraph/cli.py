@@ -130,6 +130,14 @@ def _run_mode(args, mode):
         print(f"wrote {args.out_image}")
     else:
         print("no --out-image given; nothing written")
+    if out.tile_errors:
+        # the image is still written, but a run with holes in it is an error
+        print(
+            f"{len(out.tile_errors)} of {out.tile_count} tiles failed; "
+            f"first: {out.tile_errors[0]}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -10,7 +10,8 @@ block).  Both directions of the mapping are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,7 +185,11 @@ class DirectedInterpGraph:
 
 @dataclass(frozen=True)
 class DenoiserOperator:
-    """A square filter matrix with recorded (never assumed) property flags."""
+    """A square filter matrix with recorded (never assumed) property flags.
+
+    ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are computed on
+    first access and cached; they are None for an asymmetric matrix.
+    """
 
     matrix: np.ndarray
     kind: str = "custom"
@@ -192,8 +197,6 @@ class DenoiserOperator:
     certified_pd: bool = False
     certified_nonexpansive: bool = False
     doubly_stochastic: bool = False
-    spectrum: np.ndarray | None = field(default=None, repr=False)
-    eigvecs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -203,34 +206,61 @@ class DenoiserOperator:
             and self.certified_nonexpansive
         )
 
+    @cached_property
+    def _eigh(self):
+        if not self.certified_symmetric:
+            return None, None
+        return np.linalg.eigh(self.matrix)
+
+    @property
+    def spectrum(self) -> np.ndarray | None:
+        return self._eigh[0]
+
+    @property
+    def eigvecs(self) -> np.ndarray | None:
+        return self._eigh[1]
+
     def __call__(self, y) -> np.ndarray:
         return self.matrix @ as_vector(y)
+
+
+def _is_pd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
     """Check symmetry, positive definiteness, and non-expansiveness of a filter.
 
     Failing checks never raise; they produce an uncertified operator that
-    downstream mappings reject.  The eigendecomposition is cached on the
-    returned operator for reuse (inversion, spectral-mapping checks).
+    downstream mappings reject.  A symmetric filter is certified without
+    its spectrum: it is PD when a Cholesky factorization of
+    ``psi - PD_EIG_MIN * I`` succeeds, and non-expansive when its largest
+    absolute row sum, a bound on its spectral radius, is at most
+    ``1 + NONEXPANSIVE_SLACK`` (always so for a nonnegative doubly
+    stochastic filter), or else when ``(1 + slack) I - psi`` and, unless
+    ``psi`` is PD, ``(1 + slack) I + psi`` factor.
     """
     psi = np.asarray(psi_matrix, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise ValueError(f"denoiser matrix must be square, got shape {psi.shape}")
 
+    bound = 1.0 + NONEXPANSIVE_SLACK
     symmetric = _rel_asym(psi) <= TAU_SYM
-    spectrum = None
-    vecs = None
     if symmetric:
         psi = 0.5 * (psi + psi.T)
-        spectrum, vecs = np.linalg.eigh(psi)
-        pd = bool(spectrum.min() > PD_EIG_MIN)
-        radius = np.abs(spectrum).max() if len(spectrum) else 0.0
+        eye = np.eye(len(psi))
+        pd = _is_pd(psi - PD_EIG_MIN * eye)
+        nonexpansive = np.abs(psi).sum(axis=1).max(initial=0.0) <= bound or (
+            _is_pd(bound * eye - psi) and (pd or _is_pd(bound * eye + psi))
+        )
     else:
         evals = np.linalg.eigvals(psi)
         pd = False
-        radius = np.abs(evals).max() if len(evals) else 0.0
-    nonexpansive = bool(radius <= 1.0 + NONEXPANSIVE_SLACK)
+        nonexpansive = np.abs(evals).max(initial=0.0) <= bound
 
     row = psi.sum(axis=1)
     col = psi.sum(axis=0)
@@ -244,10 +274,8 @@ def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
         kind=kind,
         certified_symmetric=symmetric,
         certified_pd=pd,
-        certified_nonexpansive=nonexpansive,
+        certified_nonexpansive=bool(nonexpansive),
         doubly_stochastic=ds,
-        spectrum=spectrum,
-        eigvecs=vecs,
     )
 
 
@@ -279,7 +307,7 @@ def laplacian_eigenpairs(psi: DenoiserOperator, mu: float):
     """Eigenpairs of the generalized Laplacian ``(inv(psi) - I) / mu``.
 
     Returns ``(evals, evecs)`` with ``L = evecs @ diag(evals) @ evecs.T``,
-    taken from the cached eigendecomposition of ``psi``.  Raises
+    taken from the eigendecomposition of ``psi``.  Raises
     PreconditionError unless ``psi`` is certified and its spectrum is
     nonsingular within ``PIVOT_RTOL``: these are the conditions under which
     ``psi`` is the MAP filter of a Laplacian-regularized problem.
@@ -291,8 +319,6 @@ def laplacian_eigenpairs(psi: DenoiserOperator, mu: float):
             "denoiser must be certified symmetric, PD, and non-expansive"
         )
     spectrum, vecs = psi.spectrum, psi.eigvecs
-    if spectrum is None or vecs is None:
-        spectrum, vecs = np.linalg.eigh(psi.matrix)
     if np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(spectrum).max():
         raise PreconditionError("denoiser matrix is singular within pivot tolerance")
     return (1.0 / spectrum - 1.0) / mu, vecs

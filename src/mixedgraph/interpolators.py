@@ -105,38 +105,39 @@ class InterpolatorOperator:
 
 @dataclass(frozen=True)
 class PatchJob:
-    """One output tile: its geometry, dropped pixels, and real-row operator."""
+    """One output tile: its geometry and real-row operator."""
 
     origin: tuple
     size: tuple
     operator: InterpolatorOperator
-    dropped_coords: np.ndarray
 
 
 def bilinear_rows(src_rc: np.ndarray, image_size):
-    """Bilinear taps for back-projected points; None for out-of-bounds points.
+    """Bilinear taps of back-projected points, as arrays.
 
-    Returns a list of ([(r, c), ...], [weight, ...]) with zero-weight taps
-    removed; weights of surviving entries sum to 1.
+    Returns ``(inside, row, tap_rc, weight)``.  ``inside`` masks the points
+    that fall inside the image, bounds included; the others get no taps.
+    The other three list one nonzero tap each: ``row`` numbers its point
+    among the inside points, ``tap_rc`` is its source pixel (row, col) and
+    ``weight`` its weight.  Zero-weight taps are dropped, so each inside
+    point's weights are positive and sum to 1.
     """
     h, w = image_size
-    out = []
-    for sr, sc in src_rc:
-        if not (0.0 <= sr <= h - 1 and 0.0 <= sc <= w - 1):
-            out.append(None)
-            continue
-        br = min(int(math.floor(sr)), h - 2) if h > 1 else 0
-        bc = min(int(math.floor(sc)), w - 2) if w > 1 else 0
-        fr, fc = sr - br, sc - bc
-        taps, wts = [], []
-        for dr, wr in ((0, 1.0 - fr), (1, fr)):
-            for dc, wc in ((0, 1.0 - fc), (1, fc)):
-                wgt = wr * wc
-                if wgt > 0.0:
-                    taps.append((br + dr, bc + dc))
-                    wts.append(wgt)
-        out.append((taps, wts))
-    return out
+    sr, sc = src_rc[:, 0], src_rc[:, 1]
+    inside = (sr >= 0.0) & (sr <= h - 1) & (sc >= 0.0) & (sc <= w - 1)
+    sr, sc = sr[inside], sc[inside]
+    br = np.minimum(np.floor(sr), max(h - 2, 0))
+    bc = np.minimum(np.floor(sc), max(w - 2, 0))
+    fr, fc = sr - br, sc - bc
+    # taps in the order (0, 0), (0, 1), (1, 0), (1, 1)
+    wr = np.column_stack([1.0 - fr, 1.0 - fr, fr, fr])
+    wc = np.column_stack([1.0 - fc, fc, 1.0 - fc, fc])
+    weight = wr * wc
+    tap_r = br.astype(int)[:, None] + np.array([0, 0, 1, 1])
+    tap_c = bc.astype(int)[:, None] + np.array([0, 1, 0, 1])
+    keep = weight > 0.0
+    row = np.nonzero(keep)[0]
+    return inside, row, np.column_stack([tap_r[keep], tap_c[keep]]), weight[keep]
 
 
 def pad_full_rank(
@@ -197,45 +198,34 @@ def pad_full_rank(
 
 
 def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
-    """Assemble the (unpadded) interpolation operator for one output tile."""
+    """Assemble the (unpadded) interpolation operator for one output tile.
+
+    The footprint is the sorted set of source pixels with a nonzero tap, so
+    the columns follow the row-major order of the source image.
+    """
     r0, c0 = origin
     ph, pw = size
     rr, cc = np.mgrid[r0 : r0 + ph, c0 : c0 + pw]
     targets = np.column_stack([rr.ravel(), cc.ravel()])
     src = transform.back_project(targets.astype(float), image_size)
-    rows = bilinear_rows(src, image_size)
-
-    real_targets, real_rows, dropped = [], [], []
-    for tgt, row in zip(targets, rows):
-        if row is None:
-            dropped.append(tgt)
-        else:
-            real_targets.append(tgt)
-            real_rows.append(row)
-    if not real_rows:
+    inside, row, tap_rc, weight = bilinear_rows(src, image_size)
+    if not inside.any():
         raise PatchGeometryError(f"patch at {origin} back-projects fully out of bounds")
 
-    footprint = sorted({tap for taps, _ in real_rows for tap in taps})
-    col_of = {tap: j for j, tap in enumerate(footprint)}
-    theta_raw = np.zeros((len(real_rows), len(footprint)))
-    for i, (taps, wts) in enumerate(real_rows):
-        for tap, wgt in zip(taps, wts):
-            theta_raw[i, col_of[tap]] = wgt
+    w = image_size[1]
+    footprint, col = np.unique(tap_rc[:, 0] * w + tap_rc[:, 1], return_inverse=True)
+    theta_raw = np.zeros((int(inside.sum()), len(footprint)))
+    theta_raw[row, col] = weight
 
     op = InterpolatorOperator(
         matrix=theta_raw,
-        real_output_count=len(real_rows),
+        real_output_count=len(theta_raw),
         dummy_rows=(),
-        source_coords=np.asarray(footprint, dtype=int),
-        target_coords=np.asarray(real_targets, dtype=int),
+        source_coords=np.column_stack(np.divmod(footprint, w)),
+        target_coords=targets[inside],
         transform=transform,
     )
-    return PatchJob(
-        origin=(r0, c0),
-        size=(ph, pw),
-        operator=op,
-        dropped_coords=np.asarray(dropped, dtype=int).reshape(-1, 2),
-    )
+    return PatchJob(origin=(r0, c0), size=(ph, pw), operator=op)
 
 
 def rotation_operator(angle_deg, origin, size, image_size) -> InterpolatorOperator:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import PreconditionError, SingularOperatorError, SolverError
-from .graphcore import DirectedInterpGraph, UndirectedGraph, as_vector
+from .graphcore import DenoiserOperator, DirectedInterpGraph, UndirectedGraph, as_vector
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,10 @@ def map_denoise(y, graph: UndirectedGraph, mu: float) -> np.ndarray:
         raise PreconditionError("graph Laplacian must be PSD")
     coeff = np.eye(len(y)) + mu * lg
     try:
-        cho = sla.cho_factor(coeff)
+        np.linalg.cholesky(coeff)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("denoising system is not positive definite") from exc
-    return sla.cho_solve(cho, y)
+    return np.linalg.solve(coeff, y)
 
 
 def _interp_system(a_mn: np.ndarray, gamma: float) -> BlockSystem:
@@ -309,7 +308,7 @@ def joint_nonseparable(
     )
 
 
-def reduced_nonseparable(y, theta_real, laplacian_eigs, weights: SolverWeights):
+def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWeights):
     """Real interpolated block of the non-separable joint solution.
 
     Eliminating the original-pixel block of the 2m x 2m system and
@@ -319,25 +318,34 @@ def reduced_nonseparable(y, theta_real, laplacian_eigs, weights: SolverWeights):
     ``theta_r @ w``.  Only the real rows ``theta_real`` (n x m) enter: the
     dummy rows of a padded interpolator carry no prior, so they drop out,
     and neither the padding nor the interpolator's inverse is needed.
-    ``laplacian_eigs`` is ``(evals, evecs)`` of the n x n generalized
-    Laplacian L on the real outputs, so L itself is never formed.
+    With ``L = (inv(psi) - I) / mu`` for the n x n denoiser ``psi`` on the
+    real outputs, the matrix is
+    ``I + (beta / mu) (theta_r.T inv(psi) theta_r - theta_r.T theta_r)``,
+    with ``inv(psi) theta_r`` from one solve: neither L nor a spectrum is
+    formed.
 
-    The matrix is at least I whenever L is positive semidefinite, as it is
-    for a certified denoiser, so one LU solve is stable; numpy's own LAPACK
-    is used because scipy's runs a second BLAS thread pool that contends
-    with numpy's.  A singular system raises SolverError.
+    ``psi`` must be certified, or PreconditionError is raised.  That also
+    covers the pivot check of `graphcore.laplacian_eigenpairs`: the
+    eigenvalues of ``psi`` lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``,
+    so their ratio exceeds ``1e-10 > PIVOT_RTOL``.  L is then positive
+    semidefinite and the matrix at least I, so LU is stable; numpy's own
+    LAPACK is used because scipy's runs a second BLAS thread pool that
+    contends with numpy's.  A singular system raises SolverError.
     """
+    if not isinstance(psi, DenoiserOperator) or not psi.certified:
+        raise PreconditionError(
+            "denoiser must be certified symmetric, PD, and non-expansive"
+        )
     y = as_vector(y)
     theta_real = np.asarray(theta_real, dtype=float)
-    evals, evecs = laplacian_eigs
     n, m = theta_real.shape
-    if len(y) != m or evecs.shape != (n, n) or len(evals) != n:
-        raise ValueError("dimension mismatch between signal, interpolator, and Laplacian")
+    if len(y) != m or psi.matrix.shape != (n, n):
+        raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
     beta = weights.kappa * (1.0 + weights.gamma) / weights.gamma
-    b = evecs.T @ theta_real
-    coeff = np.eye(m) + beta * ((b.T * evals) @ b)
     try:
-        w = np.linalg.solve(coeff, y)
+        psi_inv_theta = np.linalg.solve(psi.matrix, theta_real)
+        prior = theta_real.T @ psi_inv_theta - theta_real.T @ theta_real
+        w = np.linalg.solve(np.eye(m) + (beta / weights.mu) * prior, y)
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
     return theta_real @ w

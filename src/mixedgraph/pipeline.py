@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from . import denoisers, graphcore, interpolators, jointsolver
+from . import denoisers, interpolators, jointsolver
 from .errors import (
     BalanceError,
     ImageIOError,
@@ -50,6 +50,17 @@ class ImageBuffer:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+
+@dataclass(frozen=True)
+class StitchedImage(ImageBuffer):
+    """A pipeline output image, with the errors of the tiles that failed.
+
+    A failed tile's pixels stay invalid.
+    """
+
+    tile_count: int = 0
+    tile_errors: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -293,7 +304,8 @@ def run_patch(job, noisy_pixels, config) -> PatchResult:
 
     The joint output is the non-separable MAP solution, computed by one
     m x m SPD solve over the tile's source footprint
-    (`jointsolver.reduced_nonseparable`).
+    (`jointsolver.reduced_nonseparable`) from the certified denoiser itself;
+    no spectrum is computed on this path.
     """
     op = job.operator
     src = op.source_coords
@@ -308,16 +320,15 @@ def run_patch(job, noisy_pixels, config) -> PatchResult:
         if config.mode in ("joint", "both"):
             joint = ty
             if config.weights.kappa > 0 and config.denoiser_kind != "identity":
-                eigs = graphcore.laplacian_eigenpairs(psi, config.weights.mu)
                 joint = jointsolver.reduced_nonseparable(
-                    y, op.matrix, eigs, config.weights
+                    y, op.matrix, psi, config.weights
                 )
         return PatchResult(joint=joint, sequential=sequential, failed=False)
     except _PATCH_ERRORS as exc:
         return PatchResult(joint=None, sequential=None, failed=True, error=str(exc))
 
 
-def process_image(config: ExperimentConfig, image, mode: str) -> ImageBuffer:
+def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
     """Run every patch job in one mode and stitch the real outputs."""
     pixels = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
     jobs = interpolators.tile_image(pixels.shape, config.transform, config.patch_size)
@@ -326,15 +337,19 @@ def process_image(config: ExperimentConfig, image, mode: str) -> ImageBuffer:
     run_config = replace(config, mode=mode)
     out = np.zeros(pixels.shape)
     mask = np.zeros(pixels.shape, dtype=bool)
+    errors = []
     for job in jobs:
         res = run_patch(job, pixels, run_config)
         if res.failed:
+            errors.append(f"tile at {job.origin}: {res.error}")
             continue
         tc = job.operator.target_coords
         vals = res.joint if mode == "joint" else res.sequential
         out[tc[:, 0], tc[:, 1]] = vals
         mask[tc[:, 0], tc[:, 1]] = True
-    return ImageBuffer(pixels=out, validity=mask)
+    return StitchedImage(
+        pixels=out, validity=mask, tile_count=len(jobs), tile_errors=tuple(errors)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,22 @@ class TestImageCommands:
         assert outs["joint"].shape == outs["sequential"].shape
         assert np.any(outs["joint"] != outs["sequential"])
 
+    def test_failed_tiles_exit_nonzero(self, small_pgm, tmp_path, capsys):
+        # NLM with the CLI defaults fails certification on most tiles
+        out = tmp_path / "nlm.pgm"
+        args = ["joint", "--image", str(small_pgm), "--denoiser", "nlm"]
+        assert run_cli(args + ["--out-image", str(out)]) == 1
+        assert load_pgm(out).pixels.shape == (30, 30)  # still written
+        err = capsys.readouterr().err
+        assert " of 9 tiles failed; first: tile at (" in err
+        assert "failed certification" in err
+
+    def test_clean_run_exits_zero(self, small_pgm, tmp_path, capsys):
+        out = tmp_path / "bilateral.pgm"
+        args = ["joint", "--image", str(small_pgm), "--transform", "rotation"]
+        assert run_cli(args + ["--angle", "10", "--out-image", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_input_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["denoise"])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixedgraph.denoisers import KernelParams, gaussian_matrix, sinkhorn_balance
 from mixedgraph.errors import DegenerateGraphError, PreconditionError, SingularOperatorError
 from mixedgraph.graphcore import (
+    NONEXPANSIVE_SLACK,
+    PD_EIG_MIN,
     RandomWalkView,
     UndirectedGraph,
     certify_denoiser,
@@ -126,6 +130,79 @@ class TestCertifyDenoiser:
         assert op.certified and op.doubly_stochastic
         # independent eigenvalue oracle
         assert np.linalg.eigvalsh(op.matrix).min() > 1e-10
+
+
+# Eigenvalues at least 1e-8 to either side of each certification threshold.
+MARGIN = 1e-8
+THRESHOLDS = (PD_EIG_MIN, 1.0 + NONEXPANSIVE_SLACK, -1.0 - NONEXPANSIVE_SLACK)
+EIGENVALUE = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.tuples(
+        st.sampled_from(THRESHOLDS), st.sampled_from((-1.0, 1.0)), st.floats(MARGIN, 1e-4)
+    ).map(lambda t: t[0] + t[1] * t[2]),
+)
+
+
+def clear_of_thresholds(evals, thresholds=THRESHOLDS):
+    return all(abs(lam - t) >= MARGIN for lam in evals for t in thresholds)
+
+
+class TestCertificationWithoutSpectrum:
+    """Cholesky and row-sum certification against an eigenvalue oracle."""
+
+    @staticmethod
+    def check_flags(op):
+        evals = np.linalg.eigvalsh(op.matrix)
+        assert op.certified_symmetric
+        assert op.certified_pd == (evals.min() > PD_EIG_MIN)
+        assert op.certified_nonexpansive == (np.abs(evals).max() <= 1.0 + NONEXPANSIVE_SLACK)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        evals=st.lists(EIGENVALUE, min_size=1, max_size=8),
+        constant_eigvec=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_planted_spectrum(self, evals, constant_eigvec, seed):
+        # Q diag(evals) Q^T; with the constant vector in Q, psi 1 = evals[0] 1,
+        # so the rows sum to one when evals[0] == 1. Most such matrices
+        # have negative entries: the row-sum bound misses, and the
+        # Cholesky fallback decides non-expansiveness.
+        assume(clear_of_thresholds(evals))
+        n = len(evals)
+        rng = np.random.default_rng(seed)
+        basis = rng.normal(size=(n, n))
+        if constant_eigvec:
+            basis[:, 0] = 1.0
+            evals[0] = 1.0
+        q, _ = np.linalg.qr(basis)
+        self.check_flags(certify_denoiser((q * evals) @ q.T))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 12),
+        mix=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_doubly_stochastic_mixtures(self, n, mix, seed):
+        # mix * (balanced Gaussian kernel) + (1 - mix) * (reversal
+        # permutation): nonnegative and doubly stochastic, so the row-sum
+        # bound certifies non-expansiveness, and PD or indefinite by mix.
+        # Such a matrix has the eigenvalue 1 (and -1 for mix = 0), 1e-10
+        # inside the non-expansiveness bound; only PD is given a margin.
+        rng = np.random.default_rng(seed)
+        balanced = sinkhorn_balance(
+            gaussian_matrix(rng.uniform(0.0, 3.0, (n, 2)), KernelParams())
+        ).matrix
+        psi = mix * balanced + (1.0 - mix) * np.eye(n)[::-1]
+        assume(clear_of_thresholds(np.linalg.eigvalsh(psi), (PD_EIG_MIN,)))
+        self.check_flags(certify_denoiser(psi))
+
+    def test_spectrum_readable(self):
+        op = certify_denoiser(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
+        np.testing.assert_allclose(op.spectrum, [1.0 / 3.0, 1.0])
+        np.testing.assert_allclose(np.abs(op.eigvecs), np.sqrt(0.5))
+        assert certify_denoiser([[0.0, 1.0], [0.0, 0.0]]).spectrum is None
 
 
 class TestDenoiserToLaplacian:

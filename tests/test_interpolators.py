@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mixedgraph.errors import DegenerateTransformError, PatchGeometryError
 from mixedgraph.interpolators import (
@@ -37,6 +38,39 @@ def scalar_warp(transform, image, targets):
             + image[r0 + 1, c0 + 1] * fr * fc
         )
     return np.array(out)
+
+
+def loop_operator(transform, origin, size, image_size):
+    """Per-pixel reference build of a tile's (real rows, footprint, targets)."""
+    h, w = image_size
+    pixels = [
+        (r, c)
+        for r in range(origin[0], origin[0] + size[0])
+        for c in range(origin[1], origin[1] + size[1])
+    ]
+    # one batched back-projection: a homography's matrix product rounds
+    # differently for a single row
+    src = transform.back_project(np.array(pixels, dtype=float), image_size)
+    rows, targets = [], []
+    for pixel, (sr, sc) in zip(pixels, src):
+        if not (0.0 <= sr <= h - 1 and 0.0 <= sc <= w - 1):
+            continue
+        br, bc = min(math.floor(sr), h - 2), min(math.floor(sc), w - 2)
+        fr, fc = sr - br, sc - bc
+        taps = {}
+        for dr, wr in ((0, 1.0 - fr), (1, fr)):
+            for dc, wc in ((0, 1.0 - fc), (1, fc)):
+                if wr * wc > 0.0:
+                    taps[(br + dr, bc + dc)] = wr * wc
+        rows.append(taps)
+        targets.append(pixel)
+    footprint = sorted({tap for taps in rows for tap in taps})
+    col = {tap: j for j, tap in enumerate(footprint)}
+    theta = np.zeros((len(rows), len(footprint)))
+    for i, taps in enumerate(rows):
+        for tap, wgt in taps.items():
+            theta[i, col[tap]] = wgt
+    return theta, np.array(footprint), np.array(targets)
 
 
 def apply_real(op, image):
@@ -205,6 +239,57 @@ class TestOperatorInvariants:
         op = build_patch_operator(transform, (10, 10), (10, 10), (40, 40)).operator
         want = scalar_warp(transform, img, op.target_coords)
         np.testing.assert_allclose(apply_real(op, img), want, atol=1e-12)
+
+
+class TestTileOperatorOracles:
+    """Every tile's real rows against scipy's warp and the per-pixel loop."""
+
+    @pytest.mark.parametrize(
+        "transform, size, edge_hits",
+        [
+            # pixels back-project exactly onto the last row and column
+            (Rotation(90.0), 33, True),
+            (Homography(PAPER_H), 41, True),
+            (Rotation(20.0), 37, False),
+        ],
+    )
+    def test_tiles_match_map_coordinates(self, transform, size, edge_hits):
+        img = np.random.default_rng(size).uniform(0.0, 1.0, (size, size))
+        seen = np.zeros((size, size), dtype=bool)
+        on_edge = 0
+        for job in tile_image((size, size), transform, 10):
+            op = job.operator
+            assert np.all(op.matrix >= 0.0)
+            np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            tc = op.target_coords
+            src = transform.back_project(tc.astype(float), (size, size))
+            want = ndimage.map_coordinates(img, src.T, order=1, mode="nearest")
+            np.testing.assert_allclose(apply_real(op, img), want, rtol=0.0, atol=1e-12)
+            on_edge += int(np.sum((src == size - 1).any(axis=1)))
+            seen[tc[:, 0], tc[:, 1]] = True
+        # the tiles cover exactly the pixels that back-project inside
+        rr, cc = np.mgrid[0:size, 0:size]
+        src = transform.back_project(
+            np.column_stack([rr.ravel(), cc.ravel()]).astype(float), (size, size)
+        )
+        inside = ((src >= 0.0) & (src <= size - 1)).all(axis=1).reshape(size, size)
+        np.testing.assert_array_equal(seen, inside)
+        assert (on_edge > 0) == edge_hits
+
+    @pytest.mark.parametrize(
+        "transform, size",
+        [(Rotation(90.0), 33), (Homography(PAPER_H), 41), (Rotation(20.0), 37)],
+    )
+    def test_tiles_equal_per_pixel_loop(self, transform, size):
+        # same arithmetic as the array build, so the results are bit-equal
+        for job in tile_image((size, size), transform, 10):
+            theta, footprint, targets = loop_operator(
+                transform, job.origin, job.size, (size, size)
+            )
+            op = job.operator
+            np.testing.assert_array_equal(op.matrix, theta)
+            np.testing.assert_array_equal(op.source_coords, footprint)
+            np.testing.assert_array_equal(op.target_coords, targets)
 
 
 class TestParseTransform:

@@ -16,11 +16,12 @@ from mixedgraph.errors import (
     SolverError,
 )
 from mixedgraph.graphcore import (
+    DenoiserOperator,
     DirectedInterpGraph,
     UndirectedGraph,
+    certify_denoiser,
     denoiser_to_laplacian,
     interpolator_to_adjacency,
-    laplacian_eigenpairs,
 )
 from mixedgraph.interpolators import (
     Homography,
@@ -411,21 +412,33 @@ class TestReducedNonseparable:
         want = joint_nonseparable(
             y, graph, lbar, weights, method="direct"
         ).interpolated_block[:n]
-        got = reduced_nonseparable(y, op.matrix, laplacian_eigenpairs(psi, mu), weights)
+        got = reduced_nonseparable(y, op.matrix, psi, weights)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_kappa_zero_is_plain_interpolation(self):
         op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
-        got = reduced_nonseparable(
-            y, op.matrix, laplacian_eigenpairs(psi, 0.3), SolverWeights(kappa=0.0)
-        )
+        got = reduced_nonseparable(y, op.matrix, psi, SolverWeights(kappa=0.0))
         np.testing.assert_allclose(got, op.matrix @ y, rtol=1e-14, atol=0.0)
 
     def test_singular_system_is_a_solver_error(self):
-        # beta = kappa (1 + gamma) / gamma = 1, so I + beta * L is zero
-        eigs = (np.array([-1.0]), np.eye(1))
-        with pytest.raises(SolverError):
-            reduced_nonseparable([1.0], [[1.0]], eigs, SolverWeights(gamma=1.0, kappa=0.5))
+        # flags set by hand: psi = 2 gives L = (1/2 - 1) / mu = -1 for
+        # mu = 1/2, and beta = kappa (1 + gamma) / gamma = 1, so I + beta * L
+        # is zero; a singular psi fails the same way
+        weights = SolverWeights(mu=0.5, gamma=1.0, kappa=0.5)
+        for value in (2.0, 0.0):
+            psi = DenoiserOperator(
+                matrix=np.array([[value]]),
+                certified_symmetric=True,
+                certified_pd=True,
+                certified_nonexpansive=True,
+            )
+            with pytest.raises(SolverError):
+                reduced_nonseparable([1.0], [[1.0]], psi, weights)
+
+    def test_uncertified_denoiser_rejected(self):
+        psi = certify_denoiser([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError):
+            reduced_nonseparable([1.0, 2.0], np.eye(2), psi, SolverWeights())
 
 
 class TestOptimalityCertificates:

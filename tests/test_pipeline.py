@@ -295,6 +295,20 @@ class TestRunExperiment:
         np.testing.assert_allclose(c_vals, d_vals, atol=1e-3)
 
 
+class TestNoSpectrumOnTilePath:
+    def test_eigh_not_called(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on the tile path")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        img = add_gaussian_noise(synthetic_texture("texture-a", 30), 0.02, 1)
+        config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="bilateral")
+        out = process_image(config, img, "joint")
+        assert not out.tile_errors and out.validity.any()
+        _, csv_text = run_experiment(replace(config, denoiser_kind="gaussian"), img, "t")
+        assert csv_text.count(",0\n") == 2  # both modes, no failed tiles
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
