@@ -109,11 +109,10 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     grid = fill_holes_nearest(grid, valid)
     padded = np.pad(grid, pr, mode="edge")
 
-    # Patch feature vectors, one per coordinate.
+    # Patch feature vectors, one per coordinate, each patch in row-major order.
     k = params.nlm_patch_size
-    feats = np.empty((len(y), k * k))
-    for idx, (r, col) in enumerate(zip(rows, cols)):
-        feats[idx] = padded[r : r + k, col : col + k].ravel()
+    dr, dc = divmod(np.arange(k * k), k)
+    feats = padded[rows[:, None] + dr, cols[:, None] + dc]
 
     d2 = _pairwise_sq_dist_features(feats)
     weights = np.exp(-d2 / params.nlm_h2)

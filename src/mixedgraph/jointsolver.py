@@ -312,25 +312,26 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     """Real interpolated block of the non-separable joint solution.
 
     Eliminating the original-pixel block of the 2m x 2m system and
-    substituting ``x_n = theta @ w`` leaves the m x m SPD system
-    ``(I + beta * theta_r.T @ L @ theta_r) w = y`` with
-    ``beta = kappa (1 + gamma) / gamma``; the real outputs are
-    ``theta_r @ w``.  Only the real rows ``theta_real`` (n x m) enter: the
-    dummy rows of a padded interpolator carry no prior, so they drop out,
-    and neither the padding nor the interpolator's inverse is needed.
-    With ``L = (inv(psi) - I) / mu`` for the n x n denoiser ``psi`` on the
-    real outputs, the matrix is
-    ``I + (beta / mu) (theta_r.T inv(psi) theta_r - theta_r.T theta_r)``,
-    with ``inv(psi) theta_r`` from one solve: neither L nor a spectrum is
-    formed.
+    substituting ``x_n = theta @ w`` leaves ``(I_m + c theta_r.T G theta_r)
+    w = y`` with ``c = kappa (1 + gamma) / (gamma mu)`` and
+    ``G = inv(psi) - I`` (``G / mu`` is the Laplacian of the n x n denoiser
+    ``psi``); the real outputs are ``z = theta_r @ w``.  Only the real rows
+    ``theta_real`` (n x m) enter, so no padding or interpolator inverse is
+    needed.  The push-through identity (Henderson and Searle, SIAM Review
+    1981) gives ``z = (I_n + c P G)^-1 theta_r y`` with
+    ``P = theta_r theta_r.T``, and ``z = psi v`` removes ``inv(psi)``: one
+    n x n solve with one right-hand side, ``(psi + c (P - P psi)) v =
+    theta_r y``, for n <= m and for magnified tiles (n > m) alike.
 
-    ``psi`` must be certified, or PreconditionError is raised.  That also
-    covers the pivot check of `graphcore.laplacian_eigenpairs`: the
-    eigenvalues of ``psi`` lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``,
-    so their ratio exceeds ``1e-10 > PIVOT_RTOL``.  L is then positive
-    semidefinite and the matrix at least I, so LU is stable; numpy's own
-    LAPACK is used because scipy's runs a second BLAS thread pool that
-    contends with numpy's.  A singular system raises SolverError.
+    ``psi`` must be certified, or PreconditionError is raised: its
+    eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, which
+    covers the pivot check of `graphcore.laplacian_eigenpairs`.  The matrix
+    is not symmetric, but it equals ``(I + c P G) psi``; ``P G`` is a
+    product of positive semidefinite matrices (up to the certification
+    slack), so its eigenvalues are real and >= 0, the matrix is nonsingular
+    and LU with partial pivoting is safe.  numpy's own LAPACK is used
+    because scipy's runs a second BLAS thread pool that contends with
+    numpy's.  A singular system raises SolverError.
     """
     if not isinstance(psi, DenoiserOperator) or not psi.certified:
         raise PreconditionError(
@@ -341,14 +342,13 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     n, m = theta_real.shape
     if len(y) != m or psi.matrix.shape != (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
-    beta = weights.kappa * (1.0 + weights.gamma) / weights.gamma
+    c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
+    p = theta_real @ theta_real.T
     try:
-        psi_inv_theta = np.linalg.solve(psi.matrix, theta_real)
-        prior = theta_real.T @ psi_inv_theta - theta_real.T @ theta_real
-        w = np.linalg.solve(np.eye(m) + (beta / weights.mu) * prior, y)
+        v = np.linalg.solve(psi.matrix + c * (p - p @ psi.matrix), theta_real @ y)
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
-    return theta_real @ w
+    return psi.matrix @ v
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

@@ -303,7 +303,7 @@ def run_patch(job, noisy_pixels, config) -> PatchResult:
     """Solve one patch in joint and/or sequential mode from shared inputs.
 
     The joint output is the non-separable MAP solution, computed by one
-    m x m SPD solve over the tile's source footprint
+    solve over the tile's real outputs
     (`jointsolver.reduced_nonseparable`) from the certified denoiser itself;
     no spectrum is computed on this path.
     """
@@ -334,12 +334,11 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
     jobs = interpolators.tile_image(pixels.shape, config.transform, config.patch_size)
     if not jobs:
         raise PatchGeometryError("no valid patch jobs for this transform")
-    run_config = replace(config, mode=mode)
+    (results,) = _run_patches(jobs, [pixels], replace(config, mode=mode))
     out = np.zeros(pixels.shape)
     mask = np.zeros(pixels.shape, dtype=bool)
     errors = []
-    for job in jobs:
-        res = run_patch(job, pixels, run_config)
+    for job, res in zip(jobs, results):
         if res.failed:
             errors.append(f"tile at {job.origin}: {res.error}")
             continue
@@ -361,7 +360,27 @@ _POOL_STATE: dict = {}
 def _pool_run(args):
     idx, vi = args
     state = _POOL_STATE
-    return run_patch(state["jobs"][idx], state["noisy"][vi], state["config"])
+    return run_patch(state["jobs"][idx], state["images"][vi], state["config"])
+
+
+def _run_patches(jobs, images, config):
+    """`run_patch` for every job on every image: one result list per image.
+
+    With ``config.workers > 1`` the (job, image) pairs are spread over a
+    fork pool of that many processes; the results are the same either way.
+    """
+    if config.workers <= 1:
+        return [[run_patch(job, pixels, config) for job in jobs] for pixels in images]
+    _POOL_STATE.update(jobs=jobs, config=config, images=images)
+    try:
+        ctx = multiprocessing.get_context("fork")
+        tasks = [(idx, vi) for vi in range(len(images)) for idx in range(len(jobs))]
+        with ctx.Pool(config.workers) as pool:
+            flat = pool.map(_pool_run, tasks, chunksize=16)
+    finally:
+        _POOL_STATE.clear()
+    k = len(jobs)
+    return [flat[vi * k : (vi + 1) * k] for vi in range(len(images))]
 
 
 def build_reference(jobs, clean_pixels, shape):
@@ -392,30 +411,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
         for vi, var in enumerate(config.noise_variances)
     ]
 
-    results_per_variance = []
-    if config.workers > 1:
-        _POOL_STATE.update(jobs=jobs, config=config, noisy=noisy_per_variance)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            tasks = [
-                (idx, vi)
-                for vi in range(len(config.noise_variances))
-                for idx in range(len(jobs))
-            ]
-            with ctx.Pool(config.workers) as pool:
-                flat = pool.map(_pool_run, tasks, chunksize=16)
-            k = len(jobs)
-            results_per_variance = [
-                flat[vi * k : (vi + 1) * k]
-                for vi in range(len(config.noise_variances))
-            ]
-        finally:
-            _POOL_STATE.clear()
-    else:
-        for vi in range(len(config.noise_variances)):
-            results_per_variance.append(
-                [run_patch(job, noisy_per_variance[vi], config) for job in jobs]
-            )
+    results_per_variance = _run_patches(jobs, noisy_per_variance, config)
 
     transform_label = config.transform.label()
     rows = []

@@ -5,6 +5,7 @@ from mixedgraph.denoisers import (
     KernelParams,
     bilateral_matrix,
     build_denoiser,
+    fill_holes_nearest,
     gaussian_matrix,
     identity_operator,
     nlm_matrix,
@@ -92,6 +93,42 @@ class TestNlmMatrix:
         m = nlm_matrix(coords, rng.uniform(0, 1, 100), KernelParams())
         np.testing.assert_allclose(m, m.T)
         assert np.all(m.sum(axis=1) > 0.0)
+
+
+def loop_nlm_matrix(coords, intensities, params):
+    """`nlm_matrix` with the patch features gathered one pixel at a time."""
+    ci = np.rint(np.asarray(coords, dtype=float)).astype(int)
+    pr, k = params.nlm_patch_size // 2, params.nlm_patch_size
+    rows, cols = ci[:, 0] - ci[:, 0].min(), ci[:, 1] - ci[:, 1].min()
+    grid = np.zeros((rows.max() + 1, cols.max() + 1))
+    valid = np.zeros(grid.shape, dtype=bool)
+    grid[rows, cols] = intensities
+    valid[rows, cols] = True
+    padded = np.pad(fill_holes_nearest(grid, valid), pr, mode="edge")
+    feats = np.empty((len(ci), k * k))
+    for idx, (r, col) in enumerate(zip(rows, cols)):
+        feats[idx] = padded[r : r + k, col : col + k].ravel()
+    diff = feats[:, None, :] - feats[None, :, :]
+    weights = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / params.nlm_h2)
+    cheb = np.abs(ci[:, None, :] - ci[None, :, :]).max(axis=2)
+    weights[cheb > params.nlm_search_window // 2] = 0.0
+    return 0.5 * (weights + weights.T)
+
+
+class TestNlmPatchGather:
+    @pytest.mark.parametrize("patch_size", [3, 5])
+    def test_matches_per_pixel_loop_on_tile_with_holes(self, patch_size):
+        rng = np.random.default_rng(4)
+        coords = grid_coords(10, 10) + [3, 7]
+        # drop a block and scattered pixels, so holes are filled from neighbours
+        keep = rng.uniform(size=100) > 0.2
+        keep[33:37] = False
+        coords = coords[keep]
+        y = rng.uniform(0, 1, len(coords))
+        params = KernelParams(nlm_patch_size=patch_size, nlm_search_window=7)
+        np.testing.assert_array_equal(
+            nlm_matrix(coords, y, params), loop_nlm_matrix(coords, y, params)
+        )
 
 
 class TestSinkhornBalance:

@@ -7,6 +7,7 @@ from mixedgraph.denoisers import (
     KernelParams,
     bilateral_matrix,
     gaussian_matrix,
+    nlm_matrix,
     sinkhorn_balance,
 )
 from mixedgraph.errors import (
@@ -52,6 +53,8 @@ from mixedgraph.jointsolver import (
 )
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
+MAGNIFY_2X = Homography(((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)))
+MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
 PATH_GRAPH_2 = UndirectedGraph.from_generalized_laplacian([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -365,12 +368,14 @@ def warped_tile(transform, origin, kind, seed):
     image = np.random.default_rng(seed).uniform(0.0, 1.0, (32, 32))
     op = build_patch_operator(transform, origin, (6, 6), (32, 32)).operator
     y = image[op.source_coords[:, 0], op.source_coords[:, 1]]
+    interp = np.clip(op.matrix @ y, 0.0, 1.0)
     if kind == "gaussian":
         kernel = gaussian_matrix(op.target_coords, KernelParams())
+    elif kind == "bilateral":
+        kernel = bilateral_matrix(op.target_coords, interp, KernelParams())
     else:
-        kernel = bilateral_matrix(
-            op.target_coords, np.clip(op.matrix @ y, 0.0, 1.0), KernelParams()
-        )
+        # a small h2 keeps most NLM kernels of these random tiles PD
+        kernel = nlm_matrix(op.target_coords, interp, KernelParams(nlm_h2=0.05))
     return op, y, sinkhorn_balance(kernel, kind=kind)
 
 
@@ -423,22 +428,75 @@ class TestReducedNonseparable:
     def test_singular_system_is_a_solver_error(self):
         # flags set by hand: psi = 2 gives L = (1/2 - 1) / mu = -1 for
         # mu = 1/2, and beta = kappa (1 + gamma) / gamma = 1, so I + beta * L
-        # is zero; a singular psi fails the same way
+        # is zero
         weights = SolverWeights(mu=0.5, gamma=1.0, kappa=0.5)
-        for value in (2.0, 0.0):
-            psi = DenoiserOperator(
-                matrix=np.array([[value]]),
-                certified_symmetric=True,
-                certified_pd=True,
-                certified_nonexpansive=True,
-            )
-            with pytest.raises(SolverError):
-                reduced_nonseparable([1.0], [[1.0]], psi, weights)
+        psi = DenoiserOperator(
+            matrix=np.array([[2.0]]),
+            certified_symmetric=True,
+            certified_pd=True,
+            certified_nonexpansive=True,
+        )
+        with pytest.raises(SolverError):
+            reduced_nonseparable([1.0], [[1.0]], psi, weights)
+        # a singular psi is never certified, so it never reaches the solve
+        psi = certify_denoiser([[0.0]])
+        with pytest.raises(PreconditionError):
+            reduced_nonseparable([1.0], [[1.0]], psi, weights)
 
     def test_uncertified_denoiser_rejected(self):
         psi = certify_denoiser([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(PreconditionError):
             reduced_nonseparable([1.0, 2.0], np.eye(2), psi, SolverWeights())
+
+
+class TestOutputSpaceSolve:
+    """The n x n output-space solve against the m x m footprint system."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        transform=st.one_of(
+            TILE_TRANSFORMS, st.sampled_from([MAGNIFY_2X, MAGNIFY_4X])
+        ),
+        origin=st.tuples(st.integers(0, 26), st.integers(0, 26)),
+        kind=st.sampled_from(["gaussian", "bilateral", "nlm"]),
+        mu=st.floats(0.05, 2.0),
+        gamma=st.floats(0.1, 2.0),
+        kappa=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_footprint_system(
+        self, transform, origin, kind, mu, gamma, kappa, seed
+    ):
+        try:
+            op, y, psi = warped_tile(transform, origin, kind, seed)
+        except PatchGeometryError:
+            assume(False)  # tile out of bounds
+        assume(psi.certified)
+        weights = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
+        theta = op.matrix
+        n, m = theta.shape
+        # (I + c theta^T (inv(psi) - I) theta) w = y, c = kappa (1 + gamma) / (gamma mu)
+        c = kappa * (1.0 + gamma) / (gamma * mu)
+        g = np.linalg.inv(psi.matrix) - np.eye(n)
+        want = theta @ np.linalg.solve(np.eye(m) + c * theta.T @ g @ theta, y)
+        got = reduced_nonseparable(y, theta, psi, weights)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_one_vector_solve_per_tile(self, monkeypatch):
+        rhs_dims = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            rhs_dims.append(np.ndim(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for transform in (Rotation(20.0), Homography(PAPER_H), MAGNIFY_4X):
+            for origin in ((0, 0), (12, 12), (20, 6)):
+                op, y, psi = warped_tile(transform, origin, "gaussian", 5)
+                rhs_dims.clear()
+                reduced_nonseparable(y, op.matrix, psi, SolverWeights())
+                assert rhs_dims == [1]
 
 
 class TestOptimalityCertificates:

@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,28 @@ class TestProcessImage:
             tc = job.operator.target_coords
             covered[tc[:, 0], tc[:, 1]] = True
         np.testing.assert_array_equal(out.validity, covered)
+
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        contexts = []
+        get_context = multiprocessing.get_context
+
+        def recording_get_context(method=None):
+            contexts.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        img = add_gaussian_noise(synthetic_texture("texture-a", 36), 0.02, 1)
+        config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="bilateral")
+        for mode in ("joint", "sequential"):
+            serial = process_image(config, img, mode)
+            assert not contexts
+            pooled = process_image(replace(config, workers=2), img, mode)
+            assert contexts == ["fork"]
+            contexts.clear()
+            assert pooled.pixels.tobytes() == serial.pixels.tobytes()
+            np.testing.assert_array_equal(pooled.validity, serial.validity)
+            assert pooled.tile_errors == serial.tile_errors
+            assert serial.validity.any()
 
     def test_magnified_tiles_are_solved(self):
         # 4x magnification: each 10x10 tile reads only 4x4 source pixels,
