@@ -1,9 +1,12 @@
 """Linear denoiser matrices over pixel index sets, plus Sinkhorn balancing.
 
 All constructors take an explicit coordinate list so the same code serves
-original-pixel sets and interpolated-pixel sets of any size.  Raw kernels
-are symmetric and nonnegative; `sinkhorn_balance` turns them into
-doubly-stochastic operators suitable for the denoiser/graph mapping.
+original-pixel sets and interpolated-pixel sets of any size.  The
+intensity-dependent constructors also take a stack of V signals (V, n) and
+return one kernel per signal (V, n, n), doing the work that depends only on
+the coordinates once.  Raw kernels are symmetric and nonnegative;
+`sinkhorn_balance` turns one into a doubly-stochastic operator suitable for
+the denoiser/graph mapping, and `sinkhorn_scale` balances a stack.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import BalanceError
-from .graphcore import DenoiserOperator, certify_denoiser, as_vector
+from .graphcore import DenoiserOperator, as_signals, certify_denoiser
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,32 @@ def gaussian_matrix(coords, params: KernelParams) -> np.ndarray:
     return np.exp(-_pairwise_sq_dist(c) / (2.0 * params.spatial_var))
 
 
-def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
-    """Product of spatial and range Gaussian kernels (bilateral weights)."""
-    c = _as_coords(coords)
-    y = as_vector(intensities)
-    if len(y) != len(c):
+def _as_intensities(intensities, c: np.ndarray) -> np.ndarray:
+    y = as_signals(intensities)
+    if y.shape[-1] != len(c):
         raise ValueError("intensities length must match coords")
+    return y
+
+
+def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
+    """Product of spatial and range Gaussian kernels (bilateral weights).
+
+    For a stack of signals (V, n) the spatial factor is computed once and
+    each signal gets its own range factor: the result is (V, n, n).
+    """
+    c = _as_coords(coords)
+    y = _as_intensities(intensities, c)
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("intensities must lie in [0, 1]")
     spatial = np.exp(-_pairwise_sq_dist(c) / (2.0 * params.spatial_var))
-    dy = y[:, None] - y[None, :]
-    return spatial * np.exp(-(dy * dy) / (2.0 * params.range_var))
+    # The range factor, and then the kernel, are built in place in one
+    # buffer of the output's size.
+    k = y[..., :, None] - y[..., None, :]
+    k *= k
+    k /= -2.0 * params.range_var
+    np.exp(k, out=k)
+    k *= spatial
+    return k
 
 
 def fill_holes_nearest(grid: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -86,11 +104,12 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     Patch vectors are extracted from a grid covering the coordinate set
     (holes filled from the nearest neighbor, boundary replicate-padded).
     Coordinates must be integer-valued for patch extraction to make sense.
+    The grid is never built: every patch entry is an index into the signal,
+    computed once from the coordinates, so a stack of signals (V, n) costs
+    one gather and gives one kernel per signal (V, n, n).
     """
     c = _as_coords(coords)
-    y = as_vector(intensities)
-    if len(y) != len(c):
-        raise ValueError("intensities length must match coords")
+    y = _as_intensities(intensities, c)
     ci = np.rint(c).astype(int)
     if np.abs(c - ci).max() > 1e-9:
         raise ValueError("NLM requires integer pixel coordinates")
@@ -102,17 +121,23 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     rows = ci[:, 0] - r0
     cols = ci[:, 1] - c0
     h, w = rows.max() + 1, cols.max() + 1
-    grid = np.zeros((h, w))
-    valid = np.zeros((h, w), dtype=bool)
-    grid[rows, cols] = y
-    valid[rows, cols] = True
-    grid = fill_holes_nearest(grid, valid)
-    padded = np.pad(grid, pr, mode="edge")
+    # Grid cell -> signal index, holes taking their nearest pixel's index.
+    index = np.full((h, w), -1)
+    index[rows, cols] = np.arange(len(c))
+    index = fill_holes_nearest(index, index >= 0)
 
-    # Patch feature vectors, one per coordinate, each patch in row-major order.
+    # Patch feature vectors, one per coordinate, each patch in row-major
+    # order; clipping to the grid is the replicate padding.
     k = params.nlm_patch_size
     dr, dc = divmod(np.arange(k * k), k)
-    feats = padded[rows[:, None] + dr, cols[:, None] + dc]
+    gather = index[
+        np.clip(rows[:, None] + dr - pr, 0, h - 1),
+        np.clip(cols[:, None] + dc - pr, 0, w - 1),
+    ]
+    # np.take returns C order; ``y[..., gather]`` would put the stack axis
+    # innermost, and einsum would then sum each kernel's feature distances
+    # in another order than for one signal alone (and more slowly).
+    feats = np.take(y, gather, axis=-1)
 
     d2 = _pairwise_sq_dist_features(feats)
     weights = np.exp(-d2 / params.nlm_h2)
@@ -120,15 +145,15 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
         np.abs(ci[:, 0][:, None] - ci[:, 0][None, :]),
         np.abs(ci[:, 1][:, None] - ci[:, 1][None, :]),
     )
-    weights[cheb > wr] = 0.0
-    return 0.5 * (weights + weights.T)
+    weights[..., cheb > wr] = 0.0
+    return 0.5 * (weights + weights.swapaxes(-1, -2))
 
 
 def _pairwise_sq_dist_features(f: np.ndarray) -> np.ndarray:
     # Direct differencing: exact zeros on the diagonal and exact symmetry,
     # which keeps the kernel permutation-equivariant bit for bit.
-    diff = f[:, None, :] - f[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    diff = f[..., :, None, :] - f[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def sinkhorn_balance(
@@ -139,10 +164,8 @@ def sinkhorn_balance(
 ) -> DenoiserOperator:
     """Balance a symmetric nonnegative kernel into a doubly stochastic operator.
 
-    Uses the symmetric one-vector iteration d <- sqrt(d / (W d)) so that
-    diag(d) W diag(d) stays symmetric by construction.  Iterates past `tol`
-    toward machine precision while progress is being made, then certifies
-    the result (symmetry, PD, non-expansiveness) and records the flags.
+    Runs `sinkhorn_scale` on the one kernel, then certifies the result
+    (symmetry, PD, non-expansiveness) and records the flags.
 
     Raises BalanceError (with the final residual) if the row-sum residual
     is still above `tol` after `max_iter` iterations.
@@ -150,35 +173,78 @@ def sinkhorn_balance(
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"kernel must be square, got shape {w.shape}")
-    if np.linalg.norm(w - w.T) > 1e-10 * max(np.linalg.norm(w), 1.0):
+    (psi,), (error,) = sinkhorn_scale(w[None], tol=tol, max_iter=max_iter)
+    if error is not None:
+        raise error
+    return certify_denoiser(psi, kind=kind)
+
+
+def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
+    """Balance a stack of symmetric nonnegative kernels (V, n, n), each on its own.
+
+    Uses the symmetric one-vector iteration d <- sqrt(d / (W d)) of Knight
+    (SIAM J. Matrix Anal. Appl. 2008), so that diag(d) W diag(d) stays
+    symmetric by construction, on all V kernels at once.  Each kernel
+    iterates past `tol` toward machine precision while progress is being
+    made and stops by its own residual; a kernel that has stopped keeps its
+    d while the others go on, so every kernel gets the scaling it would get
+    alone.
+
+    Returns ``(psi, errors)``: the V balanced kernels, made exactly
+    symmetric, and for each either None or the BalanceError (with the final
+    residual) of a row-sum residual still above `tol` after `max_iter`
+    iterations.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise ValueError(f"kernels must be a (V, n, n) stack, got shape {w.shape}")
+    asym = np.linalg.norm(w - w.swapaxes(1, 2), axis=(1, 2))
+    if np.any(asym > 1e-10 * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)):
         raise ValueError("kernel must be symmetric")
     if w.min() < 0.0:
         raise ValueError("kernel must be nonnegative")
-    if np.any(np.diag(w) <= 0.0):
+    if np.any(np.diagonal(w, axis1=1, axis2=2) <= 0.0):
         raise ValueError("kernel must have a strictly positive diagonal")
 
-    d = np.ones(w.shape[0])
-    residual = np.inf
+    # d is kept as (V, n, 1) columns, so W d is one stacked matrix-vector
+    # product; the stopping rule runs on Python floats, one per kernel.
+    d = np.ones(w.shape[:2] + (1,))
+    residual = [np.inf] * len(w)
+    active = range(len(w))
     for _ in range(max_iter):
-        wd = w @ d
-        prev = residual
-        residual = np.abs(d * wd - 1.0).max()
-        # Stop at machine precision, or once below tol with progress stalled.
-        if residual < 1e-13 or (residual <= tol and residual > 0.5 * prev):
+        wd = np.matmul(w, d)
+        err = d * wd
+        err -= 1.0
+        now = np.abs(err, out=err).max(axis=(1, 2)).tolist()
+        going = []
+        for i in active:
+            prev, residual[i] = residual[i], now[i]
+            # Stop at machine precision, or once below tol with progress stalled.
+            if not (now[i] < 1e-13 or tol >= now[i] > 0.5 * prev):
+                going.append(i)
+        if not going:
             break
-        d = np.sqrt(d / wd)
+        if len(going) == len(w):
+            d = np.sqrt(d / wd)
+        else:
+            d[going] = np.sqrt(d[going] / wd[going])
+        active = going
     else:
-        wd = w @ d
-        residual = np.abs(d * wd - 1.0).max()
-    if residual > tol:
-        raise BalanceError(
-            f"Sinkhorn balancing did not converge (residual {residual:.3e})",
-            residual=residual,
-        )
+        now = np.abs(d * np.matmul(w, d) - 1.0).max(axis=(1, 2)).tolist()
+        for i in active:
+            residual[i] = now[i]
 
-    psi = w * d[:, None] * d[None, :]
-    psi = 0.5 * (psi + psi.T)
-    return certify_denoiser(psi, kind=kind)
+    psi = w * d * d.swapaxes(1, 2)
+    psi = 0.5 * (psi + psi.swapaxes(1, 2))
+    errors = [
+        BalanceError(
+            f"Sinkhorn balancing did not converge (residual {r:.3e})", residual=r
+        )
+        if r > tol
+        else None
+        for r in residual
+    ]
+    return psi, errors
 
 
 def identity_operator(n: int) -> DenoiserOperator:

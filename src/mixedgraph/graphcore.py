@@ -54,6 +54,16 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_signals(x) -> np.ndarray:
+    """`as_vector`, but a stack of V signals (V, n) is accepted too."""
+    if isinstance(x, PatchSignal):
+        x = x.values
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D signal or a stack of them, got shape {v.shape}")
+    return v
+
+
 def _rel_asym(m: np.ndarray) -> float:
     denom = np.linalg.norm(m)
     if denom == 0.0:
@@ -187,8 +197,10 @@ class DirectedInterpGraph:
 class DenoiserOperator:
     """A square filter matrix with recorded (never assumed) property flags.
 
-    ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are computed on
-    first access and cached; they are None for an asymmetric matrix.
+    ``matrix`` may also be a stack (V, n, n) of filters that all have the
+    flags.  ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are
+    computed on first access and cached; they are None for an asymmetric
+    matrix.
     """
 
     matrix: np.ndarray
@@ -224,12 +236,41 @@ class DenoiserOperator:
         return self.matrix @ as_vector(y)
 
 
-def _is_pd(a: np.ndarray) -> bool:
+def _is_pd(a: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (V, n, n) have a Cholesky factorization.
+
+    One stacked factorization; the matrices are factored one at a time
+    only when it raises.
+    """
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_is_pd(m[None]) for m in a])
+    return np.ones(len(a), dtype=bool)
+
+
+def certify_symmetric(psi) -> tuple:
+    """PD and non-expansiveness flags of a stack (V, n, n) of symmetric filters.
+
+    A filter is PD when a Cholesky factorization of ``psi - PD_EIG_MIN * I``
+    succeeds, and non-expansive when its largest absolute row sum, a bound
+    on its spectral radius, is at most ``1 + NONEXPANSIVE_SLACK`` (always so
+    for a nonnegative doubly stochastic filter), or else when
+    ``(1 + slack) I - psi`` and, unless ``psi`` is PD, ``(1 + slack) I + psi``
+    factor.  No spectrum is computed.  Returns two boolean arrays of length V.
+    """
+    bound = 1.0 + NONEXPANSIVE_SLACK
+    eye = np.eye(psi.shape[-1])
+    pd = _is_pd(psi - PD_EIG_MIN * eye)
+    nonexpansive = np.abs(psi).sum(axis=-1).max(axis=-1, initial=0.0) <= bound
+    for i in np.flatnonzero(~nonexpansive):
+        one = psi[i : i + 1]
+        nonexpansive[i] = _is_pd(bound * eye - one)[0] and (
+            pd[i] or _is_pd(bound * eye + one)[0]
+        )
+    return pd, nonexpansive
 
 
 def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
@@ -237,30 +278,20 @@ def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
 
     Failing checks never raise; they produce an uncertified operator that
     downstream mappings reject.  A symmetric filter is certified without
-    its spectrum: it is PD when a Cholesky factorization of
-    ``psi - PD_EIG_MIN * I`` succeeds, and non-expansive when its largest
-    absolute row sum, a bound on its spectral radius, is at most
-    ``1 + NONEXPANSIVE_SLACK`` (always so for a nonnegative doubly
-    stochastic filter), or else when ``(1 + slack) I - psi`` and, unless
-    ``psi`` is PD, ``(1 + slack) I + psi`` factor.
+    its spectrum, by `certify_symmetric`.
     """
     psi = np.asarray(psi_matrix, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise ValueError(f"denoiser matrix must be square, got shape {psi.shape}")
 
-    bound = 1.0 + NONEXPANSIVE_SLACK
     symmetric = _rel_asym(psi) <= TAU_SYM
     if symmetric:
         psi = 0.5 * (psi + psi.T)
-        eye = np.eye(len(psi))
-        pd = _is_pd(psi - PD_EIG_MIN * eye)
-        nonexpansive = np.abs(psi).sum(axis=1).max(initial=0.0) <= bound or (
-            _is_pd(bound * eye - psi) and (pd or _is_pd(bound * eye + psi))
-        )
+        (pd,), (nonexpansive,) = certify_symmetric(psi[None])
     else:
         evals = np.linalg.eigvals(psi)
         pd = False
-        nonexpansive = np.abs(evals).max(initial=0.0) <= bound
+        nonexpansive = np.abs(evals).max(initial=0.0) <= 1.0 + NONEXPANSIVE_SLACK
 
     row = psi.sum(axis=1)
     col = psi.sum(axis=0)
@@ -273,7 +304,7 @@ def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
         matrix=psi,
         kind=kind,
         certified_symmetric=symmetric,
-        certified_pd=pd,
+        certified_pd=bool(pd),
         certified_nonexpansive=bool(nonexpansive),
         doubly_stochastic=ds,
     )

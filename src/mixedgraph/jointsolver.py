@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularOperatorError, SolverError
-from .graphcore import DenoiserOperator, DirectedInterpGraph, UndirectedGraph, as_vector
+from .graphcore import (
+    DenoiserOperator,
+    DirectedInterpGraph,
+    UndirectedGraph,
+    as_signals,
+    as_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,12 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     n x n solve with one right-hand side, ``(psi + c (P - P psi)) v =
     theta_r y``, for n <= m and for magnified tiles (n > m) alike.
 
+    ``y`` may also be a stack of V signals (V, m), with ``psi.matrix`` the
+    stack (V, n, n) of their denoisers: P is formed once and the V systems
+    go to one stacked solve, which runs the same LAPACK routine on each, so
+    every signal gets the result it would get alone.  The result is then
+    (V, n).
+
     ``psi`` must be certified, or PreconditionError is raised: its
     eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, which
     covers the pivot check of `graphcore.laplacian_eigenpairs`.  The matrix
@@ -337,18 +349,20 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
         raise PreconditionError(
             "denoiser must be certified symmetric, PD, and non-expansive"
         )
-    y = as_vector(y)
+    y = as_signals(y)
     theta_real = np.asarray(theta_real, dtype=float)
     n, m = theta_real.shape
-    if len(y) != m or psi.matrix.shape != (n, n):
+    psi_m = psi.matrix
+    if y.shape[-1] != m or psi_m.shape != y.shape[:-1] + (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
     c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
     p = theta_real @ theta_real.T
+    rhs = np.matmul(theta_real, y[..., None])
     try:
-        v = np.linalg.solve(psi.matrix + c * (p - p @ psi.matrix), theta_real @ y)
+        v = np.linalg.solve(psi_m + c * (p - np.matmul(p, psi_m)), rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
-    return psi.matrix @ v
+    return np.matmul(psi_m, v)[..., 0]
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

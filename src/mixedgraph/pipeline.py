@@ -14,14 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from . import denoisers, interpolators, jointsolver
-from .errors import (
-    BalanceError,
-    ImageIOError,
-    PatchGeometryError,
-    PreconditionError,
-    SolverError,
-)
+from . import denoisers, graphcore, interpolators, jointsolver
+from .errors import ImageIOError, PatchGeometryError, PreconditionError, SolverError
 
 PSNR_CAP_DB = 99.0
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
@@ -87,6 +81,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not self.noise_variances:
+            raise ValueError("at least one noise variance is required")
         if any(v <= 0 for v in self.noise_variances):
             raise ValueError("noise variances must be positive")
         if self.patch_size < 2:
@@ -95,6 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.method not in ("cg", "direct", "closed-form"):
             raise ValueError(f"unknown solve method {self.method!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     @property
     def modes(self):
@@ -269,63 +267,105 @@ class PatchResult:
     error: str | None = None
 
 
-_PATCH_ERRORS = (
-    BalanceError,
-    PatchGeometryError,
-    PreconditionError,
-    SolverError,
-)
-
-
 def build_patch_denoiser(op, interp_values, config):
-    """Balanced denoiser over a patch's real output pixels.
+    """Balanced, certified denoisers of one tile, one per interpolated signal.
 
-    Weights are computed from the plain interpolation of the noisy input
-    (clipped to [0, 1] for kernel evaluation only).
+    ``interp_values`` is a stack (V, n) of plain interpolations of the
+    noisy inputs; kernel weights are computed from them clipped to [0, 1]
+    (for kernel evaluation only).  Returns ``(psi, errors)``: the V
+    denoisers (V, n, n) and, for each, None or the error that fails it: a
+    BalanceError, or a PreconditionError when certification fails.
     """
-    if config.denoiser_kind == "identity":
-        return denoisers.identity_operator(op.real_output_count)
+    v, n = interp_values.shape
+    kind = config.denoiser_kind
+    if kind == "identity":
+        return np.broadcast_to(np.eye(n), (v, n, n)), [None] * v
     kernel = denoisers.build_denoiser(
-        config.denoiser_kind,
-        op.target_coords,
-        np.clip(interp_values, 0.0, 1.0),
-        config.kernel_params,
+        kind, op.target_coords, np.clip(interp_values, 0.0, 1.0), config.kernel_params
     )
-    psi = denoisers.sinkhorn_balance(kernel, kind=config.denoiser_kind)
-    if not psi.certified:
-        raise PreconditionError(
-            f"{config.denoiser_kind} denoiser failed certification on patch"
+    # A Gaussian kernel does not depend on the signal: one (n, n) for all V.
+    psi, errors = denoisers.sinkhorn_scale(np.broadcast_to(kernel, (v, n, n)))
+    del kernel  # freed before certification allocates its stacks
+    balanced = [i for i, err in enumerate(errors) if err is None]
+    if balanced:
+        pd, nonexpansive = graphcore.certify_symmetric(
+            psi if len(balanced) == v else psi[balanced]
         )
-    return psi
+        for i, ok in zip(balanced, pd & nonexpansive):
+            if not ok:
+                errors[i] = PreconditionError(f"{kind} denoiser failed certification on patch")
+    return psi, errors
 
 
-def run_patch(job, noisy_pixels, config) -> PatchResult:
-    """Solve one patch in joint and/or sequential mode from shared inputs.
+def _joint_solves(y, theta, psi, config):
+    """`jointsolver.reduced_nonseparable` for a stack of V signals.
 
-    The joint output is the non-separable MAP solution, computed by one
-    solve over the tile's real outputs
-    (`jointsolver.reduced_nonseparable`) from the certified denoiser itself;
-    no spectrum is computed on this path.
+    One stacked solve; only when it fails is each signal solved alone, so
+    that a singular system fails its own signal.  Returns, per signal, the
+    joint output or the SolverError.
+    """
+    certified = dict(certified_symmetric=True, certified_pd=True, certified_nonexpansive=True)
+    weights = config.weights
+    try:
+        stacked = graphcore.DenoiserOperator(psi, config.denoiser_kind, **certified)
+        return list(jointsolver.reduced_nonseparable(y, theta, stacked, weights))
+    except SolverError as exc:
+        if len(y) == 1:
+            return [exc]
+    out = []
+    for yi, pi in zip(y, psi):
+        try:
+            one = graphcore.DenoiserOperator(pi, config.denoiser_kind, **certified)
+            out.append(jointsolver.reduced_nonseparable(yi, theta, one, weights))
+        except SolverError as exc:
+            out.append(exc)
+    return out
+
+
+def run_patch(job, images, config) -> list:
+    """Solve one tile on V noisy images in joint and/or sequential mode.
+
+    ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
+    images of one shape; one PatchResult is returned per image.  The work
+    that does not depend on the noise (footprint gather, the kernel's
+    coordinate checks and spatial factor, NLM's gather indices and window,
+    P = theta_r theta_r^T) is done once; theta_r y, the range factor,
+    Sinkhorn, certification and the joint solve run on stacks with a
+    leading axis of length V.  The joint output is the non-separable MAP
+    solution, from one solve over the tile's real outputs
+    (`jointsolver.reduced_nonseparable`); no spectrum is computed.  Stacked
+    products and solves run the same BLAS/LAPACK routine per image as a
+    single-image call, so each image gets the bits it would get alone.  A
+    balance, certification or solver failure fails only its own image.
     """
     op = job.operator
     src = op.source_coords
-    y = np.asarray(noisy_pixels)[src[:, 0], src[:, 1]]
-    ty = op.matrix @ y
-    try:
-        psi = build_patch_denoiser(op, ty, config)
-        sequential = None
-        if config.mode in ("sequential", "both"):
-            sequential = psi.matrix @ ty
-        joint = None
-        if config.mode in ("joint", "both"):
-            joint = ty
-            if config.weights.kappa > 0 and config.denoiser_kind != "identity":
-                joint = jointsolver.reduced_nonseparable(
-                    y, op.matrix, psi, config.weights
-                )
-        return PatchResult(joint=joint, sequential=sequential, failed=False)
-    except _PATCH_ERRORS as exc:
-        return PatchResult(joint=None, sequential=None, failed=True, error=str(exc))
+    y = np.asarray(images)[:, src[:, 0], src[:, 1]]
+    ty = np.matmul(op.matrix, y[..., None])[..., 0]
+    psi, errors = build_patch_denoiser(op, ty, config)
+    ok = [i for i, err in enumerate(errors) if err is None]
+    sequential = joint = [None] * len(ok)
+    if 0 < len(ok) < len(errors):
+        psi, y, ty = psi[ok], y[ok], ty[ok]
+    if ok and config.mode in ("sequential", "both"):
+        sequential = np.matmul(psi, ty[..., None])[..., 0]
+    if ok and config.mode in ("joint", "both"):
+        joint = ty
+        if config.weights.kappa > 0 and config.denoiser_kind != "identity":
+            joint = _joint_solves(y, op.matrix, psi, config)
+    outputs = dict(zip(ok, zip(joint, sequential)))
+    results = []
+    for i, err in enumerate(errors):
+        z, s = outputs.get(i, (None, None))
+        if isinstance(z, SolverError):
+            err = z
+        if err is None:
+            results.append(PatchResult(joint=z, sequential=s, failed=False))
+        else:
+            results.append(
+                PatchResult(joint=None, sequential=None, failed=True, error=str(err))
+            )
+    return results
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
@@ -334,7 +374,7 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
     jobs = interpolators.tile_image(pixels.shape, config.transform, config.patch_size)
     if not jobs:
         raise PatchGeometryError("no valid patch jobs for this transform")
-    (results,) = _run_patches(jobs, [pixels], replace(config, mode=mode))
+    (results,) = _run_patches(jobs, pixels[None], replace(config, mode=mode))
     out = np.zeros(pixels.shape)
     mask = np.zeros(pixels.shape, dtype=bool)
     errors = []
@@ -357,30 +397,30 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
 _POOL_STATE: dict = {}
 
 
-def _pool_run(args):
-    idx, vi = args
+def _pool_run(idx):
     state = _POOL_STATE
-    return run_patch(state["jobs"][idx], state["images"][vi], state["config"])
+    return run_patch(state["jobs"][idx], state["images"], state["config"])
 
 
 def _run_patches(jobs, images, config):
-    """`run_patch` for every job on every image: one result list per image.
+    """`run_patch` for every job on the stack of images: one result list per image.
 
-    With ``config.workers > 1`` the (job, image) pairs are spread over a
-    fork pool of that many processes; the results are the same either way.
+    One task per tile, which solves the tile on all V images (V = 1 for
+    `process_image`).  With ``config.workers > 1`` the tiles are spread
+    over a fork pool of that many processes; the results are the same
+    either way.
     """
-    if config.workers <= 1:
-        return [[run_patch(job, pixels, config) for job in jobs] for pixels in images]
-    _POOL_STATE.update(jobs=jobs, config=config, images=images)
-    try:
-        ctx = multiprocessing.get_context("fork")
-        tasks = [(idx, vi) for vi in range(len(images)) for idx in range(len(jobs))]
-        with ctx.Pool(config.workers) as pool:
-            flat = pool.map(_pool_run, tasks, chunksize=16)
-    finally:
-        _POOL_STATE.clear()
-    k = len(jobs)
-    return [flat[vi * k : (vi + 1) * k] for vi in range(len(images))]
+    if config.workers == 1:
+        per_tile = [run_patch(job, images, config) for job in jobs]
+    else:
+        _POOL_STATE.update(jobs=jobs, config=config, images=images)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(config.workers) as pool:
+                per_tile = pool.map(_pool_run, range(len(jobs)), chunksize=8)
+        finally:
+            _POOL_STATE.clear()
+    return [list(results) for results in zip(*per_tile)]
 
 
 def build_reference(jobs, clean_pixels, shape):
@@ -406,12 +446,11 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
         raise PatchGeometryError("no valid patch jobs for this transform")
     ref, base_mask = build_reference(jobs, clean, shape)
 
-    noisy_per_variance = [
-        add_gaussian_noise(clean, var, config.seed ^ vi)
-        for vi, var in enumerate(config.noise_variances)
-    ]
+    noisy = np.empty((len(config.noise_variances),) + shape)
+    for vi, var in enumerate(config.noise_variances):
+        noisy[vi] = add_gaussian_noise(clean, var, config.seed ^ vi)
 
-    results_per_variance = _run_patches(jobs, noisy_per_variance, config)
+    results_per_variance = _run_patches(jobs, noisy, config)
 
     transform_label = config.transform.label()
     rows = []

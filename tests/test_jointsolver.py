@@ -29,6 +29,7 @@ from mixedgraph.interpolators import (
     Rotation,
     build_patch_operator,
     pad_full_rank,
+    tile_image,
 )
 from mixedgraph.jointsolver import (
     BlockSystem,
@@ -51,6 +52,7 @@ from mixedgraph.jointsolver import (
     objective_separable,
     reduced_nonseparable,
 )
+from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_2X = Homography(((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)))
@@ -483,20 +485,30 @@ class TestOutputSpaceSolve:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_one_vector_solve_per_tile(self, monkeypatch):
-        rhs_dims = []
+        # A sweep solves each tile once for all its noise variances: one
+        # stacked solve with one right-hand side per variance, not one
+        # solve per (tile, variance).
+        shapes = []
         solve = np.linalg.solve
 
         def counting_solve(a, b):
-            rhs_dims.append(np.ndim(b))
+            shapes.append((np.shape(a), np.shape(b)))
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        variances = (0.02, 0.04, 0.06, 0.08, 0.10)
+        image = synthetic_texture("texture-a", 32)
         for transform in (Rotation(20.0), Homography(PAPER_H), MAGNIFY_4X):
-            for origin in ((0, 0), (12, 12), (20, 6)):
-                op, y, psi = warped_tile(transform, origin, "gaussian", 5)
-                rhs_dims.clear()
-                reduced_nonseparable(y, op.matrix, psi, SolverWeights())
-                assert rhs_dims == [1]
+            config = ExperimentConfig(
+                transform=transform, denoiser_kind="bilateral", noise_variances=variances
+            )
+            jobs = tile_image((32, 32), transform, config.patch_size)
+            shapes.clear()
+            run_experiment(config, image)
+            assert len(shapes) == len(jobs)
+            for (a, b), job in zip(shapes, jobs):
+                n = job.operator.real_output_count
+                assert a == (5, n, n) and b == (5, n, 1)
 
 
 class TestOptimalityCertificates:

@@ -143,7 +143,7 @@ class TestRunPatch:
         img = synthetic_texture("texture-a", 32)
         config = identity_config(patch_size=8)
         job = tile_image((32, 32), config.transform, 8)[0]
-        res = run_patch(job, img.pixels, config)
+        (res,) = run_patch(job, [img.pixels], config)
         assert not res.failed
         tc = job.operator.target_coords
         want = img.pixels[tc[:, 0], tc[:, 1]]
@@ -157,7 +157,7 @@ class TestRunPatch:
         config = identity_config(transform=Rotation(15.0), patch_size=8)
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        res = run_patch(job, img.pixels, config)
+        (res,) = run_patch(job, [img.pixels], config)
         assert not res.failed
         np.testing.assert_allclose(res.joint, res.sequential, atol=1e-6)
 
@@ -168,7 +168,7 @@ class TestRunPatch:
         )
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        res = run_patch(job, img.pixels, config)
+        (res,) = run_patch(job, [img.pixels], config)
         assert not res.failed
         assert res.joint.shape == res.sequential.shape == (64,)
         assert np.linalg.norm(res.joint - res.sequential) > 1e-8
@@ -237,17 +237,18 @@ class TestProcessImage:
         op = job.operator
         n, m = op.matrix.shape
         assert n > m
-        got = run_patch(job, img.pixels, config)
+        (got,) = run_patch(job, [img.pixels], config)
         y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
-        psi = build_patch_denoiser(op, op.matrix @ y, config)
+        (psi,), (err,) = build_patch_denoiser(op, (op.matrix @ y)[None], config)
+        assert err is None
         wts = config.weights
-        lap = (np.linalg.inv(psi.matrix) - np.eye(n)) / wts.mu
+        lap = (np.linalg.inv(psi) - np.eye(n)) / wts.mu
         a = np.sqrt(wts.gamma / (1.0 + wts.gamma))
         lhs = np.vstack([a * np.eye(m), np.sqrt(wts.kappa) * sqrtm(lap).real @ op.matrix])
         rhs = np.concatenate([a * y, np.zeros(n)])
         w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         np.testing.assert_allclose(got.joint, op.matrix @ w, rtol=1e-8)
-        np.testing.assert_allclose(got.sequential, psi.matrix @ op.matrix @ y)
+        np.testing.assert_allclose(got.sequential, psi @ op.matrix @ y)
 
 
 class TestRunExperiment:
@@ -342,6 +343,15 @@ class TestConfigValidation:
             identity_config(mode="all")
         with pytest.raises(ValueError):
             identity_config(method="lu")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            identity_config(workers=workers)
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="noise variance"):
+            identity_config(noise_variances=())
 
     def test_modes_property(self):
         assert identity_config(mode="both").modes == ("joint", "sequential")
