@@ -11,7 +11,6 @@ from .denoisers import (
 from .graphcore import (
     DenoiserOperator,
     DirectedInterpGraph,
-    PatchSignal,
     RandomWalkView,
     UndirectedGraph,
     certify_denoiser,

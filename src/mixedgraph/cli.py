@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+
+import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
+from .errors import BalanceError, DegenerateTransformError, PreconditionError
 
 
 def _add_common(parser):
@@ -39,11 +41,11 @@ def _add_common(parser):
     parser.add_argument("--patch-size", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--method", default="cg", choices=["cg", "direct", "closed-form"]
+        "--method",
+        default="cg",
+        choices=["cg", "direct", "closed-form"],
+        help="checked, but every value runs the same solve",
     )
-    parser.add_argument("--closed-form", action="store_true", help="alias for --method closed-form")
-    parser.add_argument("--cg-tol", type=float, default=1e-8)
-    parser.add_argument("--jacobi", action="store_true", help="Jacobi-precondition CG")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out-image", help="output image path")
 
@@ -67,20 +69,20 @@ def _config_defaults(path, args, parser):
                 raise SystemExit(f"unknown config key {key!r}")
             flag = "--" + key.replace("_", "-")
             keys.append(key)
-            if isinstance(getattr(args, key), bool):
-                if value.lower() in ("1", "true", "yes"):
-                    tokens.append(flag)
-            else:
-                # one token, so a value starting with "-" is not read as a flag
-                tokens.append(f"{flag}={value}")
+            # one token, so a value starting with "-" is not read as a flag
+            tokens.append(f"{flag}={value}")
     parsed = parser.parse_args(tokens)
     return {key: getattr(parsed, key) for key in keys}
 
 
-def _build_config(args, variances=(0.02,), mode="both"):
+def _build_config(args):
+    """The ExperimentConfig of a command's flags; a bad value raises ValueError."""
+    command = args.command
     transform = interpolators.parse_transform(
         args.transform, angle=args.angle, h=args.homography
     )
+    if command == "denoise":
+        transform = interpolators.parse_transform("identity")
     params = denoisers.KernelParams(
         spatial_var=args.spatial_var,
         range_var=args.range_var,
@@ -89,19 +91,17 @@ def _build_config(args, variances=(0.02,), mode="both"):
         nlm_h2=args.nlm_h2,
     )
     weights = jointsolver.SolverWeights(mu=args.mu, gamma=args.gamma, kappa=args.kappa)
-    method = "closed-form" if getattr(args, "closed_form", False) else args.method
+    variances = [float(v) for v in getattr(args, "variances", "0.02").split(",")]
     return pipeline.ExperimentConfig(
         transform=transform,
-        denoiser_kind=args.denoiser,
+        denoiser_kind="identity" if command == "interpolate" else args.denoiser,
         kernel_params=params,
         weights=weights,
         noise_variances=tuple(variances),
         seed=args.seed,
-        mode=mode,
+        mode=getattr(args, "mode", "joint" if command == "joint" else "sequential"),
         patch_size=args.patch_size,
-        method=method,
-        cg_tol=args.cg_tol,
-        jacobi=args.jacobi,
+        method=args.method,
         workers=args.workers,
     )
 
@@ -115,16 +115,9 @@ def _load_input(args):
     return pipeline.load_image(args.image), args.image
 
 
-def _run_mode(args, mode):
+def _run_mode(args, config):
     image, _ = _load_input(args)
-    run_mode = "sequential" if mode in ("denoise", "interpolate") else mode
-    config = _build_config(args, mode=run_mode)
-    if mode == "interpolate":
-        config = replace(config, denoiser_kind="identity")
-    elif mode == "denoise":
-        config = replace(config, transform=interpolators.parse_transform("identity"))
-    mode = run_mode
-    out = pipeline.process_image(config, image, mode)
+    out = pipeline.process_image(config, image, config.mode)
     if args.out_image:
         pipeline.save_image(out, args.out_image)
         print(f"wrote {args.out_image}")
@@ -141,10 +134,8 @@ def _run_mode(args, mode):
     return 0
 
 
-def _cmd_experiment(args):
+def _cmd_experiment(args, config):
     image, name = _load_input(args)
-    variances = [float(v) for v in args.variances.split(",")]
-    config = _build_config(args, variances=variances, mode=args.mode)
     _, csv_text = pipeline.run_experiment(config, image, image_name=name)
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
@@ -155,29 +146,28 @@ def _cmd_experiment(args):
     return 0
 
 
-def _cmd_inspect_graph(args):
-    image, _ = _load_input(args)
-    r0, c0 = (int(v) for v in args.origin.split(","))
-    n = args.size
-    tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
-    if tile.shape != (n, n):
-        raise SystemExit("patch extends past the image boundary")
-    import numpy as np
+def _origin(text):
+    row, col = text.split(",")
+    return int(row), int(col)
 
+
+def _cmd_inspect_graph(args, config):
+    image, _ = _load_input(args)
+    (r0, c0), n = args.origin, args.size
+    tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
+    if n < 1 or tile.shape != (n, n):
+        raise SystemExit("patch is empty or extends past the image boundary")
     rr, cc = np.mgrid[r0 : r0 + n, c0 : c0 + n]
     coords = np.column_stack([rr.ravel(), cc.ravel()])
-    params = denoisers.KernelParams(
-        spatial_var=args.spatial_var,
-        range_var=args.range_var,
-        nlm_patch_size=args.nlm_patch,
-        nlm_search_window=args.nlm_window,
-        nlm_h2=args.nlm_h2,
-    )
     kernel = denoisers.build_denoiser(
-        args.denoiser, coords, np.clip(tile.ravel(), 0.0, 1.0), params
+        args.denoiser, coords, np.clip(tile.ravel(), 0.0, 1.0), config.kernel_params
     )
-    psi = denoisers.sinkhorn_balance(kernel, kind=args.denoiser)
-    graph = graphcore.denoiser_to_laplacian(psi, args.mu)
+    try:
+        psi = denoisers.sinkhorn_balance(kernel, kind=args.denoiser)
+        graph = graphcore.denoiser_to_laplacian(psi, config.weights.mu)
+    except (BalanceError, PreconditionError) as exc:
+        print(f"patch at {(r0, c0)}: {exc}", file=sys.stderr)
+        return 1
     text = graphcore.export_edges(graph, weight_tol=args.weight_tol)
     if args.out:
         with open(args.out, "w") as fh:
@@ -207,24 +197,26 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("inspect-graph")
     _add_common(p)
-    p.add_argument("--origin", default="0,0", help="patch origin as row,col")
+    p.add_argument("--origin", type=_origin, default="0,0", help="patch origin as row,col")
     p.add_argument("--size", type=int, default=10, help="square patch side")
     p.add_argument("--weight-tol", type=float, default=1e-12)
     p.add_argument("--out", help="edge list output path (default: stdout)")
 
     args = parser.parse_args(argv)
+    command_parser = sub.choices[args.command]
     if args.config:
-        command_parser = sub.choices[args.command]
         command_parser.set_defaults(**_config_defaults(args.config, args, command_parser))
         args = parser.parse_args(argv)
+    try:
+        config = _build_config(args)
+    except (ValueError, DegenerateTransformError) as exc:
+        command_parser.error(str(exc))
 
-    if args.command in ("denoise", "interpolate", "joint", "sequential"):
-        return _run_mode(args, args.command)
     if args.command == "experiment":
-        return _cmd_experiment(args)
+        return _cmd_experiment(args, config)
     if args.command == "inspect-graph":
-        return _cmd_inspect_graph(args)
-    return 2
+        return _cmd_inspect_graph(args, config)
+    return _run_mode(args, config)
 
 
 if __name__ == "__main__":

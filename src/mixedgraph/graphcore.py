@@ -33,21 +33,8 @@ NONEXPANSIVE_SLACK = 1e-10
 TAU_DS = 1e-8
 
 
-@dataclass(frozen=True)
-class PatchSignal:
-    """A vector of pixel intensities with an optional map back to image coords."""
-
-    values: np.ndarray
-    coords: tuple | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-
 def as_vector(x) -> np.ndarray:
-    """Accept a PatchSignal or anything array-like; return a float 1-D array."""
-    if isinstance(x, PatchSignal):
-        x = x.values
+    """A float 1-D array from anything array-like."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {v.shape}")
@@ -56,8 +43,6 @@ def as_vector(x) -> np.ndarray:
 
 def as_signals(x) -> np.ndarray:
     """`as_vector`, but a stack of V signals (V, n) is accepted too."""
-    if isinstance(x, PatchSignal):
-        x = x.values
     v = np.asarray(x, dtype=float)
     if v.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D signal or a stack of them, got shape {v.shape}")
@@ -181,16 +166,6 @@ class DirectedInterpGraph:
         a = np.zeros((m + n, m + n))
         a[:m, m:] = self.block_mn
         return a
-
-    @property
-    def sampler_h(self) -> np.ndarray:
-        m, n = self.original_count, self.new_count
-        return np.hstack([np.eye(m), np.zeros((m, n))])
-
-    @property
-    def sampler_g(self) -> np.ndarray:
-        m, n = self.original_count, self.new_count
-        return np.hstack([np.zeros((n, m)), np.eye(n)])
 
 
 @dataclass(frozen=True)
@@ -334,36 +309,38 @@ def gsv(view: RandomWalkView, x) -> float:
     return float(r @ r)
 
 
-def laplacian_eigenpairs(psi: DenoiserOperator, mu: float):
-    """Eigenpairs of the generalized Laplacian ``(inv(psi) - I) / mu``.
-
-    Returns ``(evals, evecs)`` with ``L = evecs @ diag(evals) @ evecs.T``,
-    taken from the eigendecomposition of ``psi``.  Raises
-    PreconditionError unless ``psi`` is certified and its spectrum is
-    nonsingular within ``PIVOT_RTOL``: these are the conditions under which
-    ``psi`` is the MAP filter of a Laplacian-regularized problem.
-    """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not isinstance(psi, DenoiserOperator) or not psi.certified:
-        raise PreconditionError(
-            "denoiser must be certified symmetric, PD, and non-expansive"
-        )
-    spectrum, vecs = psi.spectrum, psi.eigvecs
-    if np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(spectrum).max():
-        raise PreconditionError("denoiser matrix is singular within pivot tolerance")
-    return (1.0 / spectrum - 1.0) / mu, vecs
+def require_certified(psi) -> None:
+    """Raise PreconditionError, naming the failed checks, unless ``psi`` is certified."""
+    if not isinstance(psi, DenoiserOperator):
+        raise PreconditionError("denoiser must be a certified DenoiserOperator")
+    checks = {
+        "symmetric": psi.certified_symmetric,
+        "PD": psi.certified_pd,
+        "non-expansive": psi.certified_nonexpansive,
+    }
+    failed = ", ".join(name for name, ok in checks.items() if not ok)
+    if failed:
+        raise PreconditionError(f"denoiser failed certification: not {failed}")
 
 
 def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
     """Map a certified denoiser to the undirected graph whose MAP filter it is.
 
-    The generalized Laplacian is ``(inv(psi) - I) / mu``; solving the
-    Laplacian-regularized MAP problem with weight ``mu`` then reproduces the
-    denoiser exactly (exercised by the roundtrip tests).
+    The generalized Laplacian is ``(inv(psi) - I) / mu``, formed from the
+    eigendecomposition of ``psi``; solving the Laplacian-regularized MAP
+    problem with weight ``mu`` then reproduces the denoiser exactly
+    (exercised by the roundtrip tests).  Raises PreconditionError unless
+    ``psi`` is certified and its spectrum is nonsingular within
+    ``PIVOT_RTOL``: these are the conditions under which ``psi`` is the MAP
+    filter of a Laplacian-regularized problem.
     """
-    evals, v = laplacian_eigenpairs(psi, mu)
-    lg = (v * evals) @ v.T
+    if mu <= 0.0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    require_certified(psi)
+    spectrum, v = psi.spectrum, psi.eigvecs
+    if np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(spectrum).max():
+        raise PreconditionError("denoiser matrix is singular within pivot tolerance")
+    lg = (v * ((1.0 / spectrum - 1.0) / mu)) @ v.T
     lg = 0.5 * (lg + lg.T)
     return UndirectedGraph.from_generalized_laplacian(lg)
 

@@ -99,9 +99,6 @@ class InterpolatorOperator:
     def real_matrix(self) -> np.ndarray:
         return self.matrix[: self.real_output_count]
 
-    def apply(self, source_values) -> np.ndarray:
-        return self.matrix @ np.asarray(source_values, dtype=float)
-
 
 @dataclass(frozen=True)
 class PatchJob:

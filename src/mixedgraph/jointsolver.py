@@ -1,10 +1,11 @@
 """MAP solvers for denoising, interpolation, and the two joint formulations.
 
-All four problems are convex quadratics; the assembled coefficient
-matrices are symmetric positive definite, so they can be solved either by
-conjugate gradient (the default for the non-separable joint system) or by
-a dense factorization.  Closed-form solution operators are also provided
-and double as verification oracles for the numerical paths.
+All four problems are convex quadratics with symmetric positive definite
+coefficient matrices.  The pipeline solves each tile's non-separable joint
+problem in output space (`output_space_solve`, one dense n x n solve).  The
+assembled 2m x 2m systems, solved by conjugate gradient or a dense
+factorization, and the closed-form derived operators are kept as the
+reference solutions that the tests hold that solve to.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .graphcore import (
     UndirectedGraph,
     as_signals,
     as_vector,
+    require_certified,
 )
 
 
@@ -64,12 +66,10 @@ class BlockSystem:
 
 @dataclass(frozen=True)
 class JointSolution:
-    """Solution of a joint system plus optional derived operators and stats."""
+    """Solution of a joint system plus solver stats."""
 
     full_signal: np.ndarray
     original_count: int
-    derived_psi_star: np.ndarray | None = None
-    derived_theta_star: np.ndarray | None = None
     iterations: int = 0
     residual: float = 0.0
 
@@ -92,7 +92,7 @@ def block_inverse(system: BlockSystem) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def cg_solve(c, b, tol: float = 1e-8, max_iter=None, jacobi: bool = False):
+def cg_solve(c, b, tol: float = 1e-8, max_iter=None):
     """Conjugate gradient for a symmetric PD matrix or matrix-free product.
 
     Returns (x, stats) where stats is a dict with `iterations` and
@@ -103,29 +103,23 @@ def cg_solve(c, b, tol: float = 1e-8, max_iter=None, jacobi: bool = False):
     n = len(b)
     if callable(c):
         matvec = c
-        diag = None
     else:
         c = np.asarray(c, dtype=float)
         # One O(n^2) norm, against O(iterations * n^2) for the iteration.
         if np.linalg.norm(c - c.T) > 1e-8 * max(np.linalg.norm(c), 1.0):
             raise PreconditionError("CG requires a symmetric matrix")
         matvec = lambda v: c @ v
-        diag = np.diag(c)
     if max_iter is None:
         max_iter = 10 * n
 
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(n), {"iterations": 0, "residual": 0.0}
-    inv_diag = None
-    if jacobi and diag is not None and np.all(diag > 0):
-        inv_diag = 1.0 / diag
 
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r if inv_diag is not None else r
-    p = z.copy()
-    rz = r @ z
+    p = r.copy()
+    rr = r @ r
     best_x, best_res = x.copy(), np.linalg.norm(r) / b_norm
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -133,7 +127,7 @@ def cg_solve(c, b, tol: float = 1e-8, max_iter=None, jacobi: bool = False):
         denom = p @ cp
         if denom <= 0.0:
             break
-        alpha = rz / denom
+        alpha = rr / denom
         x = x + alpha * p
         r = r - alpha * cp
         res = np.linalg.norm(r) / b_norm
@@ -141,10 +135,9 @@ def cg_solve(c, b, tol: float = 1e-8, max_iter=None, jacobi: bool = False):
             best_res, best_x = res, x.copy()
         if res <= tol:
             return x, {"iterations": iterations, "residual": res}
-        z = inv_diag * r if inv_diag is not None else r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = r @ r
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     raise SolverError(
         f"CG did not converge (relative residual {best_res:.3e} "
         f"after {iterations} iterations)",
@@ -267,31 +260,16 @@ def joint_nonseparable(
     weights: SolverWeights,
     method: str = "cg",
     cg_tol: float = 1e-8,
-    max_iter=None,
-    jacobi: bool = False,
 ) -> JointSolution:
     """Joint problem with the smoothness prior on interpolated pixels.
 
-    `method` selects conjugate gradient on the assembled system ("cg",
-    the default), a dense factorization ("direct"), or the closed-form
-    derived operators ("closed-form").
+    Solves the assembled 2m x 2m system by conjugate gradient ("cg", the
+    default) or a dense factorization ("direct").
     """
     y = as_vector(y)
     m, n = graph.original_count, graph.new_count
     if len(y) != m:
         raise ValueError("signal length does not match original pixel count")
-
-    if method == "closed-form":
-        psi_star, theta_star = derive_operators(graph, lbar, weights)
-        top = psi_star @ y
-        x = np.concatenate([top, theta_star @ top])
-        return JointSolution(
-            full_signal=x,
-            original_count=m,
-            derived_psi_star=psi_star,
-            derived_theta_star=theta_star,
-        )
-
     coeff = nonseparable_matrix(graph, lbar, weights)
     rhs = np.concatenate([y, np.zeros(n)])
     if method == "direct":
@@ -305,7 +283,7 @@ def joint_nonseparable(
         )
     if method != "cg":
         raise ValueError(f"unknown solve method {method!r}")
-    x, stats = cg_solve(coeff, rhs, tol=cg_tol, max_iter=max_iter, jacobi=jacobi)
+    x, stats = cg_solve(coeff, rhs, tol=cg_tol)
     return JointSolution(
         full_signal=x,
         original_count=m,
@@ -330,31 +308,37 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     theta_r y``, for n <= m and for magnified tiles (n > m) alike.
 
     ``y`` may also be a stack of V signals (V, m), with ``psi.matrix`` the
-    stack (V, n, n) of their denoisers: P is formed once and the V systems
-    go to one stacked solve, which runs the same LAPACK routine on each, so
-    every signal gets the result it would get alone.  The result is then
-    (V, n).
+    stack (V, n, n) of their denoisers; the result is then (V, n).
 
     ``psi`` must be certified, or PreconditionError is raised: its
-    eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, which
-    covers the pivot check of `graphcore.laplacian_eigenpairs`.  The matrix
-    is not symmetric, but it equals ``(I + c P G) psi``; ``P G`` is a
-    product of positive semidefinite matrices (up to the certification
-    slack), so its eigenvalues are real and >= 0, the matrix is nonsingular
-    and LU with partial pivoting is safe.  numpy's own LAPACK is used
-    because scipy's runs a second BLAS thread pool that contends with
-    numpy's.  A singular system raises SolverError.
+    eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, so it
+    is nonsingular, as `graphcore.denoiser_to_laplacian` requires.  The
+    dimensions are checked, and the solve is `output_space_solve`.
     """
-    if not isinstance(psi, DenoiserOperator) or not psi.certified:
-        raise PreconditionError(
-            "denoiser must be certified symmetric, PD, and non-expansive"
-        )
+    require_certified(psi)
     y = as_signals(y)
     theta_real = np.asarray(theta_real, dtype=float)
     n, m = theta_real.shape
-    psi_m = psi.matrix
-    if y.shape[-1] != m or psi_m.shape != y.shape[:-1] + (n, n):
+    if y.shape[-1] != m or psi.matrix.shape != y.shape[:-1] + (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
+    return output_space_solve(y, theta_real, psi.matrix, weights)
+
+
+def output_space_solve(y, theta_real, psi_m, weights: SolverWeights) -> np.ndarray:
+    """The solve of `reduced_nonseparable` on arrays, with no checks.
+
+    ``y`` is (m,) or (V, m), ``theta_real`` (n, m) and ``psi_m`` the
+    certified denoiser(s), (n, n) or (V, n, n).  The matrix
+    ``psi + c (P - P psi)`` is not symmetric, but it equals
+    ``(I + c P G) psi``; ``P G`` is a product of positive semidefinite
+    matrices (up to the certification slack), so its eigenvalues are real
+    and >= 0, the matrix is nonsingular and LU with partial pivoting is
+    safe.  P is formed once, and a stack goes to one stacked solve, which
+    runs the same LAPACK routine on each system, so every signal gets the
+    result it would get alone.  numpy's own LAPACK is used because scipy's
+    runs a second BLAS thread pool that contends with numpy's.  A singular
+    system raises SolverError.
+    """
     c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
     p = theta_real @ theta_real.T
     rhs = np.matmul(theta_real, y[..., None])
@@ -394,10 +378,6 @@ def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):
 
 # ---------------------------------------------------------------------------
 # Objectives and analytic gradients (used for optimality certificates).
-
-def _h_select(x, m):
-    return x[:m]
-
 
 def objective_denoise(x, y, laplacian, mu: float) -> float:
     x, y = as_vector(x), as_vector(y)

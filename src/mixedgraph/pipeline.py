@@ -37,14 +37,6 @@ class ImageBuffer:
             raise ValueError("image contains non-finite pixels")
         return cls(pixels=p, validity=np.ones(p.shape, dtype=bool))
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class StitchedImage(ImageBuffer):
@@ -73,11 +65,8 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "both"
     patch_size: int = 10
-    # Still accepted and checked, but the pipeline solves every tile's joint
-    # system with one dense solve, whatever these say.
+    # A checked no-op: every value runs the same dense solve per tile.
     method: str = "cg"
-    cg_tol: float = 1e-8
-    jacobi: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -298,25 +287,23 @@ def build_patch_denoiser(op, interp_values, config):
 
 
 def _joint_solves(y, theta, psi, config):
-    """`jointsolver.reduced_nonseparable` for a stack of V signals.
+    """`jointsolver.output_space_solve` for a stack of V signals.
 
-    One stacked solve; only when it fails is each signal solved alone, so
-    that a singular system fails its own signal.  Returns, per signal, the
-    joint output or the SolverError.
+    ``psi`` holds the V denoisers that certification passed.  One stacked
+    solve; only when it fails is each signal solved alone, so that a
+    singular system fails its own signal.  Returns, per signal, the joint
+    output or the SolverError.
     """
-    certified = dict(certified_symmetric=True, certified_pd=True, certified_nonexpansive=True)
     weights = config.weights
     try:
-        stacked = graphcore.DenoiserOperator(psi, config.denoiser_kind, **certified)
-        return list(jointsolver.reduced_nonseparable(y, theta, stacked, weights))
+        return list(jointsolver.output_space_solve(y, theta, psi, weights))
     except SolverError as exc:
         if len(y) == 1:
             return [exc]
     out = []
     for yi, pi in zip(y, psi):
         try:
-            one = graphcore.DenoiserOperator(pi, config.denoiser_kind, **certified)
-            out.append(jointsolver.reduced_nonseparable(yi, theta, one, weights))
+            out.append(jointsolver.output_space_solve(yi, theta, pi, weights))
         except SolverError as exc:
             out.append(exc)
     return out
@@ -333,7 +320,7 @@ def run_patch(job, images, config) -> list:
     Sinkhorn, certification and the joint solve run on stacks with a
     leading axis of length V.  The joint output is the non-separable MAP
     solution, from one solve over the tile's real outputs
-    (`jointsolver.reduced_nonseparable`); no spectrum is computed.  Stacked
+    (`jointsolver.output_space_solve`); no spectrum is computed.  Stacked
     products and solves run the same BLAS/LAPACK routine per image as a
     single-image call, so each image gets the bits it would get alone.  A
     balance, certification or solver failure fails only its own image.

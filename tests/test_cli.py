@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mixedgraph import denoisers
 from mixedgraph.cli import main
+from mixedgraph.errors import BalanceError
 from mixedgraph.pipeline import (
     CSV_HEADER,
     load_pgm,
@@ -171,6 +173,31 @@ class TestInspectGraph:
             assert 0 <= int(i) <= int(j) < 36
             float(w)
 
+    @pytest.mark.parametrize(
+        "error, fail",
+        [
+            ("failed certification: not PD", None),
+            ("did not converge", BalanceError("Sinkhorn did not converge")),
+        ],
+    )
+    def test_failed_patch_exits_nonzero(self, monkeypatch, capsys, error, fail):
+        if fail is not None:
+
+            def sinkhorn_balance(*args, **kwargs):
+                raise fail
+
+            monkeypatch.setattr(denoisers, "sinkhorn_balance", sinkhorn_balance)
+        args = ["inspect-graph", "--texture", "texture-a", "--texture-size", "32"]
+        assert run_cli(args + ["--denoiser", "nlm"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("patch at (0, 0): ") and error in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_empty_patch_rejected(self):
+        with pytest.raises(SystemExit):
+            run_cli(["inspect-graph", "--texture", "texture-a", "--size", "0"])
+
     def test_out_of_bounds_origin(self):
         with pytest.raises(SystemExit):
             run_cli(
@@ -186,6 +213,27 @@ class TestInspectGraph:
                     "10",
                 ]
             )
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("experiment", ["--workers", "0"]),
+        ("experiment", ["--variances", ""]),
+        ("experiment", ["--variances", "0.02,-1"]),
+        ("experiment", ["--mu", "0"]),
+        ("experiment", ["--spatial-var", "-1"]),
+        ("experiment", ["--transform", "rotation"]),
+        ("joint", ["--transform", "homography", "--homography", "0,0,0;0,0,0;0,0,1"]),
+        ("inspect-graph", ["--origin", "1,2,3"]),
+    ],
+)
+def test_bad_values_are_usage_errors(command, flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command, "--texture", "texture-a", "--texture-size", "30"] + flags)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mixedgraph {command}") and "error: " in err
 
 
 class TestConfigFile:
