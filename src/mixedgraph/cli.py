@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
-from .errors import BalanceError, DegenerateTransformError, PreconditionError
+from .errors import BalanceError, DegenerateTransformError, ImageIOError, PreconditionError
 
 
 def _add_common(parser):
@@ -108,15 +108,23 @@ def _build_config(args):
 
 def _load_input(args):
     if args.texture:
-        name = args.texture
-        return pipeline.synthetic_texture(name, args.texture_size), name
+        return pipeline.synthetic_texture(args.texture, args.texture_size), args.texture
     if not args.image:
         raise SystemExit("either --image or --texture is required")
     return pipeline.load_image(args.image), args.image
 
 
-def _run_mode(args, config):
-    image, _ = _load_input(args)
+def _write_text(text, path):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
+
+
+def _run_mode(args, config, image):
     out = pipeline.process_image(config, image, config.mode)
     if args.out_image:
         pipeline.save_image(out, args.out_image)
@@ -134,15 +142,9 @@ def _run_mode(args, config):
     return 0
 
 
-def _cmd_experiment(args, config):
-    image, name = _load_input(args)
+def _cmd_experiment(args, config, image, name):
     _, csv_text = pipeline.run_experiment(config, image, image_name=name)
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write(csv_text)
-        print(f"wrote {args.out_csv}")
-    else:
-        sys.stdout.write(csv_text)
+    _write_text(csv_text, args.out_csv)
     return 0
 
 
@@ -151,8 +153,7 @@ def _origin(text):
     return int(row), int(col)
 
 
-def _cmd_inspect_graph(args, config):
-    image, _ = _load_input(args)
+def _cmd_inspect_graph(args, config, image):
     (r0, c0), n = args.origin, args.size
     tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
     if n < 1 or tile.shape != (n, n):
@@ -168,13 +169,7 @@ def _cmd_inspect_graph(args, config):
     except (BalanceError, PreconditionError) as exc:
         print(f"patch at {(r0, c0)}: {exc}", file=sys.stderr)
         return 1
-    text = graphcore.export_edges(graph, weight_tol=args.weight_tol)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(graphcore.export_edges(graph, weight_tol=args.weight_tol), args.out)
     return 0
 
 
@@ -209,14 +204,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         config = _build_config(args)
+        image, name = _load_input(args)
     except (ValueError, DegenerateTransformError) as exc:
         command_parser.error(str(exc))
+    except (OSError, ImageIOError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        print(f"cannot read {args.image}: {reason}", file=sys.stderr)
+        return 1
 
     if args.command == "experiment":
-        return _cmd_experiment(args, config)
+        return _cmd_experiment(args, config, image, name)
     if args.command == "inspect-graph":
-        return _cmd_inspect_graph(args, config)
-    return _run_mode(args, config)
+        return _cmd_inspect_graph(args, config, image)
+    return _run_mode(args, config, image)
 
 
 if __name__ == "__main__":

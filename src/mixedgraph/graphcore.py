@@ -123,10 +123,9 @@ class UndirectedGraph:
             self_loop_flag=bool(np.any(np.abs(self_loops) > TAU_SYM * scale)),
         )
 
-    def is_psd(self, rtol: float = TAU_PSD) -> bool:
+    def is_psd(self) -> bool:
         evals = np.linalg.eigvalsh(self.generalized_laplacian)
-        norm = max(np.abs(evals).max(), 0.0)
-        return bool(evals.min() >= -rtol * max(norm, 1.0))
+        return bool(evals.min() >= -TAU_PSD * max(np.abs(evals).max(), 1.0))
 
 
 @dataclass(frozen=True)
@@ -345,20 +344,19 @@ def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
     return UndirectedGraph.from_generalized_laplacian(lg)
 
 
-def interpolator_to_adjacency(theta, check: bool = True) -> DirectedInterpGraph:
+def interpolator_to_adjacency(theta) -> DirectedInterpGraph:
     """Map an invertible square interpolator to its directed adjacency block."""
     mat = np.asarray(getattr(theta, "matrix", theta), dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SingularOperatorError(
             f"interpolator must be square after padding, got shape {mat.shape}"
         )
-    if check:
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
-            raise SingularOperatorError(
-                "interpolator is numerically singular "
-                f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
-            )
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals[-1] <= 1e-10 * svals[0]:
+        raise SingularOperatorError(
+            "interpolator is numerically singular "
+            f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
+        )
     n = mat.shape[0]
     return DirectedInterpGraph(
         original_count=n, new_count=n, block_mn=np.linalg.inv(mat)

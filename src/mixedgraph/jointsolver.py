@@ -313,7 +313,8 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     ``psi`` must be certified, or PreconditionError is raised: its
     eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, so it
     is nonsingular, as `graphcore.denoiser_to_laplacian` requires.  The
-    dimensions are checked, and the solve is `output_space_solve`.
+    dimensions are checked, and the solve is `output_space_solve` on
+    ``theta_real @ y``.
     """
     require_certified(psi)
     y = as_signals(y)
@@ -321,14 +322,15 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     n, m = theta_real.shape
     if y.shape[-1] != m or psi.matrix.shape != y.shape[:-1] + (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
-    return output_space_solve(y, theta_real, psi.matrix, weights)
+    ty = np.matmul(theta_real, y[..., None])[..., 0]
+    return output_space_solve(ty, theta_real, psi.matrix, weights)
 
 
-def output_space_solve(y, theta_real, psi_m, weights: SolverWeights) -> np.ndarray:
+def output_space_solve(ty, theta_real, psi_m, weights: SolverWeights) -> np.ndarray:
     """The solve of `reduced_nonseparable` on arrays, with no checks.
 
-    ``y`` is (m,) or (V, m), ``theta_real`` (n, m) and ``psi_m`` the
-    certified denoiser(s), (n, n) or (V, n, n).  The matrix
+    ``ty`` is ``theta_real @ y``, (n,) or (V, n), ``theta_real`` (n, m) and
+    ``psi_m`` the certified denoiser(s), (n, n) or (V, n, n).  The matrix
     ``psi + c (P - P psi)`` is not symmetric, but it equals
     ``(I + c P G) psi``; ``P G`` is a product of positive semidefinite
     matrices (up to the certification slack), so its eigenvalues are real
@@ -341,9 +343,8 @@ def output_space_solve(y, theta_real, psi_m, weights: SolverWeights) -> np.ndarr
     """
     c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
     p = theta_real @ theta_real.T
-    rhs = np.matmul(theta_real, y[..., None])
     try:
-        v = np.linalg.solve(psi_m + c * (p - np.matmul(p, psi_m)), rhs)
+        v = np.linalg.solve(psi_m + c * (p - np.matmul(p, psi_m)), ty[..., None])
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
     return np.matmul(psi_m, v)[..., 0]

@@ -129,6 +129,8 @@ def load_pgm(path) -> ImageBuffer:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError:
         raise ImageIOError(f"malformed header near byte {pos}", offset=pos) from None
+    if width <= 0 or height <= 0:
+        raise ImageIOError(f"non-positive image size {width}x{height}", offset=pos)
     if maxval <= 0 or maxval > 255:
         raise ImageIOError(f"unsupported maxval {maxval}", offset=pos)
     pos += 1  # single whitespace after maxval
@@ -142,9 +144,17 @@ def load_pgm(path) -> ImageBuffer:
     return ImageBuffer.from_array(pixels / float(maxval))
 
 
+def _pixels(image) -> np.ndarray:
+    return image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
+
+
+def _quantize(image) -> np.ndarray:
+    """8-bit pixels of an image, clipped to [0, 1] and rounded half up."""
+    return np.floor(np.clip(_pixels(image), 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+
+
 def save_pgm(image, path) -> None:
-    pixels = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
-    quantized = np.floor(np.clip(pixels, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    quantized = _quantize(image)
     h, w = quantized.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
@@ -170,9 +180,7 @@ def save_image(image, path) -> None:
             from PIL import Image
         except ImportError as exc:
             raise ImageIOError("PNG support requires Pillow") from exc
-        pixels = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
-        quantized = np.floor(np.clip(pixels, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-        Image.fromarray(quantized, mode="L").save(path)
+        Image.fromarray(_quantize(image), mode="L").save(path)
         return
     save_pgm(image, path)
 
@@ -182,6 +190,8 @@ def save_image(image, path) -> None:
 
 def synthetic_texture(name: str, size: int = 512) -> ImageBuffer:
     """Procedural grayscale textures used by the shipped experiments."""
+    if size < 2:
+        raise ValueError(f"texture size must be at least 2, got {size}")
     u = np.linspace(0.0, 1.0, size, endpoint=False)
     cc, rr = np.meshgrid(u, u)
     if name == "texture-a":
@@ -213,7 +223,7 @@ def add_gaussian_noise(image, variance: float, seed: int):
     """Add i.i.d. zero-mean Gaussian noise; output is NOT clipped to [0, 1]."""
     if variance <= 0:
         raise ValueError(f"variance must be positive, got {variance}")
-    pixels = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
+    pixels = _pixels(image)
     rng = np.random.default_rng(seed)
     noisy = pixels + rng.normal(0.0, np.sqrt(variance), pixels.shape)
     if isinstance(image, ImageBuffer):
@@ -223,19 +233,14 @@ def add_gaussian_noise(image, variance: float, seed: int):
 
 def psnr(reference, test, mask=None) -> float:
     """Peak-signal-to-noise ratio in dB (peak 1.0), capped at 99 dB."""
-    ref = reference.pixels if isinstance(reference, ImageBuffer) else np.asarray(reference)
-    tst = test.pixels if isinstance(test, ImageBuffer) else np.asarray(test)
+    ref, tst = _pixels(reference), _pixels(test)
     if ref.shape != tst.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {tst.shape}")
-    if isinstance(reference, ImageBuffer) or isinstance(test, ImageBuffer):
-        joint_mask = np.ones(ref.shape, dtype=bool)
-        if isinstance(reference, ImageBuffer):
-            joint_mask &= reference.validity
-        if isinstance(test, ImageBuffer):
-            joint_mask &= test.validity
-        mask = joint_mask if mask is None else (mask & joint_mask)
     if mask is None:
         mask = np.ones(ref.shape, dtype=bool)
+    for image in (reference, test):
+        if isinstance(image, ImageBuffer):
+            mask = mask & image.validity
     if not mask.any():
         raise ValueError("no valid pixels to compare")
     diff = ref[mask] - np.clip(tst[mask], 0.0, 1.0)
@@ -252,8 +257,11 @@ def psnr(reference, test, mask=None) -> float:
 class PatchResult:
     joint: np.ndarray | None
     sequential: np.ndarray | None
-    failed: bool
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 def build_patch_denoiser(op, interp_values, config):
@@ -262,8 +270,8 @@ def build_patch_denoiser(op, interp_values, config):
     ``interp_values`` is a stack (V, n) of plain interpolations of the
     noisy inputs; kernel weights are computed from them clipped to [0, 1]
     (for kernel evaluation only).  Returns ``(psi, errors)``: the V
-    denoisers (V, n, n) and, for each, None or the error that fails it: a
-    BalanceError, or a PreconditionError when certification fails.
+    denoisers (V, n, n) and, for each, None or the first error that fails
+    it: a BalanceError, or a PreconditionError when certification fails.
     """
     v, n = interp_values.shape
     kind = config.denoiser_kind
@@ -275,55 +283,51 @@ def build_patch_denoiser(op, interp_values, config):
     # A Gaussian kernel does not depend on the signal: one (n, n) for all V.
     psi, errors = denoisers.sinkhorn_scale(np.broadcast_to(kernel, (v, n, n)))
     del kernel  # freed before certification allocates its stacks
-    balanced = [i for i, err in enumerate(errors) if err is None]
-    if balanced:
-        pd, nonexpansive = graphcore.certify_symmetric(
-            psi if len(balanced) == v else psi[balanced]
-        )
-        for i, ok in zip(balanced, pd & nonexpansive):
-            if not ok:
-                errors[i] = PreconditionError(f"{kind} denoiser failed certification on patch")
+    pd, nonexpansive = graphcore.certify_symmetric(psi)
+    for i, certified in enumerate(pd & nonexpansive):
+        if errors[i] is None and not certified:
+            errors[i] = PreconditionError(f"{kind} denoiser failed certification on patch")
     return psi, errors
 
 
-def _joint_solves(y, theta, psi, config):
+def _joint_solves(ty, theta, psi, config):
     """`jointsolver.output_space_solve` for a stack of V signals.
 
-    ``psi`` holds the V denoisers that certification passed.  One stacked
-    solve; only when it fails is each signal solved alone, so that a
-    singular system fails its own signal.  Returns, per signal, the joint
-    output or the SolverError.
+    ``ty`` holds V signals theta_r y, ``psi`` their certified denoisers.
+    One stacked solve; only when it fails is each signal solved alone, so
+    that a singular system fails its own signal.  Returns, per signal, the
+    joint output or the SolverError.
     """
     weights = config.weights
     try:
-        return list(jointsolver.output_space_solve(y, theta, psi, weights))
+        return list(jointsolver.output_space_solve(ty, theta, psi, weights))
     except SolverError as exc:
-        if len(y) == 1:
+        if len(ty) == 1:
             return [exc]
     out = []
-    for yi, pi in zip(y, psi):
+    for tyi, pi in zip(ty, psi):
         try:
-            out.append(jointsolver.output_space_solve(yi, theta, pi, weights))
+            out.append(jointsolver.output_space_solve(tyi, theta, pi, weights))
         except SolverError as exc:
             out.append(exc)
     return out
 
 
 def run_patch(job, images, config) -> list:
-    """Solve one tile on V noisy images in joint and/or sequential mode.
+    """Solve one tile on V noisy images in the modes of ``config``.
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one PatchResult is returned per image.  The work
     that does not depend on the noise (footprint gather, the kernel's
     coordinate checks and spatial factor, NLM's gather indices and window,
-    P = theta_r theta_r^T) is done once; theta_r y, the range factor,
+    P = theta_r theta_r^T) is done once; ty = theta_r y, the range factor,
     Sinkhorn, certification and the joint solve run on stacks with a
-    leading axis of length V.  The joint output is the non-separable MAP
-    solution, from one solve over the tile's real outputs
-    (`jointsolver.output_space_solve`); no spectrum is computed.  Stacked
-    products and solves run the same BLAS/LAPACK routine per image as a
-    single-image call, so each image gets the bits it would get alone.  A
-    balance, certification or solver failure fails only its own image.
+    leading axis of length V; only the images that pass certification are
+    solved.  The joint output is the non-separable MAP solution, from one
+    solve on ty (`jointsolver.output_space_solve`).  Stacked products and
+    solves run the same BLAS/LAPACK routine per image as a single-image
+    call, so each image gets the bits it would get alone.  A balance,
+    certification or solver failure fails only its own image.
     """
     op = job.operator
     src = op.source_coords
@@ -331,51 +335,36 @@ def run_patch(job, images, config) -> list:
     ty = np.matmul(op.matrix, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(op, ty, config)
     ok = [i for i, err in enumerate(errors) if err is None]
-    sequential = joint = [None] * len(ok)
     if 0 < len(ok) < len(errors):
-        psi, y, ty = psi[ok], y[ok], ty[ok]
-    if ok and config.mode in ("sequential", "both"):
+        psi, ty = psi[ok], ty[ok]
+    joint = sequential = [None] * len(ok)
+    if ok and "sequential" in config.modes:
         sequential = np.matmul(psi, ty[..., None])[..., 0]
-    if ok and config.mode in ("joint", "both"):
+    if ok and "joint" in config.modes:
         joint = ty
         if config.weights.kappa > 0 and config.denoiser_kind != "identity":
-            joint = _joint_solves(y, op.matrix, psi, config)
-    outputs = dict(zip(ok, zip(joint, sequential)))
+            joint = _joint_solves(ty, op.matrix, psi, config)
+    solved = iter(zip(joint, sequential))
     results = []
-    for i, err in enumerate(errors):
-        z, s = outputs.get(i, (None, None))
+    for err in errors:
+        z, s = (None, None) if err is not None else next(solved)
         if isinstance(z, SolverError):
-            err = z
-        if err is None:
-            results.append(PatchResult(joint=z, sequential=s, failed=False))
-        else:
-            results.append(
-                PatchResult(joint=None, sequential=None, failed=True, error=str(err))
-            )
+            z, s, err = None, None, z
+        results.append(PatchResult(z, s, None if err is None else str(err)))
     return results
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
-    """Run every patch job in one mode and stitch the real outputs."""
-    pixels = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
-    jobs = interpolators.tile_image(pixels.shape, config.transform, config.patch_size)
-    if not jobs:
-        raise PatchGeometryError("no valid patch jobs for this transform")
-    (results,) = _run_patches(jobs, pixels[None], replace(config, mode=mode))
-    out = np.zeros(pixels.shape)
-    mask = np.zeros(pixels.shape, dtype=bool)
-    errors = []
-    for job, res in zip(jobs, results):
-        if res.failed:
-            errors.append(f"tile at {job.origin}: {res.error}")
-            continue
-        tc = job.operator.target_coords
-        vals = res.joint if mode == "joint" else res.sequential
-        out[tc[:, 0], tc[:, 1]] = vals
-        mask[tc[:, 0], tc[:, 1]] = True
-    return StitchedImage(
-        pixels=out, validity=mask, tile_count=len(jobs), tile_errors=tuple(errors)
+    """Run every patch job in one mode, joint or sequential, and stitch the outputs."""
+    if mode not in ("joint", "sequential"):
+        raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
+    pixels = _pixels(image)
+    jobs, (results,) = _run_patches(pixels[None], replace(config, mode=mode))
+    out, mask = _stitch(jobs, [getattr(res, mode) for res in results], pixels.shape)
+    errors = tuple(
+        f"tile at {job.origin}: {res.error}" for job, res in zip(jobs, results) if res.failed
     )
+    return StitchedImage(pixels=out, validity=mask, tile_count=len(jobs), tile_errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +378,16 @@ def _pool_run(idx):
     return run_patch(state["jobs"][idx], state["images"], state["config"])
 
 
-def _run_patches(jobs, images, config):
-    """`run_patch` for every job on the stack of images: one result list per image.
+def _run_patches(images, config):
+    """Tile a stack (V, H, W) of images and run `run_patch` on every tile.
 
-    One task per tile, which solves the tile on all V images (V = 1 for
-    `process_image`).  With ``config.workers > 1`` the tiles are spread
-    over a fork pool of that many processes; the results are the same
-    either way.
+    Returns ``(jobs, results)``, with one PatchResult list per image; no
+    tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
+    go to a fork pool of that many processes, with the same results.
     """
+    jobs = interpolators.tile_image(images.shape[1:], config.transform, config.patch_size)
+    if not jobs:
+        raise PatchGeometryError("no valid patch jobs for this transform")
     if config.workers == 1:
         per_tile = [run_patch(job, images, config) for job in jobs]
     else:
@@ -407,56 +398,46 @@ def _run_patches(jobs, images, config):
                 per_tile = pool.map(_pool_run, range(len(jobs)), chunksize=8)
         finally:
             _POOL_STATE.clear()
-    return [list(results) for results in zip(*per_tile)]
+    return jobs, [list(results) for results in zip(*per_tile)]
+
+
+def _stitch(jobs, values, shape):
+    """``(pixels, mask)`` of each tile's values; a None leaves its tile invalid."""
+    pixels = np.zeros(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for job, vals in zip(jobs, values):
+        if vals is not None:
+            tc = job.operator.target_coords
+            pixels[tc[:, 0], tc[:, 1]] = vals
+            mask[tc[:, 0], tc[:, 1]] = True
+    return pixels, mask
 
 
 def build_reference(jobs, clean_pixels, shape):
     """Clean image pushed through the real interpolation rows of every job."""
-    ref = np.zeros(shape)
-    mask = np.zeros(shape, dtype=bool)
-    for job in jobs:
-        op = job.operator
-        src = op.source_coords
-        vals = op.real_matrix @ clean_pixels[src[:, 0], src[:, 1]]
-        tc = op.target_coords
-        ref[tc[:, 0], tc[:, 1]] = vals
-        mask[tc[:, 0], tc[:, 1]] = True
-    return ref, mask
+    ops = [job.operator for job in jobs]
+    values = [op.real_matrix @ clean_pixels[tuple(op.source_coords.T)] for op in ops]
+    return _stitch(jobs, values, shape)
 
 
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     """Sweep noise variances and score both modes; returns (curves, csv_text)."""
-    clean = image.pixels if isinstance(image, ImageBuffer) else np.asarray(image)
-    shape = clean.shape
-    jobs = interpolators.tile_image(shape, config.transform, config.patch_size)
-    if not jobs:
-        raise PatchGeometryError("no valid patch jobs for this transform")
-    ref, base_mask = build_reference(jobs, clean, shape)
-
-    noisy = np.empty((len(config.noise_variances),) + shape)
+    clean = _pixels(image)
+    noisy = np.empty((len(config.noise_variances),) + clean.shape)
     for vi, var in enumerate(config.noise_variances):
         noisy[vi] = add_gaussian_noise(clean, var, config.seed ^ vi)
 
-    results_per_variance = _run_patches(jobs, noisy, config)
+    jobs, results_per_variance = _run_patches(noisy, config)
+    ref, _ = build_reference(jobs, clean, clean.shape)
 
     transform_label = config.transform.label()
     rows = []
     points = {mode: [] for mode in config.modes}
-    for vi, var in enumerate(config.noise_variances):
-        outputs = {mode: np.zeros(shape) for mode in config.modes}
-        run_mask = base_mask.copy()
-        failed = 0
-        for job, res in zip(jobs, results_per_variance[vi]):
-            tc = job.operator.target_coords
-            if res.failed:
-                failed += 1
-                run_mask[tc[:, 0], tc[:, 1]] = False
-                continue
-            for mode in config.modes:
-                vals = res.joint if mode == "joint" else res.sequential
-                outputs[mode][tc[:, 0], tc[:, 1]] = vals
+    for var, results in zip(config.noise_variances, results_per_variance):
+        failed = sum(res.failed for res in results)
         for mode in config.modes:
-            value = psnr(ref, outputs[mode], run_mask)
+            out, mask = _stitch(jobs, [getattr(res, mode) for res in results], clean.shape)
+            value = psnr(ref, out, mask)
             points[mode].append((var, value))
             rows.append(
                 f"{image_name},{transform_label},{config.denoiser_kind},"

@@ -144,6 +144,23 @@ class TestImageCommands:
         with pytest.raises(SystemExit):
             run_cli(["denoise"])
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (b"P6\n2 2\n255\n" + bytes(12), "not a binary PGM (magic b'P6')"),
+            (b"P5\n-5 -5\n255\n" + bytes(25), "non-positive image size -5x-5"),
+        ],
+    )
+    def test_unreadable_image_is_one_line(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "in.pgm"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli(["joint", "--image", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {path}: {reason}\n"
+
 
 class TestInspectGraph:
     def test_edge_list_format(self, tmp_path):
@@ -226,6 +243,8 @@ class TestInspectGraph:
         ("experiment", ["--transform", "rotation"]),
         ("joint", ["--transform", "homography", "--homography", "0,0,0;0,0,0;0,0,1"]),
         ("inspect-graph", ["--origin", "1,2,3"]),
+        ("joint", ["--texture-size", "1"]),
+        ("experiment", ["--texture-size", "0"]),
     ],
 )
 def test_bad_values_are_usage_errors(command, flags, capsys):

@@ -50,6 +50,7 @@ from mixedgraph.jointsolver import (
     objective_interpolate,
     objective_nonseparable,
     objective_separable,
+    output_space_solve,
     reduced_nonseparable,
 )
 from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
@@ -480,6 +481,15 @@ class TestOutputSpaceSolve:
         want = theta @ np.linalg.solve(np.eye(m) + c * theta.T @ g @ theta, y)
         got = reduced_nonseparable(y, theta, psi, weights)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_takes_the_interpolated_signal(self):
+        # the caller passes theta_r y, which the pipeline already holds
+        op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
+        weights = SolverWeights()
+        ty = np.matmul(op.matrix, y[:, None])[:, 0]
+        got = output_space_solve(ty, op.matrix, psi.matrix, weights)
+        want = reduced_nonseparable(y, op.matrix, psi, weights)
+        assert got.tobytes() == want.tobytes()
 
     def test_one_vector_solve_per_tile(self, monkeypatch):
         # A sweep solves each tile once for all its noise variances: one

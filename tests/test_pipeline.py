@@ -60,6 +60,15 @@ class TestPgmIO:
             load_pgm(path)
         assert excinfo.value.offset == 0
 
+    @pytest.mark.parametrize("size", [b"-5 -5", b"0 4", b"4 0"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        path = tmp_path / "size.pgm"
+        header = b"P5\n" + size + b"\n255\n"
+        path.write_bytes(header + bytes(25))
+        with pytest.raises(ImageIOError, match="non-positive image size") as excinfo:
+            load_pgm(path)
+        assert excinfo.value.offset == len(header) - 1  # end of the header's last token
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "trunc.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
@@ -79,6 +88,11 @@ class TestSyntheticTexture:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             synthetic_texture("texture-z")
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_too_small_rejected(self, size):
+        with pytest.raises(ValueError, match="at least 2"):
+            synthetic_texture("texture-a", size)
 
 
 class TestNoise:
@@ -184,6 +198,12 @@ class TestProcessImage:
         ref, mask = build_reference(jobs, img.pixels, (40, 40))
         assert out.validity.sum() == mask.sum()
         assert psnr(ImageBuffer(ref, mask), out) >= 80.0
+
+    @pytest.mark.parametrize("mode", ["both", "neither"])
+    def test_one_mode_per_image(self, mode):
+        img = synthetic_texture("texture-a", 20)
+        with pytest.raises(ValueError, match="'joint' or 'sequential'"):
+            process_image(identity_config(), img, mode)
 
     def test_stitching_covers_all_tiled_pixels(self):
         img = synthetic_texture("texture-b", 40)
