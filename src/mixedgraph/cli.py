@@ -4,113 +4,133 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
-from .errors import BalanceError, DegenerateTransformError, ImageIOError, PreconditionError
+from .errors import BalanceError, DegenerateTransformError, ImageIOError
+from .errors import PatchGeometryError, PreconditionError
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--image", help="input image path (.pgm or .png)")
-    parser.add_argument(
+def _parsers():
+    """The top-level parser and each subcommand's, which takes only the flags it reads."""
+    source, warp, kernel, mu, weights, tiling, image_out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    )
+    source.add_argument("--config", help="key=value config file; flags override it")
+    source.add_argument("--image", help="input image path (.pgm or .png)")
+    source.add_argument(
         "--texture",
         choices=["texture-a", "texture-b"],
         help="use a shipped synthetic texture instead of --image",
     )
-    parser.add_argument("--texture-size", type=int, default=512)
-    parser.add_argument(
+    source.add_argument("--texture-size", type=int, default=512)
+    warp.add_argument(
         "--transform", default="identity", choices=["identity", "rotation", "homography"]
     )
-    parser.add_argument("--angle", type=float, help="rotation angle in degrees")
-    parser.add_argument("--homography", help='3x3 matrix as "a,b,c;d,e,f;g,h,i"')
-    parser.add_argument(
+    warp.add_argument("--angle", type=float, help="rotation angle in degrees")
+    warp.add_argument("--homography", help='3x3 matrix as "a,b,c;d,e,f;g,h,i"')
+    kernel.add_argument(
         "--denoiser",
+        dest="denoiser_kind",
         default="bilateral",
         choices=["gaussian", "bilateral", "nlm", "identity"],
     )
-    parser.add_argument("--spatial-var", type=float, default=0.3)
-    parser.add_argument("--range-var", type=float, default=0.3)
-    parser.add_argument("--nlm-patch", type=int, default=3)
-    parser.add_argument("--nlm-window", type=int, default=9)
-    parser.add_argument("--nlm-h2", type=float, default=0.3)
-    parser.add_argument("--mu", type=float, default=0.3)
-    parser.add_argument("--gamma", type=float, default=0.5)
-    parser.add_argument("--kappa", type=float, default=0.3)
-    parser.add_argument("--patch-size", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
+    kernel.add_argument("--spatial-var", type=float, default=0.3)
+    kernel.add_argument("--range-var", type=float, default=0.3)
+    kernel.add_argument("--nlm-patch", dest="nlm_patch_size", type=int, default=3)
+    kernel.add_argument("--nlm-window", dest="nlm_search_window", type=int, default=9)
+    kernel.add_argument("--nlm-h2", type=float, default=0.3)
+    mu.add_argument("--mu", type=float, default=0.3)
+    weights.add_argument("--gamma", type=float, default=0.5)
+    weights.add_argument("--kappa", type=float, default=0.3)
+    tiling.add_argument("--patch-size", type=int, default=10)
+    tiling.add_argument("--workers", type=int, default=1)
+    image_out.add_argument("--out-image", dest="out", help="output image path")
+
+    parser = argparse.ArgumentParser(
+        prog="mixedgraph",
+        description="Joint image denoising/interpolation via mixed-graph MAP filtering",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, *groups, build=_build_config):
+        # unabbreviated, so that a flag, or a config key, has one spelling
+        p = sub.add_parser(name, parents=list(groups), allow_abbrev=False)
+        p.set_defaults(build=build, run=run)
+        return p
+
+    # what an image command takes no flag for, it fixes
+    for name, groups, fixed in (
+        ("denoise", [source, kernel], dict(transform="identity", mode="sequential")),
+        ("interpolate", [source, warp], dict(denoiser_kind="identity", mode="sequential")),
+        ("sequential", [source, warp, kernel], dict(mode="sequential")),
+        ("joint", [source, warp, kernel, mu, weights], dict(mode="joint")),
+    ):
+        command(name, _run_mode, *groups, tiling, image_out).set_defaults(**fixed)
+
+    p = command("experiment", _cmd_experiment, source, warp, kernel, mu, weights, tiling)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--method",
         default="cg",
         choices=["cg", "direct", "closed-form"],
         help="checked, but every value runs the same solve",
     )
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out-image", help="output image path")
+    p.add_argument("--variances", default="0.02", help="comma-separated noise variances")
+    p.add_argument("--mode", default="both", choices=["joint", "sequential", "both"])
+    p.add_argument("--out-csv", dest="out", help="CSV output path (default: stdout)")
+
+    p = command("inspect-graph", _cmd_inspect_graph, source, kernel, mu, build=_priors)
+    p.add_argument("--origin", type=_origin, default="0,0", help="patch origin as row,col")
+    p.add_argument("--size", type=int, default=10, help="square patch side")
+    p.add_argument("--weight-tol", type=float, default=1e-12)
+    p.add_argument("--out", help="edge list output path (default: stdout)")
+    return parser, sub.choices
 
 
-def _config_defaults(path, args, parser):
-    """Parse a key=value config file with the subcommand's own parser.
+def _origin(text):
+    row, col = text.split(",")
+    return int(row), int(col)
 
-    Each value goes through the option's type and choices checks; the
-    result is applied as parser defaults, so command-line flags override it.
-    """
-    tokens, keys = [], []
+
+def _config_flags(path):
+    """Flags of a key=value config file, one ``--key=value`` token each: "-1" is a value."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not hasattr(args, key):
-                raise SystemExit(f"unknown config key {key!r}")
-            flag = "--" + key.replace("_", "-")
-            keys.append(key)
-            # one token, so a value starting with "-" is not read as a flag
-            tokens.append(f"{flag}={value}")
-    parsed = parser.parse_args(tokens)
-    return {key: getattr(parsed, key) for key in keys}
+        lines = [line.strip() for line in fh]
+    pairs = [line.partition("=") for line in lines if line and not line.startswith("#")]
+    return [f"--{key.strip().replace('_', '-')}={value.strip()}" for key, _, value in pairs]
+
+
+def _make(cls, values):
+    """Dataclass ``cls`` of the fields ``values`` holds; the others keep their defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
+def _priors(args):
+    """KernelParams and SolverWeights of the flags; a bad value raises ValueError."""
+    values = vars(args)
+    return _make(denoisers.KernelParams, values), _make(jointsolver.SolverWeights, values)
 
 
 def _build_config(args):
     """The ExperimentConfig of a command's flags; a bad value raises ValueError."""
-    command = args.command
-    transform = interpolators.parse_transform(
-        args.transform, angle=args.angle, h=args.homography
+    values = dict(vars(args))
+    values["transform"] = interpolators.parse_transform(
+        args.transform, angle=values.get("angle"), h=values.get("homography")
     )
-    if command == "denoise":
-        transform = interpolators.parse_transform("identity")
-    params = denoisers.KernelParams(
-        spatial_var=args.spatial_var,
-        range_var=args.range_var,
-        nlm_patch_size=args.nlm_patch,
-        nlm_search_window=args.nlm_window,
-        nlm_h2=args.nlm_h2,
-    )
-    weights = jointsolver.SolverWeights(mu=args.mu, gamma=args.gamma, kappa=args.kappa)
-    variances = [float(v) for v in getattr(args, "variances", "0.02").split(",")]
-    return pipeline.ExperimentConfig(
-        transform=transform,
-        denoiser_kind="identity" if command == "interpolate" else args.denoiser,
-        kernel_params=params,
-        weights=weights,
-        noise_variances=tuple(variances),
-        seed=args.seed,
-        mode=getattr(args, "mode", "joint" if command == "joint" else "sequential"),
-        patch_size=args.patch_size,
-        method=args.method,
-        workers=args.workers,
-    )
+    values["kernel_params"], values["weights"] = _priors(args)
+    if "variances" in values:
+        values["noise_variances"] = tuple(float(v) for v in args.variances.split(","))
+    return _make(pipeline.ExperimentConfig, values)
 
 
 def _load_input(args):
+    if bool(args.image) == bool(args.texture):
+        raise ValueError("exactly one of --image and --texture is required")
     if args.texture:
         return pipeline.synthetic_texture(args.texture, args.texture_size), args.texture
-    if not args.image:
-        raise SystemExit("either --image or --texture is required")
     return pipeline.load_image(args.image), args.image
 
 
@@ -124,11 +144,11 @@ def _write_text(text, path):
         sys.stdout.write(text)
 
 
-def _run_mode(args, config, image):
+def _run_mode(args, config, image, name):
     out = pipeline.process_image(config, image, config.mode)
-    if args.out_image:
-        pipeline.save_image(out, args.out_image)
-        print(f"wrote {args.out_image}")
+    if args.out:
+        pipeline.save_image(out, args.out)
+        print(f"wrote {args.out}")
     else:
         print("no --out-image given; nothing written")
     if out.tile_errors:
@@ -144,28 +164,23 @@ def _run_mode(args, config, image):
 
 def _cmd_experiment(args, config, image, name):
     _, csv_text = pipeline.run_experiment(config, image, image_name=name)
-    _write_text(csv_text, args.out_csv)
+    _write_text(csv_text, args.out)
     return 0
 
 
-def _origin(text):
-    row, col = text.split(",")
-    return int(row), int(col)
-
-
-def _cmd_inspect_graph(args, config, image):
+def _cmd_inspect_graph(args, priors, image, name):
+    params, weights = priors
     (r0, c0), n = args.origin, args.size
     tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
     if n < 1 or tile.shape != (n, n):
         raise SystemExit("patch is empty or extends past the image boundary")
     rr, cc = np.mgrid[r0 : r0 + n, c0 : c0 + n]
     coords = np.column_stack([rr.ravel(), cc.ravel()])
-    kernel = denoisers.build_denoiser(
-        args.denoiser, coords, np.clip(tile.ravel(), 0.0, 1.0), config.kernel_params
-    )
+    kind = args.denoiser_kind
+    kernel = denoisers.build_denoiser(kind, coords, np.clip(tile.ravel(), 0.0, 1.0), params)
     try:
-        psi = denoisers.sinkhorn_balance(kernel, kind=args.denoiser)
-        graph = graphcore.denoiser_to_laplacian(psi, config.weights.mu)
+        psi = denoisers.sinkhorn_balance(kernel, kind=kind)
+        graph = graphcore.denoiser_to_laplacian(psi, weights.mu)
     except (BalanceError, PreconditionError) as exc:
         print(f"patch at {(r0, c0)}: {exc}", file=sys.stderr)
         return 1
@@ -174,36 +189,16 @@ def _cmd_inspect_graph(args, config, image):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mixedgraph",
-        description="Joint image denoising/interpolation via mixed-graph MAP filtering",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("denoise", "interpolate", "joint", "sequential"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("experiment")
-    _add_common(p)
-    p.add_argument("--variances", default="0.02", help="comma-separated noise variances")
-    p.add_argument("--mode", default="both", choices=["joint", "sequential", "both"])
-    p.add_argument("--out-csv", help="CSV output path (default: stdout)")
-
-    p = sub.add_parser("inspect-graph")
-    _add_common(p)
-    p.add_argument("--origin", type=_origin, default="0,0", help="patch origin as row,col")
-    p.add_argument("--size", type=int, default=10, help="square patch side")
-    p.add_argument("--weight-tol", type=float, default=1e-12)
-    p.add_argument("--out", help="edge list output path (default: stdout)")
-
-    args = parser.parse_args(argv)
-    command_parser = sub.choices[args.command]
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word names the subcommand; its own parser reads, and rejects, the rest
+    command_parser = commands[parser.parse_args(argv[:1]).command]
+    args = command_parser.parse_args(argv[1:])
     if args.config:
-        command_parser.set_defaults(**_config_defaults(args.config, args, command_parser))
-        args = parser.parse_args(argv)
+        # the file's flags go first, so the command line's override them
+        args = command_parser.parse_args(_config_flags(args.config) + argv[1:])
     try:
-        config = _build_config(args)
+        setup = args.build(args)
         image, name = _load_input(args)
     except (ValueError, DegenerateTransformError) as exc:
         command_parser.error(str(exc))
@@ -211,12 +206,17 @@ def main(argv=None) -> int:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         print(f"cannot read {args.image}: {reason}", file=sys.stderr)
         return 1
-
-    if args.command == "experiment":
-        return _cmd_experiment(args, config, image, name)
-    if args.command == "inspect-graph":
-        return _cmd_inspect_graph(args, config, image)
-    return _run_mode(args, config, image)
+    try:
+        if args.out:  # before any tile is solved; a missing file is created empty
+            open(args.out, "a").close()
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    try:
+        return args.run(args, setup, image, name)
+    except PatchGeometryError as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mixedgraph import denoisers
+from mixedgraph import denoisers, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError
 from mixedgraph.pipeline import (
@@ -114,8 +116,6 @@ class TestImageCommands:
                     "rotation",
                     "--angle",
                     "10",
-                    "--method",
-                    "direct",
                     "--out-image",
                     str(out),
                 ]
@@ -232,6 +232,107 @@ class TestInspectGraph:
             )
 
 
+SOURCE = ["--config", "--image", "--texture", "--texture-size"]
+WARP = ["--transform", "--angle", "--homography"]
+KERNEL = [
+    "--denoiser",
+    "--spatial-var",
+    "--range-var",
+    "--nlm-patch",
+    "--nlm-window",
+    "--nlm-h2",
+]
+WEIGHTS = ["--mu", "--gamma", "--kappa"]
+TILING = ["--patch-size", "--workers"]
+GRAPH = ["--mu", "--origin", "--size", "--weight-tol", "--out"]
+EXPERIMENT = ["--seed", "--method", "--variances", "--mode", "--out-csv"]
+# the flags of each command, in --help order: 96 settable values in all
+TAKES = {
+    "denoise": SOURCE + KERNEL + TILING + ["--out-image"],
+    "interpolate": SOURCE + WARP + TILING + ["--out-image"],
+    "sequential": SOURCE + WARP + KERNEL + TILING + ["--out-image"],
+    "joint": SOURCE + WARP + KERNEL + WEIGHTS + TILING + ["--out-image"],
+    "experiment": SOURCE + WARP + KERNEL + WEIGHTS + TILING + EXPERIMENT,
+    "inspect-graph": SOURCE + KERNEL + GRAPH,
+}
+# a value each flag accepts, so that only the flag itself can be refused
+VALUE = {
+    "--transform": "identity",
+    "--angle": "20",
+    "--homography": "1,0,0;0,1,0;0,0,1",
+    "--denoiser": "gaussian",
+    "--spatial-var": "0.3",
+    "--range-var": "0.3",
+    "--nlm-patch": "3",
+    "--nlm-window": "9",
+    "--nlm-h2": "0.3",
+    "--mu": "0.3",
+    "--gamma": "0.5",
+    "--kappa": "0.3",
+    "--patch-size": "10",
+    "--workers": "1",
+    "--out-image": "out.pgm",
+    "--seed": "1",
+    "--method": "direct",
+    "--variances": "0.02",
+    "--mode": "joint",
+    "--out-csv": "out.csv",
+    "--origin": "0,0",
+    "--size": "4",
+    "--weight-tol": "1e-12",
+    "--out": "out.txt",
+}
+NOT_TAKEN = [(c, flag) for c, takes in TAKES.items() for flag in VALUE if flag not in takes]
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_each_command_takes_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command, "--help"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(--[\w-]+)", usage) == TAKES[command]
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN)
+def test_flag_not_taken_is_usage_error(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--texture", "texture-a", "--texture-size", "30"]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(args + [flag, VALUE[flag]])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mixedgraph {command}")
+    assert f"error: unrecognized arguments: {flag} {VALUE[flag]}" in err
+
+
+@pytest.mark.parametrize("command", ["joint", "experiment"])
+def test_image_too_small_to_tile_is_one_line(command, capsys):
+    args = [command, "--texture", "texture-a", "--texture-size", "2"]
+    assert run_cli(args + ["--transform", "rotation", "--angle", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "texture-a: no valid patch jobs for this transform\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("joint", "--out-image"), ("experiment", "--out-csv"), ("inspect-graph", "--out")],
+)
+def test_unwritable_output_found_first(command, flag, tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a tile before checking the output path")
+
+    monkeypatch.setattr(pipeline, "run_patch", solve)
+    monkeypatch.setattr(denoisers, "build_denoiser", solve)
+    out = tmp_path / "no" / "such" / "dir" / "x"
+    args = [command, "--texture", "texture-a", "--texture-size", "30"]
+    assert run_cli(args + [flag, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {out}: No such file or directory\n"
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -245,6 +346,9 @@ class TestInspectGraph:
         ("inspect-graph", ["--origin", "1,2,3"]),
         ("joint", ["--texture-size", "1"]),
         ("experiment", ["--texture-size", "0"]),
+        ("inspect-graph", ["--mu", "0"]),
+        ("inspect-graph", ["--spatial-var", "-1"]),
+        ("joint", ["--image", "in.pgm"]),
     ],
 )
 def test_bad_values_are_usage_errors(command, flags, capsys):
@@ -293,6 +397,52 @@ class TestConfigFile:
         cfg.write_text("denoiser = foo\n")
         with pytest.raises(SystemExit):
             run_cli(["experiment", "--config", str(cfg), "--texture", "texture-a"])
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("joint", "seed = 3"),
+            ("joint", "method = direct"),
+            ("denoise", "transform = rotation"),
+            ("interpolate", "denoiser = gaussian"),
+            ("experiment", "out-image = x.pgm"),
+            ("inspect-graph", "workers = 2"),
+        ],
+    )
+    def test_key_for_flag_not_taken_rejected(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--config", str(cfg), "--texture", "texture-a"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mixedgraph {command}")
+        assert "unrecognized arguments: --" + line.split(" = ")[0] in err
+
+    def test_file_values_do_not_leak_into_next_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("denoiser = gaussian\ntexture-size = 30\n")
+        args = ["experiment", "--texture", "texture-a", "--mode", "joint"]
+        assert run_cli(args + ["--config", str(cfg)]) == 0
+        assert ",gaussian,joint," in capsys.readouterr().out
+        assert run_cli(args + ["--texture-size", "32"]) == 0
+        assert ",bilateral,joint," in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "in_file, flags",
+        [
+            ("image = {pgm}", ["--texture", "texture-a"]),
+            ("texture = texture-a", ["--image", "{pgm}"]),
+        ],
+    )
+    def test_image_with_texture_rejected(self, small_pgm, tmp_path, capsys, in_file, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(in_file.format(pgm=small_pgm) + "\n")
+        args = ["joint", "--config", str(cfg)] + [a.format(pgm=small_pgm) for a in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(args)
+        assert excinfo.value.code == 2
+        assert "exactly one of --image and --texture" in capsys.readouterr().err
 
     def test_file_value_starting_with_minus(self, tmp_path, capsys):
         # a left-right flip: its first entry is negative
