@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
 from .errors import BalanceError, DegenerateTransformError, ImageIOError
-from .errors import PatchGeometryError, PreconditionError
+from .errors import PatchGeometryError, PreconditionError, TilesFailedError
 
 
 def _parsers():
@@ -134,6 +134,13 @@ def _load_input(args):
     return pipeline.load_image(args.image), args.image
 
 
+def _cannot(verb, path, exc):
+    """Report on one stderr line that ``path`` cannot be read or written; exit status 1."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"cannot {verb} {path}: {reason}", file=sys.stderr)
+    return 1
+
+
 def _write_text(text, path):
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
@@ -195,26 +202,27 @@ def main(argv=None) -> int:
     command_parser = commands[parser.parse_args(argv[:1]).command]
     args = command_parser.parse_args(argv[1:])
     if args.config:
+        try:
+            config_flags = _config_flags(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            return _cannot("read", args.config, exc)
         # the file's flags go first, so the command line's override them
-        args = command_parser.parse_args(_config_flags(args.config) + argv[1:])
+        args = command_parser.parse_args(config_flags + argv[1:])
     try:
         setup = args.build(args)
         image, name = _load_input(args)
     except (ValueError, DegenerateTransformError) as exc:
         command_parser.error(str(exc))
     except (OSError, ImageIOError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        print(f"cannot read {args.image}: {reason}", file=sys.stderr)
-        return 1
+        return _cannot("read", args.image, exc)
     try:
         if args.out:  # before any tile is solved; a missing file is created empty
             open(args.out, "a").close()
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return 1
+        return _cannot("write", args.out, exc)
     try:
         return args.run(args, setup, image, name)
-    except PatchGeometryError as exc:
+    except (PatchGeometryError, TilesFailedError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 1
 

@@ -54,10 +54,32 @@ def _pairwise_sq_dist(c: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _spatial_factor(c: np.ndarray, var: float) -> np.ndarray:
+    """exp(-|c_i - c_j|^2 / (2 var)) for every pair of coordinates.
+
+    For integer-valued coordinates the factor depends only on the offset
+    (dr, dc) of a pair, so when the offsets' range has at most n^2 cells it
+    is computed once per offset, in a table, and gathered by index.  The
+    squared distances are exact integers, so the table holds the formula's
+    bits.
+    """
+    if len(c):
+        lo = c.min(axis=0)
+        span = c.max(axis=0) - lo
+        shape = 2.0 * span + 1.0
+        if np.array_equal(np.rint(c), c) and shape[0] * shape[1] <= len(c) ** 2:
+            a, b = np.arange(shape[0]) - span[0], np.arange(shape[1]) - span[1]
+            table = np.exp(-(a[:, None] * a[:, None] + b * b) / (2.0 * var))
+            r, k = (c - lo).astype(np.intp).T
+            p = r * len(b) + k
+            # p_i - p_j is the pair's offset from the table's center
+            return table.ravel().take((p + table.size // 2)[:, None] - p)
+    return np.exp(-_pairwise_sq_dist(c) / (2.0 * var))
+
+
 def gaussian_matrix(coords, params: KernelParams) -> np.ndarray:
     """Spatial Gaussian kernel; unit diagonal, symmetric, strictly positive."""
-    c = _as_coords(coords)
-    return np.exp(-_pairwise_sq_dist(c) / (2.0 * params.spatial_var))
+    return _spatial_factor(_as_coords(coords), params.spatial_var)
 
 
 def _as_intensities(intensities, c: np.ndarray) -> np.ndarray:
@@ -77,7 +99,7 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     y = _as_intensities(intensities, c)
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("intensities must lie in [0, 1]")
-    spatial = np.exp(-_pairwise_sq_dist(c) / (2.0 * params.spatial_var))
+    spatial = _spatial_factor(c, params.spatial_var)
     # The range factor, and then the kernel, are built in place in one
     # buffer of the output's size.
     k = y[..., :, None] - y[..., None, :]
@@ -198,9 +220,11 @@ def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
     w = np.asarray(w, dtype=float)
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"kernels must be a (V, n, n) stack, got shape {w.shape}")
-    asym = np.linalg.norm(w - w.swapaxes(1, 2), axis=(1, 2))
-    if np.any(asym > 1e-10 * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)):
-        raise ValueError("kernel must be symmetric")
+    # the norms are needed only for a kernel that is not exactly symmetric
+    if not np.array_equal(w, w.swapaxes(1, 2)):
+        asym = np.linalg.norm(w - w.swapaxes(1, 2), axis=(1, 2))
+        if np.any(asym > 1e-10 * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)):
+            raise ValueError("kernel must be symmetric")
     if w.min() < 0.0:
         raise ValueError("kernel must be nonnegative")
     if np.any(np.diagonal(w, axis1=1, axis2=2) <= 0.0):
@@ -234,8 +258,11 @@ def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
         for i in active:
             residual[i] = now[i]
 
-    psi = w * d * d.swapaxes(1, 2)
-    psi = 0.5 * (psi + psi.swapaxes(1, 2))
+    # 0.5 * (psi + psi^T) with psi = w * d * d^T, in two buffers
+    psi = w * d
+    psi *= d.swapaxes(1, 2)
+    psi = psi + psi.swapaxes(1, 2)
+    psi *= 0.5
     errors = [
         BalanceError(
             f"Sinkhorn balancing did not converge (residual {r:.3e})", residual=r

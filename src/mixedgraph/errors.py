@@ -43,6 +43,10 @@ class PatchGeometryError(MixedGraphError):
     """Patch footprint is empty, out of bounds, or rank-deficient."""
 
 
+class TilesFailedError(MixedGraphError):
+    """Every tile of an image failed, so there is nothing to score."""
+
+
 class ImageIOError(MixedGraphError):
     """Malformed image file; carries the byte offset where parsing failed."""
 

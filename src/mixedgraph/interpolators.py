@@ -29,15 +29,16 @@ class Rotation:
     angle_deg: float
 
     def back_project(self, coords_rc: np.ndarray, image_size) -> np.ndarray:
+        """Source (row, col) of each output (row, col); ``coords_rc`` is (..., 2)."""
         h, w = image_size
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         t = math.radians(-self.angle_deg)
         ct, st = math.cos(t), math.sin(t)
-        y = coords_rc[:, 0] - cy
-        x = coords_rc[:, 1] - cx
+        y = coords_rc[..., 0] - cy
+        x = coords_rc[..., 1] - cx
         sx = ct * x - st * y + cx
         sy = st * x + ct * y + cy
-        return np.column_stack([sy, sx])
+        return np.stack([sy, sx], axis=-1)
 
     def label(self) -> str:
         return f"rotation({self.angle_deg:g})"
@@ -58,17 +59,20 @@ class Homography:
         object.__setattr__(self, "matrix", tuple(map(tuple, m)))
 
     def back_project(self, coords_rc: np.ndarray, image_size) -> np.ndarray:
+        """Source (row, col) of each output (row, col); ``coords_rc`` is (..., 2)."""
         hinv = np.linalg.inv(np.asarray(self.matrix))
-        pts = np.column_stack(
-            [coords_rc[:, 1], coords_rc[:, 0], np.ones(len(coords_rc))]
-        )
+        ones = np.ones(coords_rc.shape[:-1])
+        pts = np.stack([coords_rc[..., 1], coords_rc[..., 0], ones], axis=-1)
+        # a stack (T, n, 2) is one (n, 3) @ (3, 3) product per tile, as for
+        # the tile alone; BLAS may round one product over all T * n points
+        # differently
         src = pts @ hinv.T
-        wcoord = src[:, 2]
+        wcoord = src[..., 2]
         if np.any(np.abs(wcoord) < 1e-12):
             raise DegenerateTransformError(
                 "back-projection has a vanishing homogeneous coordinate"
             )
-        return np.column_stack([src[:, 1] / wcoord, src[:, 0] / wcoord])
+        return np.stack([src[..., 1] / wcoord, src[..., 0] / wcoord], axis=-1)
 
     def label(self) -> str:
         flat = ";".join(",".join(f"{v:g}" for v in row) for row in self.matrix)
@@ -194,35 +198,72 @@ def pad_full_rank(
     )
 
 
-def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
-    """Assemble the (unpadded) interpolation operator for one output tile.
+# Tiles of one shape are built together, at most this many at a time, which
+# bounds the temporaries of the build.
+TILE_BATCH = 16
 
-    The footprint is the sorted set of source pixels with a nonzero tap, so
-    the columns follow the row-major order of the source image.
+
+def _build_tiles(transform, origins, size, image_size) -> list:
+    """Assemble the (unpadded) operators of same-size tiles in one pass.
+
+    Returns one PatchJob per origin, or None for a tile that back-projects
+    fully out of bounds.  The points are back-projected as a (tiles, pixels,
+    2) stack, so each tile gets the arithmetic it gets alone.  A tile's
+    footprint is the sorted set of source pixels with a nonzero tap, so the
+    columns follow the row-major order of the source image; one np.unique
+    over (tile, pixel) keys finds every tile's footprint at once.
     """
-    r0, c0 = origin
+    h, w = image_size
     ph, pw = size
-    rr, cc = np.mgrid[r0 : r0 + ph, c0 : c0 + pw]
-    targets = np.column_stack([rr.ravel(), cc.ravel()])
+    rr, cc = np.mgrid[0:ph, 0:pw]
+    offsets = np.asarray(origins)[:, None, :]
+    targets = np.column_stack([rr.ravel(), cc.ravel()]) + offsets
     src = transform.back_project(targets.astype(float), image_size)
-    inside, row, tap_rc, weight = bilinear_rows(src, image_size)
-    if not inside.any():
-        raise PatchGeometryError(f"patch at {origin} back-projects fully out of bounds")
-
-    w = image_size[1]
-    footprint, col = np.unique(tap_rc[:, 0] * w + tap_rc[:, 1], return_inverse=True)
-    theta_raw = np.zeros((int(inside.sum()), len(footprint)))
-    theta_raw[row, col] = weight
-
-    op = InterpolatorOperator(
-        matrix=theta_raw,
-        real_output_count=len(theta_raw),
-        dummy_rows=(),
-        source_coords=np.column_stack(np.divmod(footprint, w)),
-        target_coords=targets[inside],
-        transform=transform,
+    inside, row, tap_rc, weight = bilinear_rows(src.reshape(-1, 2), image_size)
+    counts = inside.reshape(len(origins), -1).sum(axis=1)
+    tiles = np.arange(len(origins) + 1)
+    point_start = np.concatenate([[0], np.cumsum(counts)])
+    tap_tile = np.repeat(tiles[:-1], counts)[row]
+    keys, col = np.unique(
+        (tap_tile * h + tap_rc[:, 0]) * w + tap_rc[:, 1], return_inverse=True
     )
-    return PatchJob(origin=(r0, c0), size=(ph, pw), operator=op)
+    key_start = np.searchsorted(keys // (h * w), tiles)
+    # each tap's row and column within its own tile's matrix
+    row = row - point_start[tap_tile]
+    col = col - key_start[tap_tile]
+    tap_start = np.searchsorted(tap_tile, tiles).tolist()
+    sources = np.column_stack(np.divmod(keys % (h * w), w))
+    target_rc = targets.reshape(-1, 2)[inside]
+
+    jobs = []
+    point_start, key_start = point_start.tolist(), key_start.tolist()
+    for t, origin in enumerate(origins):
+        p0, p1 = point_start[t : t + 2]
+        if p0 == p1:
+            jobs.append(None)
+            continue
+        k0, k1 = key_start[t : t + 2]
+        taps = slice(*tap_start[t : t + 2])
+        theta_raw = np.zeros((p1 - p0, k1 - k0))
+        theta_raw[row[taps], col[taps]] = weight[taps]
+        op = InterpolatorOperator(
+            matrix=theta_raw,
+            real_output_count=p1 - p0,
+            dummy_rows=(),
+            source_coords=sources[k0:k1],
+            target_coords=target_rc[p0:p1],
+            transform=transform,
+        )
+        jobs.append(PatchJob(origin=tuple(origin), size=(ph, pw), operator=op))
+    return jobs
+
+
+def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
+    """Assemble the (unpadded) interpolation operator for one output tile."""
+    (job,) = _build_tiles(transform, [origin], size, image_size)
+    if job is None:
+        raise PatchGeometryError(f"patch at {origin} back-projects fully out of bounds")
+    return job
 
 
 def rotation_operator(angle_deg, origin, size, image_size) -> InterpolatorOperator:
@@ -234,23 +275,25 @@ def homography_operator(h_matrix, origin, size, image_size) -> InterpolatorOpera
 
 
 def tile_image(image_size, transform, patch_size: int = 10):
-    """Non-overlapping tiling of the output domain into patch jobs.
+    """Non-overlapping tiling of the output domain into patch jobs, row-major.
 
     Boundary tiles smaller than the patch size are processed as-is; tiles
     whose real-output set is empty are skipped (their pixels stay invalid).
+    Tiles of one shape are built in batches of up to TILE_BATCH.
     """
     h, w = image_size
     if h < 2 or w < 2:
         raise ValueError("image too small to tile")
-    jobs = []
+    by_size = {}
     for r0 in range(0, h, patch_size):
         for c0 in range(0, w, patch_size):
             size = (min(patch_size, h - r0), min(patch_size, w - c0))
-            try:
-                jobs.append(build_patch_operator(transform, (r0, c0), size, (h, w)))
-            except PatchGeometryError:
-                continue
-    return jobs
+            by_size.setdefault(size, []).append((r0, c0))
+    jobs = []
+    for size, origins in by_size.items():
+        for i in range(0, len(origins), TILE_BATCH):
+            jobs += _build_tiles(transform, origins[i : i + TILE_BATCH], size, (h, w))
+    return sorted((job for job in jobs if job is not None), key=lambda job: job.origin)
 
 
 def parse_transform(spec: str, angle=None, h=None):

@@ -343,8 +343,13 @@ def output_space_solve(ty, theta_real, psi_m, weights: SolverWeights) -> np.ndar
     """
     c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
     p = theta_real @ theta_real.T
+    # psi + c (P - P psi), in one buffer
+    a = np.matmul(p, psi_m)
+    np.subtract(p, a, out=a)
+    a *= c
+    a += psi_m
     try:
-        v = np.linalg.solve(psi_m + c * (p - np.matmul(p, psi_m)), ty[..., None])
+        v = np.linalg.solve(a, ty[..., None])
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
     return np.matmul(psi_m, v)[..., 0]

@@ -8,14 +8,20 @@ them against the clean image pushed through the same interpolation rows.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import multiprocessing
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import ndimage
 
 from . import denoisers, graphcore, interpolators, jointsolver
 from .errors import ImageIOError, PatchGeometryError, PreconditionError, SolverError
+from .errors import TilesFailedError
 
 PSNR_CAP_DB = 99.0
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
@@ -372,6 +378,57 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
 
 _POOL_STATE: dict = {}
 
+# (getter, setter) of the thread count of numpy's (64-bit integer) and
+# scipy's bundled OpenBLAS builds; each has its own thread pool.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_pools():
+    """(getter, setter) pairs of the OpenBLAS libraries bundled with numpy and scipy.
+
+    Found on first use: the libraries' directories are searched, and a
+    library with neither symbol pair (another BLAS, MKL) is left out.
+    """
+    pools = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for get, set_ in _BLAS_SYMBOLS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    getter, setter = getattr(lib, get), getattr(lib, set_)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    pools.append((getter, setter))
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS pool at one thread.
+
+    Every matrix of the tile path is at most about 130 x 130, too small for
+    BLAS threads to pay off, and a fork pool's workers would oversubscribe
+    the cores; they inherit the setting.  The previous counts are restored
+    on exit.
+    """
+    pools = _blas_pools()
+    saved = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(pools, saved):
+            set_(count)
+
 
 def _pool_run(idx):
     state = _POOL_STATE
@@ -383,21 +440,25 @@ def _run_patches(images, config):
 
     Returns ``(jobs, results)``, with one PatchResult list per image; no
     tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
-    go to a fork pool of that many processes, with the same results.
+    go to a fork pool of that many processes, with the same results.  BLAS
+    runs on one thread throughout (`_one_blas_thread`).
     """
-    jobs = interpolators.tile_image(images.shape[1:], config.transform, config.patch_size)
-    if not jobs:
-        raise PatchGeometryError("no valid patch jobs for this transform")
-    if config.workers == 1:
-        per_tile = [run_patch(job, images, config) for job in jobs]
-    else:
-        _POOL_STATE.update(jobs=jobs, config=config, images=images)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(config.workers) as pool:
-                per_tile = pool.map(_pool_run, range(len(jobs)), chunksize=8)
-        finally:
-            _POOL_STATE.clear()
+    with _one_blas_thread():
+        jobs = interpolators.tile_image(
+            images.shape[1:], config.transform, config.patch_size
+        )
+        if not jobs:
+            raise PatchGeometryError("no valid patch jobs for this transform")
+        if config.workers == 1:
+            per_tile = [run_patch(job, images, config) for job in jobs]
+        else:
+            _POOL_STATE.update(jobs=jobs, config=config, images=images)
+            try:
+                ctx = multiprocessing.get_context("fork")
+                with ctx.Pool(config.workers) as pool:
+                    per_tile = pool.map(_pool_run, range(len(jobs)), chunksize=8)
+            finally:
+                _POOL_STATE.clear()
     return jobs, [list(results) for results in zip(*per_tile)]
 
 
@@ -421,7 +482,11 @@ def build_reference(jobs, clean_pixels, shape):
 
 
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
-    """Sweep noise variances and score both modes; returns (curves, csv_text)."""
+    """Sweep noise variances and score both modes; returns (curves, csv_text).
+
+    Raises TilesFailedError, naming the mode and variance and the first
+    tile's error, when every tile of a mode fails at some variance.
+    """
     clean = _pixels(image)
     noisy = np.empty((len(config.noise_variances),) + clean.shape)
     for vi, var in enumerate(config.noise_variances):
@@ -437,6 +502,11 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
         failed = sum(res.failed for res in results)
         for mode in config.modes:
             out, mask = _stitch(jobs, [getattr(res, mode) for res in results], clean.shape)
+            if not mask.any():
+                raise TilesFailedError(
+                    f"all {len(jobs)} tiles failed in {mode} mode at variance {var:g}; "
+                    f"first: {results[0].error}"
+                )
             value = psnr(ref, out, mask)
             points[mode].append((var, value))
             rows.append(

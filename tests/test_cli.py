@@ -64,6 +64,18 @@ class TestExperimentCommand:
         assert got.startswith(CSV_HEADER)
         assert ",joint," in got and ",sequential," not in got
 
+    def test_every_tile_failed_is_one_line(self, capsys):
+        args = ["experiment", "--texture", "texture-a", "--texture-size", "48"]
+        args += ["--transform", "homography", "--homography", "1,0.1,0;0.05,1,0;0,0,1"]
+        args += ["--denoiser", "nlm", "--mode", "joint"]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"texture-a: all \d+ tiles failed in joint mode at variance 0\.02; first: .+\n",
+            captured.err,
+        )
+
 
 class TestImageCommands:
     def test_denoise_writes_image(self, small_pgm, tmp_path):
@@ -376,6 +388,17 @@ class TestConfigFile:
         got = capsys.readouterr().out
         assert got.startswith(CSV_HEADER)
         assert ",0.02," in got
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("no-such.cfg", "No such file or directory"), ("", "Is a directory")],
+    )
+    def test_unreadable_file_is_one_line(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert run_cli(["joint", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {path}: {reason}\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixedgraph import denoisers
 from mixedgraph.denoisers import (
     KernelParams,
+    _pairwise_sq_dist,
     bilateral_matrix,
     build_denoiser,
     fill_holes_nearest,
@@ -10,8 +14,10 @@ from mixedgraph.denoisers import (
     identity_operator,
     nlm_matrix,
     sinkhorn_balance,
+    sinkhorn_scale,
 )
 from mixedgraph.errors import BalanceError
+from mixedgraph.interpolators import Rotation, tile_image
 
 
 def grid_coords(h, w):
@@ -69,6 +75,66 @@ class TestBilateralMatrix:
     def test_out_of_range_intensities_rejected(self):
         with pytest.raises(ValueError):
             bilateral_matrix([[0, 0], [0, 1]], [0.0, 1.5], KernelParams())
+
+
+def formula_spatial(coords, var):
+    return np.exp(-_pairwise_sq_dist(coords) / (2.0 * var))
+
+
+@st.composite
+def integer_coords(draw):
+    """Distinct integer coordinates in shuffled order: part of a box, maybe a
+    few far points, all shifted by a large offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    box = np.argwhere(rng.random((h, w)) < draw(st.floats(0.2, 1.0)))
+    far = rng.integers(-60, 60, (draw(st.integers(0, 2)), 2))
+    cells = np.unique(np.vstack([box, far, [[0, 0]]]), axis=0)
+    offset = rng.integers(-(10**7), 10**7, 2)
+    return rng.permutation(cells + offset).astype(float)
+
+
+class TestSpatialTable:
+    """The tabulated spatial factor holds the formula's bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coords=integer_coords(), var=st.floats(0.05, 20.0))
+    def test_gaussian_equals_formula(self, coords, var):
+        got = gaussian_matrix(coords, KernelParams(spatial_var=var))
+        np.testing.assert_array_equal(got, formula_spatial(coords, var))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        coords=integer_coords(),
+        var=st.floats(0.05, 20.0),
+        stack=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bilateral_equals_formula(self, coords, var, stack, seed):
+        params = KernelParams(spatial_var=var, range_var=0.2)
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (stack, len(coords)))
+        want = y[..., :, None] - y[..., None, :]
+        want *= want
+        want /= -2.0 * params.range_var
+        np.exp(want, out=want)
+        want *= formula_spatial(coords, var)
+        np.testing.assert_array_equal(bilateral_matrix(coords, y, params), want)
+
+    def test_tile_coordinates_use_the_table(self, monkeypatch):
+        coords = [job.operator.target_coords for job in tile_image((40, 40), Rotation(20.0))]
+        want = [formula_spatial(c.astype(float), 0.3) for c in coords]
+
+        def no_formula(c):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(denoisers, "_pairwise_sq_dist", no_formula)
+        for c, w in zip(coords, want):
+            np.testing.assert_array_equal(gaussian_matrix(c, KernelParams()), w)
+
+    def test_fractional_coordinates_use_the_formula(self):
+        coords = grid_coords(3, 4) + np.array([0.25, 0.5])
+        got = gaussian_matrix(coords, KernelParams(spatial_var=0.7))
+        np.testing.assert_array_equal(got, formula_spatial(coords, 0.7))
 
 
 class TestNlmMatrix:
@@ -181,6 +247,45 @@ class TestSinkhornBalance:
         with pytest.raises(BalanceError) as excinfo:
             sinkhorn_balance(w, tol=1e-14, max_iter=1)
         assert excinfo.value.residual > 1e-14
+
+
+def norm_test_rejects(w):
+    """The symmetry verdict as the Frobenius norms give it."""
+    asym = np.linalg.norm(w - w.T)
+    return bool(asym > 1e-10 * np.maximum(np.linalg.norm(w), 1.0))
+
+
+class TestSymmetryCheck:
+    """`sinkhorn_scale` tests exact symmetry first; the verdict is the norm test's."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-14.0, -6.0),
+    )
+    def test_verdict_equals_norm_test(self, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.05, 1.0, (n, n))
+        w = 0.5 * (w + w.T)
+        i, j = rng.choice(n, 2, replace=False)
+        w[i, j] += 10.0**log_scale * np.linalg.norm(w)
+        if norm_test_rejects(w):
+            with pytest.raises(ValueError, match="symmetric"):
+                sinkhorn_scale(w[None])
+        else:
+            psi, (error,) = sinkhorn_scale(w[None])
+            assert error is None
+            np.testing.assert_array_equal(psi[0], psi[0].T)
+            assert np.abs(psi[0].sum(axis=1) - 1.0).max() <= 1e-8
+
+    def test_nan_kernel_is_not_rejected_as_asymmetric(self):
+        # NaN fails the exact test and every norm comparison, as before
+        w = np.eye(3) + 0.1
+        w[0, 1] = np.nan
+        assert not norm_test_rejects(w)
+        psi, _ = sinkhorn_scale(w[None], max_iter=3)
+        assert psi.shape == (1, 3, 3)
 
 
 class TestPermutationEquivariance:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from mixedgraph.errors import DegenerateTransformError, PatchGeometryError
@@ -290,6 +292,42 @@ class TestTileOperatorOracles:
             np.testing.assert_array_equal(op.matrix, theta)
             np.testing.assert_array_equal(op.source_coords, footprint)
             np.testing.assert_array_equal(op.target_coords, targets)
+
+
+MAGNIFY_2X = Homography(((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+class TestBatchedTiles:
+    """`tile_image` builds tiles in batches; each tile is the one built alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        transform=st.one_of(
+            st.floats(-180.0, 180.0).map(Rotation),
+            st.just(Homography(PAPER_H)),
+            st.just(MAGNIFY_2X),
+        ),
+        h=st.integers(2, 45),
+        w=st.integers(2, 45),
+        patch=st.integers(2, 12),
+    )
+    def test_equals_per_tile_build(self, transform, h, w, patch):
+        alone = []
+        for r0 in range(0, h, patch):
+            for c0 in range(0, w, patch):
+                size = (min(patch, h - r0), min(patch, w - c0))
+                try:
+                    alone.append(build_patch_operator(transform, (r0, c0), size, (h, w)))
+                except PatchGeometryError:
+                    continue
+        jobs = tile_image((h, w), transform, patch)
+        assert [(j.origin, j.size) for j in jobs] == [(j.origin, j.size) for j in alone]
+        for job, want in zip(jobs, alone):
+            theta, footprint, targets = loop_operator(transform, job.origin, job.size, (h, w))
+            for op in (job.operator, want.operator):
+                np.testing.assert_array_equal(op.matrix, theta)
+                np.testing.assert_array_equal(op.source_coords, footprint)
+                np.testing.assert_array_equal(op.target_coords, targets)
 
 
 class TestParseTransform:

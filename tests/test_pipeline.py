@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from mixedgraph.errors import ImageIOError
+from mixedgraph import pipeline
+from mixedgraph.errors import ImageIOError, TilesFailedError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import (
@@ -334,6 +335,74 @@ class TestRunExperiment:
             for method in ("cg", "direct", "closed-form")
         }
         assert csvs["cg"] == csvs["direct"] == csvs["closed-form"]
+
+
+    def test_every_tile_failed_names_mode_and_variance(self):
+        # NLM's box window fails certification on every tile of this image
+        img = synthetic_texture("texture-a", 48)
+        config = self.make_config(
+            transform=Homography(((1.0, 0.1, 0.0), (0.05, 1.0, 0.0), (0.0, 0.0, 1.0))),
+            denoiser_kind="nlm",
+            noise_variances=(0.02,),
+            mode="joint",
+        )
+        with pytest.raises(TilesFailedError, match=r"in joint mode at variance 0\.02; first: "):
+            run_experiment(config, img, "tex")
+
+
+def blas_thread_counts():
+    return [get() for get, _ in pipeline._blas_pools()]
+
+
+class TestOneBlasThread:
+    CONFIG = ExperimentConfig(
+        transform=Rotation(20.0), noise_variances=(0.02, 0.06), seed=5, method="direct"
+    )
+
+    @pytest.fixture
+    def two_threads(self):
+        """Both OpenBLAS pools at two threads, and as found again afterwards."""
+        pools = pipeline._blas_pools()
+        if not pools:
+            pytest.skip("numpy and scipy bundle no OpenBLAS with a thread setter")
+        found = blas_thread_counts()
+        for _, set_ in pools:
+            set_(2)
+        yield
+        for (_, set_), count in zip(pools, found):
+            set_(count)
+
+    def test_pool_run_restores_counts_and_matches_serial(self, two_threads):
+        img = synthetic_texture("texture-a", 32)
+        _, serial = run_experiment(self.CONFIG, img, "tex")
+        assert blas_thread_counts() == [2, 2]
+        _, pooled = run_experiment(replace(self.CONFIG, workers=2), img, "tex")
+        assert blas_thread_counts() == [2, 2]
+        assert pooled == serial
+
+    def test_tiles_run_on_one_thread(self, two_threads, monkeypatch):
+        seen = []
+
+        def counting_run_patch(*args):
+            seen.append(blas_thread_counts())
+            return run_patch(*args)
+
+        monkeypatch.setattr(pipeline, "run_patch", counting_run_patch)
+        run_experiment(self.CONFIG, synthetic_texture("texture-a", 32), "tex")
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert blas_thread_counts() == [2, 2]
+
+    def test_missing_symbols_run_unchanged(self, monkeypatch):
+        img = synthetic_texture("texture-a", 32)
+        _, want = run_experiment(self.CONFIG, img, "tex")
+        monkeypatch.setattr(pipeline, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
+        pipeline._blas_pools.cache_clear()
+        try:
+            assert pipeline._blas_pools() == ()
+            _, got = run_experiment(self.CONFIG, img, "tex")
+        finally:
+            pipeline._blas_pools.cache_clear()
+        assert got == want
 
 
 class TestNoSpectrumOnTilePath:
