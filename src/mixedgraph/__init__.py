@@ -24,9 +24,7 @@ from .interpolators import (
     InterpolatorOperator,
     PatchJob,
     Rotation,
-    homography_operator,
     pad_full_rank,
-    rotation_operator,
     tile_image,
 )
 from .jointsolver import (

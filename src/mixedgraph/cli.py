@@ -25,7 +25,7 @@ def _parsers():
         choices=["texture-a", "texture-b"],
         help="use a shipped synthetic texture instead of --image",
     )
-    source.add_argument("--texture-size", type=int, default=512)
+    source.add_argument("--texture-size", type=int, help="texture side (default 512)")
     warp.add_argument(
         "--transform", default="identity", choices=["identity", "rotation", "homography"]
     )
@@ -129,9 +129,12 @@ def _build_config(args):
 def _load_input(args):
     if bool(args.image) == bool(args.texture):
         raise ValueError("exactly one of --image and --texture is required")
-    if args.texture:
-        return pipeline.synthetic_texture(args.texture, args.texture_size), args.texture
-    return pipeline.load_image(args.image), args.image
+    if args.image:
+        if args.texture_size is not None:
+            raise ValueError("--texture-size applies only to --texture")
+        return pipeline.load_image(args.image), args.image
+    size = 512 if args.texture_size is None else args.texture_size
+    return pipeline.synthetic_texture(args.texture, size), args.texture
 
 
 def _cannot(verb, path, exc):

@@ -168,12 +168,12 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
         np.abs(ci[:, 1][:, None] - ci[:, 1][None, :]),
     )
     weights[..., cheb > wr] = 0.0
-    return 0.5 * (weights + weights.swapaxes(-1, -2))
+    return weights
 
 
 def _pairwise_sq_dist_features(f: np.ndarray) -> np.ndarray:
-    # Direct differencing: exact zeros on the diagonal and exact symmetry,
-    # which keeps the kernel permutation-equivariant bit for bit.
+    # Direct differencing: exact zeros on the diagonal and exact symmetry, so
+    # the kernel needs no symmetrizing and is permutation-equivariant bit for bit.
     diff = f[..., :, None, :] - f[..., None, :, :]
     return np.einsum("...ijk,...ijk->...ij", diff, diff)
 

@@ -23,8 +23,6 @@ TAU_SYM = 1e-10
 TAU_PSD = 1e-8
 # Relative pivot threshold below which a matrix is treated as singular.
 PIVOT_RTOL = 1e-12
-# Relative tolerance for inverse-pair checks.
-TAU_INV = 1e-8
 # Strict positive-definiteness floor for denoiser eigenvalues.
 PD_EIG_MIN = 1e-10
 # Non-expansiveness slack on the spectral radius.
@@ -171,10 +169,8 @@ class DirectedInterpGraph:
 class DenoiserOperator:
     """A square filter matrix with recorded (never assumed) property flags.
 
-    ``matrix`` may also be a stack (V, n, n) of filters that all have the
-    flags.  ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are
-    computed on first access and cached; they are None for an asymmetric
-    matrix.
+    ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are computed on
+    first access and cached; they are None for an asymmetric matrix.
     """
 
     matrix: np.ndarray
@@ -205,9 +201,6 @@ class DenoiserOperator:
     @property
     def eigvecs(self) -> np.ndarray | None:
         return self._eigh[1]
-
-    def __call__(self, y) -> np.ndarray:
-        return self.matrix @ as_vector(y)
 
 
 def _is_pd(a: np.ndarray) -> np.ndarray:
@@ -345,8 +338,8 @@ def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
 
 
 def interpolator_to_adjacency(theta) -> DirectedInterpGraph:
-    """Map an invertible square interpolator to its directed adjacency block."""
-    mat = np.asarray(getattr(theta, "matrix", theta), dtype=float)
+    """Map an invertible square interpolator matrix to its directed adjacency block."""
+    mat = np.asarray(theta, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SingularOperatorError(
             f"interpolator must be square after padding, got shape {mat.shape}"

@@ -4,8 +4,8 @@ Each output patch gets a rectangular bilinear-weight matrix: one row per
 in-bounds output pixel, one column per pixel of its source footprint.  The
 pipeline's joint solve works on these real rows directly.  `pad_full_rank`
 squares such a matrix with dummy unit rows into the invertible interpolator
-of the paper's directed-graph construction, recording which rows are dummies;
-the tests use it as the reference for the pipeline's joint solve.
+of the paper's directed-graph construction; the tests use it as the
+reference for the pipeline's joint solve.
 """
 
 from __future__ import annotations
@@ -81,27 +81,15 @@ class Homography:
 
 @dataclass(frozen=True)
 class InterpolatorOperator:
-    """Interpolation matrix over a source footprint, with dummy metadata.
+    """Bilinear weights of a tile's real outputs over its source footprint.
 
-    Rows are the real outputs, followed by the dummy unit rows that
-    `pad_full_rank` appends (none for an operator from
-    `build_patch_operator`).
+    ``real_matrix`` is (n, m): row i holds the weights of output pixel
+    ``target_coords[i]`` on the source pixels ``source_coords``.
     """
 
-    matrix: np.ndarray
-    real_output_count: int
-    dummy_rows: tuple
+    real_matrix: np.ndarray
     source_coords: np.ndarray
     target_coords: np.ndarray
-    transform: object = None
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def real_matrix(self) -> np.ndarray:
-        return self.matrix[: self.real_output_count]
 
 
 @dataclass(frozen=True)
@@ -141,29 +129,20 @@ def bilinear_rows(src_rc: np.ndarray, image_size):
     return inside, row, np.column_stack([tap_r[keep], tap_c[keep]]), weight[keep]
 
 
-def pad_full_rank(
-    theta_raw: np.ndarray,
-    source_coords,
-    target_coords=None,
-    transform=None,
-) -> InterpolatorOperator:
+def pad_full_rank(theta_raw):
     """Append dummy unit rows until the operator is square and invertible.
 
     A rank-revealing (column-pivoted) QR of the raw matrix identifies
     source columns outside the pivot set; each such column gets one unit
-    row, which copies an uncovered input pixel as a fake output.
+    row, which copies an uncovered input pixel as a fake output.  Returns
+    ``(padded, dummy_rows)``, with one ``(row, column)`` pair per dummy row.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     n_real, m = theta_raw.shape
-    source_coords = np.asarray(source_coords)
-    if len(source_coords) != m:
-        raise ValueError("source_coords length must match column count")
     if n_real > m:
         raise PatchGeometryError(
             f"more real outputs ({n_real}) than source pixels ({m})"
         )
-    if target_coords is None:
-        target_coords = np.zeros((n_real, 2), dtype=int)
 
     if n_real == m:
         padded = theta_raw
@@ -188,14 +167,7 @@ def pad_full_rank(
             "padded interpolator is singular "
             f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
         )
-    return InterpolatorOperator(
-        matrix=padded,
-        real_output_count=n_real,
-        dummy_rows=dummies,
-        source_coords=source_coords,
-        target_coords=np.asarray(target_coords),
-        transform=transform,
-    )
+    return padded, dummies
 
 
 # Tiles of one shape are built together, at most this many at a time, which
@@ -204,7 +176,7 @@ TILE_BATCH = 16
 
 
 def _build_tiles(transform, origins, size, image_size) -> list:
-    """Assemble the (unpadded) operators of same-size tiles in one pass.
+    """Assemble the operators of same-size tiles in one pass.
 
     Returns one PatchJob per origin, or None for a tile that back-projects
     fully out of bounds.  The points are back-projected as a (tiles, pixels,
@@ -246,32 +218,17 @@ def _build_tiles(transform, origins, size, image_size) -> list:
         taps = slice(*tap_start[t : t + 2])
         theta_raw = np.zeros((p1 - p0, k1 - k0))
         theta_raw[row[taps], col[taps]] = weight[taps]
-        op = InterpolatorOperator(
-            matrix=theta_raw,
-            real_output_count=p1 - p0,
-            dummy_rows=(),
-            source_coords=sources[k0:k1],
-            target_coords=target_rc[p0:p1],
-            transform=transform,
-        )
+        op = InterpolatorOperator(theta_raw, sources[k0:k1], target_rc[p0:p1])
         jobs.append(PatchJob(origin=tuple(origin), size=(ph, pw), operator=op))
     return jobs
 
 
 def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
-    """Assemble the (unpadded) interpolation operator for one output tile."""
+    """Assemble the interpolation operator for one output tile."""
     (job,) = _build_tiles(transform, [origin], size, image_size)
     if job is None:
         raise PatchGeometryError(f"patch at {origin} back-projects fully out of bounds")
     return job
-
-
-def rotation_operator(angle_deg, origin, size, image_size) -> InterpolatorOperator:
-    return build_patch_operator(Rotation(angle_deg), origin, size, image_size).operator
-
-
-def homography_operator(h_matrix, origin, size, image_size) -> InterpolatorOperator:
-    return build_patch_operator(Homography(h_matrix), origin, size, image_size).operator
 
 
 def tile_image(image_size, transform, patch_size: int = 10):
@@ -297,7 +254,11 @@ def tile_image(image_size, transform, patch_size: int = 10):
 
 
 def parse_transform(spec: str, angle=None, h=None):
-    """Build a transform from CLI-style arguments."""
+    """Build a transform from CLI-style arguments, each of which it must use."""
+    if angle is not None and spec != "rotation":
+        raise ValueError(f"an angle applies only to the rotation transform, not {spec!r}")
+    if h is not None and spec != "homography":
+        raise ValueError(f"a matrix applies only to the homography transform, not {spec!r}")
     if spec == "identity":
         return Rotation(0.0)
     if spec == "rotation":

@@ -19,7 +19,6 @@ from .graphcore import (
     DenoiserOperator,
     DirectedInterpGraph,
     UndirectedGraph,
-    as_signals,
     as_vector,
     require_certified,
 )
@@ -307,9 +306,6 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     n x n solve with one right-hand side, ``(psi + c (P - P psi)) v =
     theta_r y``, for n <= m and for magnified tiles (n > m) alike.
 
-    ``y`` may also be a stack of V signals (V, m), with ``psi.matrix`` the
-    stack (V, n, n) of their denoisers; the result is then (V, n).
-
     ``psi`` must be certified, or PreconditionError is raised: its
     eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, so it
     is nonsingular, as `graphcore.denoiser_to_laplacian` requires.  The
@@ -317,12 +313,12 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     ``theta_real @ y``.
     """
     require_certified(psi)
-    y = as_signals(y)
+    y = as_vector(y)
     theta_real = np.asarray(theta_real, dtype=float)
     n, m = theta_real.shape
-    if y.shape[-1] != m or psi.matrix.shape != y.shape[:-1] + (n, n):
+    if len(y) != m or psi.matrix.shape != (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
-    ty = np.matmul(theta_real, y[..., None])[..., 0]
+    ty = np.matmul(theta_real, y[:, None])[:, 0]
     return output_space_solve(ty, theta_real, psi.matrix, weights)
 
 

@@ -338,7 +338,7 @@ def run_patch(job, images, config) -> list:
     op = job.operator
     src = op.source_coords
     y = np.asarray(images)[:, src[:, 0], src[:, 1]]
-    ty = np.matmul(op.matrix, y[..., None])[..., 0]
+    ty = np.matmul(op.real_matrix, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(op, ty, config)
     ok = [i for i, err in enumerate(errors) if err is None]
     if 0 < len(ok) < len(errors):
@@ -349,7 +349,7 @@ def run_patch(job, images, config) -> list:
     if ok and "joint" in config.modes:
         joint = ty
         if config.weights.kappa > 0 and config.denoiser_kind != "identity":
-            joint = _joint_solves(ty, op.matrix, psi, config)
+            joint = _joint_solves(ty, op.real_matrix, psi, config)
     solved = iter(zip(joint, sequential))
     results = []
     for err in errors:

@@ -371,6 +371,65 @@ def test_bad_values_are_usage_errors(command, flags, capsys):
     assert err.startswith(f"usage: mixedgraph {command}") and "error: " in err
 
 
+
+# a flag that a command takes, but that its other flags would leave unread
+TEXTURE = ["--texture", "texture-a", "--texture-size", "32"]
+IGNORED = {
+    "angle-without-rotation": (
+        "interpolate",
+        TEXTURE + ["--angle", "20"],
+        "an angle applies only to the rotation transform",
+    ),
+    "angle-with-homography": (
+        "joint",
+        TEXTURE + ["--transform", "homography", "--homography", "1,0,0;0,1,0;0,0,1"]
+        + ["--angle", "20"],
+        "an angle applies only to the rotation transform",
+    ),
+    "matrix-with-rotation": (
+        "experiment",
+        TEXTURE + ["--transform", "rotation", "--angle", "20"]
+        + ["--homography", "1,0,0;0,1,0;0,0,1"],
+        "a matrix applies only to the homography transform",
+    ),
+    "texture-size-with-image": (
+        "denoise",
+        ["--image", "{pgm}", "--texture-size", "99"],
+        "--texture-size applies only to --texture",
+    ),
+}
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("case", IGNORED)
+def test_ignored_flag_is_usage_error(case, in_config, small_pgm, tmp_path, capsys):
+    command, flags, message = IGNORED[case]
+    flags = [a.format(pgm=small_pgm) for a in flags]
+    if in_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+        flags = ["--config", str(cfg)]
+    out = "--out-csv" if command == "experiment" else "--out-image"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command] + flags + [out, str(tmp_path / "x.out")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mixedgraph {command}") and f"error: {message}" in err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_texture_size_defaults_to_512(monkeypatch):
+    sizes = []
+
+    def texture(name, size):
+        sizes.append(size)
+        return synthetic_texture(name, 8)
+
+    monkeypatch.setattr(pipeline, "synthetic_texture", texture)
+    assert run_cli(["denoise", "--texture", "texture-a"]) == 0
+    assert sizes == [512]
+
+
 class TestConfigFile:
     def test_file_values_applied(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -456,6 +515,8 @@ class TestConfigFile:
         [
             ("image = {pgm}", ["--texture", "texture-a"]),
             ("texture = texture-a", ["--image", "{pgm}"]),
+            # checked before --texture-size, which goes only with --texture
+            ("texture = texture-a", ["--image", "{pgm}", "--texture-size", "30"]),
         ],
     )
     def test_image_with_texture_rejected(self, small_pgm, tmp_path, capsys, in_file, flags):

@@ -11,10 +11,8 @@ from mixedgraph.interpolators import (
     Homography,
     Rotation,
     build_patch_operator,
-    homography_operator,
     pad_full_rank,
     parse_transform,
-    rotation_operator,
     tile_image,
 )
 
@@ -82,13 +80,13 @@ def apply_real(op, image):
 
 class TestRotationOperator:
     def test_angle_zero_is_identity(self):
-        op = rotation_operator(0.0, (4, 4), (6, 6), (32, 32))
-        assert op.real_output_count == 36 and not op.dummy_rows
-        np.testing.assert_array_equal(op.matrix, np.eye(36))
+        op = build_patch_operator(Rotation(0.0), (4, 4), (6, 6), (32, 32)).operator
+        assert len(op.target_coords) == 36
+        np.testing.assert_array_equal(op.real_matrix, np.eye(36))
         np.testing.assert_array_equal(op.source_coords, op.target_coords)
 
     def test_angle_90_is_permutation(self):
-        op = rotation_operator(90.0, (0, 0), (9, 9), (9, 9))
+        op = build_patch_operator(Rotation(90.0), (0, 0), (9, 9), (9, 9)).operator
         m = op.real_matrix
         assert np.all((np.abs(m) < 1e-12) | (np.abs(m - 1) < 1e-12))
         np.testing.assert_allclose(m.sum(axis=1), 1.0)
@@ -112,8 +110,8 @@ class TestRotationOperator:
 
 class TestHomographyOperator:
     def test_identity_matrix(self):
-        op = homography_operator(np.eye(3), (2, 2), (5, 5), (16, 16))
-        np.testing.assert_array_equal(op.matrix, np.eye(25))
+        op = build_patch_operator(Homography(np.eye(3)), (2, 2), (5, 5), (16, 16)).operator
+        np.testing.assert_array_equal(op.real_matrix, np.eye(25))
 
     def test_paper_matrix_against_scalar_oracle(self):
         tr = Homography(PAPER_H)
@@ -139,43 +137,37 @@ class TestHomographyOperator:
 class TestPadFullRank:
     def test_square_invertible_unchanged(self):
         theta = np.array([[0.5, 0.5], [0.0, 1.0]])
-        op = pad_full_rank(theta, [[0, 0], [0, 1]])
-        assert not op.dummy_rows
-        np.testing.assert_array_equal(op.matrix, theta)
+        padded, dummies = pad_full_rank(theta)
+        assert not dummies
+        np.testing.assert_array_equal(padded, theta)
 
     def test_single_row_gets_one_dummy(self):
-        op = pad_full_rank(np.array([[0.5, 0.5]]), [[0, 0], [0, 1]])
-        assert len(op.dummy_rows) == 1
-        assert abs(np.linalg.det(op.matrix)) == pytest.approx(0.5)
+        padded, dummies = pad_full_rank(np.array([[0.5, 0.5]]))
+        assert len(dummies) == 1
+        assert abs(np.linalg.det(padded)) == pytest.approx(0.5)
 
     def test_rotation_patch_padding_invertible(self):
-        real = rotation_operator(20.0, (200, 200), (10, 10), (512, 512))
-        assert not real.dummy_rows
-        assert real.matrix.shape == (100, len(real.source_coords))
-        op = pad_full_rank(
-            real.matrix, real.source_coords, real.target_coords, real.transform
-        )
-        assert op.real_output_count == 100
-        assert len(op.dummy_rows) == op.size - 100 > 0
-        svals = np.linalg.svd(op.matrix, compute_uv=False)
+        real = build_patch_operator(Rotation(20.0), (200, 200), (10, 10), (512, 512)).operator
+        assert real.real_matrix.shape == (100, len(real.source_coords))
+        assert len(real.target_coords) == 100
+        padded, dummies = pad_full_rank(real.real_matrix)
+        assert len(dummies) == len(padded) - 100 > 0
+        svals = np.linalg.svd(padded, compute_uv=False)
         assert svals[-1] > 1e-10 * svals[0]
 
     def test_rank_deficient_rejected(self):
         theta = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
         with pytest.raises(PatchGeometryError):
-            pad_full_rank(theta[:2], [[0, 0], [0, 1]])
+            pad_full_rank(theta[:2])
 
     def test_strip_and_repad_preserves_real_rows(self):
-        real = rotation_operator(20.0, (100, 100), (10, 10), (256, 256))
-        op = pad_full_rank(
-            real.matrix, real.source_coords, real.target_coords, real.transform
-        )
-        np.testing.assert_array_equal(op.real_matrix, real.matrix)
-        repadded = pad_full_rank(
-            op.real_matrix, op.source_coords, op.target_coords, op.transform
-        )
-        np.testing.assert_array_equal(repadded.real_matrix, op.real_matrix)
-        assert repadded.dummy_rows == op.dummy_rows
+        real = build_patch_operator(Rotation(20.0), (100, 100), (10, 10), (256, 256)).operator
+        padded, dummies = pad_full_rank(real.real_matrix)
+        n = len(real.target_coords)
+        np.testing.assert_array_equal(padded[:n], real.real_matrix)
+        repadded, redummies = pad_full_rank(padded[:n])
+        np.testing.assert_array_equal(repadded, padded)
+        assert redummies == dummies
 
 
 class TestTileImage:
@@ -217,7 +209,7 @@ class TestOperatorInvariants:
     )
     def test_partition_of_unity(self, transform):
         op = build_patch_operator(transform, (8, 8), (10, 10), (48, 48)).operator
-        const = np.full(op.matrix.shape[1], 0.37)
+        const = np.full(op.real_matrix.shape[1], 0.37)
         np.testing.assert_allclose(
             op.real_matrix @ const, 0.37, atol=1e-12
         )
@@ -261,8 +253,8 @@ class TestTileOperatorOracles:
         on_edge = 0
         for job in tile_image((size, size), transform, 10):
             op = job.operator
-            assert np.all(op.matrix >= 0.0)
-            np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(op.real_matrix >= 0.0)
+            np.testing.assert_allclose(op.real_matrix.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             tc = op.target_coords
             src = transform.back_project(tc.astype(float), (size, size))
             want = ndimage.map_coordinates(img, src.T, order=1, mode="nearest")
@@ -289,7 +281,7 @@ class TestTileOperatorOracles:
                 transform, job.origin, job.size, (size, size)
             )
             op = job.operator
-            np.testing.assert_array_equal(op.matrix, theta)
+            np.testing.assert_array_equal(op.real_matrix, theta)
             np.testing.assert_array_equal(op.source_coords, footprint)
             np.testing.assert_array_equal(op.target_coords, targets)
 
@@ -325,7 +317,7 @@ class TestBatchedTiles:
         for job, want in zip(jobs, alone):
             theta, footprint, targets = loop_operator(transform, job.origin, job.size, (h, w))
             for op in (job.operator, want.operator):
-                np.testing.assert_array_equal(op.matrix, theta)
+                np.testing.assert_array_equal(op.real_matrix, theta)
                 np.testing.assert_array_equal(op.source_coords, footprint)
                 np.testing.assert_array_equal(op.target_coords, targets)
 
@@ -342,3 +334,8 @@ class TestParseTransform:
             parse_transform("rotation")
         with pytest.raises(ValueError):
             parse_transform("spin")
+        # an argument the transform would not use
+        with pytest.raises(ValueError, match="an angle applies only"):
+            parse_transform("identity", angle=0.0)
+        with pytest.raises(ValueError, match="a matrix applies only"):
+            parse_transform("rotation", angle=20, h=np.eye(3))

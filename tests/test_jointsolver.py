@@ -368,7 +368,7 @@ def warped_tile(transform, origin, kind, seed):
     image = np.random.default_rng(seed).uniform(0.0, 1.0, (32, 32))
     op = build_patch_operator(transform, origin, (6, 6), (32, 32)).operator
     y = image[op.source_coords[:, 0], op.source_coords[:, 1]]
-    interp = np.clip(op.matrix @ y, 0.0, 1.0)
+    interp = np.clip(op.real_matrix @ y, 0.0, 1.0)
     if kind == "gaussian":
         kernel = gaussian_matrix(op.target_coords, KernelParams())
     elif kind == "bilateral":
@@ -401,29 +401,27 @@ class TestReducedNonseparable:
     def test_matches_padded_oracle(self, transform, origin, kind, mu, gamma, kappa, seed):
         try:
             op, y, psi = warped_tile(transform, origin, kind, seed)
-            padded = pad_full_rank(
-                op.matrix, op.source_coords, op.target_coords, transform
-            )
+            padded, _ = pad_full_rank(op.real_matrix)
         except PatchGeometryError:
             assume(False)  # out of bounds, or no invertible padding to compare with
         assume(psi.certified)
         # the oracle inverts the padded operator; keep it well conditioned
-        assume(np.linalg.cond(padded.matrix) < 1e4)
+        assume(np.linalg.cond(padded) < 1e4)
         weights = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
-        n, m = op.matrix.shape
+        n, m = op.real_matrix.shape
         lbar = np.zeros((m, m))
         lbar[:n, :n] = denoiser_to_laplacian(psi, mu).generalized_laplacian
         graph = interpolator_to_adjacency(padded)
         want = joint_nonseparable(
             y, graph, lbar, weights, method="direct"
         ).interpolated_block[:n]
-        got = reduced_nonseparable(y, op.matrix, psi, weights)
+        got = reduced_nonseparable(y, op.real_matrix, psi, weights)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_kappa_zero_is_plain_interpolation(self):
         op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
-        got = reduced_nonseparable(y, op.matrix, psi, SolverWeights(kappa=0.0))
-        np.testing.assert_allclose(got, op.matrix @ y, rtol=1e-14, atol=0.0)
+        got = reduced_nonseparable(y, op.real_matrix, psi, SolverWeights(kappa=0.0))
+        np.testing.assert_allclose(got, op.real_matrix @ y, rtol=1e-14, atol=0.0)
 
     def test_singular_system_is_a_solver_error(self):
         # flags set by hand: psi = 2 gives L = (1/2 - 1) / mu = -1 for
@@ -473,7 +471,7 @@ class TestOutputSpaceSolve:
             assume(False)  # tile out of bounds
         assume(psi.certified)
         weights = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
-        theta = op.matrix
+        theta = op.real_matrix
         n, m = theta.shape
         # (I + c theta^T (inv(psi) - I) theta) w = y, c = kappa (1 + gamma) / (gamma mu)
         c = kappa * (1.0 + gamma) / (gamma * mu)
@@ -486,9 +484,9 @@ class TestOutputSpaceSolve:
         # the caller passes theta_r y, which the pipeline already holds
         op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
         weights = SolverWeights()
-        ty = np.matmul(op.matrix, y[:, None])[:, 0]
-        got = output_space_solve(ty, op.matrix, psi.matrix, weights)
-        want = reduced_nonseparable(y, op.matrix, psi, weights)
+        ty = np.matmul(op.real_matrix, y[:, None])[:, 0]
+        got = output_space_solve(ty, op.real_matrix, psi.matrix, weights)
+        want = reduced_nonseparable(y, op.real_matrix, psi, weights)
         assert got.tobytes() == want.tobytes()
 
     def test_one_vector_solve_per_tile(self, monkeypatch):
@@ -514,7 +512,7 @@ class TestOutputSpaceSolve:
             run_experiment(config, image)
             assert len(shapes) == len(jobs)
             for (a, b), job in zip(shapes, jobs):
-                n = job.operator.real_output_count
+                n = len(job.operator.target_coords)
                 assert a == (5, n, n) and b == (5, n, 1)
 
 

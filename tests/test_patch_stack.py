@@ -93,7 +93,7 @@ def ref_certified(psi):
 def ref_run_patch(job, pixels, config, max_iter):
     """(failed, error, joint bytes, sequential bytes) of one tile on one image."""
     op = job.operator
-    theta = op.matrix
+    theta = op.real_matrix
     y = pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
     ty = theta @ y
     try:
@@ -229,7 +229,7 @@ def test_singular_solve_fails_its_image_alone(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     got = [outcome(res) for res in run_patch(job, images, config)]
-    n = job.operator.real_output_count
+    n = len(job.operator.target_coords)
     assert calls == [(3, n, n)] + [(n, n)] * 3
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1] == (True, "reduced joint system is singular", None, None)

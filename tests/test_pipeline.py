@@ -256,20 +256,20 @@ class TestProcessImage:
         config = ExperimentConfig(transform=MAGNIFY_4X, denoiser_kind="bilateral")
         job = tile_image((40, 40), config.transform, 10)[5]
         op = job.operator
-        n, m = op.matrix.shape
+        n, m = op.real_matrix.shape
         assert n > m
         (got,) = run_patch(job, [img.pixels], config)
         y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
-        (psi,), (err,) = build_patch_denoiser(op, (op.matrix @ y)[None], config)
+        (psi,), (err,) = build_patch_denoiser(op, (op.real_matrix @ y)[None], config)
         assert err is None
         wts = config.weights
         lap = (np.linalg.inv(psi) - np.eye(n)) / wts.mu
         a = np.sqrt(wts.gamma / (1.0 + wts.gamma))
-        lhs = np.vstack([a * np.eye(m), np.sqrt(wts.kappa) * sqrtm(lap).real @ op.matrix])
+        lhs = np.vstack([a * np.eye(m), np.sqrt(wts.kappa) * sqrtm(lap).real @ op.real_matrix])
         rhs = np.concatenate([a * y, np.zeros(n)])
         w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        np.testing.assert_allclose(got.joint, op.matrix @ w, rtol=1e-8)
-        np.testing.assert_allclose(got.sequential, psi @ op.matrix @ y)
+        np.testing.assert_allclose(got.joint, op.real_matrix @ w, rtol=1e-8)
+        np.testing.assert_allclose(got.sequential, psi @ op.real_matrix @ y)
 
 
 class TestRunExperiment:
