@@ -4,9 +4,11 @@ All constructors take an explicit coordinate list so the same code serves
 original-pixel sets and interpolated-pixel sets of any size.  The
 intensity-dependent constructors also take a stack of V signals (V, n) and
 return one kernel per signal (V, n, n), doing the work that depends only on
-the coordinates once.  Raw kernels are symmetric and nonnegative;
-`sinkhorn_balance` turns one into a doubly-stochastic operator suitable for
-the denoiser/graph mapping, and `sinkhorn_scale` balances a stack.
+the coordinates once; `coordinate_factor` returns that work, so that a
+caller can reuse it for coordinate sets that differ by a shift.  Raw kernels
+are symmetric and nonnegative; `sinkhorn_balance` turns one into a
+doubly-stochastic operator suitable for the denoiser/graph mapping, and
+`sinkhorn_scale` balances a stack.
 """
 
 from __future__ import annotations
@@ -79,12 +81,12 @@ def _spatial_factor(c: np.ndarray, var: float) -> np.ndarray:
 
 def gaussian_matrix(coords, params: KernelParams) -> np.ndarray:
     """Spatial Gaussian kernel; unit diagonal, symmetric, strictly positive."""
-    return _spatial_factor(_as_coords(coords), params.spatial_var)
+    return coordinate_factor("gaussian", coords, params)
 
 
-def _as_intensities(intensities, c: np.ndarray) -> np.ndarray:
+def _as_intensities(intensities, n: int) -> np.ndarray:
     y = as_signals(intensities)
-    if y.shape[-1] != len(c):
+    if y.shape[-1] != n:
         raise ValueError("intensities length must match coords")
     return y
 
@@ -95,11 +97,13 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     For a stack of signals (V, n) the spatial factor is computed once and
     each signal gets its own range factor: the result is (V, n, n).
     """
-    c = _as_coords(coords)
-    y = _as_intensities(intensities, c)
+    return _bilateral(coordinate_factor("bilateral", coords, params), intensities, params)
+
+
+def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.ndarray:
+    y = _as_intensities(intensities, len(spatial))
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("intensities must lie in [0, 1]")
-    spatial = _spatial_factor(c, params.spatial_var)
     # The range factor, and then the kernel, are built in place in one
     # buffer of the output's size.
     k = y[..., :, None] - y[..., None, :]
@@ -130,8 +134,11 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     computed once from the coordinates, so a stack of signals (V, n) costs
     one gather and gives one kernel per signal (V, n, n).
     """
-    c = _as_coords(coords)
-    y = _as_intensities(intensities, c)
+    return _nlm(coordinate_factor("nlm", coords, params), intensities, params)
+
+
+def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
+    """NLM's ``(gather, outside)`` for checked coordinates; see `coordinate_factor`."""
     ci = np.rint(c).astype(int)
     if np.abs(c - ci).max() > 1e-9:
         raise ValueError("NLM requires integer pixel coordinates")
@@ -156,19 +163,26 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
         np.clip(rows[:, None] + dr - pr, 0, h - 1),
         np.clip(cols[:, None] + dc - pr, 0, w - 1),
     ]
+    cheb = np.maximum(
+        np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])
+    )
+    return gather, np.flatnonzero(cheb > wr)
+
+
+def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
+    gather, outside = layout
+    y = _as_intensities(intensities, len(gather))
     # np.take returns C order; ``y[..., gather]`` would put the stack axis
     # innermost, and einsum would then sum each kernel's feature distances
     # in another order than for one signal alone (and more slowly).
     feats = np.take(y, gather, axis=-1)
-
+    # exp(-d2 / h2) in place, then the pairs outside the window are zeroed
     d2 = _pairwise_sq_dist_features(feats)
-    weights = np.exp(-d2 / params.nlm_h2)
-    cheb = np.maximum(
-        np.abs(ci[:, 0][:, None] - ci[:, 0][None, :]),
-        np.abs(ci[:, 1][:, None] - ci[:, 1][None, :]),
-    )
-    weights[..., cheb > wr] = 0.0
-    return weights
+    d2 /= -params.nlm_h2
+    np.exp(d2, out=d2)
+    weights = d2.reshape(d2.shape[:-2] + (-1,))
+    weights[..., outside] = 0.0
+    return weights.reshape(d2.shape)
 
 
 def _pairwise_sq_dist_features(f: np.ndarray) -> np.ndarray:
@@ -286,14 +300,36 @@ def identity_operator(n: int) -> DenoiserOperator:
     )
 
 
-def build_denoiser(kind: str, coords, intensities, params: KernelParams):
-    """Raw kernel matrix for a named denoiser kind (before balancing)."""
-    if kind == "gaussian":
-        return gaussian_matrix(coords, params)
-    if kind == "bilateral":
-        return bilateral_matrix(coords, intensities, params)
+def coordinate_factor(kind: str, coords, params: KernelParams):
+    """The part of a denoiser kind's raw kernel that depends only on the coordinates.
+
+    Checks the coordinates: an (n, 2) array without duplicates.  For
+    "gaussian" and "bilateral" the factor is the spatial factor (n, n);
+    for "nlm" it is ``(gather, outside)``: each coordinate's patch as
+    indices into the signal (n, k*k), holes filled, and the flat indices
+    of the pairs outside the search window.  For integer coordinates it is
+    the same, bit for bit, when every coordinate is shifted by one offset.
+    """
+    if kind not in ("gaussian", "bilateral", "nlm"):
+        raise ValueError(f"unknown denoiser kind {kind!r}")
+    c = _as_coords(coords)
     if kind == "nlm":
-        return nlm_matrix(coords, intensities, params)
+        return _nlm_layout(c, params)
+    return _spatial_factor(c, params.spatial_var)
+
+
+def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None):
+    """Raw kernel matrix for a named denoiser kind (before balancing).
+
+    ``factor``, if given, is ``coordinate_factor(kind, coords, params)``,
+    which is then neither computed nor checked again.
+    """
     if kind == "identity":
         return np.eye(len(coords))
-    raise ValueError(f"unknown denoiser kind {kind!r}")
+    if factor is None:
+        factor = coordinate_factor(kind, coords, params)
+    if kind == "gaussian":
+        return factor
+    if kind == "bilateral":
+        return _bilateral(factor, intensities, params)
+    return _nlm(factor, intensities, params)

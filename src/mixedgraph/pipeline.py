@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -78,8 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.noise_variances:
             raise ValueError("at least one noise variance is required")
-        if any(v <= 0 for v in self.noise_variances):
-            raise ValueError("noise variances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.noise_variances):
+            raise ValueError("noise variances must be positive and finite")
         if self.patch_size < 2:
             raise ValueError("patch size must be at least 2")
         if self.mode not in ("joint", "sequential", "both"):
@@ -238,7 +239,10 @@ def add_gaussian_noise(image, variance: float, seed: int):
 
 
 def psnr(reference, test, mask=None) -> float:
-    """Peak-signal-to-noise ratio in dB (peak 1.0), capped at 99 dB."""
+    """Peak-signal-to-noise ratio in dB (peak 1.0); 99 dB for a zero error.
+
+    Raises ValueError when a pixel inside the mask is not finite.
+    """
     ref, tst = _pixels(reference), _pixels(test)
     if ref.shape != tst.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {tst.shape}")
@@ -249,11 +253,14 @@ def psnr(reference, test, mask=None) -> float:
             mask = mask & image.validity
     if not mask.any():
         raise ValueError("no valid pixels to compare")
-    diff = ref[mask] - np.clip(tst[mask], 0.0, 1.0)
+    ref, tst = ref[mask], tst[mask]
+    if not (np.isfinite(ref).all() and np.isfinite(tst).all()):
+        raise ValueError("non-finite pixel inside the mask")
+    diff = ref - np.clip(tst, 0.0, 1.0)
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))
+    return 10.0 * np.log10(1.0 / mse)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +277,7 @@ class PatchResult:
         return self.error is not None
 
 
-def build_patch_denoiser(op, interp_values, config):
+def build_patch_denoiser(op, interp_values, config, cache=None):
     """Balanced, certified denoisers of one tile, one per interpolated signal.
 
     ``interp_values`` is a stack (V, n) of plain interpolations of the
@@ -278,16 +285,30 @@ def build_patch_denoiser(op, interp_values, config):
     (for kernel evaluation only).  Returns ``(psi, errors)``: the V
     denoisers (V, n, n) and, for each, None or the first error that fails
     it: a BalanceError, or a PreconditionError when certification fails.
+    The identity and Gaussian denoisers do not depend on the signal, so
+    their psi is one denoiser (1, n, n) that serves all V signals, and
+    their V errors are one error repeated.  ``cache`` is `_run_patches`'
+    per-run cache (see `_coordinate_work`).
     """
     v, n = interp_values.shape
     kind = config.denoiser_kind
     if kind == "identity":
-        return np.broadcast_to(np.eye(n), (v, n, n)), [None] * v
-    kernel = denoisers.build_denoiser(
-        kind, op.target_coords, np.clip(interp_values, 0.0, 1.0), config.kernel_params
+        return np.eye(n)[None], [None] * v
+    work = _coordinate_work(op, config, cache)
+    if kind == "gaussian":
+        psi, errors = work
+        return psi, errors * v
+    clipped = np.clip(interp_values, 0.0, 1.0)
+    # the kernel is not named here, so that _balance can free it
+    return _balance(
+        denoisers.build_denoiser(kind, op.target_coords, clipped, config.kernel_params, work),
+        kind,
     )
-    # A Gaussian kernel does not depend on the signal: one (n, n) for all V.
-    psi, errors = denoisers.sinkhorn_scale(np.broadcast_to(kernel, (v, n, n)))
+
+
+def _balance(kernel, kind):
+    """`build_patch_denoiser`'s ``(psi, errors)`` of a stack of raw kernels."""
+    psi, errors = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks
     pd, nonexpansive = graphcore.certify_symmetric(psi)
     for i, certified in enumerate(pd & nonexpansive):
@@ -296,20 +317,42 @@ def build_patch_denoiser(op, interp_values, config):
     return psi, errors
 
 
+def _coordinate_work(op, config, cache):
+    """The part of a tile's denoiser that depends only on its target coordinates.
+
+    That is `denoisers.coordinate_factor`, or for the Gaussian denoiser the
+    whole balanced and certified ``(psi, errors)`` of its one kernel, with
+    psi (1, n, n).  Without a cache it is computed for this tile.  With one
+    (a dict) it is computed once per offset pattern, the integer target
+    coordinates minus their minimum, on which it depends alone; a tile
+    whose pattern is in the cache reuses it.
+    """
+    if cache is not None:
+        tc = op.target_coords
+        key = (tc - tc.min(axis=0)).tobytes()
+        if key not in cache:
+            cache[key] = _coordinate_work(op, config, None)
+        return cache[key]
+    kind = config.denoiser_kind
+    factor = denoisers.coordinate_factor(kind, op.target_coords, config.kernel_params)
+    return _balance(factor[None], kind) if kind == "gaussian" else factor
+
+
 def _joint_solves(ty, theta, psi, config):
     """`jointsolver.output_space_solve` for a stack of V signals.
 
-    ``ty`` holds V signals theta_r y, ``psi`` their certified denoisers.
-    One stacked solve; only when it fails is each signal solved alone, so
-    that a singular system fails its own signal.  Returns, per signal, the
-    joint output or the SolverError.
+    ``ty`` holds V signals theta_r y, ``psi`` their certified denoisers,
+    or one (1, n, n) for all of them.  One stacked solve; only when it
+    fails, and the signals have denoisers of their own, is each signal
+    solved alone, so that a singular system fails its own signal.  Returns,
+    per signal, the joint output or the SolverError.
     """
     weights = config.weights
     try:
         return list(jointsolver.output_space_solve(ty, theta, psi, weights))
     except SolverError as exc:
-        if len(ty) == 1:
-            return [exc]
+        if len(psi) == 1:
+            return [exc] * len(ty)
     out = []
     for tyi, pi in zip(ty, psi):
         try:
@@ -319,27 +362,31 @@ def _joint_solves(ty, theta, psi, config):
     return out
 
 
-def run_patch(job, images, config) -> list:
+def run_patch(job, images, config, cache=None) -> list:
     """Solve one tile on V noisy images in the modes of ``config``.
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one PatchResult is returned per image.  The work
     that does not depend on the noise (footprint gather, the kernel's
     coordinate checks and spatial factor, NLM's gather indices and window,
-    P = theta_r theta_r^T) is done once; ty = theta_r y, the range factor,
-    Sinkhorn, certification and the joint solve run on stacks with a
-    leading axis of length V; only the images that pass certification are
-    solved.  The joint output is the non-separable MAP solution, from one
-    solve on ty (`jointsolver.output_space_solve`).  Stacked products and
-    solves run the same BLAS/LAPACK routine per image as a single-image
-    call, so each image gets the bits it would get alone.  A balance,
-    certification or solver failure fails only its own image.
+    the whole Gaussian denoiser, P = theta_r theta_r^T) is done once;
+    ty = theta_r y, the range factor, Sinkhorn, certification and the
+    joint solve run on stacks with a leading axis of length V; only the
+    images that pass certification are solved (a denoiser shared by all V
+    passes or fails for all of them).  The joint output is the
+    non-separable MAP solution, from one solve on ty
+    (`jointsolver.output_space_solve`).  Stacked products and solves run
+    the same BLAS/LAPACK routine per image as a single-image call, so each
+    image gets the bits it would get alone.  A balance, certification or
+    solver failure fails only its own image.  With `_run_patches`' per-run
+    ``cache``, the coordinate-only work of the kernel is shared by the
+    tiles of one offset pattern.
     """
     op = job.operator
     src = op.source_coords
     y = np.asarray(images)[:, src[:, 0], src[:, 1]]
     ty = np.matmul(op.real_matrix, y[..., None])[..., 0]
-    psi, errors = build_patch_denoiser(op, ty, config)
+    psi, errors = build_patch_denoiser(op, ty, config, cache)
     ok = [i for i, err in enumerate(errors) if err is None]
     if 0 < len(ok) < len(errors):
         psi, ty = psi[ok], ty[ok]
@@ -366,7 +413,8 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
     pixels = _pixels(image)
     jobs, (results,) = _run_patches(pixels[None], replace(config, mode=mode))
-    out, mask = _stitch(jobs, [getattr(res, mode) for res in results], pixels.shape)
+    values = [getattr(res, mode) for res in results]
+    out, mask = _stitch(_targets(jobs, pixels.shape), values, pixels.shape)
     errors = tuple(
         f"tile at {job.origin}: {res.error}" for job, res in zip(jobs, results) if res.failed
     )
@@ -432,7 +480,7 @@ def _one_blas_thread():
 
 def _pool_run(idx):
     state = _POOL_STATE
-    return run_patch(state["jobs"][idx], state["images"], state["config"])
+    return run_patch(state["jobs"][idx], state["images"], state["config"], state["cache"])
 
 
 def _run_patches(images, config):
@@ -441,7 +489,9 @@ def _run_patches(images, config):
     Returns ``(jobs, results)``, with one PatchResult list per image; no
     tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
     go to a fork pool of that many processes, with the same results.  BLAS
-    runs on one thread throughout (`_one_blas_thread`).
+    runs on one thread throughout (`_one_blas_thread`).  The tiles share a
+    cache of their kernels' coordinate-only work (`_coordinate_work`),
+    which lives for this call only; each pool worker fills its own copy.
     """
     with _one_blas_thread():
         jobs = interpolators.tile_image(
@@ -450,9 +500,10 @@ def _run_patches(images, config):
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
         if config.workers == 1:
-            per_tile = [run_patch(job, images, config) for job in jobs]
+            cache = {}
+            per_tile = [run_patch(job, images, config, cache) for job in jobs]
         else:
-            _POOL_STATE.update(jobs=jobs, config=config, images=images)
+            _POOL_STATE.update(jobs=jobs, config=config, images=images, cache={})
             try:
                 ctx = multiprocessing.get_context("fork")
                 with ctx.Pool(config.workers) as pool:
@@ -462,15 +513,29 @@ def _run_patches(images, config):
     return jobs, [list(results) for results in zip(*per_tile)]
 
 
-def _stitch(jobs, values, shape):
-    """``(pixels, mask)`` of each tile's values; a None leaves its tile invalid."""
+def _targets(jobs, shape):
+    """Every job's target pixels as flat indices into ``shape``, concatenated,
+    and each job's pixel count."""
+    coords = [job.operator.target_coords for job in jobs]
+    rows, cols = np.concatenate([np.empty((0, 2), dtype=int)] + coords).T
+    return np.ravel_multi_index((rows, cols), shape), [len(c) for c in coords]
+
+
+def _stitch(targets, values, shape):
+    """``(pixels, mask)`` of the tiles' values; a None leaves its tile invalid.
+
+    ``targets`` is `_targets` of the jobs, and ``values`` has one entry per
+    job.  Tiles do not overlap, so one assignment writes them all.
+    """
+    flat, counts = targets
+    written = [vals is not None for vals in values]
     pixels = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
-    for job, vals in zip(jobs, values):
-        if vals is not None:
-            tc = job.operator.target_coords
-            pixels[tc[:, 0], tc[:, 1]] = vals
-            mask[tc[:, 0], tc[:, 1]] = True
+    if any(written):
+        if not all(written):
+            flat = flat[np.repeat(written, counts)]
+        pixels.reshape(-1)[flat] = np.concatenate([vals for vals in values if vals is not None])
+        mask.reshape(-1)[flat] = True
     return pixels, mask
 
 
@@ -478,7 +543,7 @@ def build_reference(jobs, clean_pixels, shape):
     """Clean image pushed through the real interpolation rows of every job."""
     ops = [job.operator for job in jobs]
     values = [op.real_matrix @ clean_pixels[tuple(op.source_coords.T)] for op in ops]
-    return _stitch(jobs, values, shape)
+    return _stitch(_targets(jobs, shape), values, shape)
 
 
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
@@ -494,6 +559,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
 
     jobs, results_per_variance = _run_patches(noisy, config)
     ref, _ = build_reference(jobs, clean, clean.shape)
+    targets = _targets(jobs, clean.shape)
 
     transform_label = config.transform.label()
     rows = []
@@ -501,7 +567,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     for var, results in zip(config.noise_variances, results_per_variance):
         failed = sum(res.failed for res in results)
         for mode in config.modes:
-            out, mask = _stitch(jobs, [getattr(res, mode) for res in results], clean.shape)
+            out, mask = _stitch(targets, [getattr(res, mode) for res in results], clean.shape)
             if not mask.any():
                 raise TilesFailedError(
                     f"all {len(jobs)} tiles failed in {mode} mode at variance {var:g}; "

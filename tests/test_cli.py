@@ -361,6 +361,8 @@ def test_unwritable_output_found_first(command, flag, tmp_path, monkeypatch, cap
         ("inspect-graph", ["--mu", "0"]),
         ("inspect-graph", ["--spatial-var", "-1"]),
         ("joint", ["--image", "in.pgm"]),
+        ("experiment", ["--variances", "nan"]),
+        ("experiment", ["--variances", "0.02,inf"]),
     ],
 )
 def test_bad_values_are_usage_errors(command, flags, capsys):

@@ -141,6 +141,26 @@ class TestPsnr:
         mask = np.array([[True, False], [True, True]])
         assert psnr(ref, tst, mask) == 99.0
 
+    def test_cap_only_for_zero_error(self):
+        a = np.full((4, 4), 0.5)
+        assert psnr(a, a + 1e-6) == pytest.approx(120.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_in_mask_raises(self, bad):
+        # a NaN image used to score the 99 dB cap
+        ref = np.zeros((2, 2))
+        tst = np.array([[0.0, bad], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite pixel inside the mask"):
+            psnr(ref, tst)
+        with pytest.raises(ValueError, match="non-finite pixel inside the mask"):
+            psnr(tst, ref)
+
+    def test_non_finite_pixel_outside_mask_ignored(self):
+        ref = np.zeros((2, 2))
+        tst = np.array([[0.0, np.nan], [0.0, 0.0]])
+        mask = np.array([[True, False], [True, True]])
+        assert psnr(ref, tst, mask) == 99.0
+
     def test_validity_intersection(self):
         ref = ImageBuffer(
             pixels=np.zeros((2, 2)),
@@ -423,6 +443,9 @@ class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
             identity_config(noise_variances=(0.0,))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                identity_config(noise_variances=(0.02, bad))
         with pytest.raises(ValueError):
             identity_config(patch_size=1)
         with pytest.raises(ValueError):
