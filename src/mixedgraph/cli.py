@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         return _cannot("write", args.out, exc)
     try:
         return args.run(args, setup, image, name)
-    except (PatchGeometryError, TilesFailedError) as exc:
+    except (PatchGeometryError, TilesFailedError, DegenerateTransformError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 1
 

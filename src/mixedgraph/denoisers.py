@@ -13,6 +13,7 @@ doubly-stochastic operator suitable for the denoiser/graph mapping, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,11 @@ class KernelParams:
     nlm_h2: float = 0.3
 
     def __post_init__(self):
-        if self.spatial_var <= 0 or self.range_var <= 0 or self.nlm_h2 <= 0:
-            raise ValueError("kernel variances must be positive")
+        variances = (self.spatial_var, self.range_var, self.nlm_h2)
+        if not all(math.isfinite(v) and v > 0 for v in variances):
+            raise ValueError("kernel variances must be positive and finite")
+        if self.nlm_patch_size < 1:
+            raise ValueError(f"NLM patch size must be at least 1, got {self.nlm_patch_size}")
         if self.nlm_patch_size % 2 == 0 or self.nlm_search_window % 2 == 0:
             raise ValueError("NLM patch and window sizes must be odd")
         if self.nlm_patch_size >= self.nlm_search_window:

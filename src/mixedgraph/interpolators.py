@@ -28,6 +28,10 @@ class Rotation:
 
     angle_deg: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"rotation angle must be finite, got {self.angle_deg}")
+
     def back_project(self, coords_rc: np.ndarray, image_size) -> np.ndarray:
         """Source (row, col) of each output (row, col); ``coords_rc`` is (..., 2)."""
         h, w = image_size
@@ -54,6 +58,8 @@ class Homography:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("homography entries must be finite")
         if abs(np.linalg.det(m)) < 1e-12:
             raise DegenerateTransformError("homography matrix is singular")
         object.__setattr__(self, "matrix", tuple(map(tuple, m)))

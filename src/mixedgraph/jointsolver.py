@@ -10,6 +10,7 @@ reference solutions that the tests hold that solve to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +27,34 @@ from .graphcore import (
 
 @dataclass(frozen=True)
 class SolverWeights:
-    """Regularization weights for the joint objectives."""
+    """Regularization weights for the joint objectives.
+
+    The pipeline's joint output depends on them only through `c`, which
+    must be finite, and positive when kappa is.
+    """
 
     mu: float = 0.3
     gamma: float = 0.5
     kappa: float = 0.3
 
     def __post_init__(self):
+        # NaN passes every comparison, so finiteness is checked first
+        for name, value in (("mu", self.mu), ("gamma", self.gamma), ("kappa", self.kappa)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0 or self.gamma <= 0 or self.kappa < 0:
             raise ValueError("require mu > 0, gamma > 0, kappa >= 0")
+        c = self.c if self.gamma * self.mu > 0 else math.inf
+        if not math.isfinite(c) or (self.kappa > 0 and c == 0):
+            raise ValueError(
+                f"c = kappa (1 + gamma) / (gamma mu) is {c:g}; it must be finite, "
+                "and positive when kappa > 0"
+            )
+
+    @property
+    def c(self) -> float:
+        """``kappa (1 + gamma) / (gamma mu)``, the weight of the joint solve."""
+        return self.kappa * (1.0 + self.gamma) / (self.gamma * self.mu)
 
 
 @dataclass(frozen=True)
@@ -337,7 +357,7 @@ def output_space_solve(ty, theta_real, psi_m, weights: SolverWeights) -> np.ndar
     runs a second BLAS thread pool that contends with numpy's.  A singular
     system raises SolverError.
     """
-    c = weights.kappa * (1.0 + weights.gamma) / (weights.gamma * weights.mu)
+    c = weights.c
     p = theta_real @ theta_real.T
     # psi + c (P - P psi), in one buffer
     a = np.matmul(p, psi_m)

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown solve method {self.method!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def modes(self):
@@ -373,7 +375,8 @@ def run_patch(job, images, config, cache=None) -> list:
     ty = theta_r y, the range factor, Sinkhorn, certification and the
     joint solve run on stacks with a leading axis of length V; only the
     images that pass certification are solved (a denoiser shared by all V
-    passes or fails for all of them).  The joint output is the
+    passes or fails for all of them).  An output that is not finite fails
+    its image as a solver failure.  The joint output is the
     non-separable MAP solution, from one solve on ty
     (`jointsolver.output_space_solve`).  Stacked products and solves run
     the same BLAS/LAPACK routine per image as a single-image call, so each
@@ -403,6 +406,8 @@ def run_patch(job, images, config, cache=None) -> list:
         z, s = (None, None) if err is not None else next(solved)
         if isinstance(z, SolverError):
             z, s, err = None, None, z
+        elif err is None and not all(np.isfinite(a).all() for a in (z, s) if a is not None):
+            z, s, err = None, None, SolverError("tile output is not finite")
         results.append(PatchResult(z, s, None if err is None else str(err)))
     return results
 
@@ -478,6 +483,42 @@ def _one_blas_thread():
             set_(count)
 
 
+@functools.cache
+def _mallopt():
+    """The C library's ``mallopt``, or None where it has none (macOS)."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def _keep_heap():
+    """Run the body with glibc's heap keeping the memory a tile frees.
+
+    By default glibc maps a block above its dynamic mmap threshold on its
+    own, and trims the top of the heap back to the kernel once the free
+    space there exceeds twice that threshold.  A tile has several (V, n, n)
+    temporaries live at once (400 KB each at V = 5, n = 100), so each tile
+    would hand its memory back and the next would page-fault it in again.  On
+    entry, the mmap threshold is set to 4 MiB, above the largest tile
+    temporary (NLM's (V, n, n, 9) difference stack, about 1.4 MB at 128 px),
+    so image-scale arrays still get their own mappings; and the trim
+    threshold to 32 MiB, the most freed memory the heap's top keeps
+    resident.  Either setting alone turns off glibc's dynamic thresholds, so
+    both are set.  Fork-pool workers inherit them.  glibc has no getter for
+    them, so they stay set after the body, for the rest of the process.
+    Where the C library has no ``mallopt``, this does nothing.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    yield
+
+
 def _pool_run(idx):
     state = _POOL_STATE
     return run_patch(state["jobs"][idx], state["images"], state["config"], state["cache"])
@@ -489,11 +530,12 @@ def _run_patches(images, config):
     Returns ``(jobs, results)``, with one PatchResult list per image; no
     tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
     go to a fork pool of that many processes, with the same results.  BLAS
-    runs on one thread throughout (`_one_blas_thread`).  The tiles share a
+    runs on one thread throughout (`_one_blas_thread`), and the heap keeps
+    the memory the tiles free (`_keep_heap`).  The tiles share a
     cache of their kernels' coordinate-only work (`_coordinate_work`),
     which lives for this call only; each pool worker fills its own copy.
     """
-    with _one_blas_thread():
+    with _one_blas_thread(), _keep_heap():
         jobs = interpolators.tile_image(
             images.shape[1:], config.transform, config.patch_size
         )

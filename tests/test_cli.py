@@ -1,7 +1,12 @@
+import contextlib
+import io
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixedgraph import denoisers, pipeline
 from mixedgraph.cli import main
@@ -373,6 +378,62 @@ def test_bad_values_are_usage_errors(command, flags, capsys):
     assert err.startswith(f"usage: mixedgraph {command}") and "error: " in err
 
 
+# a number that is not finite, or that makes one that is not: each was an
+# image or CSV with exit 0, or a traceback
+NON_FINITE = {
+    "mu-nan": ("joint", ["--mu", "nan"], "mu must be finite, got nan"),
+    "kappa-inf": ("joint", ["--kappa", "inf"], "kappa must be finite, got inf"),
+    "c-overflows": (
+        "joint",
+        ["--gamma", "1e-300", "--mu", "1e-300"],
+        "c = kappa (1 + gamma) / (gamma mu) is inf; it must be finite, "
+        "and positive when kappa > 0",
+    ),
+    "experiment-mu-nan": ("experiment", ["--mu", "nan"], "mu must be finite, got nan"),
+    "spatial-var-inf": (
+        "joint",
+        ["--spatial-var", "inf"],
+        "kernel variances must be positive and finite",
+    ),
+    "range-var-nan": (
+        "joint",
+        ["--range-var", "nan"],
+        "kernel variances must be positive and finite",
+    ),
+    "angle-inf": (
+        "joint",
+        ["--transform", "rotation", "--angle", "inf"],
+        "rotation angle must be finite, got inf",
+    ),
+    "seed-negative": ("experiment", ["--seed", "-1"], "seed must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags, message", list(NON_FINITE.values()), ids=list(NON_FINITE)
+)
+def test_non_finite_values_are_usage_errors(command, flags, message, tmp_path, capsys):
+    out = tmp_path / "x.pgm"
+    flags = flags + (["--out-image", str(out)] if command == "joint" else [])
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command, "--texture", "texture-a", "--texture-size", "24"] + flags)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"mixedgraph {command}: error: {message}"
+    ]
+    assert not out.exists()
+
+
+def test_vanishing_back_projection_is_one_line(capsys):
+    args = ["joint", "--texture", "texture-a", "--texture-size", "24"]
+    args += ["--transform", "homography", "--homography", "1,0,0;0,1,0;0.5,0.5,1"]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == (
+        "texture-a: back-projection has a vanishing homogeneous coordinate\n"
+    )
+
 
 # a flag that a command takes, but that its other flags would leave unread
 TEXTURE = ["--texture", "texture-a", "--texture-size", "32"]
@@ -542,3 +603,85 @@ class TestConfigFile:
         args += ["--texture-size", "30", "--mode", "joint", "--method", "direct"]
         assert run_cli(args) == 0
         assert "homography(-1,0,29;0,1,0;0,0,1)" in capsys.readouterr().out
+
+
+# for each flag that an image command or experiment takes, (usual values,
+# values that are not finite, extreme or malformed)
+BAD_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", ""]
+BAD_INTS = ["", "-1", "0", "1e300", "x"]
+FUZZ = {
+    "--texture-size": (["8", "16", "24"], ["", "-1", "0", "2"]),
+    "--angle": (["0", "20", "-45", "90"], BAD_FLOATS),
+    "--homography": (
+        ["1,0.2,0;0.1,1,0;0,0,1", "0.5,0,0;0,0.5,0;0,0,1"],
+        ["", "1,0,0;0,1,0;0.5,0.5,1", "1,0,0;0,1,0;0,0,nan", "1,0,0;0,1,0", "0,0,0;0,0,0;0,0,1"],
+    ),
+    "--denoiser": (["gaussian", "bilateral", "nlm", "identity"], []),
+    "--spatial-var": (["0.3", "2"], BAD_FLOATS),
+    "--range-var": (["0.05", "0.3"], BAD_FLOATS),
+    "--nlm-patch": (["1", "3"], BAD_INTS + ["2", "9"]),
+    "--nlm-window": (["5", "9"], BAD_INTS + ["3", "8"]),
+    "--nlm-h2": (["0.05", "0.3"], BAD_FLOATS),
+    "--mu": (["0.1", "0.3"], BAD_FLOATS),
+    "--gamma": (["0.5", "2"], BAD_FLOATS),
+    "--kappa": (["0", "0.3"], BAD_FLOATS),
+    "--patch-size": (["4", "10", "12"], BAD_INTS + ["1", "2"]),
+    "--seed": (["0", "7"], BAD_INTS),
+    "--method": (["cg", "direct"], ["lu"]),
+    "--variances": (["0.02", "0.02,0.06"], ["", "nan", "0.02,inf", "0", "1e-300", "1e300"]),
+    "--mode": (["joint", "sequential", "both"], ["all"]),
+}
+# drawn with the transform they go with
+TRANSFORM_FLAG = {"rotation": "--angle", "homography": "--homography"}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, each of whose values is usual three times in four.
+
+    The flags are drawn from the command's own; --workers is left out, so
+    that no example starts processes.
+    """
+
+    def value(flag):
+        usual, bad = FUZZ[flag]
+        return draw(st.sampled_from(usual if not bad or draw(st.integers(0, 3)) else bad))
+
+    command = draw(st.sampled_from(sorted(set(TAKES) - {"inspect-graph"})))
+    texture = draw(st.sampled_from(["texture-a", "texture-b"]))
+    argv = [command, "--texture", texture, "--texture-size", value("--texture-size")]
+    if "--transform" in TAKES[command]:
+        transform = draw(st.sampled_from(["identity", "rotation", "homography"]))
+        argv += ["--transform", transform]
+        if transform in TRANSFORM_FLAG:
+            argv += [TRANSFORM_FLAG[transform], value(TRANSFORM_FLAG[transform])]
+    drawn = [flag for flag in TAKES[command] if flag in FUZZ and flag not in argv]
+    drawn = [flag for flag in drawn if flag not in TRANSFORM_FLAG.values()]
+    for flag in draw(st.lists(st.sampled_from(drawn), unique=True, max_size=4)):
+        argv += [flag, value(flag)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=command_lines())
+def test_any_command_line_exits_cleanly(argv, tmp_path_factory):
+    """Exit status 0, 1 or 2 and never an exception; exit 0 only with finite output."""
+    saved = []
+    if argv[0] != "experiment":
+        argv = argv + ["--out-image", str(tmp_path_factory.mktemp("out") / "x.pgm")]
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(pipeline, "save_image", lambda image, path: saved.append(image))
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in (0, 1, 2)
+    if status == 0 and argv[0] == "experiment":
+        # psnr_db is the last field but one; a homography's label holds commas
+        rows = [line.rsplit(",", 2) for line in stdout.getvalue().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(row[1])) for row in rows)
+    elif status == 0:
+        assert len(saved) == 1 and np.isfinite(saved[0].pixels).all()
+

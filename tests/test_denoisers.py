@@ -34,6 +34,17 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(nlm_patch_size=9, nlm_search_window=9)
 
+    @pytest.mark.parametrize("field", ["spatial_var", "range_var", "nlm_h2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_variance_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelParams(**{field: value})
+
+    @pytest.mark.parametrize("size", [-1, -3])
+    def test_negative_nlm_patch_rejected(self, size):
+        with pytest.raises(ValueError, match="at least 1"):
+            KernelParams(nlm_patch_size=size)
+
 
 class TestGaussianMatrix:
     def test_single_pixel(self):

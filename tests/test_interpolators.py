@@ -108,6 +108,12 @@ class TestRotationOperator:
             build_patch_operator(Rotation(45.0), (0, 0), (2, 2), (200, 200))
 
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            Rotation(angle)
+
+
 class TestHomographyOperator:
     def test_identity_matrix(self):
         op = build_patch_operator(Homography(np.eye(3)), (2, 2), (5, 5), (16, 16)).operator
@@ -128,6 +134,10 @@ class TestHomographyOperator:
         m = op.real_matrix
         assert np.all((m == 0.0) | (m == 1.0))
         np.testing.assert_array_equal(m.sum(axis=1), 1.0)
+
+    def test_non_finite_homography_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Homography(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, np.nan)))
 
     def test_singular_homography_rejected(self):
         with pytest.raises(DegenerateTransformError):

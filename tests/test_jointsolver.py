@@ -187,6 +187,32 @@ class TestJointSeparable:
         np.testing.assert_allclose(sol.denoised_block, psi.matrix @ y, atol=1e-7)
 
 
+WEIGHT_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestSolverWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(mu=WEIGHT_VALUES, gamma=WEIGHT_VALUES, kappa=WEIGHT_VALUES)
+    def test_rejected_or_finite_c(self, mu, gamma, kappa):
+        try:
+            w = SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
+        except ValueError:
+            return
+        assert np.isfinite(w.c)
+        assert w.c > 0 if w.kappa > 0 else w.c == 0
+
+    @pytest.mark.parametrize(
+        "mu, gamma, kappa",
+        [(np.nan, 0.5, 0.3), (0.3, np.inf, 0.3), (0.3, 0.5, np.inf), (1e-300, 1e-300, 0.3)],
+    )
+    def test_rejected(self, mu, gamma, kappa):
+        with pytest.raises(ValueError):
+            SolverWeights(mu=mu, gamma=gamma, kappa=kappa)
+
+
 class TestJointNonseparable:
     def make_instance(self, rng, n):
         theta = random_theta(rng, n)

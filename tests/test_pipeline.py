@@ -1,11 +1,12 @@
 import multiprocessing
+import resource
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from mixedgraph import pipeline
+from mixedgraph import jointsolver, pipeline
 from mixedgraph.errors import ImageIOError, TilesFailedError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
@@ -425,6 +426,68 @@ class TestOneBlasThread:
         assert got == want
 
 
+class TestKeepHeap:
+    # the sweep-rot-bilateral benchmark workload
+    CONFIG = ExperimentConfig(
+        transform=Rotation(20.0),
+        noise_variances=(0.02, 0.04, 0.06, 0.08, 0.10),
+        seed=1,
+        method="direct",
+    )
+
+    def test_second_sweep_takes_few_page_faults(self):
+        if pipeline._mallopt() is None:
+            pytest.skip("the C library has no mallopt")
+        img = synthetic_texture("texture-a", 64)
+        run_experiment(self.CONFIG, img, "tex")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_experiment(self.CONFIG, img, "tex")
+        # glibc's dynamic thresholds gave about 5,000-11,000 here
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+    def test_missing_mallopt_runs_unchanged(self, monkeypatch):
+        img = synthetic_texture("texture-a", 32)
+        config = replace(self.CONFIG, noise_variances=(0.02, 0.06))
+        _, want = run_experiment(config, img, "tex")
+        cdll = pipeline.ctypes.CDLL
+
+        def no_mallopt(name, *args, **kwargs):
+            return object() if name is None else cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", no_mallopt)
+        pipeline._mallopt.cache_clear()
+        try:
+            assert pipeline._mallopt() is None
+            _, got = run_experiment(config, img, "tex")
+        finally:
+            pipeline._mallopt.cache_clear()
+        assert got == want
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("mode", ["joint", "sequential"])
+    def test_tile_fails_as_solver_failure(self, mode, monkeypatch):
+        def nan_solve(ty, theta, psi, weights):
+            return np.full(ty.shape, np.nan)
+
+        def nan_denoiser(*args):
+            psi, errors = build_patch_denoiser(*args)
+            return np.full(psi.shape, np.nan), errors
+
+        img = add_gaussian_noise(synthetic_texture("texture-a", 24), 0.02, 1)
+        config = ExperimentConfig(transform=Rotation(20.0), mode=mode)
+        want = process_image(config, img, mode)
+        assert not want.tile_errors
+        if mode == "joint":
+            monkeypatch.setattr(jointsolver, "output_space_solve", nan_solve)
+        else:
+            monkeypatch.setattr(pipeline, "build_patch_denoiser", nan_denoiser)
+        out = process_image(config, img, mode)
+        assert len(out.tile_errors) == out.tile_count
+        assert all(err.endswith("tile output is not finite") for err in out.tile_errors)
+        assert not out.validity.any()
+
+
 class TestNoSpectrumOnTilePath:
     def test_eigh_not_called(self, monkeypatch):
         def eigh(*args, **kwargs):
@@ -452,6 +515,10 @@ class TestConfigValidation:
             identity_config(mode="all")
         with pytest.raises(ValueError):
             identity_config(method="lu")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            identity_config(seed=-1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
