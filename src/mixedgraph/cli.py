@@ -35,7 +35,7 @@ def _parsers():
         "--denoiser",
         dest="denoiser_kind",
         default="bilateral",
-        choices=["gaussian", "bilateral", "nlm", "identity"],
+        choices=denoisers.KINDS,
     )
     kernel.add_argument("--spatial-var", type=float, default=0.3)
     kernel.add_argument("--range-var", type=float, default=0.3)

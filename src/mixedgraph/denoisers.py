@@ -1,12 +1,14 @@
 """Linear denoiser matrices over pixel index sets, plus Sinkhorn balancing.
 
 All constructors take an explicit coordinate list so the same code serves
-original-pixel sets and interpolated-pixel sets of any size.  The
-intensity-dependent constructors also take a stack of V signals (V, n) and
-return one kernel per signal (V, n, n), doing the work that depends only on
-the coordinates once; `coordinate_factor` returns that work, so that a
-caller can reuse it for coordinate sets that differ by a shift.  Raw kernels
-are symmetric and nonnegative; `sinkhorn_balance` turns one into a
+original-pixel sets and interpolated-pixel sets of any size.  `KINDS` names
+the denoiser kinds; the raw kernel of a kind in `SIGNAL_FREE` depends on the
+coordinates alone.  The intensity-dependent constructors also take a stack
+of V signals (V, n) and return one kernel per signal (V, n, n), doing the
+work that depends only on the coordinates once; `coordinate_factor` returns
+that work (for a signal-free kind, the whole kernel), so that a caller can
+reuse it for coordinate sets that differ by a shift.  Raw kernels are
+symmetric and nonnegative; `sinkhorn_balance` turns one into a
 doubly-stochastic operator suitable for the denoiser/graph mapping, and
 `sinkhorn_scale` balances a stack.
 """
@@ -21,6 +23,10 @@ from scipy import ndimage
 
 from .errors import BalanceError
 from .graphcore import DenoiserOperator, as_signals, certify_denoiser
+
+KINDS = ("gaussian", "bilateral", "nlm", "identity")
+# the kinds whose raw kernel depends on the coordinates alone
+SIGNAL_FREE = ("identity", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -55,31 +61,18 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def _pairwise_sq_dist(c: np.ndarray) -> np.ndarray:
-    diff = c[:, None, :] - c[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _pairwise_sq_dist(f: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of f (..., n, k), as (..., n, n).
+
+    Direct differencing: exact zeros on the diagonal and exact symmetry, so
+    a kernel needs no symmetrizing and is permutation-equivariant bit for bit.
+    """
+    diff = f[..., :, None, :] - f[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def _spatial_factor(c: np.ndarray, var: float) -> np.ndarray:
-    """exp(-|c_i - c_j|^2 / (2 var)) for every pair of coordinates.
-
-    For integer-valued coordinates the factor depends only on the offset
-    (dr, dc) of a pair, so when the offsets' range has at most n^2 cells it
-    is computed once per offset, in a table, and gathered by index.  The
-    squared distances are exact integers, so the table holds the formula's
-    bits.
-    """
-    if len(c):
-        lo = c.min(axis=0)
-        span = c.max(axis=0) - lo
-        shape = 2.0 * span + 1.0
-        if np.array_equal(np.rint(c), c) and shape[0] * shape[1] <= len(c) ** 2:
-            a, b = np.arange(shape[0]) - span[0], np.arange(shape[1]) - span[1]
-            table = np.exp(-(a[:, None] * a[:, None] + b * b) / (2.0 * var))
-            r, k = (c - lo).astype(np.intp).T
-            p = r * len(b) + k
-            # p_i - p_j is the pair's offset from the table's center
-            return table.ravel().take((p + table.size // 2)[:, None] - p)
+    """exp(-|c_i - c_j|^2 / (2 var)) for every pair of coordinates."""
     return np.exp(-_pairwise_sq_dist(c) / (2.0 * var))
 
 
@@ -181,19 +174,12 @@ def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
     # in another order than for one signal alone (and more slowly).
     feats = np.take(y, gather, axis=-1)
     # exp(-d2 / h2) in place, then the pairs outside the window are zeroed
-    d2 = _pairwise_sq_dist_features(feats)
+    d2 = _pairwise_sq_dist(feats)
     d2 /= -params.nlm_h2
     np.exp(d2, out=d2)
     weights = d2.reshape(d2.shape[:-2] + (-1,))
     weights[..., outside] = 0.0
     return weights.reshape(d2.shape)
-
-
-def _pairwise_sq_dist_features(f: np.ndarray) -> np.ndarray:
-    # Direct differencing: exact zeros on the diagonal and exact symmetry, so
-    # the kernel needs no symmetrizing and is permutation-equivariant bit for bit.
-    diff = f[..., :, None, :] - f[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def sinkhorn_balance(
@@ -307,16 +293,19 @@ def identity_operator(n: int) -> DenoiserOperator:
 def coordinate_factor(kind: str, coords, params: KernelParams):
     """The part of a denoiser kind's raw kernel that depends only on the coordinates.
 
-    Checks the coordinates: an (n, 2) array without duplicates.  For
-    "gaussian" and "bilateral" the factor is the spatial factor (n, n);
-    for "nlm" it is ``(gather, outside)``: each coordinate's patch as
-    indices into the signal (n, k*k), holes filled, and the flat indices
+    Checks the coordinates: an (n, 2) array without duplicates.  For a kind
+    in `SIGNAL_FREE` the factor is the whole raw kernel (n, n): the identity,
+    or the spatial factor for "gaussian"; for "bilateral" it is the spatial
+    factor; for "nlm" it is ``(gather, outside)``: each coordinate's patch
+    as indices into the signal (n, k*k), holes filled, and the flat indices
     of the pairs outside the search window.  For integer coordinates it is
     the same, bit for bit, when every coordinate is shifted by one offset.
     """
-    if kind not in ("gaussian", "bilateral", "nlm"):
+    if kind not in KINDS:
         raise ValueError(f"unknown denoiser kind {kind!r}")
     c = _as_coords(coords)
+    if kind == "identity":
+        return np.eye(len(c))
     if kind == "nlm":
         return _nlm_layout(c, params)
     return _spatial_factor(c, params.spatial_var)
@@ -328,11 +317,9 @@ def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=
     ``factor``, if given, is ``coordinate_factor(kind, coords, params)``,
     which is then neither computed nor checked again.
     """
-    if kind == "identity":
-        return np.eye(len(coords))
     if factor is None:
         factor = coordinate_factor(kind, coords, params)
-    if kind == "gaussian":
+    if kind in SIGNAL_FREE:
         return factor
     if kind == "bilateral":
         return _bilateral(factor, intensities, params)

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("noise variances must be positive and finite")
         if self.patch_size < 2:
             raise ValueError("patch size must be at least 2")
+        if self.denoiser_kind not in denoisers.KINDS:
+            raise ValueError(f"unknown denoiser kind {self.denoiser_kind!r}")
         if self.mode not in ("joint", "sequential", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.method not in ("cg", "direct", "closed-form"):
@@ -287,19 +289,16 @@ def build_patch_denoiser(op, interp_values, config, cache=None):
     (for kernel evaluation only).  Returns ``(psi, errors)``: the V
     denoisers (V, n, n) and, for each, None or the first error that fails
     it: a BalanceError, or a PreconditionError when certification fails.
-    The identity and Gaussian denoisers do not depend on the signal, so
-    their psi is one denoiser (1, n, n) that serves all V signals, and
-    their V errors are one error repeated.  ``cache`` is `_run_patches`'
+    A denoiser of a kind in `denoisers.SIGNAL_FREE` does not depend on the
+    signal, so its psi is one denoiser (1, n, n) that serves all V signals,
+    and its V errors are one error repeated.  ``cache`` is `_run_patches`'
     per-run cache (see `_coordinate_work`).
     """
-    v, n = interp_values.shape
     kind = config.denoiser_kind
-    if kind == "identity":
-        return np.eye(n)[None], [None] * v
     work = _coordinate_work(op, config, cache)
-    if kind == "gaussian":
+    if kind in denoisers.SIGNAL_FREE:
         psi, errors = work
-        return psi, errors * v
+        return psi, errors * len(interp_values)
     clipped = np.clip(interp_values, 0.0, 1.0)
     # the kernel is not named here, so that _balance can free it
     return _balance(
@@ -322,12 +321,13 @@ def _balance(kernel, kind):
 def _coordinate_work(op, config, cache):
     """The part of a tile's denoiser that depends only on its target coordinates.
 
-    That is `denoisers.coordinate_factor`, or for the Gaussian denoiser the
-    whole balanced and certified ``(psi, errors)`` of its one kernel, with
-    psi (1, n, n).  Without a cache it is computed for this tile.  With one
-    (a dict) it is computed once per offset pattern, the integer target
-    coordinates minus their minimum, on which it depends alone; a tile
-    whose pattern is in the cache reuses it.
+    That is `denoisers.coordinate_factor`, or for a kind in
+    `denoisers.SIGNAL_FREE` the whole balanced and certified
+    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Without a
+    cache it is computed for this tile.  With one (a dict) it is computed
+    once per offset pattern, the integer target coordinates minus their
+    minimum, on which it depends alone; a tile whose pattern is in the
+    cache reuses it.
     """
     if cache is not None:
         tc = op.target_coords
@@ -337,7 +337,7 @@ def _coordinate_work(op, config, cache):
         return cache[key]
     kind = config.denoiser_kind
     factor = denoisers.coordinate_factor(kind, op.target_coords, config.kernel_params)
-    return _balance(factor[None], kind) if kind == "gaussian" else factor
+    return _balance(factor[None], kind) if kind in denoisers.SIGNAL_FREE else factor
 
 
 def _joint_solves(ty, theta, psi, config):
@@ -371,19 +371,20 @@ def run_patch(job, images, config, cache=None) -> list:
     images of one shape; one PatchResult is returned per image.  The work
     that does not depend on the noise (footprint gather, the kernel's
     coordinate checks and spatial factor, NLM's gather indices and window,
-    the whole Gaussian denoiser, P = theta_r theta_r^T) is done once;
-    ty = theta_r y, the range factor, Sinkhorn, certification and the
-    joint solve run on stacks with a leading axis of length V; only the
-    images that pass certification are solved (a denoiser shared by all V
-    passes or fails for all of them).  An output that is not finite fails
-    its image as a solver failure.  The joint output is the
-    non-separable MAP solution, from one solve on ty
-    (`jointsolver.output_space_solve`).  Stacked products and solves run
-    the same BLAS/LAPACK routine per image as a single-image call, so each
-    image gets the bits it would get alone.  A balance, certification or
-    solver failure fails only its own image.  With `_run_patches`' per-run
-    ``cache``, the coordinate-only work of the kernel is shared by the
-    tiles of one offset pattern.
+    the whole denoiser of a signal-free kind, P = theta_r theta_r^T) is
+    done once; ty = theta_r y, the range factor, Sinkhorn, certification
+    and the joint solve run on stacks with a leading axis of length V; only
+    the images that pass certification are solved (a denoiser shared by all
+    V passes or fails for all of them).  An output that is not finite fails
+    its image as a solver failure.  The joint output is the non-separable
+    MAP solution, from one solve on ty (`jointsolver.output_space_solve`);
+    for the identity denoiser P - P psi is exactly 0, and the solve returns
+    ty bit for bit.  Stacked products and solves run the same BLAS/LAPACK
+    routine per image as a single-image call, so each image gets the bits
+    it would get alone.  A balance, certification or solver failure fails
+    only its own image.  With `_run_patches`' per-run ``cache``, the
+    coordinate-only work of the kernel is shared by the tiles of one
+    offset pattern.
     """
     op = job.operator
     src = op.source_coords
@@ -398,7 +399,7 @@ def run_patch(job, images, config, cache=None) -> list:
         sequential = np.matmul(psi, ty[..., None])[..., 0]
     if ok and "joint" in config.modes:
         joint = ty
-        if config.weights.kappa > 0 and config.denoiser_kind != "identity":
+        if config.weights.kappa > 0:
             joint = _joint_solves(ty, op.real_matrix, psi, config)
     solved = iter(zip(joint, sequential))
     results = []

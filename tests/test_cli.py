@@ -2,13 +2,14 @@ import contextlib
 import io
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixedgraph import denoisers, pipeline
+from mixedgraph import cli, denoisers, jointsolver, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError
 from mixedgraph.pipeline import (
@@ -300,6 +301,24 @@ VALUE = {
     "--out": "out.txt",
 }
 NOT_TAKEN = [(c, flag) for c, takes in TAKES.items() for flag in VALUE if flag not in takes]
+# the flags whose parser default restates a dataclass field's default
+RESTATED = {
+    "--denoiser": (pipeline.ExperimentConfig, "denoiser_kind"),
+    "--spatial-var": (denoisers.KernelParams, "spatial_var"),
+    "--range-var": (denoisers.KernelParams, "range_var"),
+    "--nlm-patch": (denoisers.KernelParams, "nlm_patch_size"),
+    "--nlm-window": (denoisers.KernelParams, "nlm_search_window"),
+    "--nlm-h2": (denoisers.KernelParams, "nlm_h2"),
+    "--mu": (jointsolver.SolverWeights, "mu"),
+    "--gamma": (jointsolver.SolverWeights, "gamma"),
+    "--kappa": (jointsolver.SolverWeights, "kappa"),
+    "--patch-size": (pipeline.ExperimentConfig, "patch_size"),
+    "--workers": (pipeline.ExperimentConfig, "workers"),
+    "--seed": (pipeline.ExperimentConfig, "seed"),
+    "--method": (pipeline.ExperimentConfig, "method"),
+    "--variances": (pipeline.ExperimentConfig, "noise_variances"),
+    "--mode": (pipeline.ExperimentConfig, "mode"),
+}
 
 
 @pytest.mark.parametrize("command", TAKES)
@@ -309,6 +328,25 @@ def test_each_command_takes_its_flags(command, capsys):
     assert excinfo.value.code == 0
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert re.findall(r"\[(--[\w-]+)", usage) == TAKES[command]
+
+
+def test_flag_defaults_match_the_dataclasses():
+    # the parser's default of a flag and its field's default are two copies
+    # of one value; the flag's dest is the field's name, as _make requires
+    _, commands = cli._parsers()
+    seen = set()
+    for command, takes in TAKES.items():
+        args = commands[command].parse_args([])
+        for flag in RESTATED.keys() & set(takes):
+            cls, name = RESTATED[flag]
+            if flag == "--variances":
+                got = args.build(args).noise_variances
+            else:
+                got = getattr(args, name)
+            want = {f.name: f.default for f in fields(cls)}[name]
+            assert got == want and type(got) is type(want), (command, flag)
+            seen.add(flag)
+    assert seen == RESTATED.keys()
 
 
 @pytest.mark.parametrize("command, flag", NOT_TAKEN)

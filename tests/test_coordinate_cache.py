@@ -65,7 +65,7 @@ def check_cached_equals_uncached(jobs, images, config):
         want_psi, want_errors = build_patch_denoiser(op, ty, config)
         np.testing.assert_array_equal(got_psi, want_psi, strict=True)
         assert [repr(e) for e in got_errors] == [repr(e) for e in want_errors]
-        if kind != "gaussian":
+        if kind not in denoisers.SIGNAL_FREE:
             # the raw kernel from the pattern's cached factor
             tc, clipped = op.target_coords, np.clip(ty, 0.0, 1.0)
             got = denoisers.build_denoiser(kind, tc, clipped, params, cache[pattern_key(tc)])
@@ -87,7 +87,7 @@ def pattern_key(coords):
         st.sampled_from([Homography(PAPER_H), MAGNIFY_4X]),
     ),
     patch_size=st.sampled_from([6, 7, 10]),
-    kind=st.sampled_from(["gaussian", "bilateral", "nlm"]),
+    kind=st.sampled_from(["gaussian", "bilateral", "nlm", "identity"]),
     spatial_var=st.sampled_from([0.3, 2.0]),
     nlm_h2=st.sampled_from([0.05, 0.3]),
     variances=st.lists(st.floats(0.001, 0.2), min_size=1, max_size=3),

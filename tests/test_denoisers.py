@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedgraph import denoisers
 from mixedgraph.denoisers import (
     KernelParams,
     _pairwise_sq_dist,
@@ -17,7 +16,6 @@ from mixedgraph.denoisers import (
     sinkhorn_scale,
 )
 from mixedgraph.errors import BalanceError
-from mixedgraph.interpolators import Rotation, tile_image
 
 
 def grid_coords(h, w):
@@ -106,7 +104,7 @@ def integer_coords(draw):
 
 
 class TestSpatialTable:
-    """The tabulated spatial factor holds the formula's bits."""
+    """The Gaussian and bilateral kernels hold the spatial formula's bits."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(coords=integer_coords(), var=st.floats(0.05, 20.0))
@@ -130,17 +128,6 @@ class TestSpatialTable:
         np.exp(want, out=want)
         want *= formula_spatial(coords, var)
         np.testing.assert_array_equal(bilateral_matrix(coords, y, params), want)
-
-    def test_tile_coordinates_use_the_table(self, monkeypatch):
-        coords = [job.operator.target_coords for job in tile_image((40, 40), Rotation(20.0))]
-        want = [formula_spatial(c.astype(float), 0.3) for c in coords]
-
-        def no_formula(c):
-            raise AssertionError("pairwise distances computed")
-
-        monkeypatch.setattr(denoisers, "_pairwise_sq_dist", no_formula)
-        for c, w in zip(coords, want):
-            np.testing.assert_array_equal(gaussian_matrix(c, KernelParams()), w)
 
     def test_fractional_coordinates_use_the_formula(self):
         coords = grid_coords(3, 4) + np.array([0.25, 0.5])

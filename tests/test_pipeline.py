@@ -27,6 +27,7 @@ from mixedgraph.pipeline import (
 )
 
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
+PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def identity_config(**kw):
@@ -226,6 +227,22 @@ class TestProcessImage:
         img = synthetic_texture("texture-a", 20)
         with pytest.raises(ValueError, match="'joint' or 'sequential'"):
             process_image(identity_config(), img, mode)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [Rotation(20.0), Homography(PAPER_H), MAGNIFY_4X],
+        ids=["rotation", "homography", "magnify-4x"],
+    )
+    def test_identity_joint_is_sequential(self, transform):
+        # with psi = I the joint system is exactly I, so the solve gives
+        # the plain interpolation that sequential mode gives, bit for bit
+        img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 3)
+        config = identity_config(transform=transform)
+        joint = process_image(config, img, "joint")
+        sequential = process_image(config, img, "sequential")
+        assert joint.validity.any() and not joint.tile_errors
+        assert joint.pixels.tobytes() == sequential.pixels.tobytes()
+        assert joint.validity.tobytes() == sequential.validity.tobytes()
 
     def test_stitching_covers_all_tiled_pixels(self):
         img = synthetic_texture("texture-b", 40)
@@ -515,6 +532,8 @@ class TestConfigValidation:
             identity_config(mode="all")
         with pytest.raises(ValueError):
             identity_config(method="lu")
+        with pytest.raises(ValueError, match="unknown denoiser kind 'bilat'"):
+            identity_config(denoiser_kind="bilat")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
