@@ -16,6 +16,7 @@ doubly-stochastic operator suitable for the denoiser/graph mapping, and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,19 @@ from .graphcore import DenoiserOperator, as_signals, certify_denoiser
 KINDS = ("gaussian", "bilateral", "nlm", "identity")
 # the kinds whose raw kernel depends on the coordinates alone
 SIGNAL_FREE = ("identity", "gaussian")
+
+
+def require_integers(config, *names):
+    """Store each named field of a frozen dataclass as a Python int.
+
+    Raises ValueError for a value that is not a Python or numpy integer; a
+    bool is not one.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -43,6 +57,7 @@ class KernelParams:
         variances = (self.spatial_var, self.range_var, self.nlm_h2)
         if not all(math.isfinite(v) and v > 0 for v in variances):
             raise ValueError("kernel variances must be positive and finite")
+        require_integers(self, "nlm_patch_size", "nlm_search_window")
         if self.nlm_patch_size < 1:
             raise ValueError(f"NLM patch size must be at least 1, got {self.nlm_patch_size}")
         if self.nlm_patch_size % 2 == 0 or self.nlm_search_window % 2 == 0:
@@ -129,13 +144,21 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     Coordinates must be integer-valued for patch extraction to make sense.
     The grid is never built: every patch entry is an index into the signal,
     computed once from the coordinates, so a stack of signals (V, n) costs
-    one gather and gives one kernel per signal (V, n, n).
+    one gather and gives one kernel per signal (V, n, n).  Only the pairs
+    i < j inside the window get a patch distance, by direct differencing,
+    and their weight is written to (i, j) and (j, i); the diagonal is
+    exactly 1.  The result is bit for bit the full pairwise kernel with the
+    pairs outside the window zeroed.
     """
     return _nlm(coordinate_factor("nlm", coords, params), intensities, params)
 
 
 def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
-    """NLM's ``(gather, outside)`` for checked coordinates; see `coordinate_factor`."""
+    """NLM's ``(gather, (i, j))`` for checked coordinates; see `coordinate_factor`.
+
+    The pairs are listed in row-major order of the (n, n) kernel's upper
+    triangle, each unordered in-window pair once.
+    """
     ci = np.rint(c).astype(int)
     if np.abs(c - ci).max() > 1e-9:
         raise ValueError("NLM requires integer pixel coordinates")
@@ -163,23 +186,31 @@ def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
     cheb = np.maximum(
         np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])
     )
-    return gather, np.flatnonzero(cheb > wr)
+    return gather, np.nonzero(np.triu(cheb <= wr, 1))
 
 
 def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
-    gather, outside = layout
-    y = _as_intensities(intensities, len(gather))
+    gather, (i, j) = layout
+    n = len(gather)
+    y = _as_intensities(intensities, n)
     # np.take returns C order; ``y[..., gather]`` would put the stack axis
     # innermost, and einsum would then sum each kernel's feature distances
     # in another order than for one signal alone (and more slowly).
     feats = np.take(y, gather, axis=-1)
-    # exp(-d2 / h2) in place, then the pairs outside the window are zeroed
-    d2 = _pairwise_sq_dist(feats)
+    # Direct differencing of each in-window pair i < j: the same bits as
+    # the full pairwise difference, whose lower triangle mirrors the upper.
+    diff = np.take(feats, i, axis=-2)
+    diff -= np.take(feats, j, axis=-2)
+    d2 = np.einsum("...pk,...pk->...p", diff, diff)
+    del diff
     d2 /= -params.nlm_h2
     np.exp(d2, out=d2)
-    weights = d2.reshape(d2.shape[:-2] + (-1,))
-    weights[..., outside] = 0.0
-    return weights.reshape(d2.shape)
+    weights = np.zeros(d2.shape[:-1] + (n, n))
+    weights[..., i, j] = d2
+    weights[..., j, i] = d2
+    # exp(-0 / h2) on the diagonal
+    weights.reshape(d2.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0
+    return weights
 
 
 def sinkhorn_balance(
@@ -296,9 +327,10 @@ def coordinate_factor(kind: str, coords, params: KernelParams):
     Checks the coordinates: an (n, 2) array without duplicates.  For a kind
     in `SIGNAL_FREE` the factor is the whole raw kernel (n, n): the identity,
     or the spatial factor for "gaussian"; for "bilateral" it is the spatial
-    factor; for "nlm" it is ``(gather, outside)``: each coordinate's patch
-    as indices into the signal (n, k*k), holes filled, and the flat indices
-    of the pairs outside the search window.  For integer coordinates it is
+    factor; for "nlm" it is ``(gather, (i, j))``: each coordinate's patch
+    as indices into the signal (n, k*k), holes filled, and the in-window
+    pair list, the row and column indices, with i < j, of every pair of
+    coordinates within the search window.  For integer coordinates it is
     the same, bit for bit, when every coordinate is shifted by one offset.
     """
     if kind not in KINDS:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DegenerateTransformError, PatchGeometryError
 
@@ -143,6 +142,9 @@ def pad_full_rank(theta_raw):
     row, which copies an uncovered input pixel as a fake output.  Returns
     ``(padded, dummy_rows)``, with one ``(row, column)`` pair per dummy row.
     """
+    # scipy's pivoted QR, imported here: the pipeline never pads a tile
+    from scipy import linalg as sla
+
     theta_raw = np.asarray(theta_raw, dtype=float)
     n_real, m = theta_raw.shape
     if n_real > m:

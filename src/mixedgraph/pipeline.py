@@ -77,6 +77,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        denoisers.require_integers(self, "patch_size", "workers", "seed")
         if not self.noise_variances:
             raise ValueError("at least one noise variance is required")
         if not all(math.isfinite(v) and v > 0 for v in self.noise_variances):
@@ -370,7 +371,7 @@ def run_patch(job, images, config, cache=None) -> list:
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one PatchResult is returned per image.  The work
     that does not depend on the noise (footprint gather, the kernel's
-    coordinate checks and spatial factor, NLM's gather indices and window,
+    coordinate checks and spatial factor, NLM's gather indices and pair list,
     the whole denoiser of a signal-free kind, P = theta_r theta_r^T) is
     done once; ty = theta_r y, the range factor, Sinkhorn, certification
     and the joint solve run on stacks with a leading axis of length V; only
@@ -505,12 +506,14 @@ def _keep_heap():
     temporaries live at once (400 KB each at V = 5, n = 100), so each tile
     would hand its memory back and the next would page-fault it in again.  On
     entry, the mmap threshold is set to 4 MiB, above the largest tile
-    temporary (NLM's (V, n, n, 9) difference stack, about 1.4 MB at 128 px),
-    so image-scale arrays still get their own mappings; and the trim
-    threshold to 32 MiB, the most freed memory the heap's top keeps
-    resident.  Either setting alone turns off glibc's dynamic thresholds, so
-    both are set.  Fork-pool workers inherit them.  glibc has no getter for
-    them, so they stay set after the body, for the rest of the process.
+    temporary (the largest array seen on the tile path by a tracing run:
+    NLM's (V, P, 9) pair differences, 864 KB at V = 5 with P = 2,400 pairs
+    of a 10 x 10 tile, 346 KB at V = 2), so image-scale arrays still get
+    their own mappings; and the trim threshold to 32 MiB, the most freed
+    memory the heap's top keeps resident.  Either setting alone turns off
+    glibc's dynamic thresholds, so both are set.  Fork-pool workers inherit
+    them.  glibc has no getter for them, so they stay set after the body,
+    for the rest of the process.
     Where the C library has no ``mallopt``, this does nothing.
     """
     mallopt = _mallopt()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixedgraph import denoisers
 from mixedgraph.denoisers import (
     KernelParams,
     _pairwise_sq_dist,
     bilateral_matrix,
     build_denoiser,
+    coordinate_factor,
     fill_holes_nearest,
     gaussian_matrix,
     identity_operator,
@@ -42,6 +44,25 @@ class TestKernelParams:
     def test_negative_nlm_patch_rejected(self, size):
         with pytest.raises(ValueError, match="at least 1"):
             KernelParams(nlm_patch_size=size)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nlm_patch_size", 3.0),
+            ("nlm_patch_size", True),
+            ("nlm_search_window", 9.0),
+            ("nlm_search_window", np.float64(9.0)),
+            ("nlm_search_window", np.bool_(True)),
+        ],
+    )
+    def test_non_integer_nlm_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KernelParams(**{field: value})
+
+    def test_numpy_integer_nlm_sizes_stored_as_int(self):
+        params = KernelParams(nlm_patch_size=np.uint8(3), nlm_search_window=np.int64(9))
+        assert type(params.nlm_patch_size) is int and type(params.nlm_search_window) is int
+        assert params == KernelParams()
 
 
 class TestGaussianMatrix:
@@ -195,6 +216,70 @@ class TestNlmPatchGather:
         np.testing.assert_array_equal(
             nlm_matrix(coords, y, params), loop_nlm_matrix(coords, y, params)
         )
+
+
+def in_window_pairs(coords, window):
+    """Every unordered pair of distinct coordinates within the Chebyshev window."""
+    c = np.rint(np.asarray(coords)).astype(int)
+    return {
+        (i, j)
+        for i in range(len(c))
+        for j in range(i + 1, len(c))
+        if np.abs(c[i] - c[j]).max() <= window // 2
+    }
+
+
+@st.composite
+def nlm_params(draw):
+    """Patch sizes 1, 3 and 5, with windows from 3 up to wider than any tile."""
+    patch = draw(st.sampled_from([1, 3, 5]))
+    window = draw(st.integers(patch // 2 + 1, 14)) * 2 + 1
+    return KernelParams(nlm_patch_size=patch, nlm_search_window=window, nlm_h2=0.05)
+
+
+class TestNlmPairList:
+    """The kernel is built from the in-window pairs i < j, mirrored."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        coords=integer_coords(),
+        params=nlm_params(),
+        stack=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(coords=np.array([[-4.0, 9.0]]), params=KernelParams(), stack=2, seed=0)
+    def test_equals_full_oracle(self, coords, params, stack, seed):
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (stack, len(coords)))
+        want = np.stack([loop_nlm_matrix(coords, yi, params) for yi in y])
+        np.testing.assert_array_equal(nlm_matrix(coords, y, params), want)
+        np.testing.assert_array_equal(nlm_matrix(coords, y[0], params), want[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(coords=integer_coords(), params=nlm_params())
+    def test_layout_lists_each_pair_once(self, coords, params):
+        gather, (i, j) = coordinate_factor("nlm", coords, params)
+        assert gather.shape == (len(coords), params.nlm_patch_size**2)
+        assert np.all(i < j)
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == in_window_pairs(coords, params.nlm_search_window)
+
+    def test_no_pairwise_stack(self, monkeypatch):
+        from mixedgraph.interpolators import Homography
+        from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
+
+        def forbidden(f):
+            raise AssertionError("the full pairwise difference stack was formed")
+
+        monkeypatch.setattr(denoisers, "_pairwise_sq_dist", forbidden)
+        config = ExperimentConfig(
+            transform=Homography(((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))),
+            denoiser_kind="nlm",
+            kernel_params=KernelParams(nlm_h2=0.05),
+            noise_variances=(0.08,),
+        )
+        curves, _ = run_experiment(config, synthetic_texture("texture-b", 24))
+        assert {curve.mode for curve in curves} == {"joint", "sequential"}
 
 
 class TestSinkhornBalance:

@@ -534,6 +534,23 @@ class TestConfigValidation:
             identity_config(method="lu")
         with pytest.raises(ValueError, match="unknown denoiser kind 'bilat'"):
             identity_config(denoiser_kind="bilat")
+        for field, bad in (
+            ("patch_size", 10.0),
+            ("patch_size", True),
+            ("workers", 2.0),
+            ("workers", np.float64(1.0)),
+            ("seed", 1.5),
+            ("seed", False),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                identity_config(**{field: bad})
+
+    def test_numpy_integers_stored_as_int(self):
+        config = identity_config(
+            patch_size=np.uint16(10), workers=np.int8(2), seed=np.int64(7)
+        )
+        assert (config.patch_size, config.workers, config.seed) == (10, 2, 7)
+        assert all(type(v) is int for v in (config.patch_size, config.workers, config.seed))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
