@@ -10,11 +10,14 @@ that work (for a signal-free kind, the whole kernel), so that a caller can
 reuse it for coordinate sets that differ by a shift.  Raw kernels are
 symmetric and nonnegative; `sinkhorn_balance` turns one into a
 doubly-stochastic operator suitable for the denoiser/graph mapping, and
-`sinkhorn_scale` balances a stack.
+`sinkhorn_scale` balances a stack.  `eigenvalue_floor` bounds a balanced
+kernel's smallest eigenvalue from below, so that certification can prove
+it PD without a factorization.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -341,6 +344,47 @@ def coordinate_factor(kind: str, coords, params: KernelParams):
     if kind == "nlm":
         return _nlm_layout(c, params)
     return _spatial_factor(c, params.spatial_var)
+
+
+def eigenvalue_floor(kind: str, coords, params: KernelParams) -> float | None:
+    """A floor f with lambda_min(psi) >= f * min_i psi_ii for every psi = D W D.
+
+    W is a raw kernel of the kind on these coordinates, and D any positive
+    diagonal scaling, such as Sinkhorn's.  For "gaussian" and "bilateral"
+    on integer coordinates, f = theta_4(0, q)^2 with q = exp(-1 / (2
+    spatial_var)), the minimum of the spatial Gaussian's symbol on the
+    integer lattice, which bounds lambda_min of the spatial factor S of any
+    set of distinct pixels from below (Grenander and Szego, Toeplitz Forms,
+    1958).  W = S o R, with the range factor R PSD with unit diagonal (R = 1
+    for "gaussian"), so psi = S o (D R D), and Schur's bound
+    lambda_min(A o B) >= lambda_min(A) min_i B_ii for PSD A and B (Horn and
+    Johnson, Topics in Matrix Analysis, Thm 5.3.4) gives f.  For "identity"
+    f = 1.  None for "nlm", whose 0/1 window is not PSD, and for
+    coordinates that are not all integers.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown denoiser kind {kind!r}")
+    c = _as_coords(coords)
+    if kind == "identity":
+        return 1.0
+    if kind == "nlm" or not np.array_equal(c, np.rint(c)):
+        return None
+    return _theta4(math.exp(-0.5 / params.spatial_var)) ** 2
+
+
+def _theta4(q: float) -> float:
+    """A lower bound on theta_4(0, q) = 1 + 2 sum_k (-1)^k q^(k^2), for 0 <= q < 1.
+
+    The series alternates with terms falling in size, so a partial sum that
+    ends on a negative term is at most the limit; it is cut after the first
+    negative term below 1e-17, and a sum that rounding takes below 0 is 0.
+    """
+    total = 1.0
+    for k in itertools.count(1):
+        term = 2.0 * q ** (k * k)
+        total += -term if k % 2 else term
+        if k % 2 and term < 1e-17:
+            return max(total, 0.0)
 
 
 def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None):

@@ -25,6 +25,9 @@ TAU_PSD = 1e-8
 PIVOT_RTOL = 1e-12
 # Strict positive-definiteness floor for denoiser eigenvalues.
 PD_EIG_MIN = 1e-10
+# Smallest Schur bound on a filter's lambda_min that certifies it PD without
+# a factorization: far above PD_EIG_MIN and the n * eps rounding of a filter.
+SCHUR_MARGIN = 1e-6
 # Non-expansiveness slack on the spectral radius.
 NONEXPANSIVE_SLACK = 1e-10
 # Row/column-sum tolerance for the doubly-stochastic flag.
@@ -218,19 +221,37 @@ def _is_pd(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), dtype=bool)
 
 
-def certify_symmetric(psi) -> tuple:
+def schur_bound(psi, eig_floor: float) -> np.ndarray:
+    """``eig_floor * min_i psi_ii`` of each filter of a stack (V, n, n).
+
+    For a floor from `denoisers.eigenvalue_floor` this is a lower bound on
+    each filter's smallest eigenvalue.
+    """
+    return eig_floor * np.diagonal(psi, axis1=1, axis2=2).min(axis=-1, initial=np.inf)
+
+
+def certify_symmetric(psi, eig_floor=None) -> tuple:
     """PD and non-expansiveness flags of a stack (V, n, n) of symmetric filters.
 
-    A filter is PD when a Cholesky factorization of ``psi - PD_EIG_MIN * I``
-    succeeds, and non-expansive when its largest absolute row sum, a bound
-    on its spectral radius, is at most ``1 + NONEXPANSIVE_SLACK`` (always so
-    for a nonnegative doubly stochastic filter), or else when
-    ``(1 + slack) I - psi`` and, unless ``psi`` is PD, ``(1 + slack) I + psi``
-    factor.  No spectrum is computed.  Returns two boolean arrays of length V.
+    ``eig_floor``, if given, is a floor f with lambda_min >= f * min_i psi_ii
+    for every filter of the stack (`denoisers.eigenvalue_floor`); a filter
+    whose `schur_bound` is at least ``SCHUR_MARGIN`` is PD.  Any other
+    filter is PD when a Cholesky factorization of
+    ``psi - PD_EIG_MIN * I`` succeeds.  A filter is non-expansive when its
+    largest absolute row sum, a bound on its spectral radius, is at most
+    ``1 + NONEXPANSIVE_SLACK`` (always so for a nonnegative doubly
+    stochastic filter), or else when ``(1 + slack) I - psi`` and, unless
+    ``psi`` is PD, ``(1 + slack) I + psi`` factor.  No spectrum is computed.
+    Returns two boolean arrays of length V.
     """
     bound = 1.0 + NONEXPANSIVE_SLACK
     eye = np.eye(psi.shape[-1])
-    pd = _is_pd(psi - PD_EIG_MIN * eye)
+    pd = np.zeros(len(psi), dtype=bool)
+    if eig_floor is not None:
+        pd = schur_bound(psi, eig_floor) >= SCHUR_MARGIN
+    rest = np.flatnonzero(~pd)
+    if len(rest):
+        pd[rest] = _is_pd((psi if len(rest) == len(psi) else psi[rest]) - PD_EIG_MIN * eye)
     nonexpansive = np.abs(psi).sum(axis=-1).max(axis=-1, initial=0.0) <= bound
     for i in np.flatnonzero(~nonexpansive):
         one = psi[i : i + 1]

@@ -290,29 +290,38 @@ def build_patch_denoiser(op, interp_values, config, cache=None):
     (for kernel evaluation only).  Returns ``(psi, errors)``: the V
     denoisers (V, n, n) and, for each, None or the first error that fails
     it: a BalanceError, or a PreconditionError when certification fails.
-    A denoiser of a kind in `denoisers.SIGNAL_FREE` does not depend on the
-    signal, so its psi is one denoiser (1, n, n) that serves all V signals,
-    and its V errors are one error repeated.  ``cache`` is `_run_patches`'
-    per-run cache (see `_coordinate_work`).
+    A denoiser is certified PD by the Schur bound of
+    `denoisers.eigenvalue_floor` where that clears
+    `graphcore.SCHUR_MARGIN`, and by a Cholesky factorization otherwise
+    (always for NLM); see `graphcore.certify_symmetric`.  A denoiser of a
+    kind in `denoisers.SIGNAL_FREE` does not depend on the signal, so its
+    psi is one denoiser (1, n, n) that serves all V signals, and its V
+    errors are one error repeated.  ``cache`` is `_run_patches`' per-run
+    cache (see `_coordinate_work`).
     """
     kind = config.denoiser_kind
     work = _coordinate_work(op, config, cache)
     if kind in denoisers.SIGNAL_FREE:
         psi, errors = work
         return psi, errors * len(interp_values)
+    factor, floor = work
     clipped = np.clip(interp_values, 0.0, 1.0)
     # the kernel is not named here, so that _balance can free it
     return _balance(
-        denoisers.build_denoiser(kind, op.target_coords, clipped, config.kernel_params, work),
+        denoisers.build_denoiser(kind, op.target_coords, clipped, config.kernel_params, factor),
         kind,
+        floor,
     )
 
 
-def _balance(kernel, kind):
-    """`build_patch_denoiser`'s ``(psi, errors)`` of a stack of raw kernels."""
+def _balance(kernel, kind, floor):
+    """`build_patch_denoiser`'s ``(psi, errors)`` of a stack of raw kernels.
+
+    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates.
+    """
     psi, errors = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks
-    pd, nonexpansive = graphcore.certify_symmetric(psi)
+    pd, nonexpansive = graphcore.certify_symmetric(psi, floor)
     for i, certified in enumerate(pd & nonexpansive):
         if errors[i] is None and not certified:
             errors[i] = PreconditionError(f"{kind} denoiser failed certification on patch")
@@ -322,13 +331,13 @@ def _balance(kernel, kind):
 def _coordinate_work(op, config, cache):
     """The part of a tile's denoiser that depends only on its target coordinates.
 
-    That is `denoisers.coordinate_factor`, or for a kind in
-    `denoisers.SIGNAL_FREE` the whole balanced and certified
-    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Without a
-    cache it is computed for this tile.  With one (a dict) it is computed
-    once per offset pattern, the integer target coordinates minus their
-    minimum, on which it depends alone; a tile whose pattern is in the
-    cache reuses it.
+    That is ``(factor, floor)``: `denoisers.coordinate_factor` and
+    `denoisers.eigenvalue_floor`; or for a kind in `denoisers.SIGNAL_FREE`
+    the whole balanced and certified ``(psi, errors)`` of its one kernel,
+    with psi (1, n, n).  Without a cache it is computed for this tile.
+    With one (a dict) it is computed once per offset pattern, the integer
+    target coordinates minus their minimum, on which it depends alone; a
+    tile whose pattern is in the cache reuses it.
     """
     if cache is not None:
         tc = op.target_coords
@@ -336,9 +345,12 @@ def _coordinate_work(op, config, cache):
         if key not in cache:
             cache[key] = _coordinate_work(op, config, None)
         return cache[key]
-    kind = config.denoiser_kind
-    factor = denoisers.coordinate_factor(kind, op.target_coords, config.kernel_params)
-    return _balance(factor[None], kind) if kind in denoisers.SIGNAL_FREE else factor
+    kind, params = config.denoiser_kind, config.kernel_params
+    factor = denoisers.coordinate_factor(kind, op.target_coords, params)
+    floor = denoisers.eigenvalue_floor(kind, op.target_coords, params)
+    if kind in denoisers.SIGNAL_FREE:
+        return _balance(factor[None], kind, floor)
+    return factor, floor
 
 
 def _joint_solves(ty, theta, psi, config):
@@ -347,22 +359,23 @@ def _joint_solves(ty, theta, psi, config):
     ``ty`` holds V signals theta_r y, ``psi`` their certified denoisers,
     or one (1, n, n) for all of them.  One stacked solve; only when it
     fails, and the signals have denoisers of their own, is each signal
-    solved alone, so that a singular system fails its own signal.  Returns,
-    per signal, the joint output or the SolverError.
+    solved alone, so that a singular system fails its own signal.  Returns
+    ``(z, errors)``: the joint outputs (V, n) and, per signal, None or the
+    SolverError that failed it, whose row of z is NaN.
     """
     weights = config.weights
     try:
-        return list(jointsolver.output_space_solve(ty, theta, psi, weights))
+        return jointsolver.output_space_solve(ty, theta, psi, weights), [None] * len(ty)
     except SolverError as exc:
         if len(psi) == 1:
-            return [exc] * len(ty)
-    out = []
-    for tyi, pi in zip(ty, psi):
+            return np.full(ty.shape, np.nan), [exc] * len(ty)
+    z, errors = np.full(ty.shape, np.nan), [None] * len(ty)
+    for i, (tyi, pi) in enumerate(zip(ty, psi)):
         try:
-            out.append(jointsolver.output_space_solve(tyi, theta, pi, weights))
+            z[i] = jointsolver.output_space_solve(tyi, theta, pi, weights)
         except SolverError as exc:
-            out.append(exc)
-    return out
+            errors[i] = exc
+    return z, errors
 
 
 def run_patch(job, images, config, cache=None) -> list:
@@ -371,21 +384,23 @@ def run_patch(job, images, config, cache=None) -> list:
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one PatchResult is returned per image.  The work
     that does not depend on the noise (footprint gather, the kernel's
-    coordinate checks and spatial factor, NLM's gather indices and pair list,
-    the whole denoiser of a signal-free kind, P = theta_r theta_r^T) is
-    done once; ty = theta_r y, the range factor, Sinkhorn, certification
-    and the joint solve run on stacks with a leading axis of length V; only
-    the images that pass certification are solved (a denoiser shared by all
-    V passes or fails for all of them).  An output that is not finite fails
-    its image as a solver failure.  The joint output is the non-separable
-    MAP solution, from one solve on ty (`jointsolver.output_space_solve`);
-    for the identity denoiser P - P psi is exactly 0, and the solve returns
-    ty bit for bit.  Stacked products and solves run the same BLAS/LAPACK
-    routine per image as a single-image call, so each image gets the bits
-    it would get alone.  A balance, certification or solver failure fails
-    only its own image.  With `_run_patches`' per-run ``cache``, the
-    coordinate-only work of the kernel is shared by the tiles of one
-    offset pattern.
+    coordinate checks, spatial factor and eigenvalue floor, NLM's gather
+    indices and pair list, the whole denoiser of a signal-free kind,
+    P = theta_r theta_r^T) is done once; ty = theta_r y, the range factor,
+    Sinkhorn, certification (the Schur bound, or the Cholesky fallback of
+    `graphcore.certify_symmetric`) and the joint solve run on stacks with
+    a leading axis of length V; only the images that pass certification
+    are solved (a denoiser shared by all V passes or fails for all of
+    them).  An output that is not finite fails its image as a solver
+    failure; one check per output stack finds them.  The joint output is
+    the non-separable MAP solution, from one solve on ty
+    (`jointsolver.output_space_solve`); for the identity denoiser
+    P - P psi is exactly 0, and the solve returns ty bit for bit.  Stacked
+    products and solves run the same BLAS/LAPACK routine per image as a
+    single-image call, so each image gets the bits it would get alone.  A
+    balance, certification or solver failure fails only its own image.
+    With `_run_patches`' per-run ``cache``, the coordinate-only work of the
+    kernel is shared by the tiles of one offset pattern.
     """
     op = job.operator
     src = op.source_coords
@@ -396,22 +411,25 @@ def run_patch(job, images, config, cache=None) -> list:
     if 0 < len(ok) < len(errors):
         psi, ty = psi[ok], ty[ok]
     joint = sequential = [None] * len(ok)
+    finite = np.ones(len(ok), dtype=bool)
     if ok and "sequential" in config.modes:
         sequential = np.matmul(psi, ty[..., None])[..., 0]
+        finite &= np.isfinite(sequential).all(axis=-1)
     if ok and "joint" in config.modes:
         joint = ty
         if config.weights.kappa > 0:
-            joint = _joint_solves(ty, op.real_matrix, psi, config)
-    solved = iter(zip(joint, sequential))
-    results = []
-    for err in errors:
-        z, s = (None, None) if err is not None else next(solved)
-        if isinstance(z, SolverError):
-            z, s, err = None, None, z
-        elif err is None and not all(np.isfinite(a).all() for a in (z, s) if a is not None):
-            z, s, err = None, None, SolverError("tile output is not finite")
-        results.append(PatchResult(z, s, None if err is None else str(err)))
-    return results
+            joint, solver_errors = _joint_solves(ty, op.real_matrix, psi, config)
+            for i, exc in zip(ok, solver_errors):
+                errors[i] = exc
+        finite &= np.isfinite(joint).all(axis=-1)
+    for i, good in zip(ok, finite):
+        if errors[i] is None and not good:
+            errors[i] = SolverError("tile output is not finite")
+    solved = dict(zip(ok, zip(joint, sequential)))
+    return [
+        PatchResult(*solved[i]) if err is None else PatchResult(None, None, str(err))
+        for i, err in enumerate(errors)
+    ]
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:

@@ -68,7 +68,8 @@ def check_cached_equals_uncached(jobs, images, config):
         if kind not in denoisers.SIGNAL_FREE:
             # the raw kernel from the pattern's cached factor
             tc, clipped = op.target_coords, np.clip(ty, 0.0, 1.0)
-            got = denoisers.build_denoiser(kind, tc, clipped, params, cache[pattern_key(tc)])
+            factor, _ = cache[pattern_key(tc)]
+            got = denoisers.build_denoiser(kind, tc, clipped, params, factor)
             want = denoisers.build_denoiser(kind, tc, clipped, params)
             np.testing.assert_array_equal(got, want, strict=True)
         got = [outcome(res) for res in run_patch(job, images, config, cache)]

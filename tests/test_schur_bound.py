@@ -1,0 +1,231 @@
+"""PD certification by the Schur bound, and its Cholesky fallback.
+
+For the Gaussian and bilateral kinds on integer coordinates,
+`denoisers.eigenvalue_floor` gives theta_4(0, q)^2, a lower bound on the
+smallest eigenvalue of the spatial factor S, and lambda_min(psi) >= floor *
+min_i psi_ii for every balanced psi (`graphcore.schur_bound`).  A filter
+whose bound clears `SCHUR_MARGIN` is PD without a factorization; every
+other filter, and every NLM filter, takes the Cholesky.  No verdict and no
+output byte may differ from the Cholesky alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mixedgraph import denoisers, graphcore
+from mixedgraph.denoisers import KernelParams, eigenvalue_floor
+from mixedgraph.errors import PatchGeometryError
+from mixedgraph.graphcore import PD_EIG_MIN, SCHUR_MARGIN, _is_pd, schur_bound
+from mixedgraph.interpolators import Homography, Rotation, build_patch_operator, tile_image
+from mixedgraph.pipeline import (
+    ExperimentConfig,
+    add_gaussian_noise,
+    process_image,
+    run_patch,
+    synthetic_texture,
+)
+
+PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
+SIZE = 32
+TRANSFORMS = st.one_of(
+    st.floats(-45.0, 45.0, allow_nan=False).map(Rotation),
+    st.just(Homography(PAPER_H)),
+)
+SPATIAL_VARS = st.floats(0.05, 5.0)
+
+
+def spatial(coords, var):
+    c = np.asarray(coords, dtype=float)
+    diff = c[:, None, :] - c[None, :, :]
+    return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * var))
+
+
+def jacobi_theta4(q):
+    """theta_4(0, q) by the Jacobi triple product, every factor in (0, 1]."""
+    n = np.arange(1, 4000)
+    return float(np.prod((1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2))
+
+
+def noisy_stack(seed, variances):
+    clean = np.random.default_rng(seed).uniform(0.0, 1.0, (SIZE, SIZE))
+    return np.stack([add_gaussian_noise(clean, v, seed ^ i) for i, v in enumerate(variances)])
+
+
+@st.composite
+def integer_coords(draw):
+    """Subsets, with holes, of a 14 x 14 box, or the pixels of a tile."""
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=196, max_size=196)))
+        assume(mask.any())
+        return np.argwhere(mask.reshape(14, 14)) + draw(st.integers(-50, 50))
+    jobs = tile_image((SIZE, SIZE), draw(TRANSFORMS), draw(st.sampled_from([6, 10, 14])))
+    return draw(st.sampled_from(jobs)).operator.target_coords
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coords=integer_coords(), var=SPATIAL_VARS)
+def test_floor_bounds_the_spatial_factor(coords, var):
+    floor = eigenvalue_floor("gaussian", coords, KernelParams(spatial_var=var))
+    assert floor == eigenvalue_floor("bilateral", coords, KernelParams(spatial_var=var))
+    assert floor <= np.linalg.eigvalsh(spatial(coords, var)).min() + 1e-12
+
+
+@pytest.mark.parametrize("var", [0.05, 0.3, 1.0, 2.0, 4.0])
+def test_theta4_series_is_a_tight_lower_bound(var):
+    q = math.exp(-0.5 / var)
+    got, want = denoisers._theta4(q), jacobi_theta4(q)
+    assert got <= want * (1.0 + 1e-12)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    transform=TRANSFORMS,
+    origin=st.tuples(st.integers(0, 22), st.integers(0, 22)),
+    kind=st.sampled_from(["gaussian", "bilateral"]),
+    spatial_var=SPATIAL_VARS,
+    range_var=st.sampled_from([0.03, 0.3]),
+    variances=st.lists(st.floats(0.001, 0.2), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_schur_bound_bounds_each_filter(
+    transform, origin, kind, spatial_var, range_var, variances, seed
+):
+    try:
+        op = build_patch_operator(transform, origin, (10, 10), (SIZE, SIZE)).operator
+    except PatchGeometryError:
+        assume(False)  # tile out of bounds
+    params = KernelParams(spatial_var=spatial_var, range_var=range_var)
+    images = noisy_stack(seed, variances)
+    y = images[:, op.source_coords[:, 0], op.source_coords[:, 1]]
+    signals = np.clip(np.matmul(op.real_matrix, y[..., None])[..., 0], 0.0, 1.0)
+    kernel = denoisers.build_denoiser(kind, op.target_coords, signals, params)
+    kernels = np.broadcast_to(kernel, (len(signals),) + kernel.shape[-2:])
+    psi, _ = denoisers.sinkhorn_scale(kernels)
+    floor = eigenvalue_floor(kind, op.target_coords, params)
+    bound = schur_bound(psi, floor)
+    assert np.all(bound <= np.linalg.eigvalsh(psi)[:, 0] + 1e-12)
+    clears = bound >= SCHUR_MARGIN
+    assert _is_pd(psi[clears] - PD_EIG_MIN * np.eye(psi.shape[-1])).all()
+    got, want = graphcore.certify_symmetric(psi, floor), graphcore.certify_symmetric(psi)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_floor_values():
+    box = np.argwhere(np.ones((4, 4)))
+    default = KernelParams()
+    assert eigenvalue_floor("identity", box + 0.5, default) == 1.0
+    assert eigenvalue_floor("nlm", box, default) is None
+    assert eigenvalue_floor("gaussian", box + 0.5, default) is None
+    assert eigenvalue_floor("bilateral", box * 1.0 + 1e-12, default) is None
+    assert eigenvalue_floor("bilateral", box, default) == pytest.approx(0.3904, abs=1e-4)
+    # at spatial_var 4 no filter can clear the margin: every one falls back
+    assert eigenvalue_floor("bilateral", box, KernelParams(spatial_var=4.0)) < 1e-15
+    with pytest.raises(ValueError, match="duplicate"):
+        eigenvalue_floor("gaussian", np.zeros((2, 2)), default)
+    with pytest.raises(ValueError, match="unknown denoiser kind"):
+        eigenvalue_floor("median", box, default)
+
+
+def test_stack_with_some_filters_below_the_margin(monkeypatch):
+    # a floor between the filters' bounds: the ones above are PD by the
+    # bound, and only the others are factored
+    op = build_patch_operator(Rotation(20.0), (10, 10), (10, 10), (SIZE, SIZE)).operator
+    images = noisy_stack(3, (0.001, 0.05, 0.2, 0.02))
+    y = images[:, op.source_coords[:, 0], op.source_coords[:, 1]]
+    signals = np.clip(np.matmul(op.real_matrix, y[..., None])[..., 0], 0.0, 1.0)
+    psi, _ = denoisers.sinkhorn_scale(
+        denoisers.bilateral_matrix(op.target_coords, signals, KernelParams(range_var=0.03))
+    )
+    floors = np.diagonal(psi, axis1=1, axis2=2).min(axis=1)
+    floor = SCHUR_MARGIN / np.median(floors)
+    clears = schur_bound(psi, floor) >= SCHUR_MARGIN
+    assert 0 < clears.sum() < len(psi)
+    factored = []
+
+    def is_pd(a):
+        factored.append(len(a))
+        return _is_pd(a)
+
+    monkeypatch.setattr(graphcore, "_is_pd", is_pd)
+    got = graphcore.certify_symmetric(psi, floor)
+    assert factored == [len(psi) - clears.sum()]
+    want = graphcore.certify_symmetric(psi)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+CERTIFY = graphcore.certify_symmetric
+
+
+def cholesky_only(psi, eig_floor=None):
+    return CERTIFY(psi)
+
+
+def outcomes(jobs, images, config):
+    return [
+        (res.error, *(None if a is None else a.tobytes() for a in (res.joint, res.sequential)))
+        for job in jobs
+        for res in run_patch(job, images, config)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bilateral"])
+@pytest.mark.parametrize("spatial_var", [0.3, 4.0])
+@pytest.mark.parametrize("transform", [Rotation(20.0), Homography(PAPER_H)])
+def test_run_patch_matches_cholesky_only(kind, spatial_var, transform, monkeypatch):
+    config = ExperimentConfig(
+        transform=transform,
+        denoiser_kind=kind,
+        kernel_params=KernelParams(spatial_var=spatial_var, range_var=0.03),
+        noise_variances=(0.001, 0.02, 0.1),
+    )
+    jobs = tile_image((SIZE, SIZE), transform, 10)
+    images = noisy_stack(11, config.noise_variances)
+    factored = []
+
+    def is_pd(a):
+        factored.append(len(a))
+        return _is_pd(a)
+
+    monkeypatch.setattr(graphcore, "_is_pd", is_pd)
+    got = outcomes(jobs, images, config)
+    kernels = len(jobs) * (1 if kind in denoisers.SIGNAL_FREE else len(images))
+    # every kernel factored at spatial_var 4, none at 0.3
+    assert sum(factored) == (kernels if spatial_var == 4.0 else 0)
+    monkeypatch.setattr(graphcore, "certify_symmetric", cholesky_only)
+    assert got == outcomes(jobs, images, config)
+
+
+def test_nlm_never_consults_a_floor(monkeypatch):
+    floors = []
+
+    def certify(psi, eig_floor=None):
+        floors.append(eig_floor)
+        return CERTIFY(psi, eig_floor)
+
+    monkeypatch.setattr(graphcore, "certify_symmetric", certify)
+    monkeypatch.setattr(graphcore, "schur_bound", None)
+    config = ExperimentConfig(
+        transform=Homography(PAPER_H),
+        denoiser_kind="nlm",
+        kernel_params=KernelParams(nlm_h2=0.05),
+        noise_variances=(0.08, 0.125),
+    )
+    outcomes(tile_image((SIZE, SIZE), config.transform, 10), noisy_stack(2, (0.08, 0.125)), config)
+    assert floors and set(floors) == {None}
+
+
+def test_no_factorization_for_default_bilateral(monkeypatch):
+    def is_pd(a):
+        raise AssertionError("a Cholesky factorization on the tile path")
+
+    monkeypatch.setattr(graphcore, "_is_pd", is_pd)
+    img = add_gaussian_noise(synthetic_texture("texture-a", 30), 0.02, 1)
+    for kind in ("bilateral", "gaussian", "identity"):
+        config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind=kind)
+        out = process_image(config, img, "joint")
+        assert not out.tile_errors and out.validity.any()
