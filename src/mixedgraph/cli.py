@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
 from .errors import BalanceError, DegenerateTransformError, ImageIOError
-from .errors import PatchGeometryError, PreconditionError, TilesFailedError
+from .errors import PatchGeometryError, PreconditionError, TilesFailedError, WorkerError
 
 
 def _parsers():
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         return _cannot("write", args.out, exc)
     try:
         return args.run(args, setup, image, name)
-    except (PatchGeometryError, TilesFailedError, DegenerateTransformError) as exc:
+    except (PatchGeometryError, TilesFailedError, WorkerError, DegenerateTransformError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ symmetric and nonnegative; `sinkhorn_balance` turns one into a
 doubly-stochastic operator suitable for the denoiser/graph mapping, and
 `sinkhorn_scale` balances a stack.  `eigenvalue_floor` bounds a balanced
 kernel's smallest eigenvalue from below, so that certification can prove
-it PD without a factorization.
+it PD without a factorization; `coordinate_work` returns the factor and
+the floor with one check of the coordinates.
 """
 
 from __future__ import annotations
@@ -336,14 +337,7 @@ def coordinate_factor(kind: str, coords, params: KernelParams):
     coordinates within the search window.  For integer coordinates it is
     the same, bit for bit, when every coordinate is shifted by one offset.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown denoiser kind {kind!r}")
-    c = _as_coords(coords)
-    if kind == "identity":
-        return np.eye(len(c))
-    if kind == "nlm":
-        return _nlm_layout(c, params)
-    return _spatial_factor(c, params.spatial_var)
+    return _factor(kind, _checked(kind, coords), params)
 
 
 def eigenvalue_floor(kind: str, coords, params: KernelParams) -> float | None:
@@ -362,23 +356,58 @@ def eigenvalue_floor(kind: str, coords, params: KernelParams) -> float | None:
     f = 1.  None for "nlm", whose 0/1 window is not PSD, and for
     coordinates that are not all integers.
     """
+    return _floor(kind, _checked(kind, coords), params)
+
+
+def coordinate_work(kind: str, coords, params: KernelParams) -> tuple:
+    """``(coordinate_factor, eigenvalue_floor)`` of the coordinates, checked once."""
+    c = _checked(kind, coords)
+    return _factor(kind, c, params), _floor(kind, c, params)
+
+
+def _checked(kind: str, coords) -> np.ndarray:
     if kind not in KINDS:
         raise ValueError(f"unknown denoiser kind {kind!r}")
-    c = _as_coords(coords)
+    return _as_coords(coords)
+
+
+def _factor(kind: str, c: np.ndarray, params: KernelParams):
+    if kind == "identity":
+        return np.eye(len(c))
+    if kind == "nlm":
+        return _nlm_layout(c, params)
+    return _spatial_factor(c, params.spatial_var)
+
+
+def _floor(kind: str, c: np.ndarray, params: KernelParams) -> float | None:
     if kind == "identity":
         return 1.0
     if kind == "nlm" or not np.array_equal(c, np.rint(c)):
         return None
-    return _theta4(math.exp(-0.5 / params.spatial_var)) ** 2
+    return _theta4(0.5 / params.spatial_var) ** 2
 
 
-def _theta4(q: float) -> float:
-    """A lower bound on theta_4(0, q) = 1 + 2 sum_k (-1)^k q^(k^2), for 0 <= q < 1.
+def _theta4(tau: float) -> float:
+    """A lower bound on theta_4(0, q) = 1 + 2 sum_k (-1)^k q^(k^2), q = exp(-tau), tau > 0.
 
-    The series alternates with terms falling in size, so a partial sum that
-    ends on a negative term is at most the limit; it is cut after the first
-    negative term below 1e-17, and a sum that rounding takes below 0 is 0.
+    For tau >= 1/8 (spatial_var <= 4) the series alternates with terms
+    falling in size, so a partial sum that ends on a negative term is at
+    most the limit; it is cut after the first negative term below 1e-17,
+    and a sum that rounding takes below 0 is 0.  For smaller tau q is near
+    1, and the series would need about sqrt(39 / tau) terms; once q rounds
+    to 1 it would never end.  There Jacobi's transformation theta_4(0,
+    e^-tau) = 2 sqrt(pi / tau) sum_{k >= 0} exp(-pi^2 (k + 1/2)^2 / tau)
+    is used instead: its terms are positive, so its first term is a lower
+    bound, and the next is smaller by a factor exp(-2 pi^2 / tau) below
+    1e-68.  It is lowered by a relative 1e-12, more than the rounding of
+    its exponent (at most 745 in size before it underflows to 0, for tau
+    below about 3e-3).
     """
+    if tau < 0.125:
+        # in logarithms, as pi / tau overflows for the smallest tau
+        log_scale = 0.5 * (math.log(math.pi) - math.log(tau))
+        return 2.0 * (1.0 - 1e-12) * math.exp(log_scale - 0.25 * math.pi**2 / tau)
+    q = math.exp(-tau)
     total = 1.0
     for k in itertools.count(1):
         term = 2.0 * q ** (k * k)

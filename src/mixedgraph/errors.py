@@ -47,6 +47,21 @@ class TilesFailedError(MixedGraphError):
     """Every tile of an image failed, so there is nothing to score."""
 
 
+class WorkerError(MixedGraphError):
+    """A forked worker process ended without handing back its tiles' results.
+
+    Carries the worker's pid, its exit status (negative: the signal that
+    killed it) or None, and the traceback text of an exception it raised,
+    or None.
+    """
+
+    def __init__(self, message, pid=None, status=None, traceback=None):
+        super().__init__(message)
+        self.pid = pid
+        self.status = status
+        self.traceback = traceback
+
+
 class ImageIOError(MixedGraphError):
     """Malformed image file; carries the byte offset where parsing failed."""
 

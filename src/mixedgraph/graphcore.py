@@ -252,7 +252,9 @@ def certify_symmetric(psi, eig_floor=None) -> tuple:
     rest = np.flatnonzero(~pd)
     if len(rest):
         pd[rest] = _is_pd((psi if len(rest) == len(psi) else psi[rest]) - PD_EIG_MIN * eye)
-    nonexpansive = np.abs(psi).sum(axis=-1).max(axis=-1, initial=0.0) <= bound
+    # a Sinkhorn-balanced stack is nonnegative, and needs no np.abs copy
+    rows = psi if psi.min(initial=0.0) >= 0.0 else np.abs(psi)
+    nonexpansive = rows.sum(axis=-1).max(axis=-1, initial=0.0) <= bound
     for i in np.flatnonzero(~nonexpansive):
         one = psi[i : i + 1]
         nonexpansive[i] = _is_pd(bound * eye - one)[0] and (

@@ -12,7 +12,12 @@ import contextlib
 import ctypes
 import functools
 import math
-import multiprocessing
+import os
+import pickle
+import select
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,7 +27,7 @@ from scipy import ndimage
 
 from . import denoisers, graphcore, interpolators, jointsolver
 from .errors import ImageIOError, PatchGeometryError, PreconditionError, SolverError
-from .errors import TilesFailedError
+from .errors import TilesFailedError, WorkerError
 
 PSNR_CAP_DB = 99.0
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
@@ -331,13 +336,13 @@ def _balance(kernel, kind, floor):
 def _coordinate_work(op, config, cache):
     """The part of a tile's denoiser that depends only on its target coordinates.
 
-    That is ``(factor, floor)``: `denoisers.coordinate_factor` and
-    `denoisers.eigenvalue_floor`; or for a kind in `denoisers.SIGNAL_FREE`
-    the whole balanced and certified ``(psi, errors)`` of its one kernel,
-    with psi (1, n, n).  Without a cache it is computed for this tile.
-    With one (a dict) it is computed once per offset pattern, the integer
-    target coordinates minus their minimum, on which it depends alone; a
-    tile whose pattern is in the cache reuses it.
+    That is ``(factor, floor)``, from `denoisers.coordinate_work`; or for
+    a kind in `denoisers.SIGNAL_FREE` the whole balanced and certified
+    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Without a
+    cache it is computed for this tile.  With one (a dict) it is computed
+    once per offset pattern, the integer target coordinates minus their
+    minimum, on which it depends alone; a tile whose pattern is in the
+    cache reuses it.
     """
     if cache is not None:
         tc = op.target_coords
@@ -345,9 +350,8 @@ def _coordinate_work(op, config, cache):
         if key not in cache:
             cache[key] = _coordinate_work(op, config, None)
         return cache[key]
-    kind, params = config.denoiser_kind, config.kernel_params
-    factor = denoisers.coordinate_factor(kind, op.target_coords, params)
-    floor = denoisers.eigenvalue_floor(kind, op.target_coords, params)
+    kind = config.denoiser_kind
+    factor, floor = denoisers.coordinate_work(kind, op.target_coords, config.kernel_params)
     if kind in denoisers.SIGNAL_FREE:
         return _balance(factor[None], kind, floor)
     return factor, floor
@@ -449,8 +453,6 @@ def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
 # ---------------------------------------------------------------------------
 # Experiment orchestration.
 
-_POOL_STATE: dict = {}
-
 # (getter, setter) of the thread count of numpy's (64-bit integer) and
 # scipy's bundled OpenBLAS builds; each has its own thread pool.
 _BLAS_SYMBOLS = (
@@ -488,7 +490,7 @@ def _one_blas_thread():
     """Run the body with every bundled OpenBLAS pool at one thread.
 
     Every matrix of the tile path is at most about 130 x 130, too small for
-    BLAS threads to pay off, and a fork pool's workers would oversubscribe
+    BLAS threads to pay off, and the children of `_deal` would oversubscribe
     the cores; they inherit the setting.  The previous counts are restored
     on exit.
     """
@@ -529,9 +531,9 @@ def _keep_heap():
     of a 10 x 10 tile, 346 KB at V = 2), so image-scale arrays still get
     their own mappings; and the trim threshold to 32 MiB, the most freed
     memory the heap's top keeps resident.  Either setting alone turns off
-    glibc's dynamic thresholds, so both are set.  Fork-pool workers inherit
-    them.  glibc has no getter for them, so they stay set after the body,
-    for the rest of the process.
+    glibc's dynamic thresholds, so both are set.  The children of `_deal`
+    inherit them.  glibc has no getter for them, so they stay set after the
+    body, for the rest of the process.
     Where the C library has no ``mallopt``, this does nothing.
     """
     mallopt = _mallopt()
@@ -541,9 +543,115 @@ def _keep_heap():
     yield
 
 
-def _pool_run(idx):
-    state = _POOL_STATE
-    return run_patch(state["jobs"][idx], state["images"], state["config"], state["cache"])
+# Each record of the tile pipe is the index of a run's first tile.  All of
+# them are written at once, before any process reads: POSIX has an empty
+# pipe take up to PIPE_BUF bytes in one write.
+_RECORD_SIZE = 4
+_MAX_RECORDS = select.PIPE_BUF // _RECORD_SIZE
+
+
+def _deal(count, solve, workers):
+    """``[solve(i) for i in range(count)]``, drawn by this process and forked children.
+
+    One pipe is filled with fixed-size records and its write end closed,
+    then up to ``workers - 1`` children are forked.  Each record names one
+    index, or a run of consecutive indices when there are more indices
+    than records fit in the pipe at once.  Every process, this one
+    included, reads one record at a time until the pipe is empty, so each
+    index is solved by exactly one process, whichever is free, and a
+    reader that dies blocks no other.  A child sends its ``[(index,
+    result)]``, or the traceback of an exception, pickled on a pipe of its
+    own and leaves with ``os._exit``.  Raises WorkerError for a child that
+    ends without a result.  On any exception every child still running is
+    killed and reaped, so none outlives the call.
+    """
+    run = -(-count // _MAX_RECORDS)
+    starts = np.arange(0, count, run, dtype=np.uint32)
+    tiles, fill = os.pipe()
+    try:
+        os.write(fill, starts.tobytes())
+    finally:
+        os.close(fill)
+
+    def draw():
+        done = []
+        while record := os.read(tiles, _RECORD_SIZE):
+            first = int.from_bytes(record, sys.byteorder)
+            done += [(i, solve(i)) for i in range(first, min(first + run, count))]
+        return done
+
+    children = {}  # the read end of a child's result pipe -> its pid, or None
+    try:
+        for _ in range(min(workers, len(starts)) - 1):
+            out, into = os.pipe()
+            children[out] = None
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(draw, into)
+                children[out] = pid
+            finally:
+                os.close(into)
+        done = draw()
+        for out, pid in list(children.items()):
+            with open(out, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(out)
+            del children[out]
+            done += _child_results(pid, status, data)
+        solved = dict(done)
+        return [solved[i] for i in range(count)]
+    finally:
+        os.close(tiles)
+        for out, pid in children.items():
+            os.close(out)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(draw, into):
+    """A forked child's whole life: run ``draw`` and send its outcome to ``into``.
+
+    The outcome is ``(True, draw())``, or ``(False, traceback text)`` when
+    it raises, pickled.  Never returns: the child leaves with ``os._exit``,
+    status 0 once the outcome is written and 1 otherwise, so it runs none
+    of its parent's cleanup.
+    """
+    status = 1
+    try:
+        try:
+            outcome = (True, draw())
+        except Exception:
+            outcome = (False, traceback.format_exc())
+        with open(into, "wb") as sink:
+            pickle.dump(outcome, sink, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_results(pid, status, data):
+    """The ``[(index, result)]`` a child sent, given its exit status and bytes.
+
+    Raises WorkerError when the child ended without a result, or sent the
+    traceback of an exception.
+    """
+    if status != 0:
+        how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+        raise WorkerError(
+            f"worker process {pid} ended without a result ({how})", pid=pid, status=status
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise WorkerError(
+            f"worker process {pid} raised {value.strip().splitlines()[-1]}",
+            pid=pid,
+            status=status,
+            traceback=value,
+        )
+    return value
 
 
 def _run_patches(images, config):
@@ -551,11 +659,13 @@ def _run_patches(images, config):
 
     Returns ``(jobs, results)``, with one PatchResult list per image; no
     tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
-    go to a fork pool of that many processes, with the same results.  BLAS
-    runs on one thread throughout (`_one_blas_thread`), and the heap keeps
-    the memory the tiles free (`_keep_heap`).  The tiles share a
-    cache of their kernels' coordinate-only work (`_coordinate_work`),
-    which lives for this call only; each pool worker fills its own copy.
+    are dealt to this process and ``workers - 1`` children forked from it
+    (`_deal`), with the same results; a child that dies fails the call
+    with WorkerError.  BLAS runs on one thread throughout
+    (`_one_blas_thread`), and the heap keeps the memory the tiles free
+    (`_keep_heap`).  The tiles share a cache of their kernels'
+    coordinate-only work (`_coordinate_work`), which lives for this call
+    only; each child fills its own copy.
     """
     with _one_blas_thread(), _keep_heap():
         jobs = interpolators.tile_image(
@@ -563,17 +673,15 @@ def _run_patches(images, config):
         )
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
+        cache = {}
+
+        def solve(i):
+            return run_patch(jobs[i], images, config, cache)
+
         if config.workers == 1:
-            cache = {}
-            per_tile = [run_patch(job, images, config, cache) for job in jobs]
+            per_tile = [solve(i) for i in range(len(jobs))]
         else:
-            _POOL_STATE.update(jobs=jobs, config=config, images=images, cache={})
-            try:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(config.workers) as pool:
-                    per_tile = pool.map(_pool_run, range(len(jobs)), chunksize=8)
-            finally:
-                _POOL_STATE.clear()
+            per_tile = _deal(len(jobs), solve, config.workers)
     return jobs, [list(results) for results in zip(*per_tile)]
 
 

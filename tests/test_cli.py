@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import os
 import re
+import signal
 from dataclasses import fields
 
 import numpy as np
@@ -368,6 +370,29 @@ def test_image_too_small_to_tile_is_one_line(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "texture-a: no valid patch jobs for this transform\n"
+
+
+@pytest.mark.parametrize("command", ["joint", "experiment"])
+def test_killed_worker_is_one_line(command, tmp_path, monkeypatch, capsys):
+    fork = os.fork
+
+    def fork_and_kill_the_child():
+        pid = fork()
+        if pid == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_and_kill_the_child)
+    args = [command, "--texture", "texture-a", "--texture-size", "30", "--workers", "2"]
+    assert run_cli(args + ["--transform", "rotation", "--angle", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"texture-a: worker process \d+ ended without a result \(killed by signal 9\)\n",
+        captured.err,
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(

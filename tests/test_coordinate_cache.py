@@ -128,7 +128,7 @@ def test_nlm_hole_tiles_share_patterns():
 
 
 def test_pool_writes_the_serial_gaussian_csv():
-    # each fork worker fills its own cache
+    # each forked child fills its own cache
     config = ExperimentConfig(
         transform=Homography(PAPER_H),
         denoiser_kind="gaussian",

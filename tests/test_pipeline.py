@@ -1,5 +1,8 @@
-import multiprocessing
+import os
 import resource
+import select
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from scipy.linalg import sqrtm
 
 from mixedgraph import jointsolver, pipeline
-from mixedgraph.errors import ImageIOError, TilesFailedError
+from mixedgraph.errors import ImageIOError, TilesFailedError, WorkerError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import (
@@ -256,22 +259,24 @@ class TestProcessImage:
         np.testing.assert_array_equal(out.validity, covered)
 
     def test_worker_pool_matches_serial(self, monkeypatch):
-        contexts = []
-        get_context = multiprocessing.get_context
+        forks = []
+        fork = os.fork
 
-        def recording_get_context(method=None):
-            contexts.append(method)
-            return get_context(method)
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        monkeypatch.setattr(os, "fork", recording_fork)
         img = add_gaussian_noise(synthetic_texture("texture-a", 36), 0.02, 1)
         config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="bilateral")
         for mode in ("joint", "sequential"):
             serial = process_image(config, img, mode)
-            assert not contexts
+            assert not forks
             pooled = process_image(replace(config, workers=2), img, mode)
-            assert contexts == ["fork"]
-            contexts.clear()
+            assert len(forks) == 1
+            forks.clear()
             assert pooled.pixels.tobytes() == serial.pixels.tobytes()
             np.testing.assert_array_equal(pooled.validity, serial.validity)
             assert pooled.tile_errors == serial.tile_errors
@@ -568,3 +573,108 @@ class TestConfigValidation:
     def test_modes_property(self):
         assert identity_config(mode="both").modes == ("joint", "sequential")
         assert identity_config(mode="joint").modes == ("joint",)
+
+
+@pytest.fixture
+def first_child_tile(monkeypatch):
+    """Set what a forked child does on the first tile it draws.
+
+    ``first_child_tile(in_child, in_caller=None)`` patches `run_patch`: a
+    child reports its first tile on a pipe, then calls ``in_child``; the
+    caller's first tile waits up to 30 s for a child's report, then calls
+    ``in_caller``.  With two workers and at least two tiles, the caller
+    holds one tile while it waits, so the child draws one: each test runs
+    the same way whichever process draws which tile.
+    """
+    caller = os.getpid()
+    reports, report = os.pipe()
+
+    def install(in_child, in_caller=None):
+        first = []
+
+        def patched(*args):
+            if not first:
+                first.append(True)
+                if os.getpid() != caller:
+                    os.write(report, b"x")
+                    in_child()
+                else:
+                    assert select.select([reports], [], [], 30.0)[0], "no child drew a tile"
+                    if in_caller is not None:
+                        in_caller()
+            return run_patch(*args)
+
+        monkeypatch.setattr(pipeline, "run_patch", patched)
+
+    yield install
+    os.close(reports)
+    os.close(report)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    IMAGE = add_gaussian_noise(synthetic_texture("texture-a", 30), 0.02, 1)
+    CONFIG = ExperimentConfig(
+        transform=Rotation(20.0), noise_variances=(0.02, 0.06), seed=2, workers=2
+    )
+
+    def test_killed_child_fails_the_run(self, first_child_tile):
+        first_child_tile(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match=r"ended without a result \(killed by signal 9\)"):
+            process_image(self.CONFIG, self.IMAGE, "joint")
+        assert time.monotonic() - start < 20.0
+        assert_no_children()
+
+    def test_child_exception_carries_its_traceback(self, first_child_tile):
+        def boom():
+            raise ValueError("boom in a child")
+
+        first_child_tile(boom)
+        with pytest.raises(WorkerError, match="raised ValueError: boom in a child") as info:
+            run_experiment(self.CONFIG, self.IMAGE, "tex")
+        assert info.value.status == 0
+        assert "Traceback" in info.value.traceback
+        assert "in boom" in info.value.traceback
+        assert_no_children()
+
+    def test_caller_exception_kills_and_reaps_children(self, first_child_tile):
+        def boom():
+            raise RuntimeError("boom in the caller")
+
+        first_child_tile(lambda: time.sleep(60.0), boom)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="boom in the caller"):
+            process_image(self.CONFIG, self.IMAGE, "sequential")
+        assert time.monotonic() - start < 20.0
+        assert_no_children()
+
+    def test_any_worker_count_writes_the_serial_bytes(self):
+        tiles = len(tile_image(self.IMAGE.pixels.shape, self.CONFIG.transform, 10))
+        serial = replace(self.CONFIG, workers=1)
+        csv = run_experiment(serial, self.IMAGE, "tex")[1]
+        modes = ("joint", "sequential")
+        images = {mode: process_image(serial, self.IMAGE, mode) for mode in modes}
+        for workers in (2, 3, tiles + 2):
+            config = replace(self.CONFIG, workers=workers)
+            assert run_experiment(config, self.IMAGE, "tex")[1] == csv
+            for mode, want in images.items():
+                got = process_image(config, self.IMAGE, mode)
+                assert got.pixels.tobytes() == want.pixels.tobytes()
+                assert got.validity.tobytes() == want.validity.tobytes()
+                assert got.tile_errors == want.tile_errors
+        assert_no_children()
+
+    @pytest.mark.parametrize("records", [2, 4])
+    def test_runs_of_tiles_write_the_serial_bytes(self, monkeypatch, records):
+        # fewer records than tiles: each record names a run of consecutive tiles
+        csv = run_experiment(replace(self.CONFIG, workers=1), self.IMAGE, "tex")[1]
+        monkeypatch.setattr(pipeline, "_MAX_RECORDS", records)
+        for workers in (2, 3):
+            config = replace(self.CONFIG, workers=workers)
+            assert run_experiment(config, self.IMAGE, "tex")[1] == csv
+        assert_no_children()

@@ -44,10 +44,23 @@ def spatial(coords, var):
     return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * var))
 
 
-def jacobi_theta4(q):
-    """theta_4(0, q) by the Jacobi triple product, every factor in (0, 1]."""
+def jacobi_theta4(tau):
+    """theta_4(0, e^-tau) by a Jacobi triple product.
+
+    For tau >= 0.1 the product of theta_4, every factor in (0, 1].  For
+    smaller tau q = e^-tau is near 1 and that product would need too many
+    factors, so theta_4(0, q) = sqrt(pi / tau) theta_2(0, p) is used, with
+    the dual nome p = exp(-pi^2 / tau) and theta_2(0, p) = 2 p^(1/4)
+    prod_n (1 - p^(2n)) (1 + p^(2n))^2, in logarithms.
+    """
     n = np.arange(1, 4000)
-    return float(np.prod((1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2))
+    if tau >= 0.1:
+        q = math.exp(-tau)
+        return float(np.prod((1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2))
+    log_p = -math.pi**2 / tau
+    p2n = np.exp(2.0 * log_p * n)
+    log_theta2 = math.log(2.0) + 0.25 * log_p + np.sum(np.log1p(-p2n) + 2.0 * np.log1p(p2n))
+    return math.exp(0.5 * (math.log(math.pi) - math.log(tau)) + log_theta2)
 
 
 def noisy_stack(seed, variances):
@@ -67,17 +80,18 @@ def integer_coords(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(coords=integer_coords(), var=SPATIAL_VARS)
+@given(coords=integer_coords(), var=st.one_of(SPATIAL_VARS, st.floats(4.0, 1e300)))
 def test_floor_bounds_the_spatial_factor(coords, var):
     floor = eigenvalue_floor("gaussian", coords, KernelParams(spatial_var=var))
     assert floor == eigenvalue_floor("bilateral", coords, KernelParams(spatial_var=var))
     assert floor <= np.linalg.eigvalsh(spatial(coords, var)).min() + 1e-12
 
 
-@pytest.mark.parametrize("var", [0.05, 0.3, 1.0, 2.0, 4.0])
+# above 4 Jacobi's transformation; at 1e12 q is 1 - 5e-13, at 1e300 it rounds to 1
+@pytest.mark.parametrize("var", [0.05, 0.3, 1.0, 2.0, 4.0, 4.5, 10.0, 1e12, 1e300])
 def test_theta4_series_is_a_tight_lower_bound(var):
-    q = math.exp(-0.5 / var)
-    got, want = denoisers._theta4(q), jacobi_theta4(q)
+    tau = 0.5 / var
+    got, want = denoisers._theta4(tau), jacobi_theta4(tau)
     assert got <= want * (1.0 + 1e-12)
     assert got == pytest.approx(want, rel=1e-6)
 
