@@ -10,7 +10,8 @@ import numpy as np
 
 from . import denoisers, graphcore, interpolators, jointsolver, pipeline
 from .errors import BalanceError, DegenerateTransformError, ImageIOError
-from .errors import PatchGeometryError, PreconditionError, TilesFailedError, WorkerError
+from .errors import PatchGeometryError, PreconditionError, TileMemoryError, TilesFailedError
+from .errors import WorkerError
 
 
 def _parsers():
@@ -218,6 +219,14 @@ def main(argv=None) -> int:
         command_parser.error(str(exc))
     except (OSError, ImageIOError) as exc:
         return _cannot("read", args.image, exc)
+    if isinstance(setup, pipeline.ExperimentConfig):
+        try:
+            # an image command's config has one variance: one noisy image
+            shape = (len(setup.noise_variances),) + image.pixels.shape
+            pipeline.require_memory(setup, shape)
+        except TileMemoryError as exc:
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 1
     try:
         if args.out:  # before any tile is solved; a missing file is created empty
             open(args.out, "a").close()

@@ -116,13 +116,13 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     return _bilateral(coordinate_factor("bilateral", coords, params), intensities, params)
 
 
-def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.ndarray:
+def _bilateral(spatial: np.ndarray, intensities, params: KernelParams, out=None) -> np.ndarray:
     y = _as_intensities(intensities, len(spatial))
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("intensities must lie in [0, 1]")
     # The range factor, and then the kernel, are built in place in one
-    # buffer of the output's size.
-    k = y[..., :, None] - y[..., None, :]
+    # buffer of the output's size (``out``, if given).
+    k = np.subtract(y[..., :, None], y[..., None, :], out=out)
     k *= k
     k /= -2.0 * params.range_var
     np.exp(k, out=k)
@@ -193,7 +193,7 @@ def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
     return gather, np.nonzero(np.triu(cheb <= wr, 1))
 
 
-def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
+def _nlm(layout: tuple, intensities, params: KernelParams, out=None) -> np.ndarray:
     gather, (i, j) = layout
     n = len(gather)
     y = _as_intensities(intensities, n)
@@ -209,7 +209,8 @@ def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
     del diff
     d2 /= -params.nlm_h2
     np.exp(d2, out=d2)
-    weights = np.zeros(d2.shape[:-1] + (n, n))
+    weights = np.empty(d2.shape[:-1] + (n, n)) if out is None else out
+    weights.fill(0.0)
     weights[..., i, j] = d2
     weights[..., j, i] = d2
     # exp(-0 / h2) on the diagonal
@@ -297,10 +298,14 @@ def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
         for i in active:
             residual[i] = now[i]
 
-    # 0.5 * (psi + psi^T) with psi = w * d * d^T, in two buffers
+    # 0.5 * (psi + psi^T) with psi = w * d * d^T, in one buffer of the
+    # stack's size and one (n, n) buffer for each kernel's transpose
     psi = w * d
     psi *= d.swapaxes(1, 2)
-    psi = psi + psi.swapaxes(1, 2)
+    transpose = np.empty(psi.shape[1:])
+    for m in psi:
+        np.copyto(transpose, m.T)
+        m += transpose
     psi *= 0.5
     errors = [
         BalanceError(
@@ -416,16 +421,18 @@ def _theta4(tau: float) -> float:
             return max(total, 0.0)
 
 
-def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None):
+def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None, out=None):
     """Raw kernel matrix for a named denoiser kind (before balancing).
 
     ``factor``, if given, is ``coordinate_factor(kind, coords, params)``,
-    which is then neither computed nor checked again.
+    which is then neither computed nor checked again.  ``out``, if given,
+    is a C-contiguous (V, n, n) buffer that the kernels of an
+    intensity-dependent kind are built in, and returned.
     """
     if factor is None:
         factor = coordinate_factor(kind, coords, params)
     if kind in SIGNAL_FREE:
         return factor
     if kind == "bilateral":
-        return _bilateral(factor, intensities, params)
-    return _nlm(factor, intensities, params)
+        return _bilateral(factor, intensities, params, out)
+    return _nlm(factor, intensities, params, out)

@@ -47,6 +47,10 @@ class TilesFailedError(MixedGraphError):
     """Every tile of an image failed, so there is nothing to score."""
 
 
+class TileMemoryError(MixedGraphError):
+    """The tiles of a run would need more memory than the machine has."""
+
+
 class WorkerError(MixedGraphError):
     """A forked worker process ended without handing back its tiles' results.
 

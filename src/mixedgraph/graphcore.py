@@ -221,10 +221,11 @@ def _is_pd(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), dtype=bool)
 
 
-def schur_bound(psi, eig_floor: float) -> np.ndarray:
+def schur_bound(psi, eig_floor) -> np.ndarray:
     """``eig_floor * min_i psi_ii`` of each filter of a stack (V, n, n).
 
-    For a floor from `denoisers.eigenvalue_floor` this is a lower bound on
+    ``eig_floor`` is one floor for the stack, or one per filter (V,).  For
+    a floor from `denoisers.eigenvalue_floor` this is a lower bound on
     each filter's smallest eigenvalue.
     """
     return eig_floor * np.diagonal(psi, axis1=1, axis2=2).min(axis=-1, initial=np.inf)
@@ -234,10 +235,12 @@ def certify_symmetric(psi, eig_floor=None) -> tuple:
     """PD and non-expansiveness flags of a stack (V, n, n) of symmetric filters.
 
     ``eig_floor``, if given, is a floor f with lambda_min >= f * min_i psi_ii
-    for every filter of the stack (`denoisers.eigenvalue_floor`); a filter
-    whose `schur_bound` is at least ``SCHUR_MARGIN`` is PD.  Any other
-    filter is PD when a Cholesky factorization of
-    ``psi - PD_EIG_MIN * I`` succeeds.  A filter is non-expansive when its
+    for every filter of the stack (`denoisers.eigenvalue_floor`), or one
+    such floor per filter (V,); a filter whose `schur_bound` is at least
+    ``SCHUR_MARGIN`` is PD.  Any other filter is PD when a Cholesky
+    factorization of ``psi - PD_EIG_MIN * I`` succeeds; for it, ``psi``'s
+    diagonal is lowered in place and then restored, so ``psi`` must be
+    writable.  A filter is non-expansive when its
     largest absolute row sum, a bound on its spectral radius, is at most
     ``1 + NONEXPANSIVE_SLACK`` (always so for a nonnegative doubly
     stochastic filter), or else when ``(1 + slack) I - psi`` and, unless
@@ -251,7 +254,16 @@ def certify_symmetric(psi, eig_floor=None) -> tuple:
         pd = schur_bound(psi, eig_floor) >= SCHUR_MARGIN
     rest = np.flatnonzero(~pd)
     if len(rest):
-        pd[rest] = _is_pd((psi if len(rest) == len(psi) else psi[rest]) - PD_EIG_MIN * eye)
+        # psi - PD_EIG_MIN * I with no copy of a whole stack: the diagonal
+        # is lowered in place, factored, and put back bit for bit
+        shifted = psi if len(rest) == len(psi) else psi[rest]
+        diagonal = np.einsum("...ii->...i", shifted)
+        saved = diagonal.copy()
+        diagonal -= PD_EIG_MIN
+        try:
+            pd[rest] = _is_pd(shifted)
+        finally:
+            diagonal[...] = saved
     # a Sinkhorn-balanced stack is nonnegative, and needs no np.abs copy
     rows = psi if psi.min(initial=0.0) >= 0.0 else np.abs(psi)
     nonexpansive = rows.sum(axis=-1).max(axis=-1, initial=0.0) <= bound

@@ -347,23 +347,41 @@ def output_space_solve(ty, theta_real, psi_m, weights: SolverWeights) -> np.ndar
 
     ``ty`` is ``theta_real @ y``, (n,) or (V, n), ``theta_real`` (n, m) and
     ``psi_m`` the certified denoiser(s), (n, n) or (V, n, n).  The matrix
-    ``psi + c (P - P psi)`` is not symmetric, but it equals
-    ``(I + c P G) psi``; ``P G`` is a product of positive semidefinite
-    matrices (up to the certification slack), so its eigenvalues are real
-    and >= 0, the matrix is nonsingular and LU with partial pivoting is
-    safe.  P is formed once, and a stack goes to one stacked solve, which
-    runs the same LAPACK routine on each system, so every signal gets the
-    result it would get alone.  numpy's own LAPACK is used because scipy's
-    runs a second BLAS thread pool that contends with numpy's.  A singular
-    system raises SolverError.
+    ``psi + c (P - P psi)`` (`output_space_matrix`) is not symmetric, but
+    it equals ``(I + c P G) psi``; ``P G`` is a product of positive
+    semidefinite matrices (up to the certification slack), so its
+    eigenvalues are real and >= 0, the matrix is nonsingular and LU with
+    partial pivoting is safe.  P is formed once, and a stack goes to one
+    stacked solve (`solve_output_space`).  A singular system raises
+    SolverError.
     """
-    c = weights.c
-    p = theta_real @ theta_real.T
-    # psi + c (P - P psi), in one buffer
-    a = np.matmul(p, psi_m)
+    a = output_space_matrix(theta_real @ theta_real.T, psi_m, weights.c)
+    return solve_output_space(a, ty, psi_m)
+
+
+def output_space_matrix(p, psi_m, c: float, out=None) -> np.ndarray:
+    """``psi + c (P - P psi)``, in one buffer: ``out``, if given.
+
+    ``p`` is ``theta_real @ theta_real.T``, and ``psi_m`` one denoiser or a
+    stack of them, over which ``p`` is broadcast.
+    """
+    a = np.matmul(p, psi_m, out=out)
     np.subtract(p, a, out=a)
     a *= c
     a += psi_m
+    return a
+
+
+def solve_output_space(a, ty, psi_m) -> np.ndarray:
+    """``psi inv(a) ty``: the joint outputs of `output_space_matrix`'s ``a``.
+
+    ``a`` and ``psi_m`` are (..., n, n), and ``ty`` (..., n), broadcast
+    against them.  A stack is one stacked solve, which runs the same
+    LAPACK routine on each system, so every signal gets the result it
+    would get alone.  numpy's own LAPACK is used because scipy's runs a
+    second BLAS thread pool that contends with numpy's.  A singular
+    system raises SolverError.
+    """
     try:
         v = np.linalg.solve(a, ty[..., None])
     except np.linalg.LinAlgError as exc:

@@ -8,9 +8,11 @@ them against the clean image pushed through the same interpolation rows.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -27,7 +29,7 @@ from scipy import ndimage
 
 from . import denoisers, graphcore, interpolators, jointsolver
 from .errors import ImageIOError, PatchGeometryError, PreconditionError, SolverError
-from .errors import TilesFailedError, WorkerError
+from .errors import TileMemoryError, TilesFailedError, WorkerError
 
 PSNR_CAP_DB = 99.0
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
@@ -287,42 +289,63 @@ class PatchResult:
         return self.error is not None
 
 
-def build_patch_denoiser(op, interp_values, config, cache=None):
-    """Balanced, certified denoisers of one tile, one per interpolated signal.
+def build_patch_denoiser(ops, interp_values, config, cache=None):
+    """Balanced, certified denoisers of a chunk of T tiles of n pixels each.
 
-    ``interp_values`` is a stack (V, n) of plain interpolations of the
-    noisy inputs; kernel weights are computed from them clipped to [0, 1]
-    (for kernel evaluation only).  Returns ``(psi, errors)``: the V
-    denoisers (V, n, n) and, for each, None or the first error that fails
-    it: a BalanceError, or a PreconditionError when certification fails.
-    A denoiser is certified PD by the Schur bound of
+    ``ops`` are the tiles' operators, and ``interp_values`` a stack
+    (T, V, n) of their plain interpolations of the V noisy inputs; kernel
+    weights are computed from them clipped to [0, 1] (for kernel
+    evaluation only).  Returns ``(psi, errors)``: the T V denoisers
+    (T V, n, n), tile-major, and, for each, None or the first error that
+    fails it: a BalanceError, or a PreconditionError when certification
+    fails.  The kernels are built in one stack, and balanced and certified
+    by one `denoisers.sinkhorn_scale` and one
+    `graphcore.certify_symmetric`, with each tile's eigenvalue floor.  A
+    denoiser is certified PD by the Schur bound of
     `denoisers.eigenvalue_floor` where that clears
     `graphcore.SCHUR_MARGIN`, and by a Cholesky factorization otherwise
-    (always for NLM); see `graphcore.certify_symmetric`.  A denoiser of a
-    kind in `denoisers.SIGNAL_FREE` does not depend on the signal, so its
-    psi is one denoiser (1, n, n) that serves all V signals, and its V
-    errors are one error repeated.  ``cache`` is `_run_patches`' per-run
-    cache (see `_coordinate_work`).
+    (always for NLM).  A denoiser of a kind in `denoisers.SIGNAL_FREE`
+    does not depend on the signal, so psi holds one denoiser per tile,
+    (T, 1, n, n), that serves its V signals, and errors one error per
+    tile.  ``cache`` is `_run_patches`' per-run cache (see
+    `_coordinate_work`).
     """
     kind = config.denoiser_kind
-    work = _coordinate_work(op, config, cache)
+    work = [_coordinate_work(op, config, cache) for op in ops]
     if kind in denoisers.SIGNAL_FREE:
-        psi, errors = work
-        return psi, errors * len(interp_values)
-    factor, floor = work
-    clipped = np.clip(interp_values, 0.0, 1.0)
-    # the kernel is not named here, so that _balance can free it
+        return np.stack([psi for psi, _ in work]), [errors[0] for _, errors in work]
+    floors = [floor for _, floor in work]
+    signals = interp_values.shape[1]
+    # the kernels are not named here, so that _balance can free them
     return _balance(
-        denoisers.build_denoiser(kind, op.target_coords, clipped, config.kernel_params, factor),
+        _kernels(ops, [factor for factor, _ in work], interp_values, config),
         kind,
-        floor,
+        None if None in floors else np.array(floors).repeat(signals),
     )
 
 
-def _balance(kernel, kind, floor):
-    """`build_patch_denoiser`'s ``(psi, errors)`` of a stack of raw kernels.
+def _kernels(ops, factors, interp_values, config):
+    """The raw kernels (T V, n, n) of `build_patch_denoiser`, built in one stack."""
+    t, v, n = interp_values.shape
+    clipped = np.clip(interp_values, 0.0, 1.0)
+    kernels = np.empty((t * v, n, n))
+    for i, (op, factor) in enumerate(zip(ops, factors)):
+        denoisers.build_denoiser(
+            config.denoiser_kind,
+            op.target_coords,
+            clipped[i],
+            config.kernel_params,
+            factor,
+            out=kernels[i * v : (i + 1) * v],
+        )
+    return kernels
 
-    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates.
+
+def _balance(kernel, kind, floor):
+    """The ``(psi, errors)`` of `build_patch_denoiser` of a stack of raw kernels.
+
+    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates,
+    one for the stack or one per kernel, or None.
     """
     psi, errors = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks
@@ -357,83 +380,148 @@ def _coordinate_work(op, config, cache):
     return factor, floor
 
 
-def _joint_solves(ty, theta, psi, config):
-    """`jointsolver.output_space_solve` for a stack of V signals.
+def _joint_solves(ty, psi, tiles, ops, config):
+    """The joint outputs of a chunk's certified denoisers, in one stacked solve.
 
-    ``ty`` holds V signals theta_r y, ``psi`` their certified denoisers,
-    or one (1, n, n) for all of them.  One stacked solve; only when it
-    fails, and the signals have denoisers of their own, is each signal
-    solved alone, so that a singular system fails its own signal.  Returns
-    ``(z, errors)``: the joint outputs (V, n) and, per signal, None or the
-    SolverError that failed it, whose row of z is NaN.
+    ``psi[u]`` is a denoiser, and ``ty[u]`` the signal theta_r y, or the
+    V signals, that it serves; ``tiles[u]``, ascending, is the index in
+    ``ops`` of its tile.  P = theta_r theta_r^T is formed once per tile,
+    and `jointsolver.output_space_matrix` of each tile's denoisers is
+    written into one stack.  Only when the stacked solve fails is each
+    denoiser solved alone, so that a singular system fails only the
+    signals it serves.  Returns ``(z, errors)``: the joint outputs, of the
+    shape of ``ty``, and per denoiser None or the SolverError that failed
+    it, whose rows of z are NaN.
     """
-    weights = config.weights
+    c = config.weights.c
+    a = np.empty(psi.shape)
+    lo = 0
+    for t, run in itertools.groupby(tiles):
+        hi = lo + len(list(run))
+        theta = ops[t].real_matrix
+        jointsolver.output_space_matrix(theta @ theta.T, psi[lo:hi], c, out=a[lo:hi])
+        lo = hi
     try:
-        return jointsolver.output_space_solve(ty, theta, psi, weights), [None] * len(ty)
-    except SolverError as exc:
-        if len(psi) == 1:
-            return np.full(ty.shape, np.nan), [exc] * len(ty)
+        return jointsolver.solve_output_space(a, ty, psi), [None] * len(ty)
+    except SolverError:
+        pass
     z, errors = np.full(ty.shape, np.nan), [None] * len(ty)
-    for i, (tyi, pi) in enumerate(zip(ty, psi)):
+    for u in range(len(ty)):
         try:
-            z[i] = jointsolver.output_space_solve(tyi, theta, pi, weights)
+            z[u] = jointsolver.solve_output_space(a[u], ty[u], psi[u])
         except SolverError as exc:
-            errors[i] = exc
+            errors[u] = exc
     return z, errors
 
 
+# The most kernels a chunk of tiles stacks (`chunk_tiles`).  At V = 1 and 2,
+# Sinkhorn, certification and the joint solve of one 100 x 100 kernel are
+# mostly numpy's per-call cost, which a chunk pays once.  Measured with
+# bench/run.py (2-vCPU VM, medians of 3 alternated runs, run_s and
+# peak_rss_mb): restore-rot-joint 42.5 ms and 63.8 MB at 4 kernels, 40.5 ms
+# and 64.4 MB at 8, 40.4 ms and 65.5 MB at 16; sweep-warp-nlm-pool 178 ms
+# and 74.9 MB at 4, 165 ms and 76.1 MB at 8, 166 ms and 78.5 MB at 16.
+# Past 8 the stacks only cost memory.  Those are tiles of n = 100 pixels;
+# larger tiles stack no more doubles than that, since their O(n^3)
+# factorizations and solves outweigh the per-call cost.
+STACK_KERNELS = 8
+STACK_DOUBLES = STACK_KERNELS * 100 * 100
+
+
+def chunk_tiles(n, signals) -> int:
+    """The most tiles of n pixels that `_chunks` puts in one chunk, for V = ``signals``.
+
+    A chunk stacks up to STACK_KERNELS kernels of n x n doubles, and no
+    more than STACK_DOUBLES of them, but always holds at least one tile:
+    ``max(1, STACK_KERNELS // signals)`` tiles up to n = 100, fewer
+    above, and one tile from n = 201 on.
+    """
+    kernels = min(STACK_KERNELS, STACK_DOUBLES // (n * n))
+    return max(1, kernels // signals)
+
+
 def run_patch(job, images, config, cache=None) -> list:
-    """Solve one tile on V noisy images in the modes of ``config``.
+    """Solve one tile on V noisy images: `run_chunk` of the chunk of one tile.
+
+    Returns one PatchResult per image.
+    """
+    (results,) = run_chunk([job], images, config, cache)
+    return results
+
+
+def run_chunk(jobs, images, config, cache=None) -> list:
+    """Solve a chunk of tiles of one pixel count n on V noisy images.
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
-    images of one shape; one PatchResult is returned per image.  The work
-    that does not depend on the noise (footprint gather, the kernel's
-    coordinate checks, spatial factor and eigenvalue floor, NLM's gather
-    indices and pair list, the whole denoiser of a signal-free kind,
-    P = theta_r theta_r^T) is done once; ty = theta_r y, the range factor,
+    images of one shape; one list of V PatchResults is returned per tile.
+    The work that does not depend on the noise (footprint gather, the
+    kernel's coordinate checks, spatial factor and eigenvalue floor, NLM's
+    gather indices and pair list, the whole denoiser of a signal-free
+    kind) is done once per tile; so are ty = theta_r y and the kernels,
+    each written into a stack of the chunk, and P = theta_r theta_r^T.
     Sinkhorn, certification (the Schur bound, or the Cholesky fallback of
-    `graphcore.certify_symmetric`) and the joint solve run on stacks with
-    a leading axis of length V; only the images that pass certification
-    are solved (a denoiser shared by all V passes or fails for all of
-    them).  An output that is not finite fails its image as a solver
-    failure; one check per output stack finds them.  The joint output is
-    the non-separable MAP solution, from one solve on ty
+    `graphcore.certify_symmetric`) and the joint solve run once per
+    chunk, on stacks of its T V kernels (`build_patch_denoiser`);
+    a signal-free kind's one denoiser per tile is broadcast over its V
+    signals.  Only the images that pass certification are solved.  An
+    output that is not finite fails its image as a solver failure; one
+    check per output stack finds them.  The joint output is the
+    non-separable MAP solution, from one solve on ty
     (`jointsolver.output_space_solve`); for the identity denoiser
     P - P psi is exactly 0, and the solve returns ty bit for bit.  Stacked
-    products and solves run the same BLAS/LAPACK routine per image as a
-    single-image call, so each image gets the bits it would get alone.  A
-    balance, certification or solver failure fails only its own image.
-    With `_run_patches`' per-run ``cache``, the coordinate-only work of the
+    products and solves run the same BLAS/LAPACK routine per matrix as a
+    single-matrix call, so each image of each tile gets the bits it would
+    get alone.  A balance, certification or solver failure fails only its
+    own image (for a signal-free kind, the images of its tile).  With
+    `_run_patches`' per-run ``cache``, the coordinate-only work of the
     kernel is shared by the tiles of one offset pattern.
     """
-    op = job.operator
-    src = op.source_coords
-    y = np.asarray(images)[:, src[:, 0], src[:, 1]]
-    ty = np.matmul(op.real_matrix, y[..., None])[..., 0]
-    psi, errors = build_patch_denoiser(op, ty, config, cache)
-    ok = [i for i, err in enumerate(errors) if err is None]
+    ops = [job.operator for job in jobs]
+    images = np.asarray(images)
+    n = len(ops[0].target_coords)
+    ty = np.empty((len(ops), len(images), n))
+    for t, op in enumerate(ops):
+        src = op.source_coords
+        y = images[:, src[:, 0], src[:, 1]]
+        ty[t] = np.matmul(op.real_matrix, y[..., None])[..., 0]
+    psi, errors = build_patch_denoiser(ops, ty, config, cache)
+    # psi[u] serves the signals ty[u], u * shared ... (u + 1) * shared - 1
+    # in tile-major order: one, or for a signal-free kind its tile's V
+    ty = ty.reshape(psi.shape[:-3] + (-1, n))
+    v = len(images)
+    shared = len(ops) * v // len(psi)
+    ok = [u for u, err in enumerate(errors) if err is None]
     if 0 < len(ok) < len(errors):
         psi, ty = psi[ok], ty[ok]
-    joint = sequential = [None] * len(ok)
-    finite = np.ones(len(ok), dtype=bool)
+    joint = sequential = None
+    finite = np.ones(ty.shape[:-1], dtype=bool)
     if ok and "sequential" in config.modes:
         sequential = np.matmul(psi, ty[..., None])[..., 0]
         finite &= np.isfinite(sequential).all(axis=-1)
     if ok and "joint" in config.modes:
         joint = ty
         if config.weights.kappa > 0:
-            joint, solver_errors = _joint_solves(ty, op.real_matrix, psi, config)
-            for i, exc in zip(ok, solver_errors):
-                errors[i] = exc
+            tiles = [u * shared // v for u in ok]
+            joint, solver_errors = _joint_solves(ty, psi, tiles, ops, config)
+            for u, exc in zip(ok, solver_errors):
+                errors[u] = exc
         finite &= np.isfinite(joint).all(axis=-1)
-    for i, good in zip(ok, finite):
-        if errors[i] is None and not good:
-            errors[i] = SolverError("tile output is not finite")
-    solved = dict(zip(ok, zip(joint, sequential)))
-    return [
-        PatchResult(*solved[i]) if err is None else PatchResult(None, None, str(err))
-        for i, err in enumerate(errors)
-    ]
+    # the solved signals' outputs, in order; a signal whose output is not
+    # finite fails as a solver failure
+    rows = [itertools.repeat(None) if x is None else x.reshape(-1, n) for x in (joint, sequential)]
+    solved = zip(*rows, finite.flat)
+    ok = set(ok)
+    results = []
+    for u, err in enumerate(errors):
+        for _ in range(shared):
+            j, s, good = next(solved) if u in ok else (None, None, True)
+            if err is not None:
+                results.append(PatchResult(None, None, str(err)))
+            elif good:
+                results.append(PatchResult(j, s))
+            else:
+                results.append(PatchResult(None, None, "tile output is not finite"))
+    return [results[t * v : (t + 1) * v] for t in range(len(ops))]
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
@@ -522,14 +610,15 @@ def _keep_heap():
 
     By default glibc maps a block above its dynamic mmap threshold on its
     own, and trims the top of the heap back to the kernel once the free
-    space there exceeds twice that threshold.  A tile has several (V, n, n)
-    temporaries live at once (400 KB each at V = 5, n = 100), so each tile
-    would hand its memory back and the next would page-fault it in again.  On
-    entry, the mmap threshold is set to 4 MiB, above the largest tile
-    temporary (the largest array seen on the tile path by a tracing run:
-    NLM's (V, P, 9) pair differences, 864 KB at V = 5 with P = 2,400 pairs
-    of a 10 x 10 tile, 346 KB at V = 2), so image-scale arrays still get
-    their own mappings; and the trim threshold to 32 MiB, the most freed
+    space there exceeds twice that threshold.  A chunk of tiles has two
+    (K, n, n) stacks live at once (640 KB each for K = 8 kernels of
+    n = 100), so each chunk would hand its memory back and the next would
+    page-fault it in again.  On entry, the mmap threshold is set to 4 MiB,
+    above the largest tile temporary (the largest arrays seen on the tile
+    path by a tracing run: a chunk's (8, n, n) stacks, 640 KB at n = 100,
+    and NLM's (V, P, 9) pair differences, 864 KB at V = 5 with P = 2,400
+    pairs of a 10 x 10 tile), so image-scale arrays still get their own
+    mappings; and the trim threshold to 32 MiB, the most freed
     memory the heap's top keeps resident.  Either setting alone turns off
     glibc's dynamic thresholds, so both are set.  The children of `_deal`
     inherit them.  glibc has no getter for them, so they stay set after the
@@ -543,7 +632,7 @@ def _keep_heap():
     yield
 
 
-# Each record of the tile pipe is the index of a run's first tile.  All of
+# Each record of `_deal`'s pipe is the first index of a run.  All of
 # them are written at once, before any process reads: POSIX has an empty
 # pipe take up to PIPE_BUF bytes in one write.
 _RECORD_SIZE = 4
@@ -553,6 +642,7 @@ _MAX_RECORDS = select.PIPE_BUF // _RECORD_SIZE
 def _deal(count, solve, workers):
     """``[solve(i) for i in range(count)]``, drawn by this process and forked children.
 
+    `_run_patches` deals the indices of its chunks of tiles this way.
     One pipe is filled with fixed-size records and its write end closed,
     then up to ``workers - 1`` children are forked.  Each record names one
     index, or a run of consecutive indices when there are more indices
@@ -654,19 +744,93 @@ def _child_results(pid, status, data):
     return value
 
 
+# A chunk of K kernels of n pixels holds at most LIVE_STACKS K +
+# CHUNK_ARRAYS arrays of n x n doubles at once: the kernels and the
+# filters in Sinkhorn, the filters and a Cholesky factor or the joint
+# systems later, and two more whatever the chunk's size.  tracemalloc
+# counted 2 K + 2.01 to 2 K + 2.13 in `run_chunk` on 30 x 30 tiles
+# (n = 900), for every kind at V = 1, 2, 3 and 5 with 1, 2 and 8 // V
+# tiles per chunk; a kind in `denoisers.SIGNAL_FREE` builds one kernel
+# per tile.  The remainder is O(n) per kernel (NLM's pair differences, the
+# signals), which outweighs the n x n terms only for small tiles.
+LIVE_STACKS = 2
+CHUNK_ARRAYS = 2
+
+
+def _tile_counts(size, patch_size):
+    """``{n: tiles}`` of the grid of `interpolators.tile_image` on an image of ``size``.
+
+    Every tile of the grid is counted at its full pixel count, including
+    those whose real outputs tile_image then leaves out.
+    """
+    sides = [
+        collections.Counter(min(patch_size, length - s) for s in range(0, length, patch_size))
+        for length in size
+    ]
+    counts = collections.Counter()
+    for rows, down in sides[0].items():
+        for cols, across in sides[1].items():
+            counts[rows * cols] += down * across
+    return counts
+
+
+def tile_peak_bytes(config, shape) -> int:
+    """An estimate of the peak bytes of the chunks of tiles held at once.
+
+    ``shape`` is that of the image stack (V, H, W).  The tiles of each
+    pixel count n (`_tile_counts`) make chunks of up to `chunk_tiles`
+    tiles, each of V kernels (one for a kind in `denoisers.SIGNAL_FREE`).
+    A chunk of K kernels holds LIVE_STACKS K + CHUNK_ARRAYS arrays of
+    n x n doubles.  Each of up to ``config.workers`` processes holds one
+    chunk at a time, so the largest ``config.workers`` chunks are summed.
+    """
+    signals = shape[0]
+    kernels = 1 if config.denoiser_kind in denoisers.SIGNAL_FREE else signals
+    peaks = []
+    for n, count in _tile_counts(shape[1:], config.patch_size).items():
+        tiles = chunk_tiles(n, signals)
+        full, rest = divmod(count, tiles)
+        for t in [tiles] * min(full, config.workers) + [rest] * (rest > 0):
+            peaks.append((LIVE_STACKS * kernels * t + CHUNK_ARRAYS) * n * n * 8)
+    return sum(sorted(peaks, reverse=True)[: config.workers])
+
+
+def require_memory(config, shape) -> None:
+    """Raise TileMemoryError unless the tiles' chunks fit in physical memory.
+
+    The chunks held at once need about `tile_peak_bytes`; the machine's
+    memory is ``os.sysconf("SC_PHYS_PAGES")`` pages.  Nothing is
+    allocated.  Where the system does not report its memory, nothing is
+    checked.
+    """
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    need = tile_peak_bytes(config, shape)
+    if physical > 0 and need > physical:
+        raise TileMemoryError(
+            f"tiles of patch size {config.patch_size} need about {need / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of memory"
+        )
+
+
 def _run_patches(images, config):
-    """Tile a stack (V, H, W) of images and run `run_patch` on every tile.
+    """Tile a stack (V, H, W) of images and run `run_chunk` on every chunk of tiles.
 
     Returns ``(jobs, results)``, with one PatchResult list per image; no
-    tile raises PatchGeometryError.  With ``config.workers > 1`` the tiles
-    are dealt to this process and ``workers - 1`` children forked from it
-    (`_deal`), with the same results; a child that dies fails the call
-    with WorkerError.  BLAS runs on one thread throughout
-    (`_one_blas_thread`), and the heap keeps the memory the tiles free
-    (`_keep_heap`).  The tiles share a cache of their kernels'
-    coordinate-only work (`_coordinate_work`), which lives for this call
-    only; each child fills its own copy.
+    tile raises PatchGeometryError.  A run whose chunks would not fit in
+    memory raises TileMemoryError before anything is built
+    (`require_memory`).  The tiles are grouped into chunks
+    (`_chunks`).  With ``config.workers > 1`` the chunks are dealt to this
+    process and ``workers - 1`` children forked from it (`_deal`), with
+    the same results; a child that dies fails the call with WorkerError.
+    BLAS runs on one thread throughout (`_one_blas_thread`), and the heap
+    keeps the memory the tiles free (`_keep_heap`).  The tiles share a
+    cache of their kernels' coordinate-only work (`_coordinate_work`),
+    which lives for this call only; each child fills its own copy.
     """
+    require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():
         jobs = interpolators.tile_image(
             images.shape[1:], config.transform, config.patch_size
@@ -674,15 +838,37 @@ def _run_patches(images, config):
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
         cache = {}
+        chunks = _chunks(jobs, len(images))
 
-        def solve(i):
-            return run_patch(jobs[i], images, config, cache)
+        def solve(c):
+            return run_chunk([jobs[i] for i in chunks[c]], images, config, cache)
 
         if config.workers == 1:
-            per_tile = [solve(i) for i in range(len(jobs))]
+            per_chunk = [solve(c) for c in range(len(chunks))]
         else:
-            per_tile = _deal(len(jobs), solve, config.workers)
+            per_chunk = _deal(len(chunks), solve, config.workers)
+    per_tile = [None] * len(jobs)
+    for chunk, results in zip(chunks, per_chunk):
+        for i, tile_results in zip(chunk, results):
+            per_tile[i] = tile_results
     return jobs, [list(results) for results in zip(*per_tile)]
+
+
+def _chunks(jobs, signals):
+    """The chunks of `_run_patches`: lists of job indices, ascending.
+
+    A chunk holds up to `chunk_tiles` tiles of one pixel count, consecutive
+    among the tiles of that count.  The chunks are in the order of their
+    first tiles.
+    """
+    by_count = {}
+    for i, job in enumerate(jobs):
+        by_count.setdefault(len(job.operator.target_coords), []).append(i)
+    chunks = []
+    for n, tiles in by_count.items():
+        size = chunk_tiles(n, signals)
+        chunks += [tiles[k : k + size] for k in range(0, len(tiles), size)]
+    return sorted(chunks)
 
 
 def _targets(jobs, shape):

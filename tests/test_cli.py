@@ -403,7 +403,7 @@ def test_unwritable_output_found_first(command, flag, tmp_path, monkeypatch, cap
     def solve(*args, **kwargs):
         raise AssertionError("solved a tile before checking the output path")
 
-    monkeypatch.setattr(pipeline, "run_patch", solve)
+    monkeypatch.setattr(pipeline, "run_chunk", solve)
     monkeypatch.setattr(denoisers, "build_denoiser", solve)
     out = tmp_path / "no" / "such" / "dir" / "x"
     args = [command, "--texture", "texture-a", "--texture-size", "30"]

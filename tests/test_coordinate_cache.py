@@ -61,8 +61,8 @@ def check_cached_equals_uncached(jobs, images, config):
         op = job.operator
         y = images[:, op.source_coords[:, 0], op.source_coords[:, 1]]
         ty = np.matmul(op.real_matrix, y[..., None])[..., 0]
-        got_psi, got_errors = build_patch_denoiser(op, ty, config, cache)
-        want_psi, want_errors = build_patch_denoiser(op, ty, config)
+        got_psi, got_errors = build_patch_denoiser([op], ty[None], config, cache)
+        want_psi, want_errors = build_patch_denoiser([op], ty[None], config)
         np.testing.assert_array_equal(got_psi, want_psi, strict=True)
         assert [repr(e) for e in got_errors] == [repr(e) for e in want_errors]
         if kind not in denoisers.SIGNAL_FREE:

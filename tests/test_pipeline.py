@@ -23,6 +23,7 @@ from mixedgraph.pipeline import (
     load_pgm,
     process_image,
     psnr,
+    run_chunk,
     run_experiment,
     run_patch,
     save_pgm,
@@ -303,7 +304,7 @@ class TestProcessImage:
         assert n > m
         (got,) = run_patch(job, [img.pixels], config)
         y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
-        (psi,), (err,) = build_patch_denoiser(op, (op.real_matrix @ y)[None], config)
+        (psi,), (err,) = build_patch_denoiser([op], (op.real_matrix @ y)[None, None], config)
         assert err is None
         wts = config.weights
         lap = (np.linalg.inv(psi) - np.eye(n)) / wts.mu
@@ -426,11 +427,11 @@ class TestOneBlasThread:
     def test_tiles_run_on_one_thread(self, two_threads, monkeypatch):
         seen = []
 
-        def counting_run_patch(*args):
+        def counting_run_chunk(*args):
             seen.append(blas_thread_counts())
-            return run_patch(*args)
+            return run_chunk(*args)
 
-        monkeypatch.setattr(pipeline, "run_patch", counting_run_patch)
+        monkeypatch.setattr(pipeline, "run_chunk", counting_run_chunk)
         run_experiment(self.CONFIG, synthetic_texture("texture-a", 32), "tex")
         assert seen and all(counts == [1, 1] for counts in seen)
         assert blas_thread_counts() == [2, 2]
@@ -489,7 +490,7 @@ class TestKeepHeap:
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("mode", ["joint", "sequential"])
     def test_tile_fails_as_solver_failure(self, mode, monkeypatch):
-        def nan_solve(ty, theta, psi, weights):
+        def nan_solve(a, ty, psi):
             return np.full(ty.shape, np.nan)
 
         def nan_denoiser(*args):
@@ -501,7 +502,7 @@ class TestNonFiniteOutput:
         want = process_image(config, img, mode)
         assert not want.tile_errors
         if mode == "joint":
-            monkeypatch.setattr(jointsolver, "output_space_solve", nan_solve)
+            monkeypatch.setattr(jointsolver, "solve_output_space", nan_solve)
         else:
             monkeypatch.setattr(pipeline, "build_patch_denoiser", nan_denoiser)
         out = process_image(config, img, mode)
@@ -579,12 +580,12 @@ class TestConfigValidation:
 def first_child_tile(monkeypatch):
     """Set what a forked child does on the first tile it draws.
 
-    ``first_child_tile(in_child, in_caller=None)`` patches `run_patch`: a
-    child reports its first tile on a pipe, then calls ``in_child``; the
-    caller's first tile waits up to 30 s for a child's report, then calls
-    ``in_caller``.  With two workers and at least two tiles, the caller
-    holds one tile while it waits, so the child draws one: each test runs
-    the same way whichever process draws which tile.
+    ``first_child_tile(in_child, in_caller=None)`` patches `run_chunk`: a
+    child reports its first chunk of tiles on a pipe, then calls
+    ``in_child``; the caller's first chunk waits up to 30 s for a child's
+    report, then calls ``in_caller``.  With two workers and at least two
+    chunks, the caller holds one chunk while it waits, so the child draws
+    one: each test runs the same way whichever process draws which chunk.
     """
     caller = os.getpid()
     reports, report = os.pipe()
@@ -602,9 +603,9 @@ def first_child_tile(monkeypatch):
                     assert select.select([reports], [], [], 30.0)[0], "no child drew a tile"
                     if in_caller is not None:
                         in_caller()
-            return run_patch(*args)
+            return run_chunk(*args)
 
-        monkeypatch.setattr(pipeline, "run_patch", patched)
+        monkeypatch.setattr(pipeline, "run_chunk", patched)
 
     yield install
     os.close(reports)
