@@ -80,14 +80,21 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def _pairwise_sq_dist(f: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of f (..., n, k), as (..., n, n).
+def _pairwise_sq_dist(c: np.ndarray) -> np.ndarray:
+    """Squared distances between the (row, col) points c (..., n, 2), as (..., n, n).
 
-    Direct differencing: exact zeros on the diagonal and exact symmetry, so
-    a kernel needs no symmetrizing and is permutation-equivariant bit for bit.
+    Direct differencing, (r_i - r_j)^2 + (c_i - c_j)^2 from one outer
+    difference per coordinate: exact zeros on the diagonal and exact
+    symmetry, so a kernel needs no symmetrizing and is
+    permutation-equivariant bit for bit.
     """
-    diff = f[..., :, None, :] - f[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+    r, col = c[..., 0], c[..., 1]
+    d = r[..., :, None] - r[..., None, :]
+    d *= d
+    dc = col[..., :, None] - col[..., None, :]
+    dc *= dc
+    d += dc
+    return d
 
 
 def _spatial_factor(c: np.ndarray, var: float) -> np.ndarray:
@@ -368,6 +375,18 @@ def coordinate_work(kind: str, coords, params: KernelParams) -> tuple:
     """``(coordinate_factor, eigenvalue_floor)`` of the coordinates, checked once."""
     c = _checked(kind, coords)
     return _factor(kind, c, params), _floor(kind, c, params)
+
+
+def coordinate_work_size(kind: str, n: int, params: KernelParams) -> int:
+    """At most how many numbers `coordinate_work` of n coordinates holds.
+
+    An n x n factor (the whole kernel of a kind in SIGNAL_FREE, balanced
+    or not); for NLM, n k^2 gather indices and fewer than n w^2 pair
+    indices, for patch k and search window w.
+    """
+    if kind == "nlm":
+        return n * (params.nlm_patch_size**2 + params.nlm_search_window**2)
+    return n * n
 
 
 def _checked(kind: str, coords) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Linear interpolation operators for rotation and homography warps.
 
 Each output patch gets a rectangular bilinear-weight matrix: one row per
-in-bounds output pixel, one column per pixel of its source footprint.  The
-pipeline's joint solve works on these real rows directly.  `pad_full_rank`
-squares such a matrix with dummy unit rows into the invertible interpolator
-of the paper's directed-graph construction; the tests use it as the
-reference for the pipeline's joint solve.
+in-bounds output pixel, one column per pixel of its source footprint.  A
+tile keeps only the matrix's nonzeros, at most four bilinear taps per row,
+and builds the dense rows on demand.  The pipeline's joint solve works on
+these real rows directly.  `pad_full_rank` squares such a matrix with
+dummy unit rows into the invertible interpolator of the paper's
+directed-graph construction; the tests use it as the reference for the
+pipeline's joint solve.
 """
 
 from __future__ import annotations
@@ -86,15 +88,33 @@ class Homography:
 
 @dataclass(frozen=True)
 class InterpolatorOperator:
-    """Bilinear weights of a tile's real outputs over its source footprint.
+    """Bilinear taps of a tile's real outputs over its source footprint.
 
-    ``real_matrix`` is (n, m): row i holds the weights of output pixel
-    ``target_coords[i]`` on the source pixels ``source_coords``.
+    The tile is a directed graph in which each output pixel has at most
+    four in-edges, its bilinear taps.  Tap k gives output pixel
+    ``target_coords[tap_row[k]]`` the weight ``tap_weight[k]`` on source
+    pixel ``source_coords[tap_col[k]]``; the taps are in tile order, each
+    output's in the order of `bilinear_rows`.  The row and column numbers
+    are held in the smallest unsigned integer types that number every row
+    and column a tile of its size can have.
     """
 
-    real_matrix: np.ndarray
     source_coords: np.ndarray
     target_coords: np.ndarray
+    tap_row: np.ndarray
+    tap_col: np.ndarray
+    tap_weight: np.ndarray
+
+    @property
+    def real_matrix(self) -> np.ndarray:
+        """The dense (n, m) rows: row i holds the weights of output pixel
+        ``target_coords[i]`` on the source pixels ``source_coords``.
+
+        Built anew, zeros and then one scatter of the taps, on each access.
+        """
+        theta = np.zeros((len(self.target_coords), len(self.source_coords)))
+        theta[self.tap_row, self.tap_col] = self.tap_weight
+        return theta
 
 
 @dataclass(frozen=True)
@@ -191,7 +211,8 @@ def _build_tiles(transform, origins, size, image_size) -> list:
     2) stack, so each tile gets the arithmetic it gets alone.  A tile's
     footprint is the sorted set of source pixels with a nonzero tap, so the
     columns follow the row-major order of the source image; one np.unique
-    over (tile, pixel) keys finds every tile's footprint at once.
+    over (tile, pixel) keys finds every tile's footprint at once.  The
+    tiles' taps are views of the batch's tap arrays.
     """
     h, w = image_size
     ph, pw = size
@@ -208,9 +229,10 @@ def _build_tiles(transform, origins, size, image_size) -> list:
         (tap_tile * h + tap_rc[:, 0]) * w + tap_rc[:, 1], return_inverse=True
     )
     key_start = np.searchsorted(keys // (h * w), tiles)
-    # each tap's row and column within its own tile's matrix
-    row = row - point_start[tap_tile]
-    col = col - key_start[tap_tile]
+    # each tap's row and column within its own tile's matrix: a tile has
+    # at most ph pw rows, and at most four columns per row
+    row = (row - point_start[tap_tile]).astype(np.min_scalar_type(ph * pw - 1))
+    col = (col - key_start[tap_tile]).astype(np.min_scalar_type(4 * ph * pw - 1))
     tap_start = np.searchsorted(tap_tile, tiles).tolist()
     sources = np.column_stack(np.divmod(keys % (h * w), w))
     target_rc = targets.reshape(-1, 2)[inside]
@@ -224,9 +246,9 @@ def _build_tiles(transform, origins, size, image_size) -> list:
             continue
         k0, k1 = key_start[t : t + 2]
         taps = slice(*tap_start[t : t + 2])
-        theta_raw = np.zeros((p1 - p0, k1 - k0))
-        theta_raw[row[taps], col[taps]] = weight[taps]
-        op = InterpolatorOperator(theta_raw, sources[k0:k1], target_rc[p0:p1])
+        op = InterpolatorOperator(
+            sources[k0:k1], target_rc[p0:p1], row[taps], col[taps], weight[taps]
+        )
         jobs.append(PatchJob(origin=tuple(origin), size=(ph, pw), operator=op))
     return jobs
 

@@ -380,14 +380,14 @@ def _coordinate_work(op, config, cache):
     return factor, floor
 
 
-def _joint_solves(ty, psi, tiles, ops, config):
+def _joint_solves(ty, psi, tiles, thetas, config):
     """The joint outputs of a chunk's certified denoisers, in one stacked solve.
 
     ``psi[u]`` is a denoiser, and ``ty[u]`` the signal theta_r y, or the
     V signals, that it serves; ``tiles[u]``, ascending, is the index in
-    ``ops`` of its tile.  P = theta_r theta_r^T is formed once per tile,
-    and `jointsolver.output_space_matrix` of each tile's denoisers is
-    written into one stack.  Only when the stacked solve fails is each
+    ``thetas``, the chunk's dense real rows, of its tile.  P = theta_r
+    theta_r^T is formed once per tile, and `jointsolver.output_space_matrix`
+    of each tile's denoisers is written into one stack.  Only when the stacked solve fails is each
     denoiser solved alone, so that a singular system fails only the
     signals it serves.  Returns ``(z, errors)``: the joint outputs, of the
     shape of ``ty``, and per denoiser None or the SolverError that failed
@@ -398,7 +398,7 @@ def _joint_solves(ty, psi, tiles, ops, config):
     lo = 0
     for t, run in itertools.groupby(tiles):
         hi = lo + len(list(run))
-        theta = ops[t].real_matrix
+        theta = thetas[t]
         jointsolver.output_space_matrix(theta @ theta.T, psi[lo:hi], c, out=a[lo:hi])
         lo = hi
     try:
@@ -454,11 +454,13 @@ def run_chunk(jobs, images, config, cache=None) -> list:
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one list of V PatchResults is returned per tile.
-    The work that does not depend on the noise (footprint gather, the
-    kernel's coordinate checks, spatial factor and eigenvalue floor, NLM's
-    gather indices and pair list, the whole denoiser of a signal-free
-    kind) is done once per tile; so are ty = theta_r y and the kernels,
-    each written into a stack of the chunk, and P = theta_r theta_r^T.
+    Each tile's dense real rows theta_r are built from its taps once, on
+    entry, and held only while the chunk is solved: they give ty =
+    theta_r y and P = theta_r theta_r^T.  The work that does not depend on
+    the noise (footprint gather, the kernel's coordinate checks, spatial
+    factor and eigenvalue floor, NLM's gather indices and pair list, the
+    whole denoiser of a signal-free kind) is done once per tile; so are ty
+    and the kernels, each written into a stack of the chunk, and P.
     Sinkhorn, certification (the Schur bound, or the Cholesky fallback of
     `graphcore.certify_symmetric`) and the joint solve run once per
     chunk, on stacks of its T V kernels (`build_patch_denoiser`);
@@ -477,13 +479,14 @@ def run_chunk(jobs, images, config, cache=None) -> list:
     kernel is shared by the tiles of one offset pattern.
     """
     ops = [job.operator for job in jobs]
+    thetas = [op.real_matrix for op in ops]
     images = np.asarray(images)
     n = len(ops[0].target_coords)
     ty = np.empty((len(ops), len(images), n))
-    for t, op in enumerate(ops):
+    for t, (op, theta) in enumerate(zip(ops, thetas)):
         src = op.source_coords
         y = images[:, src[:, 0], src[:, 1]]
-        ty[t] = np.matmul(op.real_matrix, y[..., None])[..., 0]
+        ty[t] = np.matmul(theta, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(ops, ty, config, cache)
     # psi[u] serves the signals ty[u], u * shared ... (u + 1) * shared - 1
     # in tile-major order: one, or for a signal-free kind its tile's V
@@ -502,7 +505,7 @@ def run_chunk(jobs, images, config, cache=None) -> list:
         joint = ty
         if config.weights.kappa > 0:
             tiles = [u * shared // v for u in ok]
-            joint, solver_errors = _joint_solves(ty, psi, tiles, ops, config)
+            joint, solver_errors = _joint_solves(ty, psi, tiles, thetas, config)
             for u, exc in zip(ok, solver_errors):
                 errors[u] = exc
         finite &= np.isfinite(joint).all(axis=-1)
@@ -617,7 +620,8 @@ def _keep_heap():
     above the largest tile temporary (the largest arrays seen on the tile
     path by a tracing run: a chunk's (8, n, n) stacks, 640 KB at n = 100,
     and NLM's (V, P, 9) pair differences, 864 KB at V = 5 with P = 2,400
-    pairs of a 10 x 10 tile), so image-scale arrays still get their own
+    pairs of a 10 x 10 tile; each tile's dense rows, built for its chunk,
+    are about 100 KB at n = 100), so image-scale arrays still get their own
     mappings; and the trim threshold to 32 MiB, the most freed
     memory the heap's top keeps resident.  Either setting alone turns off
     glibc's dynamic thresholds, so both are set.  The children of `_deal`
@@ -755,6 +759,14 @@ def _child_results(pid, status, data):
 # signals), which outweighs the n x n terms only for small tiles.
 LIVE_STACKS = 2
 CHUNK_ARRAYS = 2
+# No real row has more than ROW_TAPS bilinear taps, so a tile of n pixels
+# has at most ROW_TAPS n source columns, and its dense rows theta_r, built
+# while its chunk is solved, at most ROW_TAPS n^2 doubles.  Every tile's
+# operator is held for the whole run, at most OPERATOR_BYTES per output
+# pixel: its taps, each a weight and its row and column numbers (at most 24
+# bytes), and its own and its taps' source coordinates (16 bytes each).
+ROW_TAPS = 4
+OPERATOR_BYTES = ROW_TAPS * 24 + (1 + ROW_TAPS) * 16
 
 
 def _tile_counts(size, patch_size):
@@ -775,31 +787,41 @@ def _tile_counts(size, patch_size):
 
 
 def tile_peak_bytes(config, shape) -> int:
-    """An estimate of the peak bytes of the chunks of tiles held at once.
+    """An estimate of the peak bytes of the tiles' operators and chunks.
 
     ``shape`` is that of the image stack (V, H, W).  The tiles of each
     pixel count n (`_tile_counts`) make chunks of up to `chunk_tiles`
     tiles, each of V kernels (one for a kind in `denoisers.SIGNAL_FREE`).
-    A chunk of K kernels holds LIVE_STACKS K + CHUNK_ARRAYS arrays of
-    n x n doubles.  Each of up to ``config.workers`` processes holds one
-    chunk at a time, so the largest ``config.workers`` chunks are summed.
+    A chunk of T tiles and K kernels holds LIVE_STACKS K + CHUNK_ARRAYS
+    arrays of n x n doubles, and the T tiles' dense rows theta_r, of at
+    most min(ROW_TAPS n, H W) columns each.  Each of up to
+    ``config.workers`` processes holds one chunk at a time, so the largest
+    ``config.workers`` chunks are summed.  To them is added what the run
+    holds throughout: every tile's operator, at most OPERATOR_BYTES per
+    pixel of the image, and the cache of the tiles' coordinate-only work
+    (`_coordinate_work`), at most one entry per tile, of at most
+    `denoisers.coordinate_work_size` numbers of 8 bytes.
     """
-    signals = shape[0]
-    kernels = 1 if config.denoiser_kind in denoisers.SIGNAL_FREE else signals
+    signals, h, w = shape
+    kind = config.denoiser_kind
+    kernels = 1 if kind in denoisers.SIGNAL_FREE else signals
     peaks = []
-    for n, count in _tile_counts(shape[1:], config.patch_size).items():
+    held = OPERATOR_BYTES * h * w
+    for n, count in _tile_counts((h, w), config.patch_size).items():
         tiles = chunk_tiles(n, signals)
         full, rest = divmod(count, tiles)
         for t in [tiles] * min(full, config.workers) + [rest] * (rest > 0):
-            peaks.append((LIVE_STACKS * kernels * t + CHUNK_ARRAYS) * n * n * 8)
-    return sum(sorted(peaks, reverse=True)[: config.workers])
+            stacks = (LIVE_STACKS * kernels * t + CHUNK_ARRAYS) * n
+            peaks.append((stacks + t * min(ROW_TAPS * n, h * w)) * n * 8)
+        held += count * denoisers.coordinate_work_size(kind, n, config.kernel_params) * 8
+    return sum(sorted(peaks, reverse=True)[: config.workers]) + held
 
 
 def require_memory(config, shape) -> None:
-    """Raise TileMemoryError unless the tiles' chunks fit in physical memory.
+    """Raise TileMemoryError unless the tiles' operators and chunks fit in memory.
 
-    The chunks held at once need about `tile_peak_bytes`; the machine's
-    memory is ``os.sysconf("SC_PHYS_PAGES")`` pages.  Nothing is
+    The run's operators, cache and chunks need about `tile_peak_bytes`; the
+    machine's memory is ``os.sysconf("SC_PHYS_PAGES")`` pages.  Nothing is
     allocated.  Where the system does not report its memory, nothing is
     checked.
     """
@@ -819,12 +841,13 @@ def _run_patches(images, config):
     """Tile a stack (V, H, W) of images and run `run_chunk` on every chunk of tiles.
 
     Returns ``(jobs, results)``, with one PatchResult list per image; no
-    tile raises PatchGeometryError.  A run whose chunks would not fit in
-    memory raises TileMemoryError before anything is built
-    (`require_memory`).  The tiles are grouped into chunks
-    (`_chunks`).  With ``config.workers > 1`` the chunks are dealt to this
-    process and ``workers - 1`` children forked from it (`_deal`), with
-    the same results; a child that dies fails the call with WorkerError.
+    tile raises PatchGeometryError.  A run that would not fit in memory
+    raises TileMemoryError before anything is built (`require_memory`).
+    The tiles hold their taps, and are grouped into chunks (`_chunks`);
+    the process that solves a chunk builds its tiles' dense rows.  With
+    ``config.workers > 1`` the chunks are dealt to this process and
+    ``workers - 1`` children forked from it (`_deal`), with the same
+    results; a child that dies fails the call with WorkerError.
     BLAS runs on one thread throughout (`_one_blas_thread`), and the heap
     keeps the memory the tiles free (`_keep_heap`).  The tiles share a
     cache of their kernels' coordinate-only work (`_coordinate_work`),
@@ -898,7 +921,11 @@ def _stitch(targets, values, shape):
 
 
 def build_reference(jobs, clean_pixels, shape):
-    """Clean image pushed through the real interpolation rows of every job."""
+    """Clean image pushed through the real interpolation rows of every job.
+
+    Each job's dense rows are built from its taps and freed before the
+    next job's.
+    """
     ops = [job.operator for job in jobs]
     values = [op.real_matrix @ clean_pixels[tuple(op.source_coords.T)] for op in ops]
     return _stitch(_targets(jobs, shape), values, shape)

@@ -10,6 +10,7 @@ only ever report a smaller machine.
 """
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +190,12 @@ def test_chunks_group_tiles_of_one_pixel_count(signals, patch):
         assert all(len(chunk) == 1 for chunk in by_count[225])
 
 
+def chunk_bytes(kernels, tiles, n, columns):
+    """A chunk's n x n stacks of ``kernels`` and its tiles' dense rows of ``columns`` each."""
+    stacks = (pipeline.LIVE_STACKS * kernels + pipeline.CHUNK_ARRAYS) * n
+    return (stacks + tiles * columns) * n * 8
+
+
 def memory(monkeypatch, nbytes):
     """Have os.sysconf report ``nbytes`` of physical memory, rounded up to 4 KiB pages."""
     sizes = {"SC_PHYS_PAGES": -(-nbytes // 4096), "SC_PAGE_SIZE": 4096}
@@ -203,40 +210,67 @@ class TestRequireMemory:
     CONFIG = ExperimentConfig(transform=Rotation(20.0))
 
     def test_estimate(self):
-        def arrays(kernels, n):
-            return (pipeline.LIVE_STACKS * kernels + pipeline.CHUNK_ARRAYS) * n * n * 8
+        peak, chunk = pipeline.tile_peak_bytes, chunk_bytes
 
-        # patch 200 on a 256 px image: one tile of n = 40,000 per chunk
+        def held(pixels, cached):
+            """Every tile's operator, and ``cached`` numbers of coordinate work."""
+            return pipeline.OPERATOR_BYTES * pixels + cached * 8
+
+        # patch 200 on a 256 px image: one tile of n = 40,000 per chunk,
+        # whose dense rows have at most the image's 65,536 columns, not 4 n;
+        # one cached n x n factor per tile
         config = replace(self.CONFIG, patch_size=200)
-        assert pipeline.tile_peak_bytes(config, (1, 256, 256)) == arrays(1, 40_000)
+        assert peak(config, (1, 256, 256)) == chunk(1, 1, 40_000, 65_536) + held(
+            65_536, 40_000**2 + 2 * 11_200**2 + 3_136**2
+        )
         # a patch larger than the image: one tile, the whole image
-        assert pipeline.tile_peak_bytes(config, (1, 30, 20)) == arrays(1, 600)
-        assert pipeline.tile_peak_bytes(config, (5, 30, 20)) == arrays(5, 600)
+        whole = held(600, 600**2)
+        assert peak(config, (1, 30, 20)) == chunk(1, 1, 600, 600) + whole
+        assert peak(config, (5, 30, 20)) == chunk(5, 1, 600, 600) + whole
         # a signal-free kind builds one kernel per tile
         gaussian = replace(config, denoiser_kind="gaussian")
-        assert pipeline.tile_peak_bytes(gaussian, (5, 30, 20)) == arrays(1, 600)
-        # V = 5: one tile of 5 kernels per chunk; V = 3: two tiles of 3
-        assert pipeline.tile_peak_bytes(self.CONFIG, (5, 64, 64)) == arrays(5, 100)
-        assert pipeline.tile_peak_bytes(self.CONFIG, (3, 64, 64)) == arrays(6, 100)
+        assert peak(gaussian, (5, 30, 20)) == chunk(1, 1, 600, 600) + whole
+        # NLM caches its gather indices and pair list, n (k^2 + w^2) numbers
+        nlm = replace(config, denoiser_kind="nlm")
+        assert peak(nlm, (1, 30, 20)) == chunk(1, 1, 600, 600) + held(600, 600 * (3**2 + 9**2))
+        # V = 5: one tile of 5 kernels per chunk; V = 3: two tiles of 3; the
+        # 64 px grid has 36 tiles of 100 pixels, 12 of 40 and one of 16
+        grid = held(64 * 64, 36 * 100**2 + 12 * 40**2 + 16**2)
+        assert peak(self.CONFIG, (5, 64, 64)) == chunk(5, 1, 100, 400) + grid
+        assert peak(self.CONFIG, (3, 64, 64)) == chunk(6, 2, 100, 400) + grid
         # four tiles, fewer than a chunk holds
-        assert pipeline.tile_peak_bytes(self.CONFIG, (1, 20, 20)) == arrays(4, 100)
+        assert peak(self.CONFIG, (1, 20, 20)) == chunk(4, 4, 100, 400) + held(400, 4 * 100**2)
 
     def test_estimate_sums_the_largest_chunk_per_worker(self):
+        def more(config, shape):
+            """What ``config.workers`` processes add to the estimate of one."""
+            one = replace(config, workers=1)
+            return pipeline.tile_peak_bytes(config, shape) - pipeline.tile_peak_bytes(one, shape)
+
         config = replace(self.CONFIG, workers=3)
         # 36 full tiles at V = 1: chunks of 8, 8, 8, 8 and 4 tiles
-        assert pipeline.tile_peak_bytes(config, (1, 64, 64)) == 3 * (
-            pipeline.LIVE_STACKS * 8 + pipeline.CHUNK_ARRAYS
-        ) * 100**2 * 8
+        assert more(config, (1, 64, 64)) == 2 * chunk_bytes(8, 8, 100, 400)
         # four tiles make one chunk, held by one process
-        one = replace(config, workers=1)
-        assert pipeline.tile_peak_bytes(config, (1, 20, 20)) == pipeline.tile_peak_bytes(
-            one, (1, 20, 20)
-        )
-        # a tile larger than a chunk's stacks: one process per tile
+        assert more(config, (1, 20, 20)) == 0
+        # a tile larger than a chunk's stacks: one process per tile; on a
+        # 40 x 20 image its dense rows have at most 800 columns
         config = replace(config, patch_size=20)
-        want = (pipeline.LIVE_STACKS + pipeline.CHUNK_ARRAYS) * 400**2 * 8
-        assert pipeline.tile_peak_bytes(config, (1, 40, 20)) == 2 * want
-        assert pipeline.tile_peak_bytes(config, (1, 60, 60)) == 3 * want
+        assert more(config, (1, 40, 20)) == chunk_bytes(1, 1, 400, 800)
+        assert more(config, (1, 60, 60)) == 2 * chunk_bytes(1, 1, 400, 1600)
+
+    @pytest.mark.parametrize("patch", [20, 30])
+    def test_estimate_bounds_the_measured_peak(self, patch):
+        # tracemalloc over the whole run: operators, coordinate cache, chunks
+        config = replace(self.CONFIG, patch_size=patch)
+        clean = synthetic_texture("texture-a", 120).pixels
+        images = add_gaussian_noise(clean, 0.02, 0)[None]
+        tracemalloc.start()
+        try:
+            pipeline._run_patches(images, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pipeline.tile_peak_bytes(config, images.shape)
 
     def test_bound_is_physical_memory(self, monkeypatch):
         config = replace(self.CONFIG, workers=3)
@@ -276,8 +310,10 @@ def test_cli_rejects_an_oversized_tile_first(command, flag, tmp_path, monkeypatc
     assert cli.main(args + [flag, str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # one tile of n = 40,000 per chunk: 2 + 2 arrays of n x n doubles
+    # one tile of n = 40,000 per chunk: 2 + 2 arrays of n x n doubles,
+    # 47.7 GiB, its dense rows of 65,536 columns, 19.5 GiB, and the cached
+    # n x n factors of the grid's four tiles, 13.9 GiB
     assert captured.err == (
-        "texture-a: tiles of patch size 200 need about 47.7 GiB, more than the 8.0 GiB of memory\n"
+        "texture-a: tiles of patch size 200 need about 81.1 GiB, more than the 8.0 GiB of memory\n"
     )
     assert not out.exists()

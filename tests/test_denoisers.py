@@ -124,6 +124,35 @@ def integer_coords(draw):
     return rng.permutation(cells + offset).astype(float)
 
 
+def einsum_sq_dist(f):
+    """Squared distances by one einsum over the coordinate axis."""
+    diff = f[..., :, None, :] - f[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
+class TestPairwiseSqDist:
+    """The per-coordinate outer differences give the einsum's bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coords=integer_coords())
+    def test_integer_coordinates(self, coords):
+        got = _pairwise_sq_dist(coords)
+        assert got.tobytes() == einsum_sq_dist(coords).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        stack=st.sampled_from([(), (3,)]),
+        scale=st.floats(-6.0, 6.0),
+    )
+    def test_float_coordinates(self, seed, n, stack, scale):
+        f = np.random.default_rng(seed).normal(size=stack + (n, 2)) * 10.0**scale
+        got = _pairwise_sq_dist(f)
+        assert got.shape == stack + (n, n)
+        assert got.tobytes() == einsum_sq_dist(f).tobytes()
+
+
 class TestSpatialTable:
     """The Gaussian and bilateral kernels hold the spatial formula's bits."""
 

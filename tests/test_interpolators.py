@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -10,6 +10,7 @@ from mixedgraph.errors import DegenerateTransformError, PatchGeometryError
 from mixedgraph.interpolators import (
     Homography,
     Rotation,
+    bilinear_rows,
     build_patch_operator,
     pad_full_rank,
     parse_transform,
@@ -330,6 +331,89 @@ class TestBatchedTiles:
                 np.testing.assert_array_equal(op.real_matrix, theta)
                 np.testing.assert_array_equal(op.source_coords, footprint)
                 np.testing.assert_array_equal(op.target_coords, targets)
+
+
+MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+def scattered_operator(transform, origin, size, image_size):
+    """One tile's (dense rows, footprint, targets), built as a dense array.
+
+    `bilinear_rows`' taps of the tile's back-projected pixels, numbered by
+    their sorted source pixels, scattered into zeros.
+    """
+    h, w = image_size
+    rr, cc = np.mgrid[0 : size[0], 0 : size[1]]
+    targets = np.column_stack([rr.ravel(), cc.ravel()]) + np.asarray(origin)
+    src = transform.back_project(targets.astype(float), image_size)
+    inside, row, tap_rc, weight = bilinear_rows(src, image_size)
+    keys, col = np.unique(tap_rc[:, 0] * w + tap_rc[:, 1], return_inverse=True)
+    theta = np.zeros((int(inside.sum()), len(keys)))
+    theta[row, col] = weight
+    return theta, np.column_stack(np.divmod(keys, w)), targets[inside]
+
+
+def held_bytes(arrays):
+    """The bytes of the distinct arrays that ``arrays`` are views of, or are."""
+    bases = {}
+    for a in arrays:
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+class TestTaps:
+    """An operator keeps its taps; `real_matrix` builds the dense rows from them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        transform=st.one_of(
+            st.floats(-180.0, 180.0).map(Rotation),
+            st.just(Homography(PAPER_H)),
+            st.just(MAGNIFY_4X),
+        ),
+        h=st.integers(2, 40),
+        w=st.integers(2, 40),
+        patch=st.integers(2, 12),
+    )
+    # tiles of 400 pixels have more than 256 source columns
+    @example(transform=Rotation(20.0), h=40, w=40, patch=20)
+    def test_real_matrix_is_the_scattered_taps(self, transform, h, w, patch):
+        for job in tile_image((h, w), transform, patch):
+            op = job.operator
+            theta, footprint, targets = scattered_operator(transform, job.origin, job.size, (h, w))
+            got = op.real_matrix
+            assert got.shape == theta.shape and got.dtype == theta.dtype
+            assert got.tobytes() == theta.tobytes()
+            np.testing.assert_array_equal(op.source_coords, footprint)
+            np.testing.assert_array_equal(op.target_coords, targets)
+            # each real row has one to four positive taps, summing to 1
+            per_row = np.bincount(op.tap_row, minlength=len(targets))
+            assert per_row.min() >= 1 and per_row.max() <= 4
+            assert np.all(op.tap_weight > 0.0)
+            sums = np.bincount(op.tap_row, weights=op.tap_weight, minlength=len(targets))
+            np.testing.assert_allclose(sums, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_writing_the_dense_rows_leaves_the_operator(self):
+        args = Homography(PAPER_H), (8, 8), (10, 10), (48, 48)
+        op = build_patch_operator(*args).operator
+        want, _, _ = scattered_operator(*args)
+        taps = [a.copy() for a in (op.tap_row, op.tap_col, op.tap_weight)]
+        dense = op.real_matrix
+        dense[...] = 7.0
+        assert op.real_matrix.tobytes() == want.tobytes()
+        for a, b in zip((op.tap_row, op.tap_col, op.tap_weight), taps):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("transform", [Rotation(20.0), Homography(PAPER_H)])
+    def test_taps_are_a_twentieth_of_the_dense_rows(self, transform):
+        # criterion 8's image: about 2,400 tiles whose dense rows are
+        # about 220 MB
+        ops = [job.operator for job in tile_image((512, 512), transform, 10)]
+        dense = sum(len(op.target_coords) * len(op.source_coords) * 8 for op in ops)
+        assert dense > 200e6
+        taps = held_bytes(a for op in ops for a in (op.tap_row, op.tap_col, op.tap_weight))
+        assert taps < 0.05 * dense
 
 
 class TestParseTransform:
