@@ -233,8 +233,9 @@ def sinkhorn_balance(
 ) -> DenoiserOperator:
     """Balance a symmetric nonnegative kernel into a doubly stochastic operator.
 
-    Runs `sinkhorn_scale` on the one kernel, then certifies the result
-    (symmetry, PD, non-expansiveness) and records the flags.
+    Raises ValueError unless the kernel is square, symmetric, nonnegative
+    and has a positive diagonal.  Runs `sinkhorn_scale` on it, then
+    certifies the result (symmetry, PD, non-expansiveness) and records the flags.
 
     Raises BalanceError (with the final residual) if the row-sum residual
     is still above `tol` after `max_iter` iterations.
@@ -242,6 +243,14 @@ def sinkhorn_balance(
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"kernel must be square, got shape {w.shape}")
+    # the norms are needed only for a kernel that is not exactly symmetric
+    if not np.array_equal(w, w.T):
+        if np.linalg.norm(w - w.T) > 1e-10 * max(np.linalg.norm(w), 1.0):
+            raise ValueError("kernel must be symmetric")
+    if w.min() < 0.0:
+        raise ValueError("kernel must be nonnegative")
+    if np.any(np.diagonal(w) <= 0.0):
+        raise ValueError("kernel must have a strictly positive diagonal")
     (psi,), (error,) = sinkhorn_scale(w[None], tol=tol, max_iter=max_iter)
     if error is not None:
         raise error
@@ -250,6 +259,8 @@ def sinkhorn_balance(
 
 def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
     """Balance a stack of symmetric nonnegative kernels (V, n, n), each on its own.
+
+    The kernels are not checked; `sinkhorn_balance` checks outside input.
 
     Uses the symmetric one-vector iteration d <- sqrt(d / (W d)) of Knight
     (SIAM J. Matrix Anal. Appl. 2008), so that diag(d) W diag(d) stays
@@ -267,15 +278,6 @@ def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
     w = np.asarray(w, dtype=float)
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
         raise ValueError(f"kernels must be a (V, n, n) stack, got shape {w.shape}")
-    # the norms are needed only for a kernel that is not exactly symmetric
-    if not np.array_equal(w, w.swapaxes(1, 2)):
-        asym = np.linalg.norm(w - w.swapaxes(1, 2), axis=(1, 2))
-        if np.any(asym > 1e-10 * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)):
-            raise ValueError("kernel must be symmetric")
-    if w.min() < 0.0:
-        raise ValueError("kernel must be nonnegative")
-    if np.any(np.diagonal(w, axis1=1, axis2=2) <= 0.0):
-        raise ValueError("kernel must have a strictly positive diagonal")
 
     # d is kept as (V, n, 1) columns, so W d is one stacked matrix-vector
     # product; the stopping rule runs on Python floats, one per kernel.

@@ -12,7 +12,6 @@ import collections
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 import pickle
@@ -363,13 +362,11 @@ def _coordinate_work(op, config, cache):
     a kind in `denoisers.SIGNAL_FREE` the whole balanced and certified
     ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Without a
     cache it is computed for this tile.  With one (a dict) it is computed
-    once per offset pattern, the integer target coordinates minus their
-    minimum, on which it depends alone; a tile whose pattern is in the
-    cache reuses it.
+    once per offset pattern (`_pattern`), on which it depends alone; a
+    tile whose pattern is in the cache reuses it.
     """
     if cache is not None:
-        tc = op.target_coords
-        key = (tc - tc.min(axis=0)).tobytes()
+        key = _pattern(op)
         if key not in cache:
             cache[key] = _coordinate_work(op, config, None)
         return cache[key]
@@ -380,27 +377,30 @@ def _coordinate_work(op, config, cache):
     return factor, floor
 
 
-def _joint_solves(ty, psi, tiles, thetas, config):
-    """The joint outputs of a chunk's certified denoisers, in one stacked solve.
+def _pattern(op):
+    """A tile's offset pattern: its integer target coordinates minus their minimum, as bytes."""
+    tc = op.target_coords
+    return (tc - tc.min(axis=0)).tobytes()
 
-    ``psi[u]`` is a denoiser, and ``ty[u]`` the signal theta_r y, or the
-    V signals, that it serves; ``tiles[u]``, ascending, is the index in
-    ``thetas``, the chunk's dense real rows, of its tile.  P = theta_r
+
+def _joint_solves(ty, psi, thetas, config):
+    """The joint outputs of a chunk's denoisers, in one stacked solve.
+
+    ``psi`` holds the chunk's denoisers, tile-major, and ``ty`` the
+    signals theta_r y, one or V per denoiser, that each serves;
+    ``thetas`` are the chunk's dense real rows, one per tile.  P = theta_r
     theta_r^T is formed once per tile, and `jointsolver.output_space_matrix`
-    of each tile's denoisers is written into one stack.  Only when the stacked solve fails is each
-    denoiser solved alone, so that a singular system fails only the
-    signals it serves.  Returns ``(z, errors)``: the joint outputs, of the
-    shape of ``ty``, and per denoiser None or the SolverError that failed
-    it, whose rows of z are NaN.
+    of each tile's denoisers is written into one stack.  Only when the
+    stacked solve fails is each denoiser solved alone, so that a singular
+    system fails only the signals it serves.  Returns ``(z, errors)``: the
+    joint outputs, of the shape of ``ty``, and per denoiser None or the
+    SolverError that failed it, whose rows of z are NaN.
     """
     c = config.weights.c
     a = np.empty(psi.shape)
-    lo = 0
-    for t, run in itertools.groupby(tiles):
-        hi = lo + len(list(run))
-        theta = thetas[t]
-        jointsolver.output_space_matrix(theta @ theta.T, psi[lo:hi], c, out=a[lo:hi])
-        lo = hi
+    per_tile = (len(thetas), -1) + psi.shape[-2:]
+    for theta, tile_psi, tile_a in zip(thetas, psi.reshape(per_tile), a.reshape(per_tile)):
+        jointsolver.output_space_matrix(theta @ theta.T, tile_psi, c, out=tile_a)
     try:
         return jointsolver.solve_output_space(a, ty, psi), [None] * len(ty)
     except SolverError:
@@ -465,10 +465,11 @@ def run_chunk(jobs, images, config, cache=None) -> list:
     `graphcore.certify_symmetric`) and the joint solve run once per
     chunk, on stacks of its T V kernels (`build_patch_denoiser`);
     a signal-free kind's one denoiser per tile is broadcast over its V
-    signals.  Only the images that pass certification are solved.  An
-    output that is not finite fails its image as a solver failure; one
-    check per output stack finds them.  The joint output is the
-    non-separable MAP solution, from one solve on ty
+    signals.  Every denoiser is solved, whether or not it passed, and
+    each image then keeps its first error: balance, certification, then
+    solver; an output that is not finite fails its image as a solver
+    failure, found by one check per output stack.  The joint output is
+    the non-separable MAP solution, from one solve on ty
     (`jointsolver.output_space_solve`); for the identity denoiser
     P - P psi is exactly 0, and the solve returns ty bit for bit.  Stacked
     products and solves run the same BLAS/LAPACK routine per matrix as a
@@ -481,50 +482,37 @@ def run_chunk(jobs, images, config, cache=None) -> list:
     ops = [job.operator for job in jobs]
     thetas = [op.real_matrix for op in ops]
     images = np.asarray(images)
-    n = len(ops[0].target_coords)
-    ty = np.empty((len(ops), len(images), n))
-    for t, (op, theta) in enumerate(zip(ops, thetas)):
+    t, v, n = len(ops), len(images), len(ops[0].target_coords)
+    ty = np.empty((t, v, n))
+    for i, (op, theta) in enumerate(zip(ops, thetas)):
         src = op.source_coords
         y = images[:, src[:, 0], src[:, 1]]
-        ty[t] = np.matmul(theta, y[..., None])[..., 0]
+        ty[i] = np.matmul(theta, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(ops, ty, config, cache)
-    # psi[u] serves the signals ty[u], u * shared ... (u + 1) * shared - 1
-    # in tile-major order: one, or for a signal-free kind its tile's V
+    # psi[u] serves the signals ty[u]: one, or for a signal-free kind its tile's V
     ty = ty.reshape(psi.shape[:-3] + (-1, n))
-    v = len(images)
-    shared = len(ops) * v // len(psi)
-    ok = [u for u, err in enumerate(errors) if err is None]
-    if 0 < len(ok) < len(errors):
-        psi, ty = psi[ok], ty[ok]
     joint = sequential = None
-    finite = np.ones(ty.shape[:-1], dtype=bool)
-    if ok and "sequential" in config.modes:
-        sequential = np.matmul(psi, ty[..., None])[..., 0]
-        finite &= np.isfinite(sequential).all(axis=-1)
-    if ok and "joint" in config.modes:
+    if "sequential" in config.modes:
+        sequential = np.matmul(psi, ty[..., None])[..., 0].reshape(t, v, n)
+    if "joint" in config.modes:
         joint = ty
         if config.weights.kappa > 0:
-            tiles = [u * shared // v for u in ok]
-            joint, solver_errors = _joint_solves(ty, psi, tiles, thetas, config)
-            for u, exc in zip(ok, solver_errors):
-                errors[u] = exc
-        finite &= np.isfinite(joint).all(axis=-1)
-    # the solved signals' outputs, in order; a signal whose output is not
-    # finite fails as a solver failure
-    rows = [itertools.repeat(None) if x is None else x.reshape(-1, n) for x in (joint, sequential)]
-    solved = zip(*rows, finite.flat)
-    ok = set(ok)
-    results = []
-    for u, err in enumerate(errors):
-        for _ in range(shared):
-            j, s, good = next(solved) if u in ok else (None, None, True)
-            if err is not None:
-                results.append(PatchResult(None, None, str(err)))
-            elif good:
-                results.append(PatchResult(j, s))
-            else:
-                results.append(PatchResult(None, None, "tile output is not finite"))
-    return [results[t * v : (t + 1) * v] for t in range(len(ops))]
+            joint, solver_errors = _joint_solves(ty, psi, thetas, config)
+            errors = [exc if err is None else err for err, exc in zip(errors, solver_errors)]
+        joint = joint.reshape(t, v, n)
+    outputs = [x for x in (joint, sequential) if x is not None]
+    finite = np.all([np.isfinite(x).all(axis=-1) for x in outputs], axis=0)
+    shared = t * v // len(psi)
+
+    def result(i, s):
+        err = errors[(i * v + s) // shared]
+        if err is None and not finite[i, s]:
+            err = "tile output is not finite"
+        if err is not None:
+            return PatchResult(None, None, str(err))
+        return PatchResult(*(None if x is None else x[i, s] for x in (joint, sequential)))
+
+    return [[result(i, s) for s in range(v)] for i in range(t)]
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
@@ -793,28 +781,27 @@ def tile_peak_bytes(config, shape) -> int:
     pixel count n (`_tile_counts`) make chunks of up to `chunk_tiles`
     tiles, each of V kernels (one for a kind in `denoisers.SIGNAL_FREE`).
     A chunk of T tiles and K kernels holds LIVE_STACKS K + CHUNK_ARRAYS
-    arrays of n x n doubles, and the T tiles' dense rows theta_r, of at
-    most min(ROW_TAPS n, H W) columns each.  Each of up to
-    ``config.workers`` processes holds one chunk at a time, so the largest
-    ``config.workers`` chunks are summed.  To them is added what the run
-    holds throughout: every tile's operator, at most OPERATOR_BYTES per
-    pixel of the image, and the cache of the tiles' coordinate-only work
-    (`_coordinate_work`), at most one entry per tile, of at most
-    `denoisers.coordinate_work_size` numbers of 8 bytes.
+    arrays of n x n doubles, the T tiles' dense rows theta_r, of at most
+    min(ROW_TAPS n, H W) columns each, and the cache of coordinate-only
+    work (`_coordinate_work`), which holds only the chunk's patterns: at
+    most T entries of `denoisers.coordinate_work_size` numbers.  Each of
+    up to ``config.workers`` processes holds one chunk at a time, so the
+    largest ``config.workers`` chunks are summed.  To them is added what
+    the run holds throughout: every tile's operator, at most
+    OPERATOR_BYTES per pixel of the image.
     """
     signals, h, w = shape
     kind = config.denoiser_kind
     kernels = 1 if kind in denoisers.SIGNAL_FREE else signals
     peaks = []
-    held = OPERATOR_BYTES * h * w
     for n, count in _tile_counts((h, w), config.patch_size).items():
         tiles = chunk_tiles(n, signals)
+        cached = denoisers.coordinate_work_size(kind, n, config.kernel_params)
         full, rest = divmod(count, tiles)
         for t in [tiles] * min(full, config.workers) + [rest] * (rest > 0):
             stacks = (LIVE_STACKS * kernels * t + CHUNK_ARRAYS) * n
-            peaks.append((stacks + t * min(ROW_TAPS * n, h * w)) * n * 8)
-        held += count * denoisers.coordinate_work_size(kind, n, config.kernel_params) * 8
-    return sum(sorted(peaks, reverse=True)[: config.workers]) + held
+            peaks.append(((stacks + t * min(ROW_TAPS * n, h * w)) * n + t * cached) * 8)
+    return sum(sorted(peaks, reverse=True)[: config.workers]) + OPERATOR_BYTES * h * w
 
 
 def require_memory(config, shape) -> None:
@@ -851,7 +838,10 @@ def _run_patches(images, config):
     BLAS runs on one thread throughout (`_one_blas_thread`), and the heap
     keeps the memory the tiles free (`_keep_heap`).  The tiles share a
     cache of their kernels' coordinate-only work (`_coordinate_work`),
-    which lives for this call only; each child fills its own copy.
+    which lives for this call only; each child fills its own copy.  Each
+    process draws its chunks in ascending order, and the chunks of one
+    offset pattern are consecutive (`_chunks`), so before each chunk the
+    cache drops the patterns that the chunk does not have.
     """
     require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():
@@ -860,10 +850,14 @@ def _run_patches(images, config):
         )
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
+        keys = {}  # the tiles of one pattern share its key, of 16 n bytes
+        patterns = [keys.setdefault(key, key) for key in (_pattern(job.operator) for job in jobs)]
+        chunks = _chunks(jobs, len(images), patterns)
         cache = {}
-        chunks = _chunks(jobs, len(images))
 
         def solve(c):
+            for key in cache.keys() - {patterns[i] for i in chunks[c]}:
+                del cache[key]
             return run_chunk([jobs[i] for i in chunks[c]], images, config, cache)
 
         if config.workers == 1:
@@ -877,21 +871,24 @@ def _run_patches(images, config):
     return jobs, [list(results) for results in zip(*per_tile)]
 
 
-def _chunks(jobs, signals):
-    """The chunks of `_run_patches`: lists of job indices, ascending.
+def _chunks(jobs, signals, patterns):
+    """The chunks of `_run_patches`: lists of job indices.
 
-    A chunk holds up to `chunk_tiles` tiles of one pixel count, consecutive
-    among the tiles of that count.  The chunks are in the order of their
-    first tiles.
+    ``patterns`` holds each job's offset pattern (`_pattern`).  A chunk
+    holds up to `chunk_tiles` tiles of one pixel count, consecutive among
+    the tiles of that count sorted by pattern, and in index order within
+    one pattern; so the chunks of one pattern are consecutive.  The pixel
+    counts are in the order of their first tiles.
     """
     by_count = {}
     for i, job in enumerate(jobs):
         by_count.setdefault(len(job.operator.target_coords), []).append(i)
     chunks = []
     for n, tiles in by_count.items():
+        tiles.sort(key=patterns.__getitem__)
         size = chunk_tiles(n, signals)
         chunks += [tiles[k : k + size] for k in range(0, len(tiles), size)]
-    return sorted(chunks)
+    return chunks
 
 
 def _targets(jobs, shape):

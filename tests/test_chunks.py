@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedgraph import cli, interpolators, pipeline
+from mixedgraph import cli, denoisers, interpolators, pipeline
 from mixedgraph.denoisers import KINDS, KernelParams
 from mixedgraph.errors import TileMemoryError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
@@ -160,6 +160,33 @@ def test_full_chunk_of_rotated_tiles(kind):
     assert not any(res.failed for results in got for res in results)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_cache_holds_only_the_chunk_patterns(kind, monkeypatch):
+    # before each chunk the cache drops the patterns the chunk does not
+    # have; the chunks of one pattern are consecutive, so each pattern's
+    # coordinate work is still done once
+    config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind=kind)
+    image = add_gaussian_noise(synthetic_texture("texture-a", 64), 0.02, 3).pixels[None]
+    computed, after = [], []
+    coordinate_work = denoisers.coordinate_work
+
+    def counting(kind, coords, params):
+        computed.append((coords - coords.min(axis=0)).tobytes())
+        return coordinate_work(kind, coords, params)
+
+    def checking(chunk, images, config, cache):
+        results = run_chunk(chunk, images, config, cache)
+        after.append((set(cache), {pattern(job) for job in chunk}))
+        return results
+
+    monkeypatch.setattr(denoisers, "coordinate_work", counting)
+    monkeypatch.setattr(pipeline, "run_chunk", checking)
+    jobs, _ = pipeline._run_patches(image, config)
+    assert len(after) > 1 and all(cached == chunk for cached, chunk in after)
+    assert sorted(computed) == sorted({pattern(job) for job in jobs})
+    assert len(computed) < len(jobs)
+
+
 def test_chunk_tiles():
     # up to 8 kernels of 100 pixels, and no more doubles than that for
     # larger tiles: one tile per chunk once a tile's n x n outweighs them
@@ -172,28 +199,39 @@ def test_chunk_tiles():
 @pytest.mark.parametrize("signals", [1, 2, 3, 5, 9])
 def test_chunks_group_tiles_of_one_pixel_count(signals, patch):
     jobs = tile_image((64, 64), Rotation(20.0), patch)
-    chunks = pipeline._chunks(jobs, signals)
+    patterns = [pattern(job) for job in jobs]
+    chunks = pipeline._chunks(jobs, signals, patterns)
     assert sorted(i for chunk in chunks for i in chunk) == list(range(len(jobs)))
-    assert [chunk[0] for chunk in chunks] == sorted(chunk[0] for chunk in chunks)
     by_count = {}
     for chunk in chunks:
-        assert chunk == sorted(chunk)
         assert len({len(jobs[i].operator.target_coords) for i in chunk}) == 1
         by_count.setdefault(len(jobs[chunk[0]].operator.target_coords), []).append(chunk)
-    # each pixel count's tiles, in order, cut into runs of `chunk_tiles`
+    # the pixel counts in the order of their first tiles, each one's chunks
+    # consecutive: its tiles sorted by pattern, then by index, cut into runs
+    # of `chunk_tiles`
+    counts = [len(job.operator.target_coords) for job in jobs]
+    assert list(by_count) == list(dict.fromkeys(counts))
+    assert chunks == [chunk for runs in by_count.values() for chunk in runs]
     for count, runs in by_count.items():
         size = pipeline.chunk_tiles(count, signals)
-        tiles = [i for i, job in enumerate(jobs) if len(job.operator.target_coords) == count]
+        tiles = sorted((i for i, c in enumerate(counts) if c == count), key=lambda i: (patterns[i], i))
         assert runs == [tiles[k : k + size] for k in range(0, len(tiles), size)]
+    # so the chunks of one pattern are consecutive
+    order = [patterns[i] for chunk in chunks for i in chunk]
+    starts = [p for k, p in enumerate(order) if k == 0 or p != order[k - 1]]
+    assert len(starts) == len(set(patterns))
     if patch == 15:
         # 225 pixels: every chunk of full tiles is one tile
         assert all(len(chunk) == 1 for chunk in by_count[225])
 
 
-def chunk_bytes(kernels, tiles, n, columns):
-    """A chunk's n x n stacks of ``kernels`` and its tiles' dense rows of ``columns`` each."""
+def chunk_bytes(kernels, tiles, n, columns, cached=None):
+    """A chunk's n x n stacks of ``kernels``, its tiles' dense rows of
+    ``columns`` each, and one cache entry per tile of ``cached`` numbers
+    (n x n by default)."""
     stacks = (pipeline.LIVE_STACKS * kernels + pipeline.CHUNK_ARRAYS) * n
-    return (stacks + tiles * columns) * n * 8
+    cached = n * n if cached is None else cached
+    return ((stacks + tiles * columns) * n + tiles * cached) * 8
 
 
 def memory(monkeypatch, nbytes):
@@ -212,34 +250,30 @@ class TestRequireMemory:
     def test_estimate(self):
         peak, chunk = pipeline.tile_peak_bytes, chunk_bytes
 
-        def held(pixels, cached):
-            """Every tile's operator, and ``cached`` numbers of coordinate work."""
-            return pipeline.OPERATOR_BYTES * pixels + cached * 8
+        def held(pixels):
+            """Every tile's operator, held for the whole run."""
+            return pipeline.OPERATOR_BYTES * pixels
 
         # patch 200 on a 256 px image: one tile of n = 40,000 per chunk,
-        # whose dense rows have at most the image's 65,536 columns, not 4 n;
-        # one cached n x n factor per tile
+        # whose dense rows have at most the image's 65,536 columns, not 4 n,
+        # and whose chunk caches one n x n factor
         config = replace(self.CONFIG, patch_size=200)
-        assert peak(config, (1, 256, 256)) == chunk(1, 1, 40_000, 65_536) + held(
-            65_536, 40_000**2 + 2 * 11_200**2 + 3_136**2
-        )
+        assert peak(config, (1, 256, 256)) == chunk(1, 1, 40_000, 65_536) + held(65_536)
         # a patch larger than the image: one tile, the whole image
-        whole = held(600, 600**2)
-        assert peak(config, (1, 30, 20)) == chunk(1, 1, 600, 600) + whole
-        assert peak(config, (5, 30, 20)) == chunk(5, 1, 600, 600) + whole
+        assert peak(config, (1, 30, 20)) == chunk(1, 1, 600, 600) + held(600)
+        assert peak(config, (5, 30, 20)) == chunk(5, 1, 600, 600) + held(600)
         # a signal-free kind builds one kernel per tile
         gaussian = replace(config, denoiser_kind="gaussian")
-        assert peak(gaussian, (5, 30, 20)) == chunk(1, 1, 600, 600) + whole
+        assert peak(gaussian, (5, 30, 20)) == chunk(1, 1, 600, 600) + held(600)
         # NLM caches its gather indices and pair list, n (k^2 + w^2) numbers
         nlm = replace(config, denoiser_kind="nlm")
-        assert peak(nlm, (1, 30, 20)) == chunk(1, 1, 600, 600) + held(600, 600 * (3**2 + 9**2))
+        assert peak(nlm, (1, 30, 20)) == chunk(1, 1, 600, 600, 600 * (3**2 + 9**2)) + held(600)
         # V = 5: one tile of 5 kernels per chunk; V = 3: two tiles of 3; the
-        # 64 px grid has 36 tiles of 100 pixels, 12 of 40 and one of 16
-        grid = held(64 * 64, 36 * 100**2 + 12 * 40**2 + 16**2)
-        assert peak(self.CONFIG, (5, 64, 64)) == chunk(5, 1, 100, 400) + grid
-        assert peak(self.CONFIG, (3, 64, 64)) == chunk(6, 2, 100, 400) + grid
+        # 64 px grid's largest tiles have 100 pixels
+        assert peak(self.CONFIG, (5, 64, 64)) == chunk(5, 1, 100, 400) + held(64 * 64)
+        assert peak(self.CONFIG, (3, 64, 64)) == chunk(6, 2, 100, 400) + held(64 * 64)
         # four tiles, fewer than a chunk holds
-        assert peak(self.CONFIG, (1, 20, 20)) == chunk(4, 4, 100, 400) + held(400, 4 * 100**2)
+        assert peak(self.CONFIG, (1, 20, 20)) == chunk(4, 4, 100, 400) + held(400)
 
     def test_estimate_sums_the_largest_chunk_per_worker(self):
         def more(config, shape):
@@ -257,6 +291,21 @@ class TestRequireMemory:
         config = replace(config, patch_size=20)
         assert more(config, (1, 40, 20)) == chunk_bytes(1, 1, 400, 800)
         assert more(config, (1, 60, 60)) == 2 * chunk_bytes(1, 1, 400, 1600)
+
+    @pytest.mark.parametrize("patch", [10, 20, 30])
+    def test_estimate_is_within_2_5_times_the_measured_peak(self, patch):
+        # the cache holds only the current chunk's patterns, so the
+        # estimate charges each chunk its own and stays near the peak
+        config = replace(self.CONFIG, patch_size=patch)
+        clean = synthetic_texture("texture-a", 120).pixels
+        images = add_gaussian_noise(clean, 0.02, 0)[None]
+        tracemalloc.start()
+        try:
+            pipeline._run_patches(images, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pipeline.tile_peak_bytes(config, images.shape) <= 2.5 * peak
 
     @pytest.mark.parametrize("patch", [20, 30])
     def test_estimate_bounds_the_measured_peak(self, patch):
@@ -311,9 +360,9 @@ def test_cli_rejects_an_oversized_tile_first(command, flag, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     # one tile of n = 40,000 per chunk: 2 + 2 arrays of n x n doubles,
-    # 47.7 GiB, its dense rows of 65,536 columns, 19.5 GiB, and the cached
-    # n x n factors of the grid's four tiles, 13.9 GiB
+    # 47.7 GiB, its dense rows of 65,536 columns, 19.5 GiB, and the chunk's
+    # cached n x n factor, 11.9 GiB
     assert captured.err == (
-        "texture-a: tiles of patch size 200 need about 81.1 GiB, more than the 8.0 GiB of memory\n"
+        "texture-a: tiles of patch size 200 need about 79.1 GiB, more than the 8.0 GiB of memory\n"
     )
     assert not out.exists()

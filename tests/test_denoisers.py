@@ -370,7 +370,7 @@ def norm_test_rejects(w):
 
 
 class TestSymmetryCheck:
-    """`sinkhorn_scale` tests exact symmetry first; the verdict is the norm test's."""
+    """`sinkhorn_balance` tests exact symmetry first; the verdict is the norm test's."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -386,20 +386,31 @@ class TestSymmetryCheck:
         w[i, j] += 10.0**log_scale * np.linalg.norm(w)
         if norm_test_rejects(w):
             with pytest.raises(ValueError, match="symmetric"):
-                sinkhorn_scale(w[None])
+                sinkhorn_balance(w)
         else:
-            psi, (error,) = sinkhorn_scale(w[None])
-            assert error is None
-            np.testing.assert_array_equal(psi[0], psi[0].T)
-            assert np.abs(psi[0].sum(axis=1) - 1.0).max() <= 1e-8
+            psi = sinkhorn_balance(w).matrix
+            np.testing.assert_array_equal(psi, psi.T)
+            assert np.abs(psi.sum(axis=1) - 1.0).max() <= 1e-8
 
     def test_nan_kernel_is_not_rejected_as_asymmetric(self):
-        # NaN fails the exact test and every norm comparison, as before
+        # NaN fails the exact test and every norm comparison, as before, so
+        # the kernel passes the checks and fails in certification instead
         w = np.eye(3) + 0.1
         w[0, 1] = np.nan
         assert not norm_test_rejects(w)
-        psi, _ = sinkhorn_scale(w[None], max_iter=3)
-        assert psi.shape == (1, 3, 3)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            sinkhorn_balance(w, max_iter=3)
+
+    def test_sign_and_diagonal(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sinkhorn_balance(np.array([[1.0, -0.1], [-0.1, 1.0]]))
+        with pytest.raises(ValueError, match="strictly positive diagonal"):
+            sinkhorn_balance(np.array([[1.0, 0.1], [0.1, 0.0]]))
+
+    def test_scale_does_not_check(self):
+        # the pipeline's own kernels go to sinkhorn_scale unchecked
+        psi, _ = sinkhorn_scale(np.array([[[1.0, 0.5], [0.2, 1.0]]]))
+        assert psi.shape == (1, 2, 2)
 
 
 class TestPermutationEquivariance:

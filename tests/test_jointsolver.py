@@ -536,10 +536,9 @@ class TestOutputSpaceSolve:
             jobs = tile_image((32, 32), transform, config.patch_size)
             shapes.clear()
             run_experiment(config, image)
-            assert len(shapes) == len(jobs)
-            for (a, b), job in zip(shapes, jobs):
-                n = len(job.operator.target_coords)
-                assert a == (5, n, n) and b == (5, n, 1)
+            # the chunks, one tile each at V = 5, are not in tile order
+            sizes = sorted(len(job.operator.target_coords) for job in jobs)
+            assert sorted(shapes) == [((5, n, n), (5, n, 1)) for n in sizes]
 
 
 class TestOptimalityCertificates:
