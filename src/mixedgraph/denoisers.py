@@ -123,13 +123,13 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     return _bilateral(coordinate_factor("bilateral", coords, params), intensities, params)
 
 
-def _bilateral(spatial: np.ndarray, intensities, params: KernelParams, out=None) -> np.ndarray:
+def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.ndarray:
     y = _as_intensities(intensities, len(spatial))
     if y.min() < 0.0 or y.max() > 1.0:
         raise ValueError("intensities must lie in [0, 1]")
     # The range factor, and then the kernel, are built in place in one
-    # buffer of the output's size (``out``, if given).
-    k = np.subtract(y[..., :, None], y[..., None, :], out=out)
+    # buffer of the output's size.
+    k = np.subtract(y[..., :, None], y[..., None, :])
     k *= k
     k /= -2.0 * params.range_var
     np.exp(k, out=k)
@@ -200,7 +200,7 @@ def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
     return gather, np.nonzero(np.triu(cheb <= wr, 1))
 
 
-def _nlm(layout: tuple, intensities, params: KernelParams, out=None) -> np.ndarray:
+def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
     gather, (i, j) = layout
     n = len(gather)
     y = _as_intensities(intensities, n)
@@ -210,14 +210,18 @@ def _nlm(layout: tuple, intensities, params: KernelParams, out=None) -> np.ndarr
     feats = np.take(y, gather, axis=-1)
     # Direct differencing of each in-window pair i < j: the same bits as
     # the full pairwise difference, whose lower triangle mirrors the upper.
-    diff = np.take(feats, i, axis=-2)
-    diff -= np.take(feats, j, axis=-2)
-    d2 = np.einsum("...pk,...pk->...p", diff, diff)
-    del diff
+    # One signal at a time, so that a stack's pair differences, 1.4 MB for
+    # 8 signals of a 10 x 10 tile, are never all held at once.
+    signals = feats.reshape(-1, n, feats.shape[-1])
+    d2 = np.empty((len(signals), len(i)))
+    for f, out in zip(signals, d2):
+        diff = np.take(f, i, axis=0)
+        diff -= np.take(f, j, axis=0)
+        np.einsum("pk,pk->p", diff, diff, out=out)
+    d2 = d2.reshape(y.shape[:-1] + (len(i),))
     d2 /= -params.nlm_h2
     np.exp(d2, out=d2)
-    weights = np.empty(d2.shape[:-1] + (n, n)) if out is None else out
-    weights.fill(0.0)
+    weights = np.zeros(d2.shape[:-1] + (n, n))
     weights[..., i, j] = d2
     weights[..., j, i] = d2
     # exp(-0 / h2) on the diagonal
@@ -442,18 +446,18 @@ def _theta4(tau: float) -> float:
             return max(total, 0.0)
 
 
-def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None, out=None):
+def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None):
     """Raw kernel matrix for a named denoiser kind (before balancing).
 
     ``factor``, if given, is ``coordinate_factor(kind, coords, params)``,
-    which is then neither computed nor checked again.  ``out``, if given,
-    is a C-contiguous (V, n, n) buffer that the kernels of an
-    intensity-dependent kind are built in, and returned.
+    which is then neither computed nor checked again.  For a stack of
+    signals (V, n), a kind that depends on them gives one kernel per
+    signal (V, n, n).
     """
     if factor is None:
         factor = coordinate_factor(kind, coords, params)
     if kind in SIGNAL_FREE:
         return factor
     if kind == "bilateral":
-        return _bilateral(factor, intensities, params, out)
-    return _nlm(factor, intensities, params, out)
+        return _bilateral(factor, intensities, params)
+    return _nlm(factor, intensities, params)

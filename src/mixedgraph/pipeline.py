@@ -288,63 +288,48 @@ class PatchResult:
         return self.error is not None
 
 
-def build_patch_denoiser(ops, interp_values, config, cache=None):
-    """Balanced, certified denoisers of a chunk of T tiles of n pixels each.
+def build_patch_denoiser(ops, interp_values, config, work=None):
+    """Balanced, certified denoisers of a chunk of T tiles of one offset pattern.
 
-    ``ops`` are the tiles' operators, and ``interp_values`` a stack
-    (T, V, n) of their plain interpolations of the V noisy inputs; kernel
-    weights are computed from them clipped to [0, 1] (for kernel
-    evaluation only).  Returns ``(psi, errors)``: the T V denoisers
-    (T V, n, n), tile-major, and, for each, None or the first error that
-    fails it: a BalanceError, or a PreconditionError when certification
-    fails.  The kernels are built in one stack, and balanced and certified
-    by one `denoisers.sinkhorn_scale` and one
-    `graphcore.certify_symmetric`, with each tile's eigenvalue floor.  A
-    denoiser is certified PD by the Schur bound of
+    ``ops`` are the tiles' operators, all of one offset pattern
+    (`_pattern`), and ``interp_values`` a stack (T, V, n) of their plain
+    interpolations of the V noisy inputs; kernel weights are computed from
+    them clipped to [0, 1] (for kernel evaluation only).  ``work`` is
+    `_coordinate_work` of the pattern, or None to compute it from the
+    first tile.  Returns ``(psi, errors)``: the T V denoisers (T V, n, n),
+    tile-major, and, for each, None or the first error that fails it: a
+    BalanceError, or a PreconditionError when certification fails.  The
+    kernels are built by one `denoisers.build_denoiser` on the pattern's
+    factor, and balanced and certified by one `denoisers.sinkhorn_scale`
+    and one `graphcore.certify_symmetric`, with the pattern's eigenvalue
+    floor.  A denoiser is certified PD by the Schur bound of
     `denoisers.eigenvalue_floor` where that clears
     `graphcore.SCHUR_MARGIN`, and by a Cholesky factorization otherwise
     (always for NLM).  A denoiser of a kind in `denoisers.SIGNAL_FREE`
-    does not depend on the signal, so psi holds one denoiser per tile,
-    (T, 1, n, n), that serves its V signals, and errors one error per
-    tile.  ``cache`` is `_run_patches`' per-run cache (see
-    `_coordinate_work`).
+    does not depend on the signal, so psi is the pattern's one denoiser
+    as a read-only view (T, 1, n, n) that serves each tile's V signals,
+    and errors its error once per tile.
     """
     kind = config.denoiser_kind
-    work = [_coordinate_work(op, config, cache) for op in ops]
+    if work is None:
+        work = _coordinate_work(ops[0], config)
     if kind in denoisers.SIGNAL_FREE:
-        return np.stack([psi for psi, _ in work]), [errors[0] for _, errors in work]
-    floors = [floor for _, floor in work]
-    signals = interp_values.shape[1]
+        psi, errors = work
+        return np.broadcast_to(psi, (len(ops),) + psi.shape), errors * len(ops)
+    factor, floor = work
+    clipped = np.clip(interp_values, 0.0, 1.0).reshape(-1, interp_values.shape[-1])
     # the kernels are not named here, so that _balance can free them
     return _balance(
-        _kernels(ops, [factor for factor, _ in work], interp_values, config),
+        denoisers.build_denoiser(kind, ops[0].target_coords, clipped, config.kernel_params, factor),
         kind,
-        None if None in floors else np.array(floors).repeat(signals),
+        floor,
     )
-
-
-def _kernels(ops, factors, interp_values, config):
-    """The raw kernels (T V, n, n) of `build_patch_denoiser`, built in one stack."""
-    t, v, n = interp_values.shape
-    clipped = np.clip(interp_values, 0.0, 1.0)
-    kernels = np.empty((t * v, n, n))
-    for i, (op, factor) in enumerate(zip(ops, factors)):
-        denoisers.build_denoiser(
-            config.denoiser_kind,
-            op.target_coords,
-            clipped[i],
-            config.kernel_params,
-            factor,
-            out=kernels[i * v : (i + 1) * v],
-        )
-    return kernels
 
 
 def _balance(kernel, kind, floor):
     """The ``(psi, errors)`` of `build_patch_denoiser` of a stack of raw kernels.
 
-    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates,
-    one for the stack or one per kernel, or None.
+    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates, or None.
     """
     psi, errors = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks
@@ -355,21 +340,14 @@ def _balance(kernel, kind, floor):
     return psi, errors
 
 
-def _coordinate_work(op, config, cache):
-    """The part of a tile's denoiser that depends only on its target coordinates.
+def _coordinate_work(op, config):
+    """The part of a tile's denoisers that depends only on its offset pattern (`_pattern`).
 
     That is ``(factor, floor)``, from `denoisers.coordinate_work`; or for
     a kind in `denoisers.SIGNAL_FREE` the whole balanced and certified
-    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Without a
-    cache it is computed for this tile.  With one (a dict) it is computed
-    once per offset pattern (`_pattern`), on which it depends alone; a
-    tile whose pattern is in the cache reuses it.
+    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Every tile of
+    the pattern gets the same bits from it.
     """
-    if cache is not None:
-        key = _pattern(op)
-        if key not in cache:
-            cache[key] = _coordinate_work(op, config, None)
-        return cache[key]
     kind = config.denoiser_kind
     factor, floor = denoisers.coordinate_work(kind, op.target_coords, config.kernel_params)
     if kind in denoisers.SIGNAL_FREE:
@@ -440,44 +418,40 @@ def chunk_tiles(n, signals) -> int:
     return max(1, kernels // signals)
 
 
-def run_patch(job, images, config, cache=None) -> list:
+def run_patch(job, images, config) -> list:
     """Solve one tile on V noisy images: `run_chunk` of the chunk of one tile.
 
     Returns one PatchResult per image.
     """
-    (results,) = run_chunk([job], images, config, cache)
+    (results,) = run_chunk([job], images, config)
     return results
 
 
-def run_chunk(jobs, images, config, cache=None) -> list:
-    """Solve a chunk of tiles of one pixel count n on V noisy images.
+def run_chunk(jobs, images, config, work=None) -> list:
+    """Solve a chunk of tiles of one offset pattern on V noisy images.
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape; one list of V PatchResults is returned per tile.
-    Each tile's dense real rows theta_r are built from its taps once, on
-    entry, and held only while the chunk is solved: they give ty =
-    theta_r y and P = theta_r theta_r^T.  The work that does not depend on
-    the noise (footprint gather, the kernel's coordinate checks, spatial
-    factor and eigenvalue floor, NLM's gather indices and pair list, the
-    whole denoiser of a signal-free kind) is done once per tile; so are ty
-    and the kernels, each written into a stack of the chunk, and P.
-    Sinkhorn, certification (the Schur bound, or the Cholesky fallback of
-    `graphcore.certify_symmetric`) and the joint solve run once per
-    chunk, on stacks of its T V kernels (`build_patch_denoiser`);
-    a signal-free kind's one denoiser per tile is broadcast over its V
-    signals.  Every denoiser is solved, whether or not it passed, and
-    each image then keeps its first error: balance, certification, then
-    solver; an output that is not finite fails its image as a solver
-    failure, found by one check per output stack.  The joint output is
-    the non-separable MAP solution, from one solve on ty
-    (`jointsolver.output_space_solve`); for the identity denoiser
-    P - P psi is exactly 0, and the solve returns ty bit for bit.  Stacked
-    products and solves run the same BLAS/LAPACK routine per matrix as a
-    single-matrix call, so each image of each tile gets the bits it would
-    get alone.  A balance, certification or solver failure fails only its
-    own image (for a signal-free kind, the images of its tile).  With
-    `_run_patches`' per-run ``cache``, the coordinate-only work of the
-    kernel is shared by the tiles of one offset pattern.
+    ``work`` is the pattern's coordinate-only work (`_coordinate_work`),
+    or None to compute it from the first tile.  Each tile's dense real
+    rows theta_r are built from its taps once, on entry, and held only
+    while the chunk is solved: they give ty = theta_r y and P = theta_r
+    theta_r^T, each once per tile.  The chunk's T V kernels are
+    built, balanced (Sinkhorn), certified (the Schur bound, or the
+    Cholesky fallback of `graphcore.certify_symmetric`) and jointly solved
+    as stacks (`build_patch_denoiser`); a signal-free kind's one denoiser
+    is broadcast over the chunk's tiles and signals.  Every denoiser is
+    solved, whether or not it passed, and each image then keeps its first
+    error: balance, certification, then solver; an output that is not
+    finite fails its image as a solver failure, found by one check per
+    output stack.  The joint output is the non-separable MAP solution,
+    from one solve on ty (`jointsolver.output_space_solve`); for the
+    identity denoiser P - P psi is exactly 0, and the solve returns ty bit
+    for bit.  Stacked products and solves run the same BLAS/LAPACK routine
+    per matrix as a single-matrix call, so each image of each tile gets
+    the bits it would get alone.  A balance, certification or solver
+    failure fails only its own image (for a signal-free kind, the images
+    of its tile).
     """
     ops = [job.operator for job in jobs]
     thetas = [op.real_matrix for op in ops]
@@ -488,7 +462,7 @@ def run_chunk(jobs, images, config, cache=None) -> list:
         src = op.source_coords
         y = images[:, src[:, 0], src[:, 1]]
         ty[i] = np.matmul(theta, y[..., None])[..., 0]
-    psi, errors = build_patch_denoiser(ops, ty, config, cache)
+    psi, errors = build_patch_denoiser(ops, ty, config, work)
     # psi[u] serves the signals ty[u]: one, or for a signal-free kind its tile's V
     ty = ty.reshape(psi.shape[:-3] + (-1, n))
     joint = sequential = None
@@ -607,7 +581,7 @@ def _keep_heap():
     page-fault it in again.  On entry, the mmap threshold is set to 4 MiB,
     above the largest tile temporary (the largest arrays seen on the tile
     path by a tracing run: a chunk's (8, n, n) stacks, 640 KB at n = 100,
-    and NLM's (V, P, 9) pair differences, 864 KB at V = 5 with P = 2,400
+    and NLM's (P, 9) pair differences of one signal, 173 KB with P = 2,400
     pairs of a 10 x 10 tile; each tile's dense rows, built for its chunk,
     are about 100 KB at n = 100), so image-scale arrays still get their own
     mappings; and the trim threshold to 32 MiB, the most freed
@@ -779,16 +753,19 @@ def tile_peak_bytes(config, shape) -> int:
 
     ``shape`` is that of the image stack (V, H, W).  The tiles of each
     pixel count n (`_tile_counts`) make chunks of up to `chunk_tiles`
-    tiles, each of V kernels (one for a kind in `denoisers.SIGNAL_FREE`).
-    A chunk of T tiles and K kernels holds LIVE_STACKS K + CHUNK_ARRAYS
-    arrays of n x n doubles, the T tiles' dense rows theta_r, of at most
-    min(ROW_TAPS n, H W) columns each, and the cache of coordinate-only
-    work (`_coordinate_work`), which holds only the chunk's patterns: at
-    most T entries of `denoisers.coordinate_work_size` numbers.  Each of
-    up to ``config.workers`` processes holds one chunk at a time, so the
-    largest ``config.workers`` chunks are summed.  To them is added what
-    the run holds throughout: every tile's operator, at most
-    OPERATOR_BYTES per pixel of the image.
+    tiles of one offset pattern, each tile of V kernels (one for a kind in
+    `denoisers.SIGNAL_FREE`).  A chunk of T tiles and K kernels holds
+    LIVE_STACKS K + CHUNK_ARRAYS arrays of n x n doubles, the T tiles'
+    dense rows theta_r, of at most min(ROW_TAPS n, H W) columns each, and
+    its pattern's coordinate-only work (`_coordinate_work`), one entry of
+    `denoisers.coordinate_work_size` numbers.  Each of up to
+    ``config.workers`` processes holds one chunk at a time.  A pixel count
+    of several patterns splits into several partial chunks, so k of its
+    chunks hold at most min(count, k `chunk_tiles`) of its tiles and k
+    fixed parts; the k-th chunk of each pixel count is charged what it can
+    add, and the largest ``config.workers`` charges are summed.  To them
+    is added what the run holds throughout: every tile's operator, at
+    most OPERATOR_BYTES per pixel of the image.
     """
     signals, h, w = shape
     kind = config.denoiser_kind
@@ -796,18 +773,17 @@ def tile_peak_bytes(config, shape) -> int:
     peaks = []
     for n, count in _tile_counts((h, w), config.patch_size).items():
         tiles = chunk_tiles(n, signals)
-        cached = denoisers.coordinate_work_size(kind, n, config.kernel_params)
-        full, rest = divmod(count, tiles)
-        for t in [tiles] * min(full, config.workers) + [rest] * (rest > 0):
-            stacks = (LIVE_STACKS * kernels * t + CHUNK_ARRAYS) * n
-            peaks.append(((stacks + t * min(ROW_TAPS * n, h * w)) * n + t * cached) * 8)
+        per_tile = (LIVE_STACKS * kernels * n + min(ROW_TAPS * n, h * w)) * n
+        fixed = CHUNK_ARRAYS * n * n + denoisers.coordinate_work_size(kind, n, config.kernel_params)
+        for k in range(min(count, config.workers)):
+            peaks.append((max(0, min(tiles, count - k * tiles)) * per_tile + fixed) * 8)
     return sum(sorted(peaks, reverse=True)[: config.workers]) + OPERATOR_BYTES * h * w
 
 
 def require_memory(config, shape) -> None:
     """Raise TileMemoryError unless the tiles' operators and chunks fit in memory.
 
-    The run's operators, cache and chunks need about `tile_peak_bytes`; the
+    The run's operators and chunks need about `tile_peak_bytes`; the
     machine's memory is ``os.sysconf("SC_PHYS_PAGES")`` pages.  Nothing is
     allocated.  Where the system does not report its memory, nothing is
     checked.
@@ -830,18 +806,17 @@ def _run_patches(images, config):
     Returns ``(jobs, results)``, with one PatchResult list per image; no
     tile raises PatchGeometryError.  A run that would not fit in memory
     raises TileMemoryError before anything is built (`require_memory`).
-    The tiles hold their taps, and are grouped into chunks (`_chunks`);
-    the process that solves a chunk builds its tiles' dense rows.  With
-    ``config.workers > 1`` the chunks are dealt to this process and
-    ``workers - 1`` children forked from it (`_deal`), with the same
-    results; a child that dies fails the call with WorkerError.
+    The tiles hold their taps, and are grouped into chunks of one offset
+    pattern (`_chunks`), which are dealt to this process and
+    ``config.workers - 1`` children forked from it (`_deal`; none at one
+    worker), with the same results; a child that dies fails the call with
+    WorkerError.  The process that solves a chunk builds its tiles' dense
+    rows.  Each process keeps the coordinate-only work
+    (`_coordinate_work`) of the last pattern it solved, and computes it
+    again only for a chunk of another pattern; the chunks of one pattern
+    are consecutive, and each process draws its chunks in ascending order.
     BLAS runs on one thread throughout (`_one_blas_thread`), and the heap
-    keeps the memory the tiles free (`_keep_heap`).  The tiles share a
-    cache of their kernels' coordinate-only work (`_coordinate_work`),
-    which lives for this call only; each child fills its own copy.  Each
-    process draws its chunks in ascending order, and the chunks of one
-    offset pattern are consecutive (`_chunks`), so before each chunk the
-    cache drops the patterns that the chunk does not have.
+    keeps the memory the tiles free (`_keep_heap`).
     """
     require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():
@@ -850,44 +825,39 @@ def _run_patches(images, config):
         )
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
-        keys = {}  # the tiles of one pattern share its key, of 16 n bytes
-        patterns = [keys.setdefault(key, key) for key in (_pattern(job.operator) for job in jobs)]
-        chunks = _chunks(jobs, len(images), patterns)
-        cache = {}
+        chunks = _chunks(jobs, len(images))
+        held = {}  # this process's last pattern -> its coordinate work
 
         def solve(c):
-            for key in cache.keys() - {patterns[i] for i in chunks[c]}:
-                del cache[key]
-            return run_chunk([jobs[i] for i in chunks[c]], images, config, cache)
+            pattern, tiles = chunks[c]
+            if pattern not in held:
+                held.clear()
+                held[pattern] = _coordinate_work(jobs[tiles[0]].operator, config)
+            return run_chunk([jobs[i] for i in tiles], images, config, held[pattern])
 
-        if config.workers == 1:
-            per_chunk = [solve(c) for c in range(len(chunks))]
-        else:
-            per_chunk = _deal(len(chunks), solve, config.workers)
+        per_chunk = _deal(len(chunks), solve, config.workers)
     per_tile = [None] * len(jobs)
-    for chunk, results in zip(chunks, per_chunk):
-        for i, tile_results in zip(chunk, results):
+    for (_, tiles), results in zip(chunks, per_chunk):
+        for i, tile_results in zip(tiles, results):
             per_tile[i] = tile_results
     return jobs, [list(results) for results in zip(*per_tile)]
 
 
-def _chunks(jobs, signals, patterns):
-    """The chunks of `_run_patches`: lists of job indices.
+def _chunks(jobs, signals):
+    """The chunks of `_run_patches`: ``(pattern, tiles)`` pairs.
 
-    ``patterns`` holds each job's offset pattern (`_pattern`).  A chunk
-    holds up to `chunk_tiles` tiles of one pixel count, consecutive among
-    the tiles of that count sorted by pattern, and in index order within
-    one pattern; so the chunks of one pattern are consecutive.  The pixel
-    counts are in the order of their first tiles.
+    ``tiles`` lists the indices of up to `chunk_tiles` jobs of one offset
+    pattern (`_pattern`, computed once per job), in index order.  The
+    patterns are in the order of their first jobs, and the chunks of one
+    pattern are consecutive.
     """
-    by_count = {}
+    by_pattern = {}
     for i, job in enumerate(jobs):
-        by_count.setdefault(len(job.operator.target_coords), []).append(i)
+        by_pattern.setdefault(_pattern(job.operator), []).append(i)
     chunks = []
-    for n, tiles in by_count.items():
-        tiles.sort(key=patterns.__getitem__)
-        size = chunk_tiles(n, signals)
-        chunks += [tiles[k : k + size] for k in range(0, len(tiles), size)]
+    for pattern, tiles in by_pattern.items():
+        size = chunk_tiles(len(jobs[tiles[0]].operator.target_coords), signals)
+        chunks += [(pattern, tiles[k : k + size]) for k in range(0, len(tiles), size)]
     return chunks
 
 

@@ -1,23 +1,31 @@
-"""Chunks of equal-size tiles, solved as one stack, and the memory check.
+"""Chunks of tiles of one offset pattern, solved as one stack, and the memory check.
 
-`_run_patches` groups the tiles by pixel count n into chunks of up to
-`chunk_tiles` tiles, and `run_chunk` builds, balances,
-certifies and solves each chunk's kernels as one stack.  Every tile of a
-chunk must get the arrays and the error text that `run_patch` gives it
-alone, whichever tiles share its chunk.  `require_memory` rejects a run
-whose chunks cannot fit in memory before anything is allocated; its tests
-only ever report a smaller machine.
+`_run_patches` groups the tiles by offset pattern (their target
+coordinates minus their minimum) into chunks of up to `chunk_tiles` tiles,
+and `run_chunk` builds, balances, certifies and solves each chunk's
+kernels as one stack, from the pattern's coordinate-only work.  Every tile
+of a chunk must get the arrays and the error text that `run_patch` gives
+it alone, whichever tiles share its chunk and whichever tile of the
+pattern the work was computed from, and no work may outlive its run.
+`require_memory` rejects a run whose chunks cannot fit in memory before
+anything is allocated; its tests only ever report a smaller machine.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedgraph
 from mixedgraph import cli, denoisers, interpolators, pipeline
 from mixedgraph.denoisers import KINDS, KernelParams
 from mixedgraph.errors import TileMemoryError
@@ -33,9 +41,15 @@ from mixedgraph.pipeline import (
     synthetic_texture,
 )
 
+from helpers import SIZE, noisy_stack, outcomes, pattern
+
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
-SIZE = 32
+TRANSFORMS = st.one_of(
+    st.just(Rotation(0.0)),
+    st.floats(-45.0, 45.0, allow_nan=False).map(Rotation),
+    st.sampled_from([Homography(PAPER_H), MAGNIFY_4X]),
+)
 VARIANCES = (0.001, 0.02, 0.05, 0.1, 0.2)
 # NLM at the CLI's h^2 fails most tiles' certification; spatial_var 4 puts
 # every Gaussian and bilateral filter below the Schur bound's margin, so
@@ -47,24 +61,18 @@ PARAMS = (
 )
 
 
-def noisy_stack(seed, variances):
-    clean = np.random.default_rng(seed).uniform(0.0, 1.0, (SIZE, SIZE))
-    return np.stack([add_gaussian_noise(clean, v, seed ^ i) for i, v in enumerate(variances)])
+def by_pattern(jobs):
+    """``{pattern: [job, ...]}`` of the jobs, in the order of first appearance."""
+    groups = {}
+    for job in jobs:
+        groups.setdefault(pattern(job), []).append(job)
+    return groups
 
 
-def outcomes(per_tile):
-    return [
-        [
-            (res.error, *(None if a is None else np.asarray(a).tobytes() for a in (res.joint, res.sequential)))
-            for res in results
-        ]
-        for results in per_tile
-    ]
-
-
-def pattern(job):
-    tc = job.operator.target_coords
-    return (tc - tc.min(axis=0)).tobytes()
+def has_hole(coords):
+    """Whether the coordinates leave a cell of their bounding box empty."""
+    span = coords.max(axis=0) - coords.min(axis=0) + 1
+    return len(coords) < span[0] * span[1]
 
 
 def singular_where(poison):
@@ -82,11 +90,7 @@ def singular_where(poison):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    transform=st.one_of(
-        st.just(Rotation(0.0)),
-        st.floats(-45.0, 45.0, allow_nan=False).map(Rotation),
-        st.sampled_from([Homography(PAPER_H), MAGNIFY_4X]),
-    ),
+    transform=TRANSFORMS,
     kind=st.sampled_from(KINDS),
     signals=st.sampled_from([1, 2, 5]),
     mode=st.sampled_from(["joint", "sequential", "both"]),
@@ -108,13 +112,12 @@ def test_chunk_matches_its_tiles_alone(
         mode=mode,
     )
     jobs = tile_image((SIZE, SIZE), transform, config.patch_size)
-    by_count = {}
-    for job in jobs:
-        by_count.setdefault(len(job.operator.target_coords), []).append(job)
-    # any tiles of one pixel count, whatever their offset patterns
-    group = data.draw(st.sampled_from(sorted(by_count.values(), key=len, reverse=True)))
+    # any tiles of one offset pattern, with the work of any tile of it, or none
+    group = data.draw(st.sampled_from(sorted(by_pattern(jobs).values(), key=len, reverse=True)))
     size = pipeline.chunk_tiles(len(group[0].operator.target_coords), signals)
     chunk = data.draw(st.permutations(group))[: data.draw(st.integers(1, size))]
+    source = data.draw(st.sampled_from(group + [None]))
+    work = None if source is None else pipeline._coordinate_work(source.operator, config)
     images = noisy_stack(seed, config.noise_variances)
     with pytest.MonkeyPatch.context() as patch:
         if singular:
@@ -123,25 +126,51 @@ def test_chunk_matches_its_tiles_alone(
             y = images[data.draw(st.integers(0, signals - 1))]
             poison = op.real_matrix @ y[op.source_coords[:, 0], op.source_coords[:, 1]]
             patch.setattr(np.linalg, "solve", singular_where(poison))
-        got = run_chunk(chunk, images, config, {})
+        got = run_chunk(chunk, images, config, work)
         want = [run_patch(job, images, config) for job in chunk]
     assert outcomes(got) == outcomes(want)
 
 
-def test_chunk_mixes_patterns_and_failures():
-    # 10 x 2 and 2 x 10 edge tiles share a pixel count but not a pattern;
-    # at the CLI's h^2 some NLM filters fail certification and some pass
+def test_tiles_of_one_pixel_count_split_by_pattern():
+    # 10 x 2 and 2 x 10 edge tiles share a pixel count but not a pattern,
+    # so they land in separate chunks; at the CLI's h^2 some NLM filters
+    # fail certification and some pass
     config = ExperimentConfig(
         transform=Rotation(0.0), denoiser_kind="nlm", noise_variances=(0.2,)
     )
     jobs = tile_image((SIZE, SIZE), config.transform, config.patch_size)
-    chunk = [job for job in jobs if len(job.operator.target_coords) == 20]
-    assert len(chunk) == 6 and len({pattern(job) for job in chunk}) == 2
+    edge = {i for i, job in enumerate(jobs) if len(job.operator.target_coords) == 20}
+    assert len(edge) == 6 and len({pattern(jobs[i]) for i in edge}) == 2
+    chunks = [tiles for _, tiles in pipeline._chunks(jobs, 1) if edge & set(tiles)]
+    assert len(chunks) == 2 and set(chunks[0] + chunks[1]) == edge
+    assert all(len({pattern(jobs[i]) for i in tiles}) == 1 for tiles in chunks)
     images = noisy_stack(1, config.noise_variances)
-    got = outcomes(run_chunk(chunk, images, config, {}))
-    assert got == outcomes([run_patch(job, images, config) for job in chunk])
-    errors = [error for results in got for error, *_ in results]
+    got = [outcomes(run_chunk([jobs[i] for i in tiles], images, config)) for tiles in chunks]
+    assert got == [outcomes([run_patch(jobs[i], images, config) for i in tiles]) for tiles in chunks]
+    errors = [error for chunk in got for results in chunk for error, *_ in results]
     assert None in errors and "nlm denoiser failed certification on patch" in errors
+
+
+def test_nlm_hole_tiles_share_patterns():
+    # the property test's cases exist: NLM tiles with holes, and patterns
+    # that serve several tiles; each chunk is solved from the work of its
+    # pattern's last tile
+    config = ExperimentConfig(
+        transform=Rotation(30.0),
+        denoiser_kind="nlm",
+        kernel_params=KernelParams(nlm_h2=0.05),
+        noise_variances=(0.02, 0.1),
+    )
+    jobs = tile_image((SIZE, SIZE), config.transform, 10)
+    groups = by_pattern(jobs)
+    assert any(has_hole(job.operator.target_coords) for job in jobs)
+    assert len(groups) < len(jobs)
+    images = noisy_stack(5, config.noise_variances)
+    for key, tiles in pipeline._chunks(jobs, len(images)):
+        chunk = [jobs[i] for i in tiles]
+        work = pipeline._coordinate_work(groups[key][-1].operator, config)
+        got = run_chunk(chunk, images, config, work)
+        assert outcomes(got) == outcomes([run_patch(job, images, config) for job in chunk])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -155,36 +184,103 @@ def test_full_chunk_of_rotated_tiles(kind):
     ps = {(op.real_matrix @ op.real_matrix.T).tobytes() for op in (j.operator for j in chunk)}
     assert len(chunk) == STACK_KERNELS and len(ps) == len(chunk)
     image = add_gaussian_noise(synthetic_texture("texture-a", 64), 0.02, 3).pixels[None]
-    got = run_chunk(chunk, image, config, {})
+    got = run_chunk(chunk, image, config)
     assert outcomes(got) == outcomes([run_patch(job, image, config) for job in chunk])
     assert not any(res.failed for results in got for res in results)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_cache_holds_only_the_chunk_patterns(kind, monkeypatch):
-    # before each chunk the cache drops the patterns the chunk does not
-    # have; the chunks of one pattern are consecutive, so each pattern's
-    # coordinate work is still done once
+    # each process keeps only its last pattern's coordinate work and hands
+    # it to that pattern's chunks; the chunks of one pattern are
+    # consecutive, so each pattern's work is done once
     config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind=kind)
     image = add_gaussian_noise(synthetic_texture("texture-a", 64), 0.02, 3).pixels[None]
-    computed, after = [], []
+    computed, patterns, alive = [], [], {}
+    last = [None]  # the work of the last chunk, and nothing older
     coordinate_work = denoisers.coordinate_work
 
     def counting(kind, coords, params):
         computed.append((coords - coords.min(axis=0)).tobytes())
         return coordinate_work(kind, coords, params)
 
-    def checking(chunk, images, config, cache):
-        results = run_chunk(chunk, images, config, cache)
-        after.append((set(cache), {pattern(job) for job in chunk}))
-        return results
+    def checking(chunk, images, config, work):
+        keys = {pattern(job) for job in chunk}
+        assert len(keys) == 1
+        key = keys.pop()
+        if patterns:
+            assert (work is last[0]) == (key == patterns[-1])
+        last[0] = work
+        patterns.append(key)
+        # an array of the work: the factor, NLM's gather indices or psi
+        array = work[0] if isinstance(work[0], np.ndarray) else work[0][0]
+        alive.setdefault(key, weakref.ref(array))
+        assert all(ref() is None for k, ref in alive.items() if k != key)
+        return run_chunk(chunk, images, config, work)
 
     monkeypatch.setattr(denoisers, "coordinate_work", counting)
     monkeypatch.setattr(pipeline, "run_chunk", checking)
     jobs, _ = pipeline._run_patches(image, config)
-    assert len(after) > 1 and all(cached == chunk for cached, chunk in after)
-    assert sorted(computed) == sorted({pattern(job) for job in jobs})
-    assert len(computed) < len(jobs)
+    assert len(patterns) > len(computed)
+    assert computed == list(dict.fromkeys(patterns)) == list(by_pattern(jobs))
+
+
+def test_pool_writes_the_serial_gaussian_csv():
+    # each forked child computes the Gaussian denoisers of its own chunks
+    config = ExperimentConfig(
+        transform=Homography(PAPER_H),
+        denoiser_kind="gaussian",
+        noise_variances=(0.02, 0.06),
+        seed=4,
+    )
+    img = synthetic_texture("texture-b", 40)
+    _, serial = run_experiment(config, img, "texture-b")
+    _, pooled = run_experiment(replace(config, workers=2), img, "texture-b")
+    assert pooled == serial
+
+
+FRESH_RUN = """
+import json, sys
+from mixedgraph.denoisers import KernelParams
+from mixedgraph.interpolators import Rotation
+from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
+kind, spatial_var = json.loads(sys.argv[1])
+config = ExperimentConfig(
+    transform=Rotation(20.0), denoiser_kind=kind,
+    kernel_params=KernelParams(spatial_var=spatial_var), noise_variances=(0.02, 0.06),
+)
+print(run_experiment(config, synthetic_texture("texture-a", 36), "texture-a")[1], end="")
+"""
+
+
+def test_no_coordinate_work_outlives_its_run():
+    # two runs in this process, with the same tiles but other kernel
+    # parameters, each write what a new interpreter writes for them alone
+    runs = [("gaussian", 0.3), ("gaussian", 2.0), ("bilateral", 0.3), ("bilateral", 2.0)]
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedgraph.__file__).parent.parent))
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-c", FRESH_RUN, json.dumps(run)],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for run in runs
+    ]
+    img = synthetic_texture("texture-a", 36)
+    here = []
+    for kind, spatial_var in runs:
+        config = ExperimentConfig(
+            transform=Rotation(20.0),
+            denoiser_kind=kind,
+            kernel_params=KernelParams(spatial_var=spatial_var),
+            noise_variances=(0.02, 0.06),
+        )
+        here.append(run_experiment(config, img, "texture-a")[1])
+    want = [proc.communicate()[0] for proc in fresh]
+    assert all(proc.returncode == 0 for proc in fresh)
+    assert here == want
+    assert len(set(here)) == len(runs)
 
 
 def test_chunk_tiles():
@@ -199,39 +295,53 @@ def test_chunk_tiles():
 @pytest.mark.parametrize("signals", [1, 2, 3, 5, 9])
 def test_chunks_group_tiles_of_one_pixel_count(signals, patch):
     jobs = tile_image((64, 64), Rotation(20.0), patch)
-    patterns = [pattern(job) for job in jobs]
-    chunks = pipeline._chunks(jobs, signals, patterns)
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(jobs)))
-    by_count = {}
-    for chunk in chunks:
-        assert len({len(jobs[i].operator.target_coords) for i in chunk}) == 1
-        by_count.setdefault(len(jobs[chunk[0]].operator.target_coords), []).append(chunk)
-    # the pixel counts in the order of their first tiles, each one's chunks
-    # consecutive: its tiles sorted by pattern, then by index, cut into runs
-    # of `chunk_tiles`
-    counts = [len(job.operator.target_coords) for job in jobs]
-    assert list(by_count) == list(dict.fromkeys(counts))
-    assert chunks == [chunk for runs in by_count.values() for chunk in runs]
-    for count, runs in by_count.items():
-        size = pipeline.chunk_tiles(count, signals)
-        tiles = sorted((i for i, c in enumerate(counts) if c == count), key=lambda i: (patterns[i], i))
-        assert runs == [tiles[k : k + size] for k in range(0, len(tiles), size)]
-    # so the chunks of one pattern are consecutive
-    order = [patterns[i] for chunk in chunks for i in chunk]
-    starts = [p for k, p in enumerate(order) if k == 0 or p != order[k - 1]]
-    assert len(starts) == len(set(patterns))
+    chunks = pipeline._chunks(jobs, signals)
+    # the patterns in the order of their first tiles, each one's tiles in
+    # index order, cut into runs of `chunk_tiles`; a pattern has one pixel
+    # count
+    groups = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(pattern(job), []).append(i)
+    want = []
+    for key, tiles in groups.items():
+        size = pipeline.chunk_tiles(len(jobs[tiles[0]].operator.target_coords), signals)
+        want += [(key, tiles[k : k + size]) for k in range(0, len(tiles), size)]
+    assert chunks == want
+    assert len(groups) < len(jobs)
     if patch == 15:
         # 225 pixels: every chunk of full tiles is one tile
-        assert all(len(chunk) == 1 for chunk in by_count[225])
+        full = [tiles for _, tiles in chunks if len(jobs[tiles[0]].operator.target_coords) == 225]
+        assert full and all(len(tiles) == 1 for tiles in full)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    transform=TRANSFORMS,
+    size=st.integers(2, 64),
+    patch=st.integers(2, 16),
+    signals=st.integers(1, 9),
+)
+def test_chunks_never_mix_patterns_or_overfill(transform, size, patch, signals):
+    jobs = tile_image((size, size), transform, patch)
+    chunks = pipeline._chunks(jobs, signals)
+    assert sorted(i for _, tiles in chunks for i in tiles) == list(range(len(jobs)))
+    for key, tiles in chunks:
+        assert {pattern(jobs[i]) for i in tiles} == {key}
+        n = len(jobs[tiles[0]].operator.target_coords)
+        assert 1 <= len(tiles) <= pipeline.chunk_tiles(n, signals)
+        assert tiles == sorted(tiles)
+    # the chunks of one pattern are consecutive
+    keys = [key for key, _ in chunks]
+    assert sum(k == 0 or key != keys[k - 1] for k, key in enumerate(keys)) == len(set(keys))
 
 
 def chunk_bytes(kernels, tiles, n, columns, cached=None):
     """A chunk's n x n stacks of ``kernels``, its tiles' dense rows of
-    ``columns`` each, and one cache entry per tile of ``cached`` numbers
-    (n x n by default)."""
+    ``columns`` each, and its pattern's coordinate work of ``cached``
+    numbers (n x n by default)."""
     stacks = (pipeline.LIVE_STACKS * kernels + pipeline.CHUNK_ARRAYS) * n
     cached = n * n if cached is None else cached
-    return ((stacks + tiles * columns) * n + tiles * cached) * 8
+    return ((stacks + tiles * columns) * n + cached) * 8
 
 
 def memory(monkeypatch, nbytes):
@@ -256,7 +366,7 @@ class TestRequireMemory:
 
         # patch 200 on a 256 px image: one tile of n = 40,000 per chunk,
         # whose dense rows have at most the image's 65,536 columns, not 4 n,
-        # and whose chunk caches one n x n factor
+        # and whose chunk holds one n x n factor
         config = replace(self.CONFIG, patch_size=200)
         assert peak(config, (1, 256, 256)) == chunk(1, 1, 40_000, 65_536) + held(65_536)
         # a patch larger than the image: one tile, the whole image
@@ -265,7 +375,7 @@ class TestRequireMemory:
         # a signal-free kind builds one kernel per tile
         gaussian = replace(config, denoiser_kind="gaussian")
         assert peak(gaussian, (5, 30, 20)) == chunk(1, 1, 600, 600) + held(600)
-        # NLM caches its gather indices and pair list, n (k^2 + w^2) numbers
+        # NLM's work is its gather indices and pair list, n (k^2 + w^2) numbers
         nlm = replace(config, denoiser_kind="nlm")
         assert peak(nlm, (1, 30, 20)) == chunk(1, 1, 600, 600, 600 * (3**2 + 9**2)) + held(600)
         # V = 5: one tile of 5 kernels per chunk; V = 3: two tiles of 3; the
@@ -284,13 +394,44 @@ class TestRequireMemory:
         config = replace(self.CONFIG, workers=3)
         # 36 full tiles at V = 1: chunks of 8, 8, 8, 8 and 4 tiles
         assert more(config, (1, 64, 64)) == 2 * chunk_bytes(8, 8, 100, 400)
-        # four tiles make one chunk, held by one process
-        assert more(config, (1, 20, 20)) == 0
+        # four tiles may be of four patterns, so each further process may
+        # hold a chunk of none of the first chunk's tiles: its n x n arrays
+        # and its pattern's work
+        assert more(config, (1, 20, 20)) == 2 * chunk_bytes(0, 0, 100, 400)
         # a tile larger than a chunk's stacks: one process per tile; on a
         # 40 x 20 image its dense rows have at most 800 columns
         config = replace(config, patch_size=20)
         assert more(config, (1, 40, 20)) == chunk_bytes(1, 1, 400, 800)
         assert more(config, (1, 60, 60)) == 2 * chunk_bytes(1, 1, 400, 1600)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "kind, signals, size, transform",
+        [
+            # 10 x 2 and 2 x 10 tiles: one pixel count, two one-tile chunks
+            ("bilateral", 1, 12, Rotation(0.0)),
+            ("gaussian", 2, 32, Rotation(0.0)),
+            ("nlm", 2, 32, Rotation(0.0)),
+            ("bilateral", 1, 64, Rotation(20.0)),
+            ("bilateral", 2, 64, Homography(PAPER_H)),
+        ],
+    )
+    def test_estimate_bounds_the_chunks_the_workers_hold(
+        self, kind, signals, size, transform, workers
+    ):
+        # the tiles of one pixel count split into partial chunks, one per
+        # pattern, and each worker may hold any one chunk at a time
+        config = replace(self.CONFIG, transform=transform, denoiser_kind=kind, workers=workers)
+        jobs = tile_image((size, size), transform, config.patch_size)
+        kernels = 1 if kind in denoisers.SIGNAL_FREE else signals
+        held = []
+        for _, tiles in pipeline._chunks(jobs, signals):
+            n = len(jobs[tiles[0]].operator.target_coords)
+            cached = denoisers.coordinate_work_size(kind, n, config.kernel_params)
+            columns = min(pipeline.ROW_TAPS * n, size * size)
+            held.append(chunk_bytes(kernels * len(tiles), len(tiles), n, columns, cached))
+        most = sum(sorted(held, reverse=True)[:workers]) + pipeline.OPERATOR_BYTES * size * size
+        assert most <= pipeline.tile_peak_bytes(config, (signals, size, size))
 
     @pytest.mark.parametrize("patch", [10, 20, 30])
     def test_estimate_is_within_2_5_times_the_measured_peak(self, patch):

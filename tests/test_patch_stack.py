@@ -18,11 +18,12 @@ from mixedgraph.denoisers import KernelParams, fill_holes_nearest
 from mixedgraph.errors import BalanceError, PatchGeometryError, PreconditionError
 from mixedgraph.graphcore import NONEXPANSIVE_SLACK, PD_EIG_MIN
 from mixedgraph.interpolators import Homography, Rotation, build_patch_operator
-from mixedgraph.pipeline import ExperimentConfig, add_gaussian_noise, run_patch
+from mixedgraph.pipeline import ExperimentConfig, run_patch
+
+from helpers import SIZE, noisy_stack, outcome
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
-SIZE = 32
 
 
 def sq_dist(f):
@@ -112,21 +113,10 @@ def ref_run_patch(job, pixels, config, max_iter):
     return False, None, (psi @ v).tobytes(), (psi @ ty).tobytes()
 
 
-def outcome(res):
-    joint = None if res.joint is None else np.asarray(res.joint).tobytes()
-    seq = None if res.sequential is None else np.asarray(res.sequential).tobytes()
-    return res.failed, res.error, joint, seq
-
-
 def stacked_outcomes(job, images, config, max_iter):
     scale = functools.partial(denoisers.sinkhorn_scale, max_iter=max_iter)
     with mock.patch.object(denoisers, "sinkhorn_scale", scale):
-        return [outcome(res) for res in run_patch(job, images, config)]
-
-
-def noisy_stack(seed, variances):
-    clean = np.random.default_rng(seed).uniform(0.0, 1.0, (SIZE, SIZE))
-    return np.stack([add_gaussian_noise(clean, v, seed ^ i) for i, v in enumerate(variances)])
+        return [(res.failed, *outcome(res)) for res in run_patch(job, images, config)]
 
 
 def check_against_reference(job, images, config, max_iter):
@@ -228,7 +218,7 @@ def test_singular_solve_fails_its_image_alone(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    got = [outcome(res) for res in run_patch(job, images, config)]
+    got = [(res.failed, *outcome(res)) for res in run_patch(job, images, config)]
     n = len(job.operator.target_coords)
     assert calls == [(3, n, n)] + [(n, n)] * 3
     assert got[0] == want[0] and got[2] == want[2]

@@ -29,8 +29,9 @@ from mixedgraph.pipeline import (
     synthetic_texture,
 )
 
+from helpers import SIZE, noisy_stack, outcomes
+
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
-SIZE = 32
 TRANSFORMS = st.one_of(
     st.floats(-45.0, 45.0, allow_nan=False).map(Rotation),
     st.just(Homography(PAPER_H)),
@@ -61,11 +62,6 @@ def jacobi_theta4(tau):
     p2n = np.exp(2.0 * log_p * n)
     log_theta2 = math.log(2.0) + 0.25 * log_p + np.sum(np.log1p(-p2n) + 2.0 * np.log1p(p2n))
     return math.exp(0.5 * (math.log(math.pi) - math.log(tau)) + log_theta2)
-
-
-def noisy_stack(seed, variances):
-    clean = np.random.default_rng(seed).uniform(0.0, 1.0, (SIZE, SIZE))
-    return np.stack([add_gaussian_noise(clean, v, seed ^ i) for i, v in enumerate(variances)])
 
 
 @st.composite
@@ -179,12 +175,8 @@ def cholesky_only(psi, eig_floor=None):
     return CERTIFY(psi)
 
 
-def outcomes(jobs, images, config):
-    return [
-        (res.error, *(None if a is None else a.tobytes() for a in (res.joint, res.sequential)))
-        for job in jobs
-        for res in run_patch(job, images, config)
-    ]
+def tile_outcomes(jobs, images, config):
+    return outcomes(run_patch(job, images, config) for job in jobs)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bilateral"])
@@ -206,12 +198,12 @@ def test_run_patch_matches_cholesky_only(kind, spatial_var, transform, monkeypat
         return _is_pd(a)
 
     monkeypatch.setattr(graphcore, "_is_pd", is_pd)
-    got = outcomes(jobs, images, config)
+    got = tile_outcomes(jobs, images, config)
     kernels = len(jobs) * (1 if kind in denoisers.SIGNAL_FREE else len(images))
     # every kernel factored at spatial_var 4, none at 0.3
     assert sum(factored) == (kernels if spatial_var == 4.0 else 0)
     monkeypatch.setattr(graphcore, "certify_symmetric", cholesky_only)
-    assert got == outcomes(jobs, images, config)
+    assert got == tile_outcomes(jobs, images, config)
 
 
 def test_nlm_never_consults_a_floor(monkeypatch):
@@ -229,7 +221,9 @@ def test_nlm_never_consults_a_floor(monkeypatch):
         kernel_params=KernelParams(nlm_h2=0.05),
         noise_variances=(0.08, 0.125),
     )
-    outcomes(tile_image((SIZE, SIZE), config.transform, 10), noisy_stack(2, (0.08, 0.125)), config)
+    tile_outcomes(
+        tile_image((SIZE, SIZE), config.transform, 10), noisy_stack(2, (0.08, 0.125)), config
+    )
     assert floors and set(floors) == {None}
 
 
