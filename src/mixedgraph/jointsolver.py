@@ -1,11 +1,13 @@
 """MAP solvers for denoising, interpolation, and the two joint formulations.
 
 All four problems are convex quadratics with symmetric positive definite
-coefficient matrices.  The pipeline solves each tile's non-separable joint
-problem in output space (`output_space_solve`, one dense n x n solve).  The
-assembled 2m x 2m systems, solved by conjugate gradient or a dense
-factorization, and the closed-form derived operators are kept as the
-reference solutions that the tests hold that solve to.
+coefficient matrices.  The non-separable joint problem is solved in output
+space, one dense n x n system per tile, by `output_space_solve`: the
+pipeline calls it on a chunk of tiles, and `reduced_nonseparable` on one
+tile behind its certification and dimension checks.  The assembled 2m x 2m
+systems, solved by conjugate gradient or a dense factorization, and the
+closed-form derived operators are kept as the reference solutions that the
+tests hold that solve to.
 """
 
 from __future__ import annotations
@@ -329,8 +331,8 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     ``psi`` must be certified, or PreconditionError is raised: its
     eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, so it
     is nonsingular, as `graphcore.denoiser_to_laplacian` requires.  The
-    dimensions are checked, and the solve is `output_space_solve` on
-    ``theta_real @ y``.
+    dimensions are checked, and the solve is `output_space_solve` of a
+    chunk of one tile, whose SolverError is raised.
     """
     require_certified(psi)
     y = as_vector(y)
@@ -339,54 +341,68 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     if len(y) != m or psi.matrix.shape != (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
     ty = np.matmul(theta_real, y[:, None])[:, 0]
-    return output_space_solve(ty, theta_real, psi.matrix, weights)
+    (z,), (error,) = output_space_solve(ty[None], [theta_real], psi.matrix[None], weights.c)
+    if error is not None:
+        raise error
+    return z
 
 
-def output_space_solve(ty, theta_real, psi_m, weights: SolverWeights) -> np.ndarray:
-    """The solve of `reduced_nonseparable` on arrays, with no checks.
+def output_space_solve(ty, thetas, psi, c: float):
+    """The joint outputs of a chunk of tiles: the solve of `reduced_nonseparable`, unchecked.
 
-    ``ty`` is ``theta_real @ y``, (n,) or (V, n), ``theta_real`` (n, m) and
-    ``psi_m`` the certified denoiser(s), (n, n) or (V, n, n).  The matrix
-    ``psi + c (P - P psi)`` (`output_space_matrix`) is not symmetric, but
-    it equals ``(I + c P G) psi``; ``P G`` is a product of positive
-    semidefinite matrices (up to the certification slack), so its
-    eigenvalues are real and >= 0, the matrix is nonsingular and LU with
-    partial pivoting is safe.  P is formed once, and a stack goes to one
-    stacked solve (`solve_output_space`).  A singular system raises
-    SolverError.
+    ``thetas`` holds the T tiles' dense real rows theta_r (n, m), and
+    ``psi`` their certified denoisers, tile-major: (T K, n, n), K per
+    tile, or (T, 1, n, n) for a kind whose one denoiser per tile serves
+    all its signals.  ``ty`` holds the signals theta_r y that each
+    denoiser serves: (T K, n), or (T, V, n).  For ``c = 0`` the solution
+    is the interpolation, and ``ty`` itself is returned.  Otherwise P =
+    theta_r theta_r^T is formed once per tile, and the matrices ``A = psi
+    + c (P - P psi)`` of all the chunk's denoisers are written into one
+    stack.  A is not symmetric, but it equals ``(I + c P G) psi``; ``P
+    G`` is a product of positive semidefinite matrices (up to the
+    certification slack), so its eigenvalues are real and >= 0, A is
+    nonsingular and LU with partial pivoting is safe.  The stack is one
+    stacked solve, which runs the same LAPACK routine on each system, so
+    every signal gets the bits it would get alone.  Only when that solve
+    fails is each denoiser solved alone, so that a singular system fails
+    only the signals it serves.  Returns ``(z, errors)``: the outputs
+    ``psi inv(A) ty``, of the shape of ``ty``, and per denoiser None or
+    the SolverError that failed it, whose rows of z are NaN.
     """
-    a = output_space_matrix(theta_real @ theta_real.T, psi_m, weights.c)
-    return solve_output_space(a, ty, psi_m)
+    if c == 0:
+        return ty, [None] * len(ty)
+    a = np.empty(psi.shape)
+    per_tile = (len(thetas), -1) + psi.shape[-2:]
+    for theta, tile_psi, tile_a in zip(thetas, psi.reshape(per_tile), a.reshape(per_tile)):
+        p = theta @ theta.T
+        np.matmul(p, tile_psi, out=tile_a)
+        np.subtract(p, tile_a, out=tile_a)
+        tile_a *= c
+        tile_a += tile_psi
+    try:
+        return _solve(a, ty, psi), [None] * len(ty)
+    except SolverError:
+        pass
+    z, errors = np.full(ty.shape, np.nan), [None] * len(ty)
+    for u in range(len(ty)):
+        try:
+            z[u] = _solve(a[u], ty[u], psi[u])
+        except SolverError as exc:
+            errors[u] = exc
+    return z, errors
 
 
-def output_space_matrix(p, psi_m, c: float, out=None) -> np.ndarray:
-    """``psi + c (P - P psi)``, in one buffer: ``out``, if given.
+def _solve(a, ty, psi) -> np.ndarray:
+    """``psi inv(a) ty``, with ``a`` and ``psi`` (..., n, n) and ``ty`` (..., n) broadcast.
 
-    ``p`` is ``theta_real @ theta_real.T``, and ``psi_m`` one denoiser or a
-    stack of them, over which ``p`` is broadcast.
-    """
-    a = np.matmul(p, psi_m, out=out)
-    np.subtract(p, a, out=a)
-    a *= c
-    a += psi_m
-    return a
-
-
-def solve_output_space(a, ty, psi_m) -> np.ndarray:
-    """``psi inv(a) ty``: the joint outputs of `output_space_matrix`'s ``a``.
-
-    ``a`` and ``psi_m`` are (..., n, n), and ``ty`` (..., n), broadcast
-    against them.  A stack is one stacked solve, which runs the same
-    LAPACK routine on each system, so every signal gets the result it
-    would get alone.  numpy's own LAPACK is used because scipy's runs a
-    second BLAS thread pool that contends with numpy's.  A singular
-    system raises SolverError.
+    numpy's own LAPACK is used because scipy's runs a second BLAS thread
+    pool that contends with numpy's.  A singular system raises SolverError.
     """
     try:
         v = np.linalg.solve(a, ty[..., None])
     except np.linalg.LinAlgError as exc:
         raise SolverError("reduced joint system is singular") from exc
-    return np.matmul(psi_m, v)[..., 0]
+    return np.matmul(psi, v)[..., 0]
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

@@ -27,7 +27,7 @@ import scipy
 from scipy import ndimage
 
 from . import denoisers, graphcore, interpolators, jointsolver
-from .errors import ImageIOError, PatchGeometryError, PreconditionError, SolverError
+from .errors import ImageIOError, PatchGeometryError, PreconditionError
 from .errors import TileMemoryError, TilesFailedError, WorkerError
 
 PSNR_CAP_DB = 99.0
@@ -361,37 +361,6 @@ def _pattern(op):
     return (tc - tc.min(axis=0)).tobytes()
 
 
-def _joint_solves(ty, psi, thetas, config):
-    """The joint outputs of a chunk's denoisers, in one stacked solve.
-
-    ``psi`` holds the chunk's denoisers, tile-major, and ``ty`` the
-    signals theta_r y, one or V per denoiser, that each serves;
-    ``thetas`` are the chunk's dense real rows, one per tile.  P = theta_r
-    theta_r^T is formed once per tile, and `jointsolver.output_space_matrix`
-    of each tile's denoisers is written into one stack.  Only when the
-    stacked solve fails is each denoiser solved alone, so that a singular
-    system fails only the signals it serves.  Returns ``(z, errors)``: the
-    joint outputs, of the shape of ``ty``, and per denoiser None or the
-    SolverError that failed it, whose rows of z are NaN.
-    """
-    c = config.weights.c
-    a = np.empty(psi.shape)
-    per_tile = (len(thetas), -1) + psi.shape[-2:]
-    for theta, tile_psi, tile_a in zip(thetas, psi.reshape(per_tile), a.reshape(per_tile)):
-        jointsolver.output_space_matrix(theta @ theta.T, tile_psi, c, out=tile_a)
-    try:
-        return jointsolver.solve_output_space(a, ty, psi), [None] * len(ty)
-    except SolverError:
-        pass
-    z, errors = np.full(ty.shape, np.nan), [None] * len(ty)
-    for u in range(len(ty)):
-        try:
-            z[u] = jointsolver.solve_output_space(a[u], ty[u], psi[u])
-        except SolverError as exc:
-            errors[u] = exc
-    return z, errors
-
-
 # The most kernels a chunk of tiles stacks (`chunk_tiles`).  At V = 1 and 2,
 # Sinkhorn, certification and the joint solve of one 100 x 100 kernel are
 # mostly numpy's per-call cost, which a chunk pays once.  Measured with
@@ -435,23 +404,22 @@ def run_chunk(jobs, images, config, work=None) -> list:
     ``work`` is the pattern's coordinate-only work (`_coordinate_work`),
     or None to compute it from the first tile.  Each tile's dense real
     rows theta_r are built from its taps once, on entry, and held only
-    while the chunk is solved: they give ty = theta_r y and P = theta_r
-    theta_r^T, each once per tile.  The chunk's T V kernels are
-    built, balanced (Sinkhorn), certified (the Schur bound, or the
-    Cholesky fallback of `graphcore.certify_symmetric`) and jointly solved
-    as stacks (`build_patch_denoiser`); a signal-free kind's one denoiser
-    is broadcast over the chunk's tiles and signals.  Every denoiser is
-    solved, whether or not it passed, and each image then keeps its first
-    error: balance, certification, then solver; an output that is not
-    finite fails its image as a solver failure, found by one check per
-    output stack.  The joint output is the non-separable MAP solution,
-    from one solve on ty (`jointsolver.output_space_solve`); for the
-    identity denoiser P - P psi is exactly 0, and the solve returns ty bit
-    for bit.  Stacked products and solves run the same BLAS/LAPACK routine
-    per matrix as a single-matrix call, so each image of each tile gets
-    the bits it would get alone.  A balance, certification or solver
-    failure fails only its own image (for a signal-free kind, the images
-    of its tile).
+    while the chunk is solved.  The chunk's T V kernels are built,
+    balanced (Sinkhorn) and certified (the Schur bound, or the Cholesky
+    fallback of `graphcore.certify_symmetric`) as stacks
+    (`build_patch_denoiser`); a signal-free kind's one denoiser is
+    broadcast over the chunk's tiles and signals.  A chunk whose every
+    denoiser failed is not solved.  Otherwise every denoiser is solved,
+    whether or not it passed, and each image then keeps its first error:
+    balance, certification, then solver; an output that is not finite
+    fails its image as a solver failure, found by one check per output
+    stack.  The joint output is the non-separable MAP solution,
+    `jointsolver.output_space_solve` of the whole chunk, which returns the
+    interpolation ty = theta_r y itself at kappa = 0.  Stacked products
+    and solves run the same BLAS/LAPACK routine per matrix as a
+    single-matrix call, so each image of each tile gets the bits it would
+    get alone.  A balance, certification or solver failure fails only its
+    own image (for a signal-free kind, the images of its tile).
     """
     ops = [job.operator for job in jobs]
     thetas = [op.real_matrix for op in ops]
@@ -463,20 +431,23 @@ def run_chunk(jobs, images, config, work=None) -> list:
         y = images[:, src[:, 0], src[:, 1]]
         ty[i] = np.matmul(theta, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(ops, ty, config, work)
-    # psi[u] serves the signals ty[u]: one, or for a signal-free kind its tile's V
-    ty = ty.reshape(psi.shape[:-3] + (-1, n))
-    joint = sequential = None
-    if "sequential" in config.modes:
-        sequential = np.matmul(psi, ty[..., None])[..., 0].reshape(t, v, n)
-    if "joint" in config.modes:
-        joint = ty
-        if config.weights.kappa > 0:
-            joint, solver_errors = _joint_solves(ty, psi, thetas, config)
-            errors = [exc if err is None else err for err, exc in zip(errors, solver_errors)]
-        joint = joint.reshape(t, v, n)
-    outputs = [x for x in (joint, sequential) if x is not None]
-    finite = np.all([np.isfinite(x).all(axis=-1) for x in outputs], axis=0)
     shared = t * v // len(psi)
+    joint = sequential = None
+    if any(err is None for err in errors):
+        # psi[u] serves the signals ty[u]: one, or for a signal-free kind its tile's V
+        ty = ty.reshape(psi.shape[:-3] + (-1, n))
+        if "sequential" in config.modes:
+            sequential = np.matmul(psi, ty[..., None])[..., 0].reshape(t, v, n)
+        if "joint" in config.modes:
+            joint, solver_errors = jointsolver.output_space_solve(
+                ty, thetas, psi, config.weights.c
+            )
+            errors = [exc if err is None else err for err, exc in zip(errors, solver_errors)]
+            joint = joint.reshape(t, v, n)
+
+    outputs = [x for x in (joint, sequential) if x is not None]
+    # a scalar when no output was computed, and then every image has its error
+    finite = np.all([np.isfinite(x).all(axis=-1) for x in outputs], axis=0)
 
     def result(i, s):
         err = errors[(i * v + s) // shared]

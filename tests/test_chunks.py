@@ -225,6 +225,30 @@ def test_cache_holds_only_the_chunk_patterns(kind, monkeypatch):
     assert computed == list(dict.fromkeys(patterns)) == list(by_pattern(jobs))
 
 
+def test_chunk_with_no_passing_denoiser_is_not_solved(monkeypatch):
+    # the image of `joint --texture texture-a --texture-size 128 --transform
+    # rotation --angle 20 --denoiser nlm`: at the CLI's h^2 most chunks
+    # have every NLM filter failed, and only the others are solved
+    config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="nlm", mode="joint")
+    image = synthetic_texture("texture-a", 128).pixels[None]
+    solved = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    jobs, (results,) = pipeline._run_patches(image, config)
+    monkeypatch.undo()
+    chunks = [tiles for _, tiles in pipeline._chunks(jobs, 1)]
+    passing = [tiles for tiles in chunks if not all(results[i].failed for i in tiles)]
+    assert 0 < len(passing) < len(chunks)
+    assert solved == [len(tiles) for tiles in passing]
+    want = [run_patch(job, image, config) for job in jobs]
+    assert outcomes([[res] for res in results]) == outcomes(want)
+
+
 def test_pool_writes_the_serial_gaussian_csv():
     # each forked child computes the Gaussian denoisers of its own chunks
     config = ExperimentConfig(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mixedgraph.denoisers import (
     KernelParams,
     bilateral_matrix,
+    build_denoiser,
     gaussian_matrix,
     nlm_matrix,
     sinkhorn_balance,
@@ -54,6 +55,8 @@ from mixedgraph.jointsolver import (
     reduced_nonseparable,
 )
 from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
+
+from helpers import pattern
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_2X = Homography(((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)))
@@ -506,14 +509,56 @@ class TestOutputSpaceSolve:
         got = reduced_nonseparable(y, theta, psi, weights)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_takes_the_interpolated_signal(self):
-        # the caller passes theta_r y, which the pipeline already holds
-        op, y, psi = warped_tile(Rotation(20.0), (12, 12), "bilateral", 3)
-        weights = SolverWeights()
-        ty = np.matmul(op.real_matrix, y[:, None])[:, 0]
-        got = output_space_solve(ty, op.real_matrix, psi.matrix, weights)
-        want = reduced_nonseparable(y, op.real_matrix, psi, weights)
-        assert got.tobytes() == want.tobytes()
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        transform=TILE_TRANSFORMS,
+        kind=st.sampled_from(["gaussian", "bilateral", "nlm"]),
+        tiles=st.integers(1, 4),
+        signals=st.integers(1, 3),
+        kappa=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_chunk_matches_each_tile_alone(
+        self, transform, kind, tiles, signals, kappa, seed, data
+    ):
+        # T tiles of one offset pattern on V signals: one denoiser per
+        # signal, (T V, n, n), or for a signal-free kind one per tile,
+        # (T, 1, n, n), serving its V signals
+        images = np.random.default_rng(seed).uniform(0.0, 1.0, (signals, 32, 32))
+        groups = {}
+        for job in tile_image((32, 32), transform, 6):
+            groups.setdefault(pattern(job), []).append(job.operator)
+        ops = data.draw(st.sampled_from(list(groups.values())))[:tiles]
+        thetas = [op.real_matrix for op in ops]
+        ys = [images[:, op.source_coords[:, 0], op.source_coords[:, 1]] for op in ops]
+        ty = np.array(
+            [[np.matmul(th, y[:, None])[:, 0] for y in tile_ys] for th, tile_ys in zip(thetas, ys)]
+        )
+        params = KernelParams(nlm_h2=0.05)
+        psis = []
+        for op, tile_ty in zip(ops, ty):
+            if kind == "gaussian":
+                kernels = [gaussian_matrix(op.target_coords, params)]
+            else:
+                kernels = [
+                    build_denoiser(kind, op.target_coords, np.clip(t, 0.0, 1.0), params)
+                    for t in tile_ty
+                ]
+            psis.append([sinkhorn_balance(k, kind=kind) for k in kernels])
+        assume(all(psi.certified for tile_psis in psis for psi in tile_psis))
+        weights = SolverWeights(kappa=kappa)
+        n = ty.shape[-1]
+        psi = np.array([[p.matrix for p in tile_psis] for tile_psis in psis])
+        if kind != "gaussian":
+            psi, ty = psi.reshape(-1, n, n), ty.reshape(-1, n)
+        z, errors = output_space_solve(ty, thetas, psi, weights.c)
+        assert errors == [None] * len(psi)
+        z = z.reshape(len(ops), signals, n)
+        for i, (theta, tile_ys, tile_psis) in enumerate(zip(thetas, ys, psis)):
+            for s, y in enumerate(tile_ys):
+                want = reduced_nonseparable(y, theta, tile_psis[s % len(tile_psis)], weights)
+                assert z[i, s].tobytes() == want.tobytes()
 
     def test_one_vector_solve_per_tile(self, monkeypatch):
         # A sweep solves each tile once for all its noise variances: one

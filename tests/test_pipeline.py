@@ -248,6 +248,21 @@ class TestProcessImage:
         assert joint.pixels.tobytes() == sequential.pixels.tobytes()
         assert joint.validity.tobytes() == sequential.validity.tobytes()
 
+    def test_kappa_zero_joint_is_the_interpolation(self):
+        # at kappa = 0 the joint solution is theta_r y, whatever the
+        # denoiser: the bytes of the `interpolate` command's path
+        img = add_gaussian_noise(synthetic_texture("texture-a", 32), 0.02, 3)
+        config = ExperimentConfig(
+            transform=Rotation(20.0),
+            denoiser_kind="bilateral",
+            weights=SolverWeights(kappa=0.0),
+        )
+        joint = process_image(config, img, "joint")
+        interpolated = process_image(replace(config, denoiser_kind="identity"), img, "sequential")
+        assert joint.validity.any() and not joint.tile_errors
+        assert joint.validity.tobytes() == interpolated.validity.tobytes()
+        assert joint.pixels.tobytes() == interpolated.pixels.tobytes()
+
     def test_stitching_covers_all_tiled_pixels(self):
         img = synthetic_texture("texture-b", 40)
         config = identity_config(transform=Rotation(20.0))
@@ -502,7 +517,7 @@ class TestNonFiniteOutput:
         want = process_image(config, img, mode)
         assert not want.tile_errors
         if mode == "joint":
-            monkeypatch.setattr(jointsolver, "solve_output_space", nan_solve)
+            monkeypatch.setattr(jointsolver, "_solve", nan_solve)
         else:
             monkeypatch.setattr(pipeline, "build_patch_denoiser", nan_denoiser)
         out = process_image(config, img, mode)
