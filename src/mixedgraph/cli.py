@@ -145,6 +145,13 @@ def _cannot(verb, path, exc):
     return 1
 
 
+def _out_of_memory(name, exc):
+    """Report on one stderr line that the run on image ``name`` ran out of memory; exit status 1."""
+    # numpy's MemoryError names the allocation that failed; the interpreter's has no text
+    print(f"{name}: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 1
+
+
 def _write_text(text, path):
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
@@ -219,6 +226,8 @@ def main(argv=None) -> int:
         command_parser.error(str(exc))
     except (OSError, ImageIOError) as exc:
         return _cannot("read", args.image, exc)
+    except MemoryError as exc:
+        return _out_of_memory(args.image or args.texture, exc)
     if isinstance(setup, pipeline.ExperimentConfig):
         try:
             # an image command's config has one variance: one noisy image
@@ -237,6 +246,8 @@ def main(argv=None) -> int:
     except (PatchGeometryError, TilesFailedError, WorkerError, DegenerateTransformError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        return _out_of_memory(name, exc)
 
 
 if __name__ == "__main__":

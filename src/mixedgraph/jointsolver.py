@@ -341,50 +341,51 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     if len(y) != m or psi.matrix.shape != (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
     ty = np.matmul(theta_real, y[:, None])[:, 0]
-    (z,), (error,) = output_space_solve(ty[None], [theta_real], psi.matrix[None], weights.c)
-    if error is not None:
-        raise error
-    return z
+    z, errors = output_space_solve(ty[None, None], [theta_real], psi.matrix[None, None], weights.c)
+    if errors[0, 0] is not None:
+        raise errors[0, 0]
+    return z[0, 0]
 
 
 def output_space_solve(ty, thetas, psi, c: float):
     """The joint outputs of a chunk of tiles: the solve of `reduced_nonseparable`, unchecked.
 
-    ``thetas`` holds the T tiles' dense real rows theta_r (n, m), and
-    ``psi`` their certified denoisers, tile-major: (T K, n, n), K per
-    tile, or (T, 1, n, n) for a kind whose one denoiser per tile serves
-    all its signals.  ``ty`` holds the signals theta_r y that each
-    denoiser serves: (T K, n), or (T, V, n).  For ``c = 0`` the solution
-    is the interpolation, and ``ty`` itself is returned.  Otherwise P =
-    theta_r theta_r^T is formed once per tile, and the matrices ``A = psi
-    + c (P - P psi)`` of all the chunk's denoisers are written into one
-    stack.  A is not symmetric, but it equals ``(I + c P G) psi``; ``P
-    G`` is a product of positive semidefinite matrices (up to the
-    certification slack), so its eigenvalues are real and >= 0, A is
-    nonsingular and LU with partial pivoting is safe.  The stack is one
-    stacked solve, which runs the same LAPACK routine on each system, so
-    every signal gets the bits it would get alone.  Only when that solve
-    fails is each denoiser solved alone, so that a singular system fails
-    only the signals it serves.  Returns ``(z, errors)``: the outputs
-    ``psi inv(A) ty``, of the shape of ``ty``, and per denoiser None or
-    the SolverError that failed it, whose rows of z are NaN.
+    ``ty`` holds the signals theta_r y of T tiles on V images, (T, V, n);
+    ``thetas`` the tiles' dense real rows theta_r (n, m); and ``psi`` their
+    certified denoisers, (T, K, n, n), with K = V, one denoiser per signal,
+    or K = 1, one that serves all the tile's signals (numpy broadcasting
+    pairs them).  For ``c = 0`` the solution is the interpolation, and
+    ``ty`` itself is returned.  Otherwise P = theta_r theta_r^T is formed
+    once per tile, and the matrices ``A = psi + c (P - P psi)`` of all the
+    chunk's denoisers are written into one stack.  A is not symmetric, but
+    it equals ``(I + c P G) psi``; ``P G`` is a product of positive
+    semidefinite matrices (up to the certification slack), so its
+    eigenvalues are real and >= 0, A is nonsingular and LU with partial
+    pivoting is safe.  The stack is one stacked solve, which runs the same
+    LAPACK routine on each system, so every signal gets the bits it would
+    get alone.  Only when that solve fails is each (tile, image) solved
+    alone, so that a singular system fails only the signals it serves.
+    Returns ``(z, errors)``: the outputs ``psi inv(A) ty``, (T, V, n), and
+    a (T, V) object array of None or the SolverError of each (tile,
+    image), whose row of z is NaN.
     """
+    errors = np.full(ty.shape[:2], None, dtype=object)
     if c == 0:
-        return ty, [None] * len(ty)
+        return ty, errors
     a = np.empty(psi.shape)
-    per_tile = (len(thetas), -1) + psi.shape[-2:]
-    for theta, tile_psi, tile_a in zip(thetas, psi.reshape(per_tile), a.reshape(per_tile)):
+    for theta, tile_psi, tile_a in zip(thetas, psi, a):
         p = theta @ theta.T
         np.matmul(p, tile_psi, out=tile_a)
         np.subtract(p, tile_a, out=tile_a)
         tile_a *= c
         tile_a += tile_psi
     try:
-        return _solve(a, ty, psi), [None] * len(ty)
+        return _solve(a, ty, psi), errors
     except SolverError:
         pass
-    z, errors = np.full(ty.shape, np.nan), [None] * len(ty)
-    for u in range(len(ty)):
+    z = np.full(ty.shape, np.nan)
+    a, psi = (np.broadcast_to(x, ty.shape[:2] + x.shape[2:]) for x in (a, psi))
+    for u in np.ndindex(ty.shape[:2]):
         try:
             z[u] = _solve(a[u], ty[u], psi[u])
         except SolverError as exc:

@@ -277,17 +277,6 @@ def psnr(reference, test, mask=None) -> float:
 # ---------------------------------------------------------------------------
 # Per-patch solve.
 
-@dataclass(frozen=True)
-class PatchResult:
-    joint: np.ndarray | None
-    sequential: np.ndarray | None
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
 def build_patch_denoiser(ops, interp_values, config, work=None):
     """Balanced, certified denoisers of a chunk of T tiles of one offset pattern.
 
@@ -296,8 +285,9 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
     interpolations of the V noisy inputs; kernel weights are computed from
     them clipped to [0, 1] (for kernel evaluation only).  ``work`` is
     `_coordinate_work` of the pattern, or None to compute it from the
-    first tile.  Returns ``(psi, errors)``: the T V denoisers (T V, n, n),
-    tile-major, and, for each, None or the first error that fails it: a
+    first tile.  Returns ``(psi, errors)``: the denoisers (T, K, n, n),
+    K = V, one per signal, and a (T, V) object array that holds, for each
+    tile and signal, None or the first error that fails its denoiser: a
     BalanceError, or a PreconditionError when certification fails.  The
     kernels are built by one `denoisers.build_denoiser` on the pattern's
     factor, and balanced and certified by one `denoisers.sinkhorn_scale`
@@ -306,24 +296,26 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
     `denoisers.eigenvalue_floor` where that clears
     `graphcore.SCHUR_MARGIN`, and by a Cholesky factorization otherwise
     (always for NLM).  A denoiser of a kind in `denoisers.SIGNAL_FREE`
-    does not depend on the signal, so psi is the pattern's one denoiser
-    as a read-only view (T, 1, n, n) that serves each tile's V signals,
-    and errors its error once per tile.
+    does not depend on the signal, so K = 1: psi is the pattern's one
+    denoiser as a read-only view (T, 1, n, n) that serves each tile's V
+    signals, and its error fills errors.
     """
     kind = config.denoiser_kind
     if work is None:
         work = _coordinate_work(ops[0], config)
+    t, v, n = interp_values.shape
     if kind in denoisers.SIGNAL_FREE:
-        psi, errors = work
-        return np.broadcast_to(psi, (len(ops),) + psi.shape), errors * len(ops)
+        psi, (error,) = work
+        return np.broadcast_to(psi, (t, 1, n, n)), np.full((t, v), error, dtype=object)
     factor, floor = work
-    clipped = np.clip(interp_values, 0.0, 1.0).reshape(-1, interp_values.shape[-1])
+    clipped = np.clip(interp_values, 0.0, 1.0).reshape(t * v, n)
     # the kernels are not named here, so that _balance can free them
-    return _balance(
+    psi, errors = _balance(
         denoisers.build_denoiser(kind, ops[0].target_coords, clipped, config.kernel_params, factor),
         kind,
         floor,
     )
+    return psi.reshape(t, v, n, n), np.array(errors, dtype=object).reshape(t, v)
 
 
 def _balance(kernel, kind, floor):
@@ -387,39 +379,43 @@ def chunk_tiles(n, signals) -> int:
     return max(1, kernels // signals)
 
 
-def run_patch(job, images, config) -> list:
+def run_patch(job, images, config):
     """Solve one tile on V noisy images: `run_chunk` of the chunk of one tile.
 
-    Returns one PatchResult per image.
+    Returns `run_chunk`'s ``(joint, sequential, errors)``, with T = 1.
     """
-    (results,) = run_chunk([job], images, config)
-    return results
+    return run_chunk([job], images, config)
 
 
-def run_chunk(jobs, images, config, work=None) -> list:
-    """Solve a chunk of tiles of one offset pattern on V noisy images.
+def run_chunk(jobs, images, config, work=None):
+    """Solve a chunk of T tiles of one offset pattern on V noisy images.
 
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
-    images of one shape; one list of V PatchResults is returned per tile.
-    ``work`` is the pattern's coordinate-only work (`_coordinate_work`),
-    or None to compute it from the first tile.  Each tile's dense real
-    rows theta_r are built from its taps once, on entry, and held only
-    while the chunk is solved.  The chunk's T V kernels are built,
-    balanced (Sinkhorn) and certified (the Schur bound, or the Cholesky
-    fallback of `graphcore.certify_symmetric`) as stacks
+    images of one shape.  ``work`` is the pattern's coordinate-only work
+    (`_coordinate_work`), or None to compute it from the first tile.
+    Returns ``(joint, sequential, errors)`` on one (tile, image) grid: the
+    outputs (T, V, n) of each mode, None for a mode that was not run or
+    a chunk whose every denoiser failed, and a (T, V) object array of
+    None or the text of the error that failed that tile on that image.
+    The outputs of a failed (tile, image) are not defined.
+
+    Each tile's dense real rows theta_r are built from its taps once, on
+    entry, and held only while the chunk is solved.  The chunk's kernels
+    are built, balanced (Sinkhorn) and certified (the Schur bound, or the
+    Cholesky fallback of `graphcore.certify_symmetric`) as one stack
     (`build_patch_denoiser`); a signal-free kind's one denoiser is
     broadcast over the chunk's tiles and signals.  A chunk whose every
     denoiser failed is not solved.  Otherwise every denoiser is solved,
-    whether or not it passed, and each image then keeps its first error:
-    balance, certification, then solver; an output that is not finite
-    fails its image as a solver failure, found by one check per output
+    whether or not it passed, and each (tile, image) then keeps its first
+    error: balance, certification, then solver; an output that is not
+    finite fails it as a solver failure, found by one check per output
     stack.  The joint output is the non-separable MAP solution,
     `jointsolver.output_space_solve` of the whole chunk, which returns the
     interpolation ty = theta_r y itself at kappa = 0.  Stacked products
     and solves run the same BLAS/LAPACK routine per matrix as a
     single-matrix call, so each image of each tile gets the bits it would
     get alone.  A balance, certification or solver failure fails only its
-    own image (for a signal-free kind, the images of its tile).
+    own (tile, image).
     """
     ops = [job.operator for job in jobs]
     thetas = [op.real_matrix for op in ops]
@@ -431,47 +427,36 @@ def run_chunk(jobs, images, config, work=None) -> list:
         y = images[:, src[:, 0], src[:, 1]]
         ty[i] = np.matmul(theta, y[..., None])[..., 0]
     psi, errors = build_patch_denoiser(ops, ty, config, work)
-    shared = t * v // len(psi)
     joint = sequential = None
-    if any(err is None for err in errors):
-        # psi[u] serves the signals ty[u]: one, or for a signal-free kind its tile's V
-        ty = ty.reshape(psi.shape[:-3] + (-1, n))
+    if np.equal(errors, None).any():
         if "sequential" in config.modes:
-            sequential = np.matmul(psi, ty[..., None])[..., 0].reshape(t, v, n)
+            sequential = np.matmul(psi, ty[..., None])[..., 0]
         if "joint" in config.modes:
             joint, solver_errors = jointsolver.output_space_solve(
                 ty, thetas, psi, config.weights.c
             )
-            errors = [exc if err is None else err for err, exc in zip(errors, solver_errors)]
-            joint = joint.reshape(t, v, n)
-
-    outputs = [x for x in (joint, sequential) if x is not None]
-    # a scalar when no output was computed, and then every image has its error
-    finite = np.all([np.isfinite(x).all(axis=-1) for x in outputs], axis=0)
-
-    def result(i, s):
-        err = errors[(i * v + s) // shared]
-        if err is None and not finite[i, s]:
-            err = "tile output is not finite"
-        if err is not None:
-            return PatchResult(None, None, str(err))
-        return PatchResult(*(None if x is None else x[i, s] for x in (joint, sequential)))
-
-    return [[result(i, s) for s in range(v)] for i in range(t)]
+            errors = np.where(np.equal(errors, None), solver_errors, errors)
+        outputs = [x for x in (joint, sequential) if x is not None]
+        finite = np.logical_and.reduce([np.isfinite(x).all(axis=-1) for x in outputs])
+        errors = np.where(np.equal(errors, None) & ~finite, "tile output is not finite", errors)
+    return joint, sequential, np.where(np.not_equal(errors, None), errors.astype(str), None)
 
 
 def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
-    """Run every patch job in one mode, joint or sequential, and stitch the outputs."""
+    """Run every patch job in one mode, joint or sequential, and stitch the outputs.
+
+    The image's stitched pixels and validity are that mode's stack and the
+    validity of `_run_patches` on the one image.
+    """
     if mode not in ("joint", "sequential"):
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
-    pixels = _pixels(image)
-    jobs, (results,) = _run_patches(pixels[None], replace(config, mode=mode))
-    values = [getattr(res, mode) for res in results]
-    out, mask = _stitch(_targets(jobs, pixels.shape), values, pixels.shape)
-    errors = tuple(
-        f"tile at {job.origin}: {res.error}" for job, res in zip(jobs, results) if res.failed
+    jobs, outputs, valid, errors = _run_patches(_pixels(image)[None], replace(config, mode=mode))
+    tile_errors = tuple(
+        f"tile at {job.origin}: {err}" for job, err in zip(jobs, errors[:, 0]) if err is not None
     )
-    return StitchedImage(pixels=out, validity=mask, tile_count=len(jobs), tile_errors=errors)
+    return StitchedImage(
+        pixels=outputs[mode][0], validity=valid[0], tile_count=len(jobs), tile_errors=tile_errors
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +759,16 @@ def require_memory(config, shape) -> None:
 def _run_patches(images, config):
     """Tile a stack (V, H, W) of images and run `run_chunk` on every chunk of tiles.
 
-    Returns ``(jobs, results)``, with one PatchResult list per image; no
-    tile raises PatchGeometryError.  A run that would not fit in memory
-    raises TileMemoryError before anything is built (`require_memory`).
+    Returns ``(jobs, outputs, valid, errors)``: ``outputs`` maps each mode
+    of ``config.modes`` to its stitched stack (V, H, W), ``valid`` is the
+    stacks' validity (V, H, W), and ``errors`` a (tiles, V) object array of
+    None or the error text of each job on each image (`run_chunk`).  Each
+    chunk's (tile, image) grid is written into the stacks by one fancy
+    assignment per mode, at its tiles' target pixels; a failed (tile,
+    image) is written as 0 and left invalid, and so is a pixel no tile
+    targets.  No tile raises PatchGeometryError.  A run that would not
+    fit in memory raises TileMemoryError before anything is built
+    (`require_memory`).
     The tiles hold their taps, and are grouped into chunks of one offset
     pattern (`_chunks`), which are dealt to this process and
     ``config.workers - 1`` children forked from it (`_deal`; none at one
@@ -807,11 +799,20 @@ def _run_patches(images, config):
             return run_chunk([jobs[i] for i in tiles], images, config, held[pattern])
 
         per_chunk = _deal(len(chunks), solve, config.workers)
-    per_tile = [None] * len(jobs)
-    for (_, tiles), results in zip(chunks, per_chunk):
-        for i, tile_results in zip(tiles, results):
-            per_tile[i] = tile_results
-    return jobs, [list(results) for results in zip(*per_tile)]
+    outputs = {mode: np.zeros(images.shape) for mode in config.modes}
+    valid = np.zeros(images.shape, dtype=bool)
+    errors = np.empty((len(jobs), len(images)), dtype=object)
+    for (_, tiles), (joint, sequential, chunk_errors) in zip(chunks, per_chunk):
+        targets = np.array([jobs[i].operator.target_coords for i in tiles])
+        # (V, 1) images against (T, 1, n) rows and columns: the (T, V, n) grid
+        grid = (np.arange(len(images))[:, None], targets[:, None, :, 0], targets[:, None, :, 1])
+        ok = np.equal(chunk_errors, None)[..., None]
+        for mode, x in (("joint", joint), ("sequential", sequential)):
+            if x is not None:
+                outputs[mode][grid] = np.where(ok, x, 0.0)
+        valid[grid] = ok
+        errors[tiles] = chunk_errors
+    return jobs, outputs, valid, errors
 
 
 def _chunks(jobs, signals):
@@ -832,41 +833,21 @@ def _chunks(jobs, signals):
     return chunks
 
 
-def _targets(jobs, shape):
-    """Every job's target pixels as flat indices into ``shape``, concatenated,
-    and each job's pixel count."""
-    coords = [job.operator.target_coords for job in jobs]
-    rows, cols = np.concatenate([np.empty((0, 2), dtype=int)] + coords).T
-    return np.ravel_multi_index((rows, cols), shape), [len(c) for c in coords]
+def build_reference(jobs, clean_pixels, shape):
+    """``(pixels, mask)``: the clean image pushed through the real interpolation rows of every job.
 
-
-def _stitch(targets, values, shape):
-    """``(pixels, mask)`` of the tiles' values; a None leaves its tile invalid.
-
-    ``targets`` is `_targets` of the jobs, and ``values`` has one entry per
-    job.  Tiles do not overlap, so one assignment writes them all.
+    Each job's dense rows are built from its taps, written to its target
+    pixels and freed before the next job's.  A pixel no job targets is 0
+    and invalid.
     """
-    flat, counts = targets
-    written = [vals is not None for vals in values]
     pixels = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
-    if any(written):
-        if not all(written):
-            flat = flat[np.repeat(written, counts)]
-        pixels.reshape(-1)[flat] = np.concatenate([vals for vals in values if vals is not None])
-        mask.reshape(-1)[flat] = True
+    for job in jobs:
+        op = job.operator
+        targets = tuple(op.target_coords.T)
+        pixels[targets] = op.real_matrix @ clean_pixels[tuple(op.source_coords.T)]
+        mask[targets] = True
     return pixels, mask
-
-
-def build_reference(jobs, clean_pixels, shape):
-    """Clean image pushed through the real interpolation rows of every job.
-
-    Each job's dense rows are built from its taps and freed before the
-    next job's.
-    """
-    ops = [job.operator for job in jobs]
-    values = [op.real_matrix @ clean_pixels[tuple(op.source_coords.T)] for op in ops]
-    return _stitch(_targets(jobs, shape), values, shape)
 
 
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
@@ -880,23 +861,21 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     for vi, var in enumerate(config.noise_variances):
         noisy[vi] = add_gaussian_noise(clean, var, config.seed ^ vi)
 
-    jobs, results_per_variance = _run_patches(noisy, config)
+    jobs, outputs, valid, errors = _run_patches(noisy, config)
     ref, _ = build_reference(jobs, clean, clean.shape)
-    targets = _targets(jobs, clean.shape)
 
     transform_label = config.transform.label()
     rows = []
     points = {mode: [] for mode in config.modes}
-    for var, results in zip(config.noise_variances, results_per_variance):
-        failed = sum(res.failed for res in results)
+    for vi, var in enumerate(config.noise_variances):
+        failed = np.count_nonzero(np.not_equal(errors[:, vi], None))
         for mode in config.modes:
-            out, mask = _stitch(targets, [getattr(res, mode) for res in results], clean.shape)
-            if not mask.any():
+            if not valid[vi].any():
                 raise TilesFailedError(
                     f"all {len(jobs)} tiles failed in {mode} mode at variance {var:g}; "
-                    f"first: {results[0].error}"
+                    f"first: {errors[0, vi]}"
                 )
-            value = psnr(ref, out, mask)
+            value = psnr(ref, outputs[mode][vi], valid[vi])
             points[mode].append((var, value))
             rows.append(
                 f"{image_name},{transform_label},{config.denoiser_kind},"

@@ -13,15 +13,26 @@ def noisy_stack(seed, variances):
     return np.stack([add_gaussian_noise(clean, v, seed ^ i) for i, v in enumerate(variances)])
 
 
-def outcome(res):
-    """A PatchResult's error and the bytes of its joint and sequential outputs."""
-    as_bytes = [None if a is None else np.asarray(a).tobytes() for a in (res.joint, res.sequential)]
-    return res.error, *as_bytes
+def outcome(error, *arrays):
+    """A (tile, image)'s error and the bytes of its joint and sequential outputs.
+
+    ``arrays`` are its joint and sequential outputs, None for a mode that
+    was not run; a failed (tile, image) has none.
+    """
+    as_bytes = [None if a is None or error is not None else a.tobytes() for a in arrays]
+    return error, *as_bytes
 
 
-def outcomes(per_tile):
-    """`outcome` of every result of a list of per-tile result lists."""
-    return [[outcome(res) for res in results] for results in per_tile]
+def outcomes(results):
+    """`outcome` of every (tile, image) of a sequence of `run_chunk` results, one list per tile."""
+    per_tile = []
+    for joint, sequential, errors in results:
+        for i, tile_errors in enumerate(errors):
+            per_tile.append([
+                outcome(error, *(None if x is None else x[i, s] for x in (joint, sequential)))
+                for s, error in enumerate(tile_errors)
+            ])
+    return per_tile
 
 
 def pattern(job):

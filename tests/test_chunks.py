@@ -88,6 +88,37 @@ def singular_where(poison):
     return poisoned
 
 
+def per_tile_run(jobs, images, config):
+    """The ``(outputs, valid, errors)`` of `_run_patches`, written from each job's `run_patch`.
+
+    A failed (tile, image) and a pixel no job targets are 0 and invalid.
+    """
+    outputs = {mode: np.zeros(images.shape) for mode in config.modes}
+    valid = np.zeros(images.shape, dtype=bool)
+    errors = []
+    for job in jobs:
+        joint, sequential, (tile_errors,) = run_patch(job, images, config)
+        rows, cols = job.operator.target_coords.T
+        for s, error in enumerate(tile_errors):
+            if error is None:
+                valid[s, rows, cols] = True
+                for mode, x in (("joint", joint), ("sequential", sequential)):
+                    if mode in outputs:
+                        outputs[mode][s, rows, cols] = x[0, s]
+        errors.append(list(tile_errors))
+    return outputs, valid, errors
+
+
+def assert_same_run(got, want):
+    """`_run_patches`' ``(outputs, valid, errors)`` equal `per_tile_run`'s, byte for byte."""
+    (outputs, valid, errors), (want_outputs, want_valid, want_errors) = got, want
+    assert errors.tolist() == want_errors
+    assert valid.tobytes() == want_valid.tobytes()
+    assert outputs.keys() == want_outputs.keys()
+    for mode, stack in outputs.items():
+        assert stack.tobytes() == want_outputs[mode].tobytes(), mode
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     transform=TRANSFORMS,
@@ -128,7 +159,7 @@ def test_chunk_matches_its_tiles_alone(
             patch.setattr(np.linalg, "solve", singular_where(poison))
         got = run_chunk(chunk, images, config, work)
         want = [run_patch(job, images, config) for job in chunk]
-    assert outcomes(got) == outcomes(want)
+    assert outcomes([got]) == outcomes(want)
 
 
 def test_tiles_of_one_pixel_count_split_by_pattern():
@@ -145,7 +176,7 @@ def test_tiles_of_one_pixel_count_split_by_pattern():
     assert len(chunks) == 2 and set(chunks[0] + chunks[1]) == edge
     assert all(len({pattern(jobs[i]) for i in tiles}) == 1 for tiles in chunks)
     images = noisy_stack(1, config.noise_variances)
-    got = [outcomes(run_chunk([jobs[i] for i in tiles], images, config)) for tiles in chunks]
+    got = [outcomes([run_chunk([jobs[i] for i in tiles], images, config)]) for tiles in chunks]
     assert got == [outcomes([run_patch(jobs[i], images, config) for i in tiles]) for tiles in chunks]
     errors = [error for chunk in got for results in chunk for error, *_ in results]
     assert None in errors and "nlm denoiser failed certification on patch" in errors
@@ -170,7 +201,7 @@ def test_nlm_hole_tiles_share_patterns():
         chunk = [jobs[i] for i in tiles]
         work = pipeline._coordinate_work(groups[key][-1].operator, config)
         got = run_chunk(chunk, images, config, work)
-        assert outcomes(got) == outcomes([run_patch(job, images, config) for job in chunk])
+        assert outcomes([got]) == outcomes([run_patch(job, images, config) for job in chunk])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -185,8 +216,8 @@ def test_full_chunk_of_rotated_tiles(kind):
     assert len(chunk) == STACK_KERNELS and len(ps) == len(chunk)
     image = add_gaussian_noise(synthetic_texture("texture-a", 64), 0.02, 3).pixels[None]
     got = run_chunk(chunk, image, config)
-    assert outcomes(got) == outcomes([run_patch(job, image, config) for job in chunk])
-    assert not any(res.failed for results in got for res in results)
+    assert outcomes([got]) == outcomes([run_patch(job, image, config) for job in chunk])
+    assert np.equal(got[2], None).all()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -220,7 +251,7 @@ def test_cache_holds_only_the_chunk_patterns(kind, monkeypatch):
 
     monkeypatch.setattr(denoisers, "coordinate_work", counting)
     monkeypatch.setattr(pipeline, "run_chunk", checking)
-    jobs, _ = pipeline._run_patches(image, config)
+    jobs, *_ = pipeline._run_patches(image, config)
     assert len(patterns) > len(computed)
     assert computed == list(dict.fromkeys(patterns)) == list(by_pattern(jobs))
 
@@ -239,14 +270,39 @@ def test_chunk_with_no_passing_denoiser_is_not_solved(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    jobs, (results,) = pipeline._run_patches(image, config)
+    jobs, *got = pipeline._run_patches(image, config)
     monkeypatch.undo()
     chunks = [tiles for _, tiles in pipeline._chunks(jobs, 1)]
-    passing = [tiles for tiles in chunks if not all(results[i].failed for i in tiles)]
+    errors = got[-1]
+    passing = [tiles for tiles in chunks if any(errors[i, 0] is None for i in tiles)]
     assert 0 < len(passing) < len(chunks)
     assert solved == [len(tiles) for tiles in passing]
-    want = [run_patch(job, image, config) for job in jobs]
-    assert outcomes([[res] for res in results]) == outcomes(want)
+    assert_same_run(got, per_tile_run(jobs, image, config))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacks_hold_each_tile_outputs(workers):
+    # the images of the CI's 64 px NLM homography experiment at h^2 0.3:
+    # some tiles fail on one image and pass on the other, and the
+    # homography leaves pixels that no tile targets
+    config = ExperimentConfig(
+        transform=Homography(PAPER_H),
+        denoiser_kind="nlm",
+        noise_variances=(0.02, 0.06),
+        workers=workers,
+    )
+    clean = synthetic_texture("texture-b", 64).pixels
+    variances = enumerate(config.noise_variances)
+    images = np.stack([add_gaussian_noise(clean, var, config.seed ^ vi) for vi, var in variances])
+    jobs, *got = pipeline._run_patches(images, config)
+    want = per_tile_run(jobs, images, config)
+    failed = np.not_equal(want[-1], None)
+    assert (failed[:, 0] != failed[:, 1]).any()
+    covered = np.zeros(clean.shape, dtype=bool)
+    for job in jobs:
+        covered[tuple(job.operator.target_coords.T)] = True
+    assert not covered.all()
+    assert_same_run(got, want)
 
 
 def test_pool_writes_the_serial_gaussian_csv():

@@ -414,6 +414,40 @@ def test_unwritable_output_found_first(command, flag, tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
+    "command, patched",
+    [
+        ("inspect-graph", (denoisers, "build_denoiser")),
+        ("joint", (pipeline, "run_chunk")),
+        # a texture too large for memory, before any tile is solved
+        ("experiment", (pipeline, "synthetic_texture")),
+    ],
+)
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        # numpy's text for `inspect-graph --texture-size 256 --size 200`
+        (
+            "Unable to allocate 11.9 GiB for an array with shape (40000, 40000) "
+            "and data type float64",
+            None,
+        ),
+        ("", "out of memory"),
+    ],
+)
+def test_memory_error_is_one_line(command, patched, message, shown, monkeypatch, capsys):
+    # raised, not allocated: no test may really run out of memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*patched, out_of_memory)
+    args = [command, "--texture", "texture-b", "--texture-size", "30", "--workers", "1"]
+    if command == "inspect-graph":
+        args = args[:-2] + ["--size", "20"]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"texture-b: {shown or message}\n"
+
+
+@pytest.mark.parametrize(
     "command, flags",
     [
         ("experiment", ["--workers", "0"]),

@@ -523,7 +523,7 @@ class TestOutputSpaceSolve:
         self, transform, kind, tiles, signals, kappa, seed, data
     ):
         # T tiles of one offset pattern on V signals: one denoiser per
-        # signal, (T V, n, n), or for a signal-free kind one per tile,
+        # signal, (T, V, n, n), or for a signal-free kind one per tile,
         # (T, 1, n, n), serving its V signals
         images = np.random.default_rng(seed).uniform(0.0, 1.0, (signals, 32, 32))
         groups = {}
@@ -548,13 +548,10 @@ class TestOutputSpaceSolve:
             psis.append([sinkhorn_balance(k, kind=kind) for k in kernels])
         assume(all(psi.certified for tile_psis in psis for psi in tile_psis))
         weights = SolverWeights(kappa=kappa)
-        n = ty.shape[-1]
         psi = np.array([[p.matrix for p in tile_psis] for tile_psis in psis])
-        if kind != "gaussian":
-            psi, ty = psi.reshape(-1, n, n), ty.reshape(-1, n)
         z, errors = output_space_solve(ty, thetas, psi, weights.c)
-        assert errors == [None] * len(psi)
-        z = z.reshape(len(ops), signals, n)
+        assert errors.tolist() == [[None] * signals] * len(ops)
+        assert z.shape == ty.shape
         for i, (theta, tile_ys, tile_psis) in enumerate(zip(thetas, ys, psis)):
             for s, y in enumerate(tile_ys):
                 want = reduced_nonseparable(y, theta, tile_psis[s % len(tile_psis)], weights)
@@ -583,7 +580,7 @@ class TestOutputSpaceSolve:
             run_experiment(config, image)
             # the chunks, one tile each at V = 5, are not in tile order
             sizes = sorted(len(job.operator.target_coords) for job in jobs)
-            assert sorted(shapes) == [((5, n, n), (5, n, 1)) for n in sizes]
+            assert sorted(shapes) == [((1, 5, n, n), (1, 5, n, 1)) for n in sizes]
 
 
 class TestOptimalityCertificates:

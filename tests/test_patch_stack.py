@@ -20,7 +20,7 @@ from mixedgraph.graphcore import NONEXPANSIVE_SLACK, PD_EIG_MIN
 from mixedgraph.interpolators import Homography, Rotation, build_patch_operator
 from mixedgraph.pipeline import ExperimentConfig, run_patch
 
-from helpers import SIZE, noisy_stack, outcome
+from helpers import SIZE, noisy_stack, outcomes
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
@@ -113,10 +113,16 @@ def ref_run_patch(job, pixels, config, max_iter):
     return False, None, (psi @ v).tobytes(), (psi @ ty).tobytes()
 
 
+def failed_and_outcome(job, images, config):
+    """(failed, error, joint bytes, sequential bytes) of `run_patch` on each image."""
+    (per_image,) = outcomes([run_patch(job, images, config)])
+    return [(error is not None, error, *arrays) for error, *arrays in per_image]
+
+
 def stacked_outcomes(job, images, config, max_iter):
     scale = functools.partial(denoisers.sinkhorn_scale, max_iter=max_iter)
     with mock.patch.object(denoisers, "sinkhorn_scale", scale):
-        return [(res.failed, *outcome(res)) for res in run_patch(job, images, config)]
+        return failed_and_outcome(job, images, config)
 
 
 def check_against_reference(job, images, config, max_iter):
@@ -218,8 +224,8 @@ def test_singular_solve_fails_its_image_alone(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    got = [(res.failed, *outcome(res)) for res in run_patch(job, images, config)]
+    got = failed_and_outcome(job, images, config)
     n = len(job.operator.target_coords)
-    assert calls == [(3, n, n)] + [(n, n)] * 3
+    assert calls == [(1, 3, n, n)] + [(n, n)] * 3
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1] == (True, "reduced joint system is singular", None, None)

@@ -184,12 +184,12 @@ class TestRunPatch:
         img = synthetic_texture("texture-a", 32)
         config = identity_config(patch_size=8)
         job = tile_image((32, 32), config.transform, 8)[0]
-        (res,) = run_patch(job, [img.pixels], config)
-        assert not res.failed
+        joint, sequential, errors = run_patch(job, [img.pixels], config)
+        assert errors.tolist() == [[None]]
         tc = job.operator.target_coords
         want = img.pixels[tc[:, 0], tc[:, 1]]
-        np.testing.assert_allclose(res.sequential, want, atol=1e-8)
-        np.testing.assert_allclose(res.joint, want, atol=1e-6)
+        np.testing.assert_allclose(sequential[0, 0], want, atol=1e-8)
+        np.testing.assert_allclose(joint[0, 0], want, atol=1e-6)
 
     def test_joint_and_sequential_agree_with_zero_lbar(self):
         # identity denoiser zeroes the prior, so joint must reproduce the
@@ -198,9 +198,9 @@ class TestRunPatch:
         config = identity_config(transform=Rotation(15.0), patch_size=8)
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        (res,) = run_patch(job, [img.pixels], config)
-        assert not res.failed
-        np.testing.assert_allclose(res.joint, res.sequential, atol=1e-6)
+        joint, sequential, errors = run_patch(job, [img.pixels], config)
+        assert errors.tolist() == [[None]]
+        np.testing.assert_allclose(joint[0, 0], sequential[0, 0], atol=1e-6)
 
     def test_bilateral_patch_runs_both_modes(self):
         img = add_gaussian_noise(synthetic_texture("texture-a", 48), 0.02, 5)
@@ -209,10 +209,10 @@ class TestRunPatch:
         )
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        (res,) = run_patch(job, [img.pixels], config)
-        assert not res.failed
-        assert res.joint.shape == res.sequential.shape == (64,)
-        assert np.linalg.norm(res.joint - res.sequential) > 1e-8
+        joint, sequential, errors = run_patch(job, [img.pixels], config)
+        assert errors.tolist() == [[None]]
+        assert joint.shape == sequential.shape == (1, 1, 64)
+        assert np.linalg.norm(joint - sequential) > 1e-8
 
 
 class TestProcessImage:
@@ -317,9 +317,10 @@ class TestProcessImage:
         op = job.operator
         n, m = op.real_matrix.shape
         assert n > m
-        (got,) = run_patch(job, [img.pixels], config)
+        joint, sequential, errors = run_patch(job, [img.pixels], config)
+        assert errors.tolist() == [[None]]
         y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
-        (psi,), (err,) = build_patch_denoiser([op], (op.real_matrix @ y)[None, None], config)
+        ((psi,),), ((err,),) = build_patch_denoiser([op], (op.real_matrix @ y)[None, None], config)
         assert err is None
         wts = config.weights
         lap = (np.linalg.inv(psi) - np.eye(n)) / wts.mu
@@ -327,8 +328,8 @@ class TestProcessImage:
         lhs = np.vstack([a * np.eye(m), np.sqrt(wts.kappa) * sqrtm(lap).real @ op.real_matrix])
         rhs = np.concatenate([a * y, np.zeros(n)])
         w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        np.testing.assert_allclose(got.joint, op.real_matrix @ w, rtol=1e-8)
-        np.testing.assert_allclose(got.sequential, psi @ op.real_matrix @ y)
+        np.testing.assert_allclose(joint[0, 0], op.real_matrix @ w, rtol=1e-8)
+        np.testing.assert_allclose(sequential[0, 0], psi @ op.real_matrix @ y)
 
 
 class TestRunExperiment:
