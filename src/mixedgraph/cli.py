@@ -16,8 +16,12 @@ from .errors import WorkerError
 
 def _parsers():
     """The top-level parser and each subcommand's, which takes only the flags it reads."""
-    source, warp, kernel, mu, weights, tiling, image_out = (
-        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    source, warp, image_out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    # a value flag that is not given stays out of the namespace, so that
+    # its field keeps the default that its dataclass states
+    kernel, mu, weights, tiling, sweep = (
+        argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+        for _ in range(5)
     )
     source.add_argument("--config", help="key=value config file; flags override it")
     source.add_argument("--image", help="input image path (.pgm or .png)")
@@ -32,22 +36,23 @@ def _parsers():
     )
     warp.add_argument("--angle", type=float, help="rotation angle in degrees")
     warp.add_argument("--homography", help='3x3 matrix as "a,b,c;d,e,f;g,h,i"')
-    kernel.add_argument(
-        "--denoiser",
-        dest="denoiser_kind",
-        default="bilateral",
-        choices=denoisers.KINDS,
+    kernel.add_argument("--denoiser", dest="denoiser_kind", choices=denoisers.KINDS)
+    kernel.add_argument("--spatial-var", type=float)
+    kernel.add_argument("--range-var", type=float)
+    kernel.add_argument("--nlm-patch", dest="nlm_patch_size", type=int)
+    kernel.add_argument("--nlm-window", dest="nlm_search_window", type=int)
+    kernel.add_argument("--nlm-h2", type=float)
+    mu.add_argument("--mu", type=float)
+    weights.add_argument("--gamma", type=float)
+    weights.add_argument("--kappa", type=float)
+    tiling.add_argument("--patch-size", type=int)
+    tiling.add_argument("--workers", type=int)
+    sweep.add_argument("--seed", type=int)
+    sweep.add_argument(
+        "--method", choices=pipeline.METHODS, help="checked, but every value runs the same solve"
     )
-    kernel.add_argument("--spatial-var", type=float, default=0.3)
-    kernel.add_argument("--range-var", type=float, default=0.3)
-    kernel.add_argument("--nlm-patch", dest="nlm_patch_size", type=int, default=3)
-    kernel.add_argument("--nlm-window", dest="nlm_search_window", type=int, default=9)
-    kernel.add_argument("--nlm-h2", type=float, default=0.3)
-    mu.add_argument("--mu", type=float, default=0.3)
-    weights.add_argument("--gamma", type=float, default=0.5)
-    weights.add_argument("--kappa", type=float, default=0.3)
-    tiling.add_argument("--patch-size", type=int, default=10)
-    tiling.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--variances", help="comma-separated noise variances")
+    sweep.add_argument("--mode", choices=pipeline.MODES)
     image_out.add_argument("--out-image", dest="out", help="output image path")
 
     parser = argparse.ArgumentParser(
@@ -71,16 +76,7 @@ def _parsers():
     ):
         command(name, _run_mode, *groups, tiling, image_out).set_defaults(**fixed)
 
-    p = command("experiment", _cmd_experiment, source, warp, kernel, mu, weights, tiling)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--method",
-        default="cg",
-        choices=["cg", "direct", "closed-form"],
-        help="checked, but every value runs the same solve",
-    )
-    p.add_argument("--variances", default="0.02", help="comma-separated noise variances")
-    p.add_argument("--mode", default="both", choices=["joint", "sequential", "both"])
+    p = command("experiment", _cmd_experiment, source, warp, kernel, mu, weights, tiling, sweep)
     p.add_argument("--out-csv", dest="out", help="CSV output path (default: stdout)")
 
     p = command("inspect-graph", _cmd_inspect_graph, source, kernel, mu, build=_priors)
@@ -110,9 +106,10 @@ def _make(cls, values):
 
 
 def _priors(args):
-    """KernelParams and SolverWeights of the flags; a bad value raises ValueError."""
+    """Denoiser kind, KernelParams and SolverWeights of the flags; bad values raise ValueError."""
     values = vars(args)
-    return _make(denoisers.KernelParams, values), _make(jointsolver.SolverWeights, values)
+    kind = values.get("denoiser_kind", pipeline.ExperimentConfig.denoiser_kind)
+    return kind, _make(denoisers.KernelParams, values), _make(jointsolver.SolverWeights, values)
 
 
 def _build_config(args):
@@ -121,7 +118,7 @@ def _build_config(args):
     values["transform"] = interpolators.parse_transform(
         args.transform, angle=values.get("angle"), h=values.get("homography")
     )
-    values["kernel_params"], values["weights"] = _priors(args)
+    _, values["kernel_params"], values["weights"] = _priors(args)
     if "variances" in values:
         values["noise_variances"] = tuple(float(v) for v in args.variances.split(","))
     return _make(pipeline.ExperimentConfig, values)
@@ -153,19 +150,26 @@ def _out_of_memory(name, exc):
 
 
 def _write_text(text, path):
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
-    if path:
+    """Write ``text`` to ``path``, or to stdout when no path is given; the exit status."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _cannot("write", path, exc)
+    print(f"wrote {path}")
+    return 0
 
 
 def _run_mode(args, config, image, name):
     out = pipeline.process_image(config, image, config.mode)
     if args.out:
-        pipeline.save_image(out, args.out)
+        try:
+            pipeline.save_image(out, args.out)
+        except OSError as exc:
+            return _cannot("write", args.out, exc)
         print(f"wrote {args.out}")
     else:
         print("no --out-image given; nothing written")
@@ -182,19 +186,17 @@ def _run_mode(args, config, image, name):
 
 def _cmd_experiment(args, config, image, name):
     _, csv_text = pipeline.run_experiment(config, image, image_name=name)
-    _write_text(csv_text, args.out)
-    return 0
+    return _write_text(csv_text, args.out)
 
 
 def _cmd_inspect_graph(args, priors, image, name):
-    params, weights = priors
+    kind, params, weights = priors
     (r0, c0), n = args.origin, args.size
     tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
     if n < 1 or tile.shape != (n, n):
         raise SystemExit("patch is empty or extends past the image boundary")
     rr, cc = np.mgrid[r0 : r0 + n, c0 : c0 + n]
     coords = np.column_stack([rr.ravel(), cc.ravel()])
-    kind = args.denoiser_kind
     kernel = denoisers.build_denoiser(kind, coords, np.clip(tile.ravel(), 0.0, 1.0), params)
     try:
         psi = denoisers.sinkhorn_balance(kernel, kind=kind)
@@ -202,8 +204,7 @@ def _cmd_inspect_graph(args, priors, image, name):
     except (BalanceError, PreconditionError) as exc:
         print(f"patch at {(r0, c0)}: {exc}", file=sys.stderr)
         return 1
-    _write_text(graphcore.export_edges(graph, weight_tol=args.weight_tol), args.out)
-    return 0
+    return _write_text(graphcore.export_edges(graph, weight_tol=args.weight_tol), args.out)
 
 
 def main(argv=None) -> int:

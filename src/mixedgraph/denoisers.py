@@ -387,11 +387,12 @@ def coordinate_work_size(kind: str, n: int, params: KernelParams) -> int:
     """At most how many numbers `coordinate_work` of n coordinates holds.
 
     An n x n factor (the whole kernel of a kind in SIGNAL_FREE, balanced
-    or not); for NLM, n k^2 gather indices and fewer than n w^2 pair
-    indices, for patch k and search window w.
+    or not); for NLM, n k^2 gather indices and fewer than n min(w^2, n)
+    pair indices, for patch k and search window w: a window wider than
+    the tile pairs each pixel with at most every other.
     """
     if kind == "nlm":
-        return n * (params.nlm_patch_size**2 + params.nlm_search_window**2)
+        return n * (params.nlm_patch_size**2 + min(params.nlm_search_window**2, n))
     return n * n
 
 

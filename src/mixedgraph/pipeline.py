@@ -32,6 +32,8 @@ from .errors import TileMemoryError, TilesFailedError, WorkerError
 
 PSNR_CAP_DB = 99.0
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
+MODES = ("joint", "sequential", "both")
+METHODS = ("cg", "direct", "closed-form")
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,9 @@ class ExperimentConfig:
             raise ValueError("patch size must be at least 2")
         if self.denoiser_kind not in denoisers.KINDS:
             raise ValueError(f"unknown denoiser kind {self.denoiser_kind!r}")
-        if self.mode not in ("joint", "sequential", "both"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.method not in ("cg", "direct", "closed-form"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown solve method {self.method!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")

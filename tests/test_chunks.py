@@ -587,3 +587,17 @@ def test_cli_rejects_an_oversized_tile_first(command, flag, tmp_path, monkeypatc
         "texture-a: tiles of patch size 200 need about 79.1 GiB, more than the 8.0 GiB of memory\n"
     )
     assert not out.exists()
+
+
+def test_nlm_window_wider_than_the_tile_is_charged_the_tile(tmp_path, monkeypatch):
+    # a 10 x 10 tile has at most 9,900 pair indices, however wide the window:
+    # windows 19 up cover every pair, and window 9999 was charged 74.5 GiB
+    memory(monkeypatch, 1 << 30)
+    outs = []
+    for window in ("31", "9999"):
+        outs.append(tmp_path / f"w{window}.csv")
+        args = ["experiment", "--texture", "texture-a", "--texture-size", "32"]
+        args += ["--transform", "rotation", "--angle", "20", "--variances", "0.02,0.06"]
+        args += ["--denoiser", "nlm", "--nlm-h2", "0.05", "--nlm-window", window]
+        assert cli.main(args + ["--out-csv", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

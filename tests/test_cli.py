@@ -1,25 +1,30 @@
 import contextlib
+import errno
 import io
 import math
+import operator
 import os
 import re
 import signal
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixedgraph import cli, denoisers, jointsolver, pipeline
+from mixedgraph import cli, denoisers, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError
+from mixedgraph.interpolators import Rotation
 from mixedgraph.pipeline import (
     CSV_HEADER,
     load_pgm,
     save_pgm,
     synthetic_texture,
 )
+
+
+IDENTITY = Rotation(0.0)
 
 
 def run_cli(args):
@@ -275,27 +280,31 @@ TAKES = {
     "experiment": SOURCE + WARP + KERNEL + WEIGHTS + TILING + EXPERIMENT,
     "inspect-graph": SOURCE + KERNEL + GRAPH,
 }
+# for each value flag, a value other than its field's default, and that
+# field's path in the built ExperimentConfig
+SETS = {
+    "--denoiser": ("gaussian", "denoiser_kind", "gaussian"),
+    "--spatial-var": ("0.7", "kernel_params.spatial_var", 0.7),
+    "--range-var": ("0.2", "kernel_params.range_var", 0.2),
+    "--nlm-patch": ("5", "kernel_params.nlm_patch_size", 5),
+    "--nlm-window": ("11", "kernel_params.nlm_search_window", 11),
+    "--nlm-h2": ("0.05", "kernel_params.nlm_h2", 0.05),
+    "--mu": ("0.1", "weights.mu", 0.1),
+    "--gamma": ("2", "weights.gamma", 2.0),
+    "--kappa": ("0", "weights.kappa", 0.0),
+    "--patch-size": ("12", "patch_size", 12),
+    "--workers": ("2", "workers", 2),
+    "--seed": ("7", "seed", 7),
+    "--method": ("direct", "method", "direct"),
+    "--variances": ("0.02,0.06", "noise_variances", (0.02, 0.06)),
+    "--mode": ("joint", "mode", "joint"),
+}
 # a value each flag accepts, so that only the flag itself can be refused
-VALUE = {
+VALUE = {flag: text for flag, (text, *_) in SETS.items()} | {
     "--transform": "identity",
     "--angle": "20",
     "--homography": "1,0,0;0,1,0;0,0,1",
-    "--denoiser": "gaussian",
-    "--spatial-var": "0.3",
-    "--range-var": "0.3",
-    "--nlm-patch": "3",
-    "--nlm-window": "9",
-    "--nlm-h2": "0.3",
-    "--mu": "0.3",
-    "--gamma": "0.5",
-    "--kappa": "0.3",
-    "--patch-size": "10",
-    "--workers": "1",
     "--out-image": "out.pgm",
-    "--seed": "1",
-    "--method": "direct",
-    "--variances": "0.02",
-    "--mode": "joint",
     "--out-csv": "out.csv",
     "--origin": "0,0",
     "--size": "4",
@@ -303,24 +312,24 @@ VALUE = {
     "--out": "out.txt",
 }
 NOT_TAKEN = [(c, flag) for c, takes in TAKES.items() for flag in VALUE if flag not in takes]
-# the flags whose parser default restates a dataclass field's default
-RESTATED = {
-    "--denoiser": (pipeline.ExperimentConfig, "denoiser_kind"),
-    "--spatial-var": (denoisers.KernelParams, "spatial_var"),
-    "--range-var": (denoisers.KernelParams, "range_var"),
-    "--nlm-patch": (denoisers.KernelParams, "nlm_patch_size"),
-    "--nlm-window": (denoisers.KernelParams, "nlm_search_window"),
-    "--nlm-h2": (denoisers.KernelParams, "nlm_h2"),
-    "--mu": (jointsolver.SolverWeights, "mu"),
-    "--gamma": (jointsolver.SolverWeights, "gamma"),
-    "--kappa": (jointsolver.SolverWeights, "kappa"),
-    "--patch-size": (pipeline.ExperimentConfig, "patch_size"),
-    "--workers": (pipeline.ExperimentConfig, "workers"),
-    "--seed": (pipeline.ExperimentConfig, "seed"),
-    "--method": (pipeline.ExperimentConfig, "method"),
-    "--variances": (pipeline.ExperimentConfig, "noise_variances"),
-    "--mode": (pipeline.ExperimentConfig, "mode"),
+# what an image command takes no flag for, it fixes
+FIXED = {
+    "denoise": dict(mode="sequential"),
+    "interpolate": dict(denoiser_kind="identity", mode="sequential"),
+    "sequential": dict(mode="sequential"),
+    "joint": dict(mode="joint"),
 }
+
+
+def built(command, argv):
+    """The ExperimentConfig that ``command`` builds of the flags ``argv``.
+
+    inspect-graph's denoiser kind, KernelParams and SolverWeights are set
+    in a config of the identity transform.
+    """
+    args = cli._parsers()[1][command].parse_args(argv)
+    setup = args.build(args)
+    return setup if command != "inspect-graph" else pipeline.ExperimentConfig(IDENTITY, *setup)
 
 
 @pytest.mark.parametrize("command", TAKES)
@@ -332,23 +341,30 @@ def test_each_command_takes_its_flags(command, capsys):
     assert re.findall(r"\[(--[\w-]+)", usage) == TAKES[command]
 
 
-def test_flag_defaults_match_the_dataclasses():
-    # the parser's default of a flag and its field's default are two copies
-    # of one value; the flag's dest is the field's name, as _make requires
-    _, commands = cli._parsers()
-    seen = set()
-    for command, takes in TAKES.items():
-        args = commands[command].parse_args([])
-        for flag in RESTATED.keys() & set(takes):
-            cls, name = RESTATED[flag]
-            if flag == "--variances":
-                got = args.build(args).noise_variances
-            else:
-                got = getattr(args, name)
-            want = {f.name: f.default for f in fields(cls)}[name]
-            assert got == want and type(got) is type(want), (command, flag)
-            seen.add(flag)
-    assert seen == RESTATED.keys()
+@pytest.mark.parametrize("command", TAKES)
+def test_no_value_flag_builds_the_dataclass_defaults(command):
+    # a flag that is not given leaves its field the default that the
+    # dataclass states, so the parser states none
+    want = pipeline.ExperimentConfig(IDENTITY, **FIXED.get(command, {}))
+    assert built(command, []) == want
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("flag", SETS)
+def test_each_value_flag_reaches_its_field(flag, in_config, tmp_path):
+    # _make sets a field only from a flag whose dest is the field's name
+    text, path, want = SETS[flag]
+    field = operator.attrgetter(path)
+    assert field(pipeline.ExperimentConfig(IDENTITY)) != want
+    argv = [flag, text]
+    if in_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {text}\n")
+        argv = cli._config_flags(cfg)
+    takes = [command for command in TAKES if flag in TAKES[command]]
+    assert takes
+    for command in takes:
+        assert field(built(command, argv)) == want, command
 
 
 @pytest.mark.parametrize("command, flag", NOT_TAKEN)
@@ -395,22 +411,40 @@ def test_killed_worker_is_one_line(command, tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("out", ["no-such-dir", "/dev/full", "full-disk"])
 @pytest.mark.parametrize(
     "command, flag",
     [("joint", "--out-image"), ("experiment", "--out-csv"), ("inspect-graph", "--out")],
 )
-def test_unwritable_output_found_first(command, flag, tmp_path, monkeypatch, capsys):
-    def solve(*args, **kwargs):
-        raise AssertionError("solved a tile before checking the output path")
+def test_unwritable_output_is_one_line(command, flag, out, tmp_path, monkeypatch, capsys):
+    # a path that cannot be opened is found before any tile is solved; a
+    # write that fails after the run, on a full disk, is reported the same way
+    reason = os.strerror(errno.ENOSPC)
+    if out == "no-such-dir":
 
-    monkeypatch.setattr(pipeline, "run_chunk", solve)
-    monkeypatch.setattr(denoisers, "build_denoiser", solve)
-    out = tmp_path / "no" / "such" / "dir" / "x"
-    args = [command, "--texture", "texture-a", "--texture-size", "30"]
-    assert run_cli(args + [flag, str(out)]) == 1
+        def solve(*args, **kwargs):
+            raise AssertionError("solved a tile before checking the output path")
+
+        monkeypatch.setattr(pipeline, "run_chunk", solve)
+        monkeypatch.setattr(denoisers, "build_denoiser", solve)
+        out, reason = tmp_path / "no" / "such" / "dir" / "x", "No such file or directory"
+    elif out == "full-disk":
+        out, real_open = tmp_path / "x", open
+
+        def open_full(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, reason)
+            return real_open(path, mode, *args, **kwargs)
+
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "open", open_full, raising=False)
+    elif not os.path.exists(out):
+        pytest.skip("no /dev/full")
+    args = [command, "--texture", "texture-a", "--texture-size", "16", flag, str(out)]
+    assert run_cli(args + (["--size", "4"] if command == "inspect-graph" else [])) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"cannot write {out}: No such file or directory\n"
+    assert captured.err == f"cannot write {out}: {reason}\n"
 
 
 @pytest.mark.parametrize(
