@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -149,18 +150,48 @@ def _out_of_memory(name, exc):
     return 1
 
 
+def _say(text):
+    """Write ``text`` to stdout; the exit status.
+
+    stdout is flushed here, so that a stdout that cannot be written (a
+    full device, a closed pipe) is reported like an output path, on one
+    stderr line, exit status 1, and not when the interpreter exits.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        return _cannot("write", "stdout", exc)
+    return 0
+
+
+def _discard_stdout():
+    """Point stdout's file descriptor at the null device.
+
+    A failed flush leaves its bytes in stdout's buffer, and the
+    interpreter flushes that buffer again at exit: on the same full
+    device it would print a second error and exit with status 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # no file descriptor, so no flush at exit can fail
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def _write_text(text, path):
     """Write ``text`` to ``path``, or to stdout when no path is given; the exit status."""
     if not path:
-        sys.stdout.write(text)
-        return 0
+        return _say(text)
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         return _cannot("write", path, exc)
-    print(f"wrote {path}")
-    return 0
+    return _say(f"wrote {path}\n")
 
 
 def _run_mode(args, config, image, name):
@@ -170,9 +201,11 @@ def _run_mode(args, config, image, name):
             pipeline.save_image(out, args.out)
         except OSError as exc:
             return _cannot("write", args.out, exc)
-        print(f"wrote {args.out}")
+        status = _say(f"wrote {args.out}\n")
     else:
-        print("no --out-image given; nothing written")
+        status = _say("no --out-image given; nothing written\n")
+    if status:
+        return status
     if out.tile_errors:
         # the image is still written, but a run with holes in it is an error
         print(

@@ -355,16 +355,25 @@ def _pattern(op):
     return (tc - tc.min(axis=0)).tobytes()
 
 
-# The most kernels a chunk of tiles stacks (`chunk_tiles`).  At V = 1 and 2,
-# Sinkhorn, certification and the joint solve of one 100 x 100 kernel are
-# mostly numpy's per-call cost, which a chunk pays once.  Measured with
-# bench/run.py (2-vCPU VM, medians of 3 alternated runs, run_s and
-# peak_rss_mb): restore-rot-joint 42.5 ms and 63.8 MB at 4 kernels, 40.5 ms
-# and 64.4 MB at 8, 40.4 ms and 65.5 MB at 16; sweep-warp-nlm-pool 178 ms
-# and 74.9 MB at 4, 165 ms and 76.1 MB at 8, 166 ms and 78.5 MB at 16.
-# Past 8 the stacks only cost memory.  Those are tiles of n = 100 pixels;
-# larger tiles stack no more doubles than that, since their O(n^3)
-# factorizations and solves outweigh the per-call cost.
+# The kernel budget of a chunk of tiles, which a chunk holds the fewest
+# tiles to reach (`chunk_tiles`).  At V = 1 and 2, Sinkhorn, certification
+# and the joint solve of one 100 x 100 kernel are mostly numpy's per-call
+# cost, which a chunk pays once.  Measured with bench/run.py (2-vCPU VM,
+# medians of 3 alternated runs, run_s and peak_rss_mb): restore-rot-joint
+# 42.5 ms and 63.8 MB at 4 kernels, 40.5 ms and 64.4 MB at 8, 40.4 ms and
+# 65.5 MB at 16; sweep-warp-nlm-pool 178 ms and 74.9 MB at 4, 165 ms and
+# 76.1 MB at 8, 166 ms and 78.5 MB at 16.  Past 8 the stacks only cost
+# memory.  At V = 3, 5 and 7, chunks of 3, 2 and 2 tiles (9, 10 and 14
+# kernels) against the 2, 1 and 1 tiles of a budget rounded down:
+# run_experiment on the 64 px texture-a, rotation 20, bilateral, both
+# modes, one BLAS thread (same VM, both versions in one process, 60
+# alternated runs, median ratio and pairs won) took 0.956 (56 of 60),
+# 0.908 (60 of 60) and 0.930 (51 of 60) of the time.  Those are tiles of
+# n = 100 pixels; larger tiles have a budget of fewer kernels, K =
+# STACK_DOUBLES // n^2, since their O(n^3) factorizations and solves
+# outweigh the per-call cost.  A chunk reaches its budget and may pass
+# it by up to V - 1 kernels, so a budget is not a cap on its doubles:
+# `tile_peak_bytes` counts the kernels a chunk really stacks.
 STACK_KERNELS = 8
 STACK_DOUBLES = STACK_KERNELS * 100 * 100
 
@@ -372,13 +381,16 @@ STACK_DOUBLES = STACK_KERNELS * 100 * 100
 def chunk_tiles(n, signals) -> int:
     """The most tiles of n pixels that `_chunks` puts in one chunk, for V = ``signals``.
 
-    A chunk stacks up to STACK_KERNELS kernels of n x n doubles, and no
-    more than STACK_DOUBLES of them, but always holds at least one tile:
-    ``max(1, STACK_KERNELS // signals)`` tiles up to n = 100, fewer
-    above, and one tile from n = 201 on.
+    A chunk's budget is K = min(STACK_KERNELS, STACK_DOUBLES // n^2)
+    kernels of n x n doubles, and it holds the fewest tiles whose V
+    kernels each reach it, but at least one: ``max(1, ceil(K / V))``
+    tiles, so a chunk of full tiles stacks K to K + V - 1 kernels.  Up to
+    n = 100, K = STACK_KERNELS: 8, 4, 3 and 2 tiles for V = 1, 2, 3 and
+    4 to 7, one from V = 8 on.  Above n = 100, K is smaller, and from
+    n = 201 on a chunk holds one tile.
     """
     kernels = min(STACK_KERNELS, STACK_DOUBLES // (n * n))
-    return max(1, kernels // signals)
+    return max(1, -(-kernels // signals))
 
 
 def run_patch(job, images, config):
@@ -538,11 +550,13 @@ def _keep_heap():
     n = 100), so each chunk would hand its memory back and the next would
     page-fault it in again.  On entry, the mmap threshold is set to 4 MiB,
     above the largest tile temporary (the largest arrays seen on the tile
-    path by a tracing run: a chunk's (8, n, n) stacks, 640 KB at n = 100,
-    and NLM's (P, 9) pair differences of one signal, 173 KB with P = 2,400
-    pairs of a 10 x 10 tile; each tile's dense rows, built for its chunk,
-    are about 100 KB at n = 100), so image-scale arrays still get their own
-    mappings; and the trim threshold to 32 MiB, the most freed
+    path by a tracing run: a chunk's (K, n, n) stacks, 1.1 MB at n = 100
+    for the largest K of up to 14 variances, the 14 kernels of two tiles
+    at V = 7 (`chunk_tiles`), and NLM's (P, 9) pair differences of one
+    signal, 173 KB with P = 2,400 pairs of a 10 x 10 tile; each tile's
+    dense rows, built for its chunk, are about 100 KB at n = 100), so
+    image-scale arrays still get their own mappings; and the trim
+    threshold to 32 MiB, the most freed
     memory the heap's top keeps resident.  Either setting alone turns off
     glibc's dynamic thresholds, so both are set.  The children of `_deal`
     inherit them.  glibc has no getter for them, so they stay set after the
@@ -674,9 +688,12 @@ def _child_results(pid, status, data):
 # systems later, and two more whatever the chunk's size.  tracemalloc
 # counted 2 K + 2.01 to 2 K + 2.13 in `run_chunk` on 30 x 30 tiles
 # (n = 900), for every kind at V = 1, 2, 3 and 5 with 1, 2 and 8 // V
-# tiles per chunk; a kind in `denoisers.SIGNAL_FREE` builds one kernel
-# per tile.  The remainder is O(n) per kernel (NLM's pair differences, the
-# signals), which outweighs the n x n terms only for small tiles.
+# tiles per chunk, and 2 K + 2.02 to 2 K + 2.03 for bilateral and NLM at
+# V = 3 and 5 with ceil(8 / V) tiles per chunk (`chunk_tiles` of tiles of
+# up to 100 pixels), besides the tiles' dense rows; a kind in
+# `denoisers.SIGNAL_FREE` builds one kernel per tile.  The remainder is
+# O(n) per kernel (NLM's pair differences, the signals), which outweighs
+# the n x n terms only for small tiles.
 LIVE_STACKS = 2
 CHUNK_ARRAYS = 2
 # No real row has more than ROW_TAPS bilinear taps, so a tile of n pixels

@@ -364,11 +364,34 @@ def test_no_coordinate_work_outlives_its_run():
 
 
 def test_chunk_tiles():
-    # up to 8 kernels of 100 pixels, and no more doubles than that for
-    # larger tiles: one tile per chunk once a tile's n x n outweighs them
-    assert [pipeline.chunk_tiles(100, v) for v in (1, 2, 3, 5, 9)] == [8, 4, 2, 1, 1]
+    # the fewest tiles whose kernels reach a budget of 8 kernels of 100
+    # pixels, or of fewer kernels, 80,000 // n^2, for larger tiles: one
+    # tile per chunk once a tile's n x n outweighs that
+    assert [pipeline.chunk_tiles(100, v) for v in (1, 2, 3, 5, 9)] == [8, 4, 3, 2, 1]
     assert [pipeline.chunk_tiles(n, 1) for n in (20, 144, 200, 201, 4096)] == [8, 3, 2, 1, 1]
-    assert pipeline.chunk_tiles(144, 2) == 1
+    # 144 pixels: a budget of 3 kernels, reached by 2 tiles of 2
+    assert pipeline.chunk_tiles(144, 2) == 2
+
+
+def test_chunks_fill_the_kernel_budget():
+    # up to 100 pixels, every chunk but a pattern's last stacks between
+    # STACK_KERNELS and STACK_KERNELS + V - 1 kernels; at V = 1 and 2,
+    # which divide STACK_KERNELS, exactly STACK_KERNELS
+    for n in range(1, 101):
+        for signals in range(1, 2 * STACK_KERNELS + 2):
+            kernels = pipeline.chunk_tiles(n, signals) * signals
+            assert STACK_KERNELS <= kernels <= STACK_KERNELS + signals - 1
+        assert pipeline.chunk_tiles(n, 1) == STACK_KERNELS
+        assert pipeline.chunk_tiles(n, 2) == STACK_KERNELS // 2
+    jobs = tile_image((64, 64), Rotation(20.0), 10)
+    for signals in (1, 2, 3, 5, 7):
+        chunks = pipeline._chunks(jobs, signals)
+        full = [
+            len(tiles) * signals
+            for (key, tiles), (after, _) in zip(chunks, chunks[1:])
+            if after == key
+        ]
+        assert full and all(STACK_KERNELS <= k <= STACK_KERNELS + signals - 1 for k in full)
 
 
 @pytest.mark.parametrize("patch", [10, 12, 15])
@@ -434,6 +457,16 @@ def no_tiling(*args, **kwargs):
     raise AssertionError("tiled an image that cannot fit in memory")
 
 
+def traced_peak(images, config):
+    """The peak bytes tracemalloc sees over `_run_patches`: operators, coordinate work, chunks."""
+    tracemalloc.start()
+    try:
+        pipeline._run_patches(images, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRequireMemory:
     CONFIG = ExperimentConfig(transform=Rotation(20.0))
 
@@ -458,10 +491,10 @@ class TestRequireMemory:
         # NLM's work is its gather indices and pair list, n (k^2 + w^2) numbers
         nlm = replace(config, denoiser_kind="nlm")
         assert peak(nlm, (1, 30, 20)) == chunk(1, 1, 600, 600, 600 * (3**2 + 9**2)) + held(600)
-        # V = 5: one tile of 5 kernels per chunk; V = 3: two tiles of 3; the
-        # 64 px grid's largest tiles have 100 pixels
-        assert peak(self.CONFIG, (5, 64, 64)) == chunk(5, 1, 100, 400) + held(64 * 64)
-        assert peak(self.CONFIG, (3, 64, 64)) == chunk(6, 2, 100, 400) + held(64 * 64)
+        # V = 5: two tiles of 5 kernels per chunk; V = 3: three tiles of 3;
+        # the 64 px grid's largest tiles have 100 pixels
+        assert peak(self.CONFIG, (5, 64, 64)) == chunk(10, 2, 100, 400) + held(64 * 64)
+        assert peak(self.CONFIG, (3, 64, 64)) == chunk(9, 3, 100, 400) + held(64 * 64)
         # four tiles, fewer than a chunk holds
         assert peak(self.CONFIG, (1, 20, 20)) == chunk(4, 4, 100, 400) + held(400)
 
@@ -520,13 +553,7 @@ class TestRequireMemory:
         config = replace(self.CONFIG, patch_size=patch)
         clean = synthetic_texture("texture-a", 120).pixels
         images = add_gaussian_noise(clean, 0.02, 0)[None]
-        tracemalloc.start()
-        try:
-            pipeline._run_patches(images, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert pipeline.tile_peak_bytes(config, images.shape) <= 2.5 * peak
+        assert pipeline.tile_peak_bytes(config, images.shape) <= 2.5 * traced_peak(images, config)
 
     @pytest.mark.parametrize("patch", [20, 30])
     def test_estimate_bounds_the_measured_peak(self, patch):
@@ -534,13 +561,17 @@ class TestRequireMemory:
         config = replace(self.CONFIG, patch_size=patch)
         clean = synthetic_texture("texture-a", 120).pixels
         images = add_gaussian_noise(clean, 0.02, 0)[None]
-        tracemalloc.start()
-        try:
-            pipeline._run_patches(images, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= pipeline.tile_peak_bytes(config, images.shape)
+        assert traced_peak(images, config) <= pipeline.tile_peak_bytes(config, images.shape)
+
+    @pytest.mark.parametrize("signals", [3, 5])
+    def test_estimate_bounds_the_measured_peak_of_a_sweep(self, signals):
+        # V kernels per tile: chunks of 3 tiles of 3 kernels or 2 tiles of
+        # 5, past the STACK_KERNELS budget
+        config = replace(self.CONFIG, patch_size=10, noise_variances=VARIANCES[:signals])
+        clean = synthetic_texture("texture-a", 120).pixels
+        variances = enumerate(config.noise_variances)
+        images = np.stack([add_gaussian_noise(clean, v, i) for i, v in variances])
+        assert traced_peak(images, config) <= pipeline.tile_peak_bytes(config, images.shape)
 
     def test_bound_is_physical_memory(self, monkeypatch):
         config = replace(self.CONFIG, workers=3)

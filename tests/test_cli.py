@@ -6,12 +6,16 @@ import operator
 import os
 import re
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mixedgraph
 from mixedgraph import cli, denoisers, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError
@@ -445,6 +449,71 @@ def test_unwritable_output_is_one_line(command, flag, out, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cannot write {out}: {reason}\n"
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full device: each write, or each flush, raises ENOSPC."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("experiment", None),
+        ("experiment", "--out-csv"),
+        ("joint", None),
+        ("joint", "--out-image"),
+        ("inspect-graph", None),
+    ],
+)
+def test_full_stdout_is_one_line(command, flag, fails, tmp_path, monkeypatch, capsys):
+    # the CSV or the edge list, or the line that names the file written,
+    # cannot be written to stdout: one stderr line, exit 1, no traceback;
+    # stdout is flushed before the command returns, so a buffered stdout
+    # fails there too, and a file given by path is still written
+    monkeypatch.setattr(sys, "stdout", FullStdout(fails))
+    out = tmp_path / "out"
+    args = [command, "--texture", "texture-a", "--texture-size", "16"]
+    args += [flag, str(out)] if flag else []
+    assert run_cli(args + (["--size", "4"] if command == "inspect-graph" else [])) == 1
+    assert capsys.readouterr().err == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    if flag:
+        assert out.stat().st_size > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("flags", [[], ["--out-csv", "{out}"]])
+def test_full_stdout_device_is_one_line(flags, tmp_path):
+    # a real, buffered stdout on a full device: the failed flush leaves
+    # its bytes in the buffer, and the interpreter's exit must not flush
+    # them again (a second error and exit status 120)
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedgraph.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    args = ["experiment", "--texture", "texture-a", "--texture-size", "16"]
+    args += [flag.format(out=tmp_path / "out.csv") for flag in flags]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedgraph.cli", *args],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(

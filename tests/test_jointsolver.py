@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixedgraph import pipeline
 from mixedgraph.denoisers import (
     KernelParams,
     bilateral_matrix,
@@ -559,8 +560,8 @@ class TestOutputSpaceSolve:
 
     def test_one_vector_solve_per_tile(self, monkeypatch):
         # A sweep solves each tile once for all its noise variances: one
-        # stacked solve with one right-hand side per variance, not one
-        # solve per (tile, variance).
+        # stacked solve per chunk of tiles, with one right-hand side per
+        # variance, not one solve per (tile, variance).
         shapes = []
         solve = np.linalg.solve
 
@@ -578,9 +579,14 @@ class TestOutputSpaceSolve:
             jobs = tile_image((32, 32), transform, config.patch_size)
             shapes.clear()
             run_experiment(config, image)
-            # the chunks, one tile each at V = 5, are not in tile order
-            sizes = sorted(len(job.operator.target_coords) for job in jobs)
-            assert sorted(shapes) == [((1, 5, n, n), (1, 5, n, 1)) for n in sizes]
+            # the chunks, of up to two tiles of one offset pattern at V = 5,
+            # are not in tile order
+            want = []
+            for _, tiles in pipeline._chunks(jobs, len(variances)):
+                t, n = len(tiles), len(jobs[tiles[0]].operator.target_coords)
+                want.append(((t, 5, n, n), (t, 5, n, 1)))
+            assert sorted(shapes) == sorted(want)
+            assert max(t for (t, *_), _ in want) == 2
 
 
 class TestOptimalityCertificates:
