@@ -13,6 +13,7 @@ from . import denoisers, graphcore, interpolators, jointsolver, pipeline
 from .errors import BalanceError, DegenerateTransformError, ImageIOError
 from .errors import PatchGeometryError, PreconditionError, TileMemoryError, TilesFailedError
 from .errors import WorkerError
+from .pipeline import TEXTURE_SIZE
 
 
 def _parsers():
@@ -31,7 +32,7 @@ def _parsers():
         choices=["texture-a", "texture-b"],
         help="use a shipped synthetic texture instead of --image",
     )
-    source.add_argument("--texture-size", type=int, help="texture side (default 512)")
+    source.add_argument("--texture-size", type=int, help=f"texture side (default {TEXTURE_SIZE})")
     warp.add_argument(
         "--transform", default="identity", choices=["identity", "rotation", "homography"]
     )
@@ -132,7 +133,7 @@ def _load_input(args):
         if args.texture_size is not None:
             raise ValueError("--texture-size applies only to --texture")
         return pipeline.load_image(args.image), args.image
-    size = 512 if args.texture_size is None else args.texture_size
+    size = TEXTURE_SIZE if args.texture_size is None else args.texture_size
     return pipeline.synthetic_texture(args.texture, size), args.texture
 
 
@@ -143,8 +144,8 @@ def _cannot(verb, path, exc):
     return 1
 
 
-def _out_of_memory(name, exc):
-    """Report on one stderr line that the run on image ``name`` ran out of memory; exit status 1."""
+def _failed(name, exc):
+    """Report on one stderr line that the run on image ``name`` failed; exit status 1."""
     # numpy's MemoryError names the allocation that failed; the interpreter's has no text
     print(f"{name}: {str(exc) or 'out of memory'}", file=sys.stderr)
     return 1
@@ -194,8 +195,15 @@ def _write_text(text, path):
     return _say(f"wrote {path}\n")
 
 
+def _tiles_failed(errors, count, where=""):
+    """Report failed tiles, if any, with the first's error on one stderr line; the exit status."""
+    if errors:
+        print(f"{len(errors)} of {count} tiles failed{where}; first: {errors[0]}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 def _run_mode(args, config, image, name):
-    out = pipeline.process_image(config, image, config.mode)
+    out = pipeline.process_image(config, image)
     if args.out:
         try:
             pipeline.save_image(out, args.out)
@@ -204,22 +212,19 @@ def _run_mode(args, config, image, name):
         status = _say(f"wrote {args.out}\n")
     else:
         status = _say("no --out-image given; nothing written\n")
-    if status:
-        return status
-    if out.tile_errors:
-        # the image is still written, but a run with holes in it is an error
-        print(
-            f"{len(out.tile_errors)} of {out.tile_count} tiles failed; "
-            f"first: {out.tile_errors[0]}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    # the image is still written, but a run with holes in it is an error
+    return status or _tiles_failed(out.tile_errors, out.tile_count)
 
 
 def _cmd_experiment(args, config, image, name):
-    _, csv_text = pipeline.run_experiment(config, image, image_name=name)
-    return _write_text(csv_text, args.out)
+    # every mode's curve holds the same failed tiles
+    (curve, *_), csv_text = pipeline.run_experiment(config, image, image_name=name)
+    if status := _write_text(csv_text, args.out):
+        return status
+    # the CSV is still written, but a PSNR scored on fewer tiles is an error
+    for (var, _), errors in zip(curve.points, curve.tile_errors):
+        status |= _tiles_failed(errors, curve.tile_count, f" at variance {var:g}")
+    return status
 
 
 def _cmd_inspect_graph(args, priors, image, name):
@@ -261,15 +266,14 @@ def main(argv=None) -> int:
     except (OSError, ImageIOError) as exc:
         return _cannot("read", args.image, exc)
     except MemoryError as exc:
-        return _out_of_memory(args.image or args.texture, exc)
+        return _failed(args.image or args.texture, exc)
     if isinstance(setup, pipeline.ExperimentConfig):
         try:
             # an image command's config has one variance: one noisy image
             shape = (len(setup.noise_variances),) + image.pixels.shape
             pipeline.require_memory(setup, shape)
         except TileMemoryError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            return 1
+            return _failed(name, exc)
     try:
         if args.out:  # before any tile is solved; a missing file is created empty
             open(args.out, "a").close()
@@ -277,11 +281,10 @@ def main(argv=None) -> int:
         return _cannot("write", args.out, exc)
     try:
         return args.run(args, setup, image, name)
-    except (PatchGeometryError, TilesFailedError, WorkerError, DegenerateTransformError) as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        return _out_of_memory(name, exc)
+    except (
+        PatchGeometryError, TilesFailedError, WorkerError, DegenerateTransformError, MemoryError
+    ) as exc:
+        return _failed(name, exc)
 
 
 if __name__ == "__main__":

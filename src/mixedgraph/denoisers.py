@@ -27,11 +27,13 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import BalanceError
-from .graphcore import DenoiserOperator, as_signals, certify_denoiser
+from .graphcore import TAU_DS, TAU_SYM, DenoiserOperator, as_signals, certify_denoiser
 
 KINDS = ("gaussian", "bilateral", "nlm", "identity")
 # the kinds whose raw kernel depends on the coordinates alone
 SIGNAL_FREE = ("identity", "gaussian")
+# Sinkhorn's iteration cap; its tolerance is TAU_DS, the doubly-stochastic flag's
+SINKHORN_MAX_ITER = 1000
 
 
 def require_integers(config, *names):
@@ -231,8 +233,8 @@ def _nlm(layout: tuple, intensities, params: KernelParams) -> np.ndarray:
 
 def sinkhorn_balance(
     w,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
+    tol: float = TAU_DS,
+    max_iter: int = SINKHORN_MAX_ITER,
     kind: str = "custom",
 ) -> DenoiserOperator:
     """Balance a symmetric nonnegative kernel into a doubly stochastic operator.
@@ -249,7 +251,7 @@ def sinkhorn_balance(
         raise ValueError(f"kernel must be square, got shape {w.shape}")
     # the norms are needed only for a kernel that is not exactly symmetric
     if not np.array_equal(w, w.T):
-        if np.linalg.norm(w - w.T) > 1e-10 * max(np.linalg.norm(w), 1.0):
+        if np.linalg.norm(w - w.T) > TAU_SYM * max(np.linalg.norm(w), 1.0):
             raise ValueError("kernel must be symmetric")
     if w.min() < 0.0:
         raise ValueError("kernel must be nonnegative")
@@ -261,7 +263,7 @@ def sinkhorn_balance(
     return certify_denoiser(psi, kind=kind)
 
 
-def sinkhorn_scale(w, tol: float = 1e-8, max_iter: int = 1000):
+def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
     """Balance a stack of symmetric nonnegative kernels (V, n, n), each on its own.
 
     The kernels are not checked; `sinkhorn_balance` checks outside input.

@@ -23,6 +23,8 @@ TAU_SYM = 1e-10
 TAU_PSD = 1e-8
 # Relative pivot threshold below which a matrix is treated as singular.
 PIVOT_RTOL = 1e-12
+# A square interpolator is singular unless sigma_min > SV_RTOL * sigma_max.
+SV_RTOL = 1e-10
 # Strict positive-definiteness floor for denoiser eigenvalues.
 PD_EIG_MIN = 1e-10
 # Smallest Schur bound on a filter's lambda_min that certifies it PD without
@@ -30,7 +32,7 @@ PD_EIG_MIN = 1e-10
 SCHUR_MARGIN = 1e-6
 # Non-expansiveness slack on the spectral radius.
 NONEXPANSIVE_SLACK = 1e-10
-# Row/column-sum tolerance for the doubly-stochastic flag.
+# Row/column-sum tolerance for the doubly-stochastic flag; Sinkhorn stops on it.
 TAU_DS = 1e-8
 
 
@@ -378,16 +380,18 @@ def interpolator_to_adjacency(theta) -> DirectedInterpGraph:
         raise SingularOperatorError(
             f"interpolator must be square after padding, got shape {mat.shape}"
         )
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise SingularOperatorError(
-            "interpolator is numerically singular "
-            f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
-        )
+    require_nonsingular(mat, SingularOperatorError, "interpolator is numerically singular")
     n = mat.shape[0]
     return DirectedInterpGraph(
         original_count=n, new_count=n, block_mn=np.linalg.inv(mat)
     )
+
+
+def require_nonsingular(mat, error, what):
+    """Raise ``error(what ...)`` unless the square ``mat`` has sigma_min > SV_RTOL * sigma_max."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals[-1] <= SV_RTOL * svals[0]:
+        raise error(f"{what} (sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})")
 
 
 def export_edges(graph: UndirectedGraph, weight_tol: float = 0.0) -> str:

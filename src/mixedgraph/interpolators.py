@@ -18,9 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTransformError, PatchGeometryError
+from .graphcore import PIVOT_RTOL, require_nonsingular
 
-# Padded operators must satisfy sigma_min > SV_RTOL * sigma_max.
-SV_RTOL = 1e-10
+# No real row has more than ROW_TAPS bilinear taps.  An operator holds at
+# most OPERATOR_BYTES per output pixel: ROW_TAPS taps of a weight, a row and
+# a column (24 bytes), and its target and ROW_TAPS source coordinates (16 each).
+ROW_TAPS = 4
+OPERATOR_BYTES = ROW_TAPS * 24 + (1 + ROW_TAPS) * 16
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ def pad_full_rank(theta_raw):
     else:
         _, r, perm = sla.qr(theta_raw, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
-        if n_real > 0 and (diag.min() <= 1e-12 * max(diag.max(), 1.0)):
+        if n_real > 0 and (diag.min() <= PIVOT_RTOL * max(diag.max(), 1.0)):
             raise PatchGeometryError("raw interpolator rows are rank-deficient")
         unpivoted = sorted(perm[n_real:])
         padded = np.vstack(
@@ -189,12 +193,7 @@ def pad_full_rank(theta_raw):
             (n_real + i, int(col)) for i, col in enumerate(unpivoted)
         )
 
-    svals = np.linalg.svd(padded, compute_uv=False)
-    if svals[-1] <= SV_RTOL * svals[0]:
-        raise PatchGeometryError(
-            "padded interpolator is singular "
-            f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
-        )
+    require_nonsingular(padded, PatchGeometryError, "padded interpolator is singular")
     return padded, dummies
 
 
@@ -230,9 +229,9 @@ def _build_tiles(transform, origins, size, image_size) -> list:
     )
     key_start = np.searchsorted(keys // (h * w), tiles)
     # each tap's row and column within its own tile's matrix: a tile has
-    # at most ph pw rows, and at most four columns per row
+    # at most ph pw rows, and at most ROW_TAPS columns per row
     row = (row - point_start[tap_tile]).astype(np.min_scalar_type(ph * pw - 1))
-    col = (col - key_start[tap_tile]).astype(np.min_scalar_type(4 * ph * pw - 1))
+    col = (col - key_start[tap_tile]).astype(np.min_scalar_type(ROW_TAPS * ph * pw - 1))
     tap_start = np.searchsorted(tap_tile, tiles).tolist()
     sources = np.column_stack(np.divmod(keys % (h * w), w))
     target_rc = targets.reshape(-1, 2)[inside]
@@ -261,7 +260,12 @@ def build_patch_operator(transform, origin, size, image_size) -> PatchJob:
     return job
 
 
-def tile_image(image_size, transform, patch_size: int = 10):
+def tile_spans(length, patch_size):
+    """``(start, size)`` of the tiles along a side; the grid is the product of two sides'."""
+    return [(s, min(patch_size, length - s)) for s in range(0, length, patch_size)]
+
+
+def tile_image(image_size, transform, patch_size: int):
     """Non-overlapping tiling of the output domain into patch jobs, row-major.
 
     Boundary tiles smaller than the patch size are processed as-is; tiles
@@ -272,10 +276,9 @@ def tile_image(image_size, transform, patch_size: int = 10):
     if h < 2 or w < 2:
         raise ValueError("image too small to tile")
     by_size = {}
-    for r0 in range(0, h, patch_size):
-        for c0 in range(0, w, patch_size):
-            size = (min(patch_size, h - r0), min(patch_size, w - c0))
-            by_size.setdefault(size, []).append((r0, c0))
+    for r0, rows in tile_spans(h, patch_size):
+        for c0, cols in tile_spans(w, patch_size):
+            by_size.setdefault((rows, cols), []).append((r0, c0))
     jobs = []
     for size, origins in by_size.items():
         for i in range(0, len(origins), TILE_BATCH):

@@ -19,7 +19,7 @@ import select
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,10 @@ from scipy import ndimage
 from . import denoisers, graphcore, interpolators, jointsolver
 from .errors import ImageIOError, PatchGeometryError, PreconditionError
 from .errors import TileMemoryError, TilesFailedError, WorkerError
+from .interpolators import OPERATOR_BYTES, ROW_TAPS
 
 PSNR_CAP_DB = 99.0
+TEXTURE_SIZE = 512
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
 MODES = ("joint", "sequential", "both")
 METHODS = ("cg", "direct", "closed-form")
@@ -115,6 +117,8 @@ class PsnrCurve:
     image_name: str
     transform_label: str
     denoiser_kind: str
+    tile_count: int = 0
+    tile_errors: tuple = ()  # per point, the failed tiles' errors, as StitchedImage's
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def save_image(image, path) -> None:
 # ---------------------------------------------------------------------------
 # Synthetic test textures (deterministic procedural generation).
 
-def synthetic_texture(name: str, size: int = 512) -> ImageBuffer:
+def synthetic_texture(name: str, size: int = TEXTURE_SIZE) -> ImageBuffer:
     """Procedural grayscale textures used by the shipped experiments."""
     if size < 2:
         raise ValueError(f"texture size must be at least 2, got {size}")
@@ -456,21 +460,25 @@ def run_chunk(jobs, images, config, work=None):
     return joint, sequential, np.where(np.not_equal(errors, None), errors.astype(str), None)
 
 
-def process_image(config: ExperimentConfig, image, mode: str) -> StitchedImage:
-    """Run every patch job in one mode, joint or sequential, and stitch the outputs.
+def process_image(config: ExperimentConfig, image) -> StitchedImage:
+    """Run every patch job in ``config.mode``, joint or sequential, and stitch the outputs.
 
     The image's stitched pixels and validity are that mode's stack and the
     validity of `_run_patches` on the one image.
     """
+    mode = config.mode
     if mode not in ("joint", "sequential"):
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
-    jobs, outputs, valid, errors = _run_patches(_pixels(image)[None], replace(config, mode=mode))
-    tile_errors = tuple(
-        f"tile at {job.origin}: {err}" for job, err in zip(jobs, errors[:, 0]) if err is not None
-    )
+    jobs, outputs, valid, errors = _run_patches(_pixels(image)[None], config)
+    tile_errors = _tile_errors(jobs, errors[:, 0])
     return StitchedImage(
         pixels=outputs[mode][0], validity=valid[0], tile_count=len(jobs), tile_errors=tile_errors
     )
+
+
+def _tile_errors(jobs, errors):
+    """``tile at (r, c): <error>`` of each job whose entry of ``errors`` is not None."""
+    return tuple(f"tile at {job.origin}: {e}" for job, e in zip(jobs, errors) if e is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -696,14 +704,6 @@ def _child_results(pid, status, data):
 # the n x n terms only for small tiles.
 LIVE_STACKS = 2
 CHUNK_ARRAYS = 2
-# No real row has more than ROW_TAPS bilinear taps, so a tile of n pixels
-# has at most ROW_TAPS n source columns, and its dense rows theta_r, built
-# while its chunk is solved, at most ROW_TAPS n^2 doubles.  Every tile's
-# operator is held for the whole run, at most OPERATOR_BYTES per output
-# pixel: its taps, each a weight and its row and column numbers (at most 24
-# bytes), and its own and its taps' source coordinates (16 bytes each).
-ROW_TAPS = 4
-OPERATOR_BYTES = ROW_TAPS * 24 + (1 + ROW_TAPS) * 16
 
 
 def _tile_counts(size, patch_size):
@@ -712,15 +712,8 @@ def _tile_counts(size, patch_size):
     Every tile of the grid is counted at its full pixel count, including
     those whose real outputs tile_image then leaves out.
     """
-    sides = [
-        collections.Counter(min(patch_size, length - s) for s in range(0, length, patch_size))
-        for length in size
-    ]
-    counts = collections.Counter()
-    for rows, down in sides[0].items():
-        for cols, across in sides[1].items():
-            counts[rows * cols] += down * across
-    return counts
+    rows, cols = (interpolators.tile_spans(length, patch_size) for length in size)
+    return collections.Counter(r * c for _, r in rows for _, c in cols)
 
 
 def tile_peak_bytes(config, shape) -> int:
@@ -872,8 +865,9 @@ def build_reference(jobs, clean_pixels, shape):
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     """Sweep noise variances and score both modes; returns (curves, csv_text).
 
-    Raises TilesFailedError, naming the mode and variance and the first
-    tile's error, when every tile of a mode fails at some variance.
+    Each curve holds the tile count and, per variance, the errors of the
+    tiles that failed.  Raises TilesFailedError, naming the variance and
+    the first tile's error, when every tile fails at some variance.
     """
     clean = _pixels(image)
     noisy = np.empty((len(config.noise_variances),) + clean.shape)
@@ -884,21 +878,20 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     ref, _ = build_reference(jobs, clean, clean.shape)
 
     transform_label = config.transform.label()
+    tile_errors = tuple(_tile_errors(jobs, column) for column in errors.T)
     rows = []
     points = {mode: [] for mode in config.modes}
-    for vi, var in enumerate(config.noise_variances):
-        failed = np.count_nonzero(np.not_equal(errors[:, vi], None))
+    for vi, (var, failed) in enumerate(zip(config.noise_variances, tile_errors)):
+        if len(failed) == len(jobs):
+            raise TilesFailedError(
+                f"all {len(jobs)} tiles failed at variance {var:g}; first: {failed[0]}"
+            )
         for mode in config.modes:
-            if not valid[vi].any():
-                raise TilesFailedError(
-                    f"all {len(jobs)} tiles failed in {mode} mode at variance {var:g}; "
-                    f"first: {errors[0, vi]}"
-                )
             value = psnr(ref, outputs[mode][vi], valid[vi])
             points[mode].append((var, value))
             rows.append(
                 f"{image_name},{transform_label},{config.denoiser_kind},"
-                f"{mode},{var:g},{value:.6f},{failed}"
+                f"{mode},{var:g},{value:.6f},{len(failed)}"
             )
 
     curves = [
@@ -908,6 +901,8 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
             image_name=image_name,
             transform_label=transform_label,
             denoiser_kind=config.denoiser_kind,
+            tile_count=len(jobs),
+            tile_errors=tile_errors,
         )
         for mode in config.modes
     ]

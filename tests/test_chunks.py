@@ -11,6 +11,7 @@ pattern the work was computed from, and no work may outlive its run.
 anything is allocated; its tests only ever report a smaller machine.
 """
 
+import collections
 import json
 import os
 import subprocess
@@ -436,6 +437,11 @@ def test_chunks_never_mix_patterns_or_overfill(transform, size, patch, signals):
     # the chunks of one pattern are consecutive
     keys = [key for key, _ in chunks]
     assert sum(k == 0 or key != keys[k - 1] for k, key in enumerate(keys)) == len(set(keys))
+    # the memory estimate counts every tile of the grid at its full size:
+    # label each pixel with its tile and count the tiles of each size
+    tile = np.arange(size) // patch
+    pixels = collections.Counter(zip(np.repeat(tile, size), np.tile(tile, size)))
+    assert pipeline._tile_counts((size, size), patch) == collections.Counter(pixels.values())
 
 
 def chunk_bytes(kernels, tiles, n, columns, cached=None):
@@ -590,7 +596,7 @@ class TestRequireMemory:
         with pytest.raises(TileMemoryError):
             run_experiment(config, image)
         with pytest.raises(TileMemoryError):
-            pipeline.process_image(config, image, "joint")
+            pipeline.process_image(replace(config, mode="joint"), image)
 
     def test_unreported_memory_is_not_checked(self, monkeypatch):
         def no_sysconf(name):

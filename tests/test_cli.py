@@ -19,9 +19,12 @@ import mixedgraph
 from mixedgraph import cli, denoisers, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError
-from mixedgraph.interpolators import Rotation
+from mixedgraph.interpolators import Rotation, build_patch_operator
 from mixedgraph.pipeline import (
     CSV_HEADER,
+    ExperimentConfig,
+    ImageBuffer,
+    add_gaussian_noise,
     load_pgm,
     save_pgm,
     synthetic_texture,
@@ -89,8 +92,35 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            r"texture-a: all \d+ tiles failed in joint mode at variance 0\.02; first: .+\n",
+            r"texture-a: all \d+ tiles failed at variance 0\.02; first: tile at \(\d+, \d+\): .+\n",
             captured.err,
+        )
+
+    # NLM at h2 0.3 fails certification on 44 of this image's 47 tiles at
+    # each variance; its CSV is pinned, since failed tiles set the exit
+    # status and stderr, not the bytes
+    FAILING = ["experiment", "--texture", "texture-b", "--texture-size", "64"]
+    FAILING += ["--transform", "homography", "--homography", "1,0.2,0;0.1,1,0;0,0,1"]
+    FAILING += ["--denoiser", "nlm", "--nlm-h2", "0.3", "--variances", "0.02,0.06"]
+    FAILING_CSV = (
+        CSV_HEADER + "\n"
+        "texture-b,homography(1,0.2,0;0.1,1,0;0,0,1),nlm,joint,0.02,22.534088,44\n"
+        "texture-b,homography(1,0.2,0;0.1,1,0;0,0,1),nlm,sequential,0.02,21.633950,44\n"
+        "texture-b,homography(1,0.2,0;0.1,1,0;0,0,1),nlm,joint,0.06,19.162702,44\n"
+        "texture-b,homography(1,0.2,0;0.1,1,0;0,0,1),nlm,sequential,0.06,18.285342,44\n"
+    )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_tiles_exit_nonzero(self, workers, tmp_path, capsys):
+        out = tmp_path / "cm.csv"
+        assert run_cli(self.FAILING + ["--workers", workers, "--out-csv", str(out)]) == 1
+        assert out.read_bytes() == self.FAILING_CSV.encode()
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}\n"
+        first = "tile at (0, 0): nlm denoiser failed certification on patch"
+        assert captured.err == (
+            f"44 of 47 tiles failed at variance 0.02; first: {first}\n"
+            f"44 of 47 tiles failed at variance 0.06; first: {first}\n"
         )
 
 
@@ -239,6 +269,48 @@ class TestInspectGraph:
         assert captured.out == ""
         assert captured.err.startswith("patch at (0, 0): ") and error in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("origin", [(0, 0), (5, 5), (10, 20)])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian", {}),
+            ("bilateral", {}),
+            ("nlm", {}),
+            ("nlm", {"nlm_h2": 0.05}),
+            ("identity", {}),
+        ],
+    )
+    def test_shows_the_pipeline_denoiser(self, kind, params, origin, tmp_path, monkeypatch):
+        # the denoiser of a 10 x 10 tile is the pipeline's, bit for bit,
+        # with the same certification verdict: both balance the kernel of
+        # the tile clipped to [0, 1] with Sinkhorn's default tolerance.  A
+        # noisy image, like the pipeline's inputs, has pixels outside [0, 1]
+        pixels = add_gaussian_noise(synthetic_texture("texture-b", 32).pixels, 0.02, 0)
+        assert pixels.min() < 0.0 and pixels.max() > 1.0
+        image = ImageBuffer.from_array(pixels)
+        monkeypatch.setattr(pipeline, "synthetic_texture", lambda *_: image)
+        shown = []
+        balance = denoisers.sinkhorn_balance
+
+        def recording_balance(*args, **kwargs):
+            shown.append(balance(*args, **kwargs))
+            return shown[-1]
+
+        monkeypatch.setattr(denoisers, "sinkhorn_balance", recording_balance)
+        args = ["inspect-graph", "--texture", "texture-b", "--texture-size", "32"]
+        args += ["--denoiser", kind, "--origin", "%d,%d" % origin, "--size", "10"]
+        args += [f"--{key.replace('_', '-')}={value}" for key, value in params.items()]
+        status = run_cli(args + ["--out", str(tmp_path / "edges.txt")])
+        (psi,) = shown
+
+        op = build_patch_operator(IDENTITY, origin, (10, 10), (32, 32)).operator
+        ty = op.real_matrix @ pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
+        config = ExperimentConfig(IDENTITY, kind, denoisers.KernelParams(**params))
+        want, errors = pipeline.build_patch_denoiser([op], ty[None, None], config)
+        assert psi.matrix.tobytes() == want[0, 0].tobytes()
+        assert psi.certified == (errors[0, 0] is None)
+        assert status == (0 if psi.certified else 1)
 
     def test_empty_patch_rejected(self):
         with pytest.raises(SystemExit):

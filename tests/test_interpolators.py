@@ -8,6 +8,8 @@ from scipy import ndimage
 
 from mixedgraph.errors import DegenerateTransformError, PatchGeometryError
 from mixedgraph.interpolators import (
+    OPERATOR_BYTES,
+    ROW_TAPS,
     Homography,
     Rotation,
     bilinear_rows,
@@ -379,7 +381,8 @@ class TestTaps:
     # tiles of 400 pixels have more than 256 source columns
     @example(transform=Rotation(20.0), h=40, w=40, patch=20)
     def test_real_matrix_is_the_scattered_taps(self, transform, h, w, patch):
-        for job in tile_image((h, w), transform, patch):
+        jobs = tile_image((h, w), transform, patch)
+        for job in jobs:
             op = job.operator
             theta, footprint, targets = scattered_operator(transform, job.origin, job.size, (h, w))
             got = op.real_matrix
@@ -387,12 +390,17 @@ class TestTaps:
             assert got.tobytes() == theta.tobytes()
             np.testing.assert_array_equal(op.source_coords, footprint)
             np.testing.assert_array_equal(op.target_coords, targets)
-            # each real row has one to four positive taps, summing to 1
+            # each real row has one to ROW_TAPS positive taps, summing to 1
             per_row = np.bincount(op.tap_row, minlength=len(targets))
-            assert per_row.min() >= 1 and per_row.max() <= 4
+            assert per_row.min() >= 1 and per_row.max() <= ROW_TAPS
             assert np.all(op.tap_weight > 0.0)
             sums = np.bincount(op.tap_row, weights=op.tap_weight, minlength=len(targets))
             np.testing.assert_allclose(sums, 1.0, rtol=0.0, atol=1e-12)
+        # the memory estimate charges the image's operators OPERATOR_BYTES
+        # per pixel: the arrays behind them, shared by a batch's tiles
+        ops = [job.operator for job in jobs]
+        fields = ("source_coords", "target_coords", "tap_row", "tap_col", "tap_weight")
+        assert held_bytes(getattr(op, f) for op in ops for f in fields) <= OPERATOR_BYTES * h * w
 
     def test_writing_the_dense_rows_leaves_the_operator(self):
         args = Homography(PAPER_H), (8, 8), (10, 10), (48, 48)

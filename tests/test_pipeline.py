@@ -219,18 +219,18 @@ class TestProcessImage:
     def test_ground_truth_consistency(self):
         # zero noise + identity denoiser recovers the warped clean image
         img = synthetic_texture("texture-a", 40)
-        config = identity_config(transform=Rotation(10.0))
-        out = process_image(config, img, "sequential")
+        config = identity_config(transform=Rotation(10.0), mode="sequential")
+        out = process_image(config, img)
         jobs = tile_image((40, 40), config.transform, 10)
         ref, mask = build_reference(jobs, img.pixels, (40, 40))
         assert out.validity.sum() == mask.sum()
         assert psnr(ImageBuffer(ref, mask), out) >= 80.0
 
-    @pytest.mark.parametrize("mode", ["both", "neither"])
-    def test_one_mode_per_image(self, mode):
+    def test_one_mode_per_image(self):
+        # "both" names two images; ExperimentConfig rejects any other name
         img = synthetic_texture("texture-a", 20)
-        with pytest.raises(ValueError, match="'joint' or 'sequential'"):
-            process_image(identity_config(), img, mode)
+        with pytest.raises(ValueError, match="'joint' or 'sequential', got 'both'"):
+            process_image(identity_config(mode="both"), img)
 
     @pytest.mark.parametrize(
         "transform",
@@ -242,8 +242,8 @@ class TestProcessImage:
         # the plain interpolation that sequential mode gives, bit for bit
         img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 3)
         config = identity_config(transform=transform)
-        joint = process_image(config, img, "joint")
-        sequential = process_image(config, img, "sequential")
+        joint = process_image(replace(config, mode="joint"), img)
+        sequential = process_image(replace(config, mode="sequential"), img)
         assert joint.validity.any() and not joint.tile_errors
         assert joint.pixels.tobytes() == sequential.pixels.tobytes()
         assert joint.validity.tobytes() == sequential.validity.tobytes()
@@ -257,16 +257,17 @@ class TestProcessImage:
             denoiser_kind="bilateral",
             weights=SolverWeights(kappa=0.0),
         )
-        joint = process_image(config, img, "joint")
-        interpolated = process_image(replace(config, denoiser_kind="identity"), img, "sequential")
+        joint = process_image(replace(config, mode="joint"), img)
+        interpolate = replace(config, denoiser_kind="identity", mode="sequential")
+        interpolated = process_image(interpolate, img)
         assert joint.validity.any() and not joint.tile_errors
         assert joint.validity.tobytes() == interpolated.validity.tobytes()
         assert joint.pixels.tobytes() == interpolated.pixels.tobytes()
 
     def test_stitching_covers_all_tiled_pixels(self):
         img = synthetic_texture("texture-b", 40)
-        config = identity_config(transform=Rotation(20.0))
-        out = process_image(config, img, "joint")
+        config = identity_config(transform=Rotation(20.0), mode="joint")
+        out = process_image(config, img)
         jobs = tile_image((40, 40), config.transform, 10)
         covered = np.zeros((40, 40), dtype=bool)
         for job in jobs:
@@ -288,9 +289,9 @@ class TestProcessImage:
         img = add_gaussian_noise(synthetic_texture("texture-a", 36), 0.02, 1)
         config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="bilateral")
         for mode in ("joint", "sequential"):
-            serial = process_image(config, img, mode)
+            serial = process_image(replace(config, mode=mode), img)
             assert not forks
-            pooled = process_image(replace(config, workers=2), img, mode)
+            pooled = process_image(replace(config, workers=2, mode=mode), img)
             assert len(forks) == 1
             forks.clear()
             assert pooled.pixels.tobytes() == serial.pixels.tobytes()
@@ -302,8 +303,8 @@ class TestProcessImage:
         # 4x magnification: each 10x10 tile reads only 4x4 source pixels,
         # so its rows cannot be padded into an invertible square operator
         img = add_gaussian_noise(synthetic_texture("texture-a", 40), 0.02, 1)
-        config = ExperimentConfig(transform=MAGNIFY_4X, denoiser_kind="bilateral")
-        out = process_image(config, img, "joint")
+        config = ExperimentConfig(transform=MAGNIFY_4X, denoiser_kind="bilateral", mode="joint")
+        out = process_image(config, img)
         assert out.validity.all() and np.isfinite(out.pixels).all()
 
     def test_magnified_tile_minimises_reduced_objective(self):
@@ -397,7 +398,7 @@ class TestRunExperiment:
         assert csvs["cg"] == csvs["direct"] == csvs["closed-form"]
 
 
-    def test_every_tile_failed_names_mode_and_variance(self):
+    def test_every_tile_failed_names_variance_and_tile(self):
         # NLM's box window fails certification on every tile of this image
         img = synthetic_texture("texture-a", 48)
         config = self.make_config(
@@ -406,7 +407,8 @@ class TestRunExperiment:
             noise_variances=(0.02,),
             mode="joint",
         )
-        with pytest.raises(TilesFailedError, match=r"in joint mode at variance 0\.02; first: "):
+        match = r"^all \d+ tiles failed at variance 0\.02; first: tile at \(0, 0\): "
+        with pytest.raises(TilesFailedError, match=match):
             run_experiment(config, img, "tex")
 
 
@@ -515,13 +517,13 @@ class TestNonFiniteOutput:
 
         img = add_gaussian_noise(synthetic_texture("texture-a", 24), 0.02, 1)
         config = ExperimentConfig(transform=Rotation(20.0), mode=mode)
-        want = process_image(config, img, mode)
+        want = process_image(config, img)
         assert not want.tile_errors
         if mode == "joint":
             monkeypatch.setattr(jointsolver, "_solve", nan_solve)
         else:
             monkeypatch.setattr(pipeline, "build_patch_denoiser", nan_denoiser)
-        out = process_image(config, img, mode)
+        out = process_image(config, img)
         assert len(out.tile_errors) == out.tile_count
         assert all(err.endswith("tile output is not finite") for err in out.tile_errors)
         assert not out.validity.any()
@@ -535,7 +537,7 @@ class TestNoSpectrumOnTilePath:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         img = add_gaussian_noise(synthetic_texture("texture-a", 30), 0.02, 1)
         config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind="bilateral")
-        out = process_image(config, img, "joint")
+        out = process_image(replace(config, mode="joint"), img)
         assert not out.tile_errors and out.validity.any()
         _, csv_text = run_experiment(replace(config, denoiser_kind="gaussian"), img, "t")
         assert csv_text.count(",0\n") == 2  # both modes, no failed tiles
@@ -643,7 +645,7 @@ class TestForkedWorkers:
         first_child_tile(lambda: os.kill(os.getpid(), signal.SIGKILL))
         start = time.monotonic()
         with pytest.raises(WorkerError, match=r"ended without a result \(killed by signal 9\)"):
-            process_image(self.CONFIG, self.IMAGE, "joint")
+            process_image(replace(self.CONFIG, mode="joint"), self.IMAGE)
         assert time.monotonic() - start < 20.0
         assert_no_children()
 
@@ -666,7 +668,7 @@ class TestForkedWorkers:
         first_child_tile(lambda: time.sleep(60.0), boom)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="boom in the caller"):
-            process_image(self.CONFIG, self.IMAGE, "sequential")
+            process_image(replace(self.CONFIG, mode="sequential"), self.IMAGE)
         assert time.monotonic() - start < 20.0
         assert_no_children()
 
@@ -675,12 +677,12 @@ class TestForkedWorkers:
         serial = replace(self.CONFIG, workers=1)
         csv = run_experiment(serial, self.IMAGE, "tex")[1]
         modes = ("joint", "sequential")
-        images = {mode: process_image(serial, self.IMAGE, mode) for mode in modes}
+        images = {mode: process_image(replace(serial, mode=mode), self.IMAGE) for mode in modes}
         for workers in (2, 3, tiles + 2):
             config = replace(self.CONFIG, workers=workers)
             assert run_experiment(config, self.IMAGE, "tex")[1] == csv
             for mode, want in images.items():
-                got = process_image(config, self.IMAGE, mode)
+                got = process_image(replace(config, mode=mode), self.IMAGE)
                 assert got.pixels.tobytes() == want.pixels.tobytes()
                 assert got.validity.tobytes() == want.validity.tobytes()
                 assert got.tile_errors == want.tile_errors

@@ -234,6 +234,6 @@ def test_no_factorization_for_default_bilateral(monkeypatch):
     monkeypatch.setattr(graphcore, "_is_pd", is_pd)
     img = add_gaussian_noise(synthetic_texture("texture-a", 30), 0.02, 1)
     for kind in ("bilateral", "gaussian", "identity"):
-        config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind=kind)
-        out = process_image(config, img, "joint")
+        config = ExperimentConfig(transform=Rotation(20.0), denoiser_kind=kind, mode="joint")
+        out = process_image(config, img)
         assert not out.tile_errors and out.validity.any()
