@@ -239,8 +239,9 @@ def sinkhorn_balance(
 ) -> DenoiserOperator:
     """Balance a symmetric nonnegative kernel into a doubly stochastic operator.
 
-    Raises ValueError unless the kernel is square, symmetric, nonnegative
-    and has a positive diagonal.  Runs `sinkhorn_scale` on it, then
+    Raises ValueError unless the kernel is square, symmetric to within
+    `TAU_SYM`, nonnegative and has a positive diagonal.  Balances 0.5 (W +
+    W^T), which is W for an exactly symmetric W, with `sinkhorn_scale`, then
     certifies the result (symmetry, PD, non-expansiveness) and records the flags.
 
     Raises BalanceError (with the final residual) if the row-sum residual
@@ -249,10 +250,11 @@ def sinkhorn_balance(
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"kernel must be square, got shape {w.shape}")
-    # the norms are needed only for a kernel that is not exactly symmetric
+    # the norms and the average are needed only for a kernel not exactly symmetric
     if not np.array_equal(w, w.T):
         if np.linalg.norm(w - w.T) > TAU_SYM * max(np.linalg.norm(w), 1.0):
             raise ValueError("kernel must be symmetric")
+        w = 0.5 * (w + w.T)
     if w.min() < 0.0:
         raise ValueError("kernel must be nonnegative")
     if np.any(np.diagonal(w) <= 0.0):
@@ -269,17 +271,18 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
     The kernels are not checked; `sinkhorn_balance` checks outside input.
 
     Uses the symmetric one-vector iteration d <- sqrt(d / (W d)) of Knight
-    (SIAM J. Matrix Anal. Appl. 2008), so that diag(d) W diag(d) stays
-    symmetric by construction, on all V kernels at once.  Each kernel
-    iterates past `tol` toward machine precision while progress is being
-    made and stops by its own residual; a kernel that has stopped keeps its
-    d while the others go on, so every kernel gets the scaling it would get
-    alone.
+    (SIAM J. Matrix Anal. Appl. 2008) on all V kernels at once.  Each
+    kernel iterates past `tol` toward machine precision while progress is
+    being made and stops by its own residual; a kernel that has stopped
+    keeps its d while the others go on, so every kernel gets the scaling
+    it would get alone.  psi = diag(d) W diag(d) is formed as (d d^T) o W:
+    d_i d_j rounds as d_j d_i does, so psi is exactly symmetric when W is,
+    as the kernel builders' kernels are (`_pairwise_sq_dist` differences
+    directly, and `_nlm` writes one weight to both (i, j) and (j, i)).
 
-    Returns ``(psi, errors)``: the V balanced kernels, made exactly
-    symmetric, and for each either None or the BalanceError (with the final
-    residual) of a row-sum residual still above `tol` after `max_iter`
-    iterations.
+    Returns ``(psi, errors)``: the V balanced kernels, and for each either
+    None or the BalanceError (with the final residual) of a row-sum
+    residual still above `tol` after `max_iter` iterations.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
@@ -313,15 +316,8 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
         for i in active:
             residual[i] = now[i]
 
-    # 0.5 * (psi + psi^T) with psi = w * d * d^T, in one buffer of the
-    # stack's size and one (n, n) buffer for each kernel's transpose
-    psi = w * d
-    psi *= d.swapaxes(1, 2)
-    transpose = np.empty(psi.shape[1:])
-    for m in psi:
-        np.copyto(transpose, m.T)
-        m += transpose
-    psi *= 0.5
+    psi = d * d.swapaxes(1, 2)
+    psi *= w
     errors = [
         BalanceError(
             f"Sinkhorn balancing did not converge (residual {r:.3e})", residual=r

@@ -492,6 +492,17 @@ _BLAS_SYMBOLS = (
 )
 
 
+def _openblas_libraries():
+    """The OpenBLAS libraries bundled with numpy and scipy, loaded."""
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                yield ctypes.CDLL(str(path))
+            except OSError:
+                continue
+
+
 @functools.cache
 def _blas_pools():
     """(getter, setter) pairs of the OpenBLAS libraries bundled with numpy and scipy.
@@ -500,20 +511,39 @@ def _blas_pools():
     library with neither symbol pair (another BLAS, MKL) is left out.
     """
     pools = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for get, set_ in _BLAS_SYMBOLS:
-                if hasattr(lib, get) and hasattr(lib, set_):
-                    getter, setter = getattr(lib, get), getattr(lib, set_)
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    pools.append((getter, setter))
+    for lib in _openblas_libraries():
+        for get, set_ in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                pools.append((getter, setter))
     return tuple(pools)
+
+
+@functools.cache
+def _blas_shutdowns():
+    """The pool shutdown, ``blas_thread_shutdown_``, of each bundled OpenBLAS library."""
+    shutdowns = []
+    for lib in _openblas_libraries():
+        if hasattr(lib, "blas_thread_shutdown_"):
+            shutdown = lib.blas_thread_shutdown_
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            shutdowns.append(shutdown)
+    return tuple(shutdowns)
+
+
+# How many times this process has forked.  OpenBLAS shuts its thread pools
+# down at each fork (its own fork handler).
+_forks = 0
+
+
+def _count_fork():
+    global _forks
+    _forks += 1
+
+
+os.register_at_fork(after_in_parent=_count_fork)
 
 
 @contextlib.contextmanager
@@ -523,10 +553,14 @@ def _one_blas_thread():
     Every matrix of the tile path is at most about 130 x 130, too small for
     BLAS threads to pay off, and the children of `_deal` would oversubscribe
     the cores; they inherit the setting.  The previous counts are restored
-    on exit.
+    on exit.  A fork shuts the pools down, and raising the count again then
+    starts a new pool, whose threads spin for about 0.1 s; so after a body
+    that forked the pools are shut down once more, and the next BLAS call
+    that wants threads starts them.
     """
     pools = _blas_pools()
     saved = [get() for get, _ in pools]
+    forks = _forks
     for _, set_ in pools:
         set_(1)
     try:
@@ -534,6 +568,9 @@ def _one_blas_thread():
     finally:
         for (_, set_), count in zip(pools, saved):
             set_(count)
+        if pools and _forks != forks:
+            for shutdown in _blas_shutdowns():
+                shutdown()
 
 
 @functools.cache
@@ -790,8 +827,10 @@ def _run_patches(images, config):
     (`_coordinate_work`) of the last pattern it solved, and computes it
     again only for a chunk of another pattern; the chunks of one pattern
     are consecutive, and each process draws its chunks in ascending order.
-    BLAS runs on one thread throughout (`_one_blas_thread`), and the heap
-    keeps the memory the tiles free (`_keep_heap`).
+    BLAS runs on one thread throughout, and after a run that forked its
+    pools are shut down again once their counts are restored
+    (`_one_blas_thread`); the heap keeps the memory the tiles free
+    (`_keep_heap`).
     """
     require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from mixedgraph import denoisers
 from mixedgraph.denoisers import (
+    KINDS,
+    SINKHORN_MAX_ITER,
     KernelParams,
     _pairwise_sq_dist,
     bilateral_matrix,
@@ -392,6 +396,21 @@ class TestSymmetryCheck:
             np.testing.assert_array_equal(psi, psi.T)
             assert np.abs(psi.sum(axis=1) - 1.0).max() <= 1e-8
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-16.0, -11.0),
+    )
+    def test_balances_the_symmetric_part(self, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.05, 1.0, (n, n))
+        w = 0.5 * (w + w.T)
+        i, j = rng.choice(n, 2, replace=False)
+        w[i, j] += 10.0**log_scale * np.linalg.norm(w)
+        want = sinkhorn_balance(0.5 * (w + w.T)).matrix
+        assert sinkhorn_balance(w).matrix.tobytes() == want.tobytes()
+
     def test_nan_kernel_is_not_rejected_as_asymmetric(self):
         # NaN fails the exact test and every norm comparison, as before, so
         # the kernel passes the checks and fails in certification instead
@@ -411,6 +430,51 @@ class TestSymmetryCheck:
         # the pipeline's own kernels go to sinkhorn_scale unchecked
         psi, _ = sinkhorn_scale(np.array([[[1.0, 0.5], [0.2, 1.0]]]))
         assert psi.shape == (1, 2, 2)
+
+
+@st.composite
+def kernel_stacks(draw):
+    """1-8 exactly symmetric kernels on one tile: `build_denoiser`'s, of every
+    kind, on random signals, mixed with random positive matrices."""
+    coords = draw(integer_coords())
+    n = len(coords)
+    params = replace(
+        draw(nlm_params()),
+        spatial_var=draw(st.floats(0.1, 4.0)),
+        range_var=draw(st.floats(0.01, 1.0)),
+        nlm_h2=draw(st.floats(0.01, 1.0)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = []
+    for source in draw(st.lists(st.sampled_from(KINDS + ("random",)), min_size=1, max_size=8)):
+        if source == "random":
+            a = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            kernels.append(a + a.T)
+        else:
+            kernels.append(build_denoiser(source, coords, rng.uniform(0.0, 1.0, n), params))
+    return np.stack(kernels)
+
+
+def described(error):
+    return None if error is None else (type(error), str(error), error.residual)
+
+
+class TestSinkhornScaleStack:
+    """A balanced stack is exactly symmetric, and each kernel is balanced as
+    alone, as `sinkhorn_balance` balances it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(w=kernel_stacks(), max_iter=st.sampled_from([1, 3, 10, SINKHORN_MAX_ITER]))
+    def test_symmetric_and_each_kernel_alone(self, w, max_iter):
+        psi, errors = sinkhorn_scale(w, max_iter=max_iter)
+        assert psi.tobytes() == psi.swapaxes(1, 2).tobytes()
+        for k, (got, error) in enumerate(zip(psi, errors)):
+            (alone,), (alone_error,) = sinkhorn_scale(w[k : k + 1], max_iter=max_iter)
+            assert got.tobytes() == alone.tobytes()
+            assert described(error) == described(alone_error)
+            if error is None:
+                balanced = sinkhorn_balance(w[k], max_iter=max_iter).matrix
+                assert balanced.tobytes() == got.tobytes()
 
 
 class TestPermutationEquivariance:

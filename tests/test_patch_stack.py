@@ -69,8 +69,7 @@ def ref_balance(w, max_iter, tol=1e-8):
         residual = np.abs(d * (w @ d) - 1.0).max()
     if residual > tol:
         raise BalanceError(f"Sinkhorn balancing did not converge (residual {residual:.3e})")
-    psi = w * d[:, None] * d[None, :]
-    return 0.5 * (psi + psi.T)
+    return w * (d[:, None] * d[None, :])
 
 
 def factors(a):

@@ -467,6 +467,28 @@ class TestOneBlasThread:
         assert got == want
 
 
+def test_pool_run_leaves_no_spinning_blas_thread():
+    # OpenBLAS shuts its pools down at each fork, and restoring two threads
+    # afterwards starts a new pool, whose thread spins for about 0.1 s
+    # unless the pool is shut down again
+    pools = pipeline._blas_pools()
+    if not pools:
+        pytest.skip("numpy and scipy bundle no OpenBLAS with a thread setter")
+    found = blas_thread_counts()
+    for _, set_ in pools:
+        set_(2)
+    try:
+        config = replace(TestOneBlasThread.CONFIG, workers=2)
+        run_experiment(config, synthetic_texture("texture-a", 32), "tex")
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start <= 0.02
+        assert blas_thread_counts() == [2, 2]
+    finally:
+        for (_, set_), count in zip(pools, found):
+            set_(count)
+
+
 class TestKeepHeap:
     # the sweep-rot-bilateral benchmark workload
     CONFIG = ExperimentConfig(
