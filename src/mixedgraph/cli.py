@@ -207,7 +207,7 @@ def _run_mode(args, config, image, name):
     if args.out:
         try:
             pipeline.save_image(out, args.out)
-        except OSError as exc:
+        except (OSError, ImageIOError) as exc:
             return _cannot("write", args.out, exc)
         status = _say(f"wrote {args.out}\n")
     else:
@@ -276,8 +276,10 @@ def main(argv=None) -> int:
             return _failed(name, exc)
     try:
         if args.out:  # before any tile is solved; a missing file is created empty
+            if args.run is _run_mode:
+                pipeline.png_module(args.out)  # a PNG needs Pillow
             open(args.out, "a").close()
-    except OSError as exc:
+    except (OSError, ImageIOError) as exc:
         return _cannot("write", args.out, exc)
     try:
         return args.run(args, setup, image, name)

@@ -24,7 +24,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BalanceError
 from .graphcore import TAU_DS, TAU_SYM, DenoiserOperator, as_signals, certify_denoiser
@@ -141,6 +140,11 @@ def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.nda
 
 def fill_holes_nearest(grid: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Fill invalid grid cells with the value of the nearest valid cell."""
+    # imported here, so that a run of another kind never loads scipy, and
+    # before the return of a full grid, so that the first NLM layout loads
+    # it before `pipeline._run_patches` forks
+    from scipy import ndimage
+
     if valid.all():
         return grid
     if not valid.any():

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy import ndimage
 
 from . import denoisers, graphcore, interpolators, jointsolver
 from .errors import ImageIOError, PatchGeometryError, PreconditionError
@@ -185,28 +183,34 @@ def save_pgm(image, path) -> None:
         fh.write(quantized.tobytes())
 
 
+def png_module(path):
+    """PIL's ``Image`` module if ``path`` names a PNG, by its suffix in any case; else None.
+
+    Raises ImageIOError for a PNG when Pillow is not installed.
+    """
+    if not str(path).lower().endswith(".png"):
+        return None
+    try:
+        from PIL import Image
+    except ImportError as exc:
+        raise ImageIOError("PNG support requires Pillow") from exc
+    return Image
+
+
 def load_image(path) -> ImageBuffer:
-    path = str(path)
-    if path.endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise ImageIOError("PNG support requires Pillow") from exc
-        arr = np.asarray(Image.open(path).convert("L"), dtype=float)
-        return ImageBuffer.from_array(arr / 255.0)
-    return load_pgm(path)
+    png = png_module(path)
+    if png is None:
+        return load_pgm(path)
+    arr = np.asarray(png.open(path).convert("L"), dtype=float)
+    return ImageBuffer.from_array(arr / 255.0)
 
 
 def save_image(image, path) -> None:
-    path = str(path)
-    if path.endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise ImageIOError("PNG support requires Pillow") from exc
-        Image.fromarray(_quantize(image), mode="L").save(path)
-        return
-    save_pgm(image, path)
+    png = png_module(path)
+    if png is None:
+        save_pgm(image, path)
+    else:
+        png.fromarray(_quantize(image), mode="L").save(path)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,9 @@ def synthetic_texture(name: str, size: int = TEXTURE_SIZE) -> ImageBuffer:
             + 0.3 * np.sin(2 * np.pi * 5 * np.hypot(rr - 0.4, cc - 0.6))
         )
     elif name == "texture-b":
+        # imported here, so that a run on another image never loads scipy
+        from scipy import ndimage
+
         rng = np.random.default_rng(20240817)
         noise = rng.standard_normal((size, size))
         img = (
@@ -484,8 +491,10 @@ def _tile_errors(jobs, errors):
 # ---------------------------------------------------------------------------
 # Experiment orchestration.
 
-# (getter, setter) of the thread count of numpy's (64-bit integer) and
-# scipy's bundled OpenBLAS builds; each has its own thread pool.
+# (getter, setter) of the thread count of numpy's bundled OpenBLAS, in its
+# 64-bit and its 32-bit integer builds.  scipy bundles an OpenBLAS of its
+# own, with its own thread pool, which no code of the tile path calls, so
+# it is left as it is.
 _BLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -493,21 +502,20 @@ _BLAS_SYMBOLS = (
 
 
 def _openblas_libraries():
-    """The OpenBLAS libraries bundled with numpy and scipy, loaded."""
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                yield ctypes.CDLL(str(path))
-            except OSError:
-                continue
+    """The OpenBLAS libraries bundled with numpy, loaded."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            yield ctypes.CDLL(str(path))
+        except OSError:
+            continue
 
 
 @functools.cache
 def _blas_pools():
-    """(getter, setter) pairs of the OpenBLAS libraries bundled with numpy and scipy.
+    """(getter, setter) pairs of the OpenBLAS libraries bundled with numpy.
 
-    Found on first use: the libraries' directories are searched, and a
+    Found on first use: numpy's library directory is searched, and a
     library with neither symbol pair (another BLAS, MKL) is left out.
     """
     pools = []
@@ -523,7 +531,7 @@ def _blas_pools():
 
 @functools.cache
 def _blas_shutdowns():
-    """The pool shutdown, ``blas_thread_shutdown_``, of each bundled OpenBLAS library."""
+    """The pool shutdown, ``blas_thread_shutdown_``, of each OpenBLAS bundled with numpy."""
     shutdowns = []
     for lib in _openblas_libraries():
         if hasattr(lib, "blas_thread_shutdown_"):
@@ -533,7 +541,7 @@ def _blas_shutdowns():
     return tuple(shutdowns)
 
 
-# How many times this process has forked.  OpenBLAS shuts its thread pools
+# How many times this process has forked.  OpenBLAS shuts its thread pool
 # down at each fork (its own fork handler).
 _forks = 0
 
@@ -548,15 +556,15 @@ os.register_at_fork(after_in_parent=_count_fork)
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every bundled OpenBLAS pool at one thread.
+    """Run the body with numpy's bundled OpenBLAS pool at one thread.
 
     Every matrix of the tile path is at most about 130 x 130, too small for
     BLAS threads to pay off, and the children of `_deal` would oversubscribe
     the cores; they inherit the setting.  The previous counts are restored
-    on exit.  A fork shuts the pools down, and raising the count again then
+    on exit.  A fork shuts the pool down, and raising the count again then
     starts a new pool, whose threads spin for about 0.1 s; so after a body
-    that forked the pools are shut down once more, and the next BLAS call
-    that wants threads starts them.
+    that forked the pool is shut down once more, and the next BLAS call
+    that wants threads starts it.
     """
     pools = _blas_pools()
     saved = [get() for get, _ in pools]
@@ -827,10 +835,11 @@ def _run_patches(images, config):
     (`_coordinate_work`) of the last pattern it solved, and computes it
     again only for a chunk of another pattern; the chunks of one pattern
     are consecutive, and each process draws its chunks in ascending order.
-    BLAS runs on one thread throughout, and after a run that forked its
-    pools are shut down again once their counts are restored
-    (`_one_blas_thread`); the heap keeps the memory the tiles free
-    (`_keep_heap`).
+    The first chunk's work is computed before the children are forked, so
+    each inherits it.  numpy's BLAS runs on one thread throughout, and
+    after a run that forked its pool is shut down again once its count is
+    restored (`_one_blas_thread`); the heap keeps the memory the tiles
+    free (`_keep_heap`).
     """
     require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():
@@ -840,7 +849,11 @@ def _run_patches(images, config):
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
         chunks = _chunks(jobs, len(images))
-        held = {}  # this process's last pattern -> its coordinate work
+        # this process's last pattern -> its coordinate work; the first
+        # chunk's is done here, before any fork, so that a child inherits
+        # what that work imports (NLM's scipy.ndimage) and never loads it
+        pattern, tiles = chunks[0]
+        held = {pattern: _coordinate_work(jobs[tiles[0]].operator, config)}
 
         def solve(c):
             pattern, tiles = chunks[c]

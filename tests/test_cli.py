@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import io
+import json
 import math
 import operator
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import mixedgraph
 from mixedgraph import cli, denoisers, pipeline
 from mixedgraph.cli import main
-from mixedgraph.errors import BalanceError
+from mixedgraph.errors import BalanceError, ImageIOError
 from mixedgraph.interpolators import Rotation, build_patch_operator
 from mixedgraph.pipeline import (
     CSV_HEADER,
@@ -521,6 +522,98 @@ def test_unwritable_output_is_one_line(command, flag, out, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cannot write {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("name", ["x.png", "up.PNG"])
+def test_png_output_without_pillow_is_one_line(name, tmp_path, monkeypatch, capsys):
+    # found before the output file is created and before any tile is
+    # solved; where Pillow is installed, a None entry makes its import fail
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    solved = []
+    monkeypatch.setattr(pipeline, "run_chunk", lambda *args: solved.append(args))
+    out = tmp_path / name
+    args = ["joint", "--texture", "texture-a", "--texture-size", "16", "--out-image", str(out)]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {out}: PNG support requires Pillow\n"
+    assert not solved
+    assert not out.exists()
+
+
+def test_image_error_of_the_final_write_is_one_line(tmp_path, monkeypatch, capsys):
+    def fail(image, path):
+        raise ImageIOError("PNG support requires Pillow")
+
+    monkeypatch.setattr(pipeline, "save_image", fail)
+    out = tmp_path / "x.pgm"
+    args = ["joint", "--texture", "texture-a", "--texture-size", "16", "--out-image", str(out)]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {out}: PNG support requires Pillow\n"
+
+
+# Runs a command line in a new interpreter and prints, as JSON, its exit
+# status, whether scipy was loaded after `import mixedgraph.cli` and after
+# the run, and whether scipy.ndimage was loaded at each os.fork
+LOADS_SCIPY = """
+import json, os, sys
+from mixedgraph import cli
+imported = "scipy" in sys.modules
+at_fork, fork = [], os.fork
+
+def checking_fork():
+    at_fork.append("scipy.ndimage" in sys.modules)
+    return fork()
+
+os.fork = checking_fork
+status = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([status, imported, "scipy.ndimage" in sys.modules, at_fork]))
+"""
+
+
+def loads_scipy(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedgraph.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_SCIPY, json.dumps(argv)],
+        env=env,
+        stdout=subprocess.PIPE,
+        check=True,
+        text=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoadedByItsCallers:
+    """Only texture-b and NLM runs load scipy; the rest run on numpy alone."""
+
+    def test_bilateral_image_run_never_loads_scipy(self, small_pgm, tmp_path):
+        argv = ["joint", "--image", str(small_pgm), "--transform", "rotation", "--angle", "20"]
+        argv += ["--denoiser", "bilateral", "--out-image", str(tmp_path / "o.pgm")]
+        assert loads_scipy(argv) == [0, False, False, []]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--texture", "texture-b", "--denoiser", "bilateral"],
+            ["--texture", "texture-a", "--denoiser", "nlm"],
+        ],
+    )
+    def test_texture_b_and_nlm_load_scipy(self, source, tmp_path):
+        argv = ["joint", *source, "--texture-size", "16", "--out-image", str(tmp_path / "o.pgm")]
+        status, imported, loaded, _ = loads_scipy(argv)
+        assert status in (0, 1)  # 1: some NLM tiles failed certification
+        assert not imported and loaded
+
+    def test_forked_children_inherit_scipy(self, tmp_path):
+        # the caller computes the first chunk's NLM layout before it forks,
+        # so no child imports scipy.ndimage itself
+        argv = ["joint", "--texture", "texture-a", "--texture-size", "32", "--denoiser", "nlm"]
+        argv += ["--workers", "2", "--out-image", str(tmp_path / "o.pgm")]
+        status, _, _, at_fork = loads_scipy(argv)
+        assert status in (0, 1)
+        assert at_fork and all(at_fork)
 
 
 class FullStdout(io.StringIO):
