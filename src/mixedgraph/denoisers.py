@@ -139,18 +139,30 @@ def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.nda
 
 
 def fill_holes_nearest(grid: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Fill invalid grid cells with the value of the nearest valid cell."""
-    # imported here, so that a run of another kind never loads scipy, and
-    # before the return of a full grid, so that the first NLM layout loads
-    # it before `pipeline._run_patches` forks
-    from scipy import ndimage
+    """Fill invalid grid cells with the value of the nearest valid cell.
 
+    The nearest cell is the one whose indices
+    ``scipy.ndimage.distance_transform_edt(~valid, return_indices=True)``
+    returns, found in two passes.  Down each column, each cell takes the
+    nearest valid row, the lower one on a tie.  Along each row, each cell
+    then takes the column whose first-pass cell is nearest in squared
+    distance, the lower column on a tie.  Raises ValueError for a grid
+    with no valid cell.
+    """
     if valid.all():
         return grid
     if not valid.any():
         raise ValueError("grid has no valid cells")
-    _, (ri, ci) = ndimage.distance_transform_edt(~valid, return_indices=True)
-    return grid[ri, ci]
+    h, w = valid.shape
+    rows, cols = np.arange(h)[:, None], np.arange(w)
+    # a column with no valid cell gets a row h + w away, farther than any valid cell
+    above = np.maximum.accumulate(np.where(valid, rows, -h - w), axis=0)
+    below = np.minimum.accumulate(np.where(valid, rows, 2 * h + w)[::-1], axis=0)[::-1]
+    near = np.where(rows - above <= below - rows, above, below)
+    # (h, w, w): the squared distance from each cell to each column's near cell in its row
+    dist = (cols[:, None] - cols) ** 2 + ((rows - near) ** 2)[:, None, :]
+    ci = dist.argmin(axis=2)
+    return grid[np.take_along_axis(near, ci, axis=1), ci]
 
 
 def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:

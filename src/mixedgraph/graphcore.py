@@ -280,16 +280,18 @@ def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
     """Check symmetry, positive definiteness, and non-expansiveness of a filter.
 
     Failing checks never raise; they produce an uncertified operator that
-    downstream mappings reject.  A symmetric filter is certified without
-    its spectrum, by `certify_symmetric`.
+    downstream mappings reject.  The operator holds the matrix as given,
+    and is certified symmetric only if it equals its transpose exactly;
+    `sinkhorn_balance` is where a kernel within `TAU_SYM` of symmetric is
+    made exactly symmetric.  A symmetric filter is certified without its
+    spectrum, by `certify_symmetric`.
     """
     psi = np.asarray(psi_matrix, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise ValueError(f"denoiser matrix must be square, got shape {psi.shape}")
 
-    symmetric = _rel_asym(psi) <= TAU_SYM
+    symmetric = bool(np.array_equal(psi, psi.T))
     if symmetric:
-        psi = 0.5 * (psi + psi.T)
         (pd,), (nonexpansive,) = certify_symmetric(psi[None])
     else:
         evals = np.linalg.eigvals(psi)

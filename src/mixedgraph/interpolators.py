@@ -165,8 +165,11 @@ def pad_full_rank(theta_raw):
     source columns outside the pivot set; each such column gets one unit
     row, which copies an uncovered input pixel as a fake output.  Returns
     ``(padded, dummy_rows)``, with one ``(row, column)`` pair per dummy row.
+
+    The QR is scipy's, and this is the package's only import of scipy:
+    only tests call it (the pipeline never pads a tile), and scipy is a
+    dependency of the ``test`` extra alone.
     """
-    # scipy's pivoted QR, imported here: the pipeline never pads a tile
     from scipy import linalg as sla
 
     theta_raw = np.asarray(theta_raw, dtype=float)

@@ -396,8 +396,7 @@ def output_space_solve(ty, thetas, psi, c: float):
 def _solve(a, ty, psi) -> np.ndarray:
     """``psi inv(a) ty``, with ``a`` and ``psi`` (..., n, n) and ``ty`` (..., n) broadcast.
 
-    numpy's own LAPACK is used because scipy's runs a second BLAS thread
-    pool that contends with numpy's.  A singular system raises SolverError.
+    A singular system raises SolverError.
     """
     try:
         v = np.linalg.solve(a, ty[..., None])

@@ -230,14 +230,11 @@ def synthetic_texture(name: str, size: int = TEXTURE_SIZE) -> ImageBuffer:
             + 0.3 * np.sin(2 * np.pi * 5 * np.hypot(rr - 0.4, cc - 0.6))
         )
     elif name == "texture-b":
-        # imported here, so that a run on another image never loads scipy
-        from scipy import ndimage
-
         rng = np.random.default_rng(20240817)
         noise = rng.standard_normal((size, size))
         img = (
-            1.1 * ndimage.gaussian_filter(noise, 6.0, mode="wrap") * 12.0
-            + 0.8 * ndimage.gaussian_filter(noise, 1.2, mode="wrap") * 2.5
+            1.1 * _wrap_gaussian(noise, 6.0) * 12.0
+            + 0.8 * _wrap_gaussian(noise, 1.2) * 2.5
             + 0.4 * np.sin(2 * np.pi * (4 * rr + 11 * cc))
         )
     else:
@@ -245,6 +242,30 @@ def synthetic_texture(name: str, size: int = TEXTURE_SIZE) -> ImageBuffer:
     lo, hi = img.min(), img.max()
     img = 0.02 + 0.96 * (img - lo) / (hi - lo)
     return ImageBuffer.from_array(img)
+
+
+def _wrap_gaussian(x, sigma):
+    """A 2-D image blurred by a Gaussian of standard deviation ``sigma``, wrapped at its edges.
+
+    The bits of ``scipy.ndimage.gaussian_filter(x, sigma, mode="wrap")``:
+    its weights w_j ∝ exp(-j² / (2 σ²)) for |j| ≤ r = int(4 σ + 0.5),
+    divided by their sum, and its order of operations.  Axis 0 is filtered,
+    then axis 1; each output starts from w_0 x_i and adds w_j (x_{i-j} +
+    x_{i+j}) for j from r down to 1.  Each axis is padded once by
+    wrapping, so a side shorter than r wraps round more than once.
+    """
+    r = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (taps / taps.sum())[r:]
+    for _ in range(2):
+        n = len(x)
+        padded = x[np.arange(-r, n + r) % n]
+        out = w[0] * x
+        for j in range(r, 0, -1):
+            out += w[j] * (padded[r - j : r - j + n] + padded[r + j : r + j + n])
+        # transposed into C order, so that the second pass filters axis 1
+        x = np.ascontiguousarray(out.T)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +513,7 @@ def _tile_errors(jobs, errors):
 # Experiment orchestration.
 
 # (getter, setter) of the thread count of numpy's bundled OpenBLAS, in its
-# 64-bit and its 32-bit integer builds.  scipy bundles an OpenBLAS of its
-# own, with its own thread pool, which no code of the tile path calls, so
-# it is left as it is.
+# 64-bit and its 32-bit integer builds.
 _BLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -835,11 +854,10 @@ def _run_patches(images, config):
     (`_coordinate_work`) of the last pattern it solved, and computes it
     again only for a chunk of another pattern; the chunks of one pattern
     are consecutive, and each process draws its chunks in ascending order.
-    The first chunk's work is computed before the children are forked, so
-    each inherits it.  numpy's BLAS runs on one thread throughout, and
-    after a run that forked its pool is shut down again once its count is
-    restored (`_one_blas_thread`); the heap keeps the memory the tiles
-    free (`_keep_heap`).
+    numpy's BLAS runs on one thread throughout, and after a run that
+    forked its pool is shut down again once its count is restored
+    (`_one_blas_thread`); the heap keeps the memory the tiles free
+    (`_keep_heap`).
     """
     require_memory(config, images.shape)
     with _one_blas_thread(), _keep_heap():
@@ -849,11 +867,7 @@ def _run_patches(images, config):
         if not jobs:
             raise PatchGeometryError("no valid patch jobs for this transform")
         chunks = _chunks(jobs, len(images))
-        # this process's last pattern -> its coordinate work; the first
-        # chunk's is done here, before any fork, so that a child inherits
-        # what that work imports (NLM's scipy.ndimage) and never loads it
-        pattern, tiles = chunks[0]
-        held = {pattern: _coordinate_work(jobs[tiles[0]].operator, config)}
+        held = {}  # this process's last pattern -> its coordinate work
 
         def solve(c):
             pattern, tiles = chunks[c]

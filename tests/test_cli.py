@@ -554,29 +554,20 @@ def test_image_error_of_the_final_write_is_one_line(tmp_path, monkeypatch, capsy
     assert captured.err == f"cannot write {out}: PNG support requires Pillow\n"
 
 
-# Runs a command line in a new interpreter and prints, as JSON, its exit
-# status, whether scipy was loaded after `import mixedgraph.cli` and after
-# the run, and whether scipy.ndimage was loaded at each os.fork
-LOADS_SCIPY = """
-import json, os, sys
+# Runs a command line in a new interpreter in which scipy cannot be
+# imported, and prints its exit status as JSON
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
 from mixedgraph import cli
-imported = "scipy" in sys.modules
-at_fork, fork = [], os.fork
-
-def checking_fork():
-    at_fork.append("scipy.ndimage" in sys.modules)
-    return fork()
-
-os.fork = checking_fork
-status = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([status, imported, "scipy.ndimage" in sys.modules, at_fork]))
+print(json.dumps(cli.main(json.loads(sys.argv[1]))))
 """
 
 
-def loads_scipy(argv):
+def status_without_scipy(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(mixedgraph.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADS_SCIPY, json.dumps(argv)],
+        [sys.executable, "-c", WITHOUT_SCIPY, json.dumps(argv)],
         env=env,
         stdout=subprocess.PIPE,
         check=True,
@@ -585,35 +576,32 @@ def loads_scipy(argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestScipyLoadedByItsCallers:
-    """Only texture-b and NLM runs load scipy; the rest run on numpy alone."""
+class TestNoRunLoadsScipy:
+    """Every command runs on numpy alone: with scipy unimportable, each exits 0."""
 
-    def test_bilateral_image_run_never_loads_scipy(self, small_pgm, tmp_path):
+    def test_bilateral_image_run(self, small_pgm, tmp_path):
         argv = ["joint", "--image", str(small_pgm), "--transform", "rotation", "--angle", "20"]
         argv += ["--denoiser", "bilateral", "--out-image", str(tmp_path / "o.pgm")]
-        assert loads_scipy(argv) == [0, False, False, []]
+        assert status_without_scipy(argv) == 0
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            ["--texture", "texture-b", "--denoiser", "bilateral"],
-            ["--texture", "texture-a", "--denoiser", "nlm"],
-        ],
-    )
-    def test_texture_b_and_nlm_load_scipy(self, source, tmp_path):
-        argv = ["joint", *source, "--texture-size", "16", "--out-image", str(tmp_path / "o.pgm")]
-        status, imported, loaded, _ = loads_scipy(argv)
-        assert status in (0, 1)  # 1: some NLM tiles failed certification
-        assert not imported and loaded
+    def test_texture_b_experiment(self, tmp_path):
+        # texture-b blurs its noise with `pipeline._wrap_gaussian`
+        argv = ["experiment", "--texture", "texture-b", "--texture-size", "32"]
+        argv += ["--transform", "rotation", "--angle", "20", "--variances", "0.02"]
+        assert status_without_scipy(argv + ["--out-csv", str(tmp_path / "o.csv")]) == 0
 
-    def test_forked_children_inherit_scipy(self, tmp_path):
-        # the caller computes the first chunk's NLM layout before it forks,
-        # so no child imports scipy.ndimage itself
-        argv = ["joint", "--texture", "texture-a", "--texture-size", "32", "--denoiser", "nlm"]
-        argv += ["--workers", "2", "--out-image", str(tmp_path / "o.pgm")]
-        status, _, _, at_fork = loads_scipy(argv)
-        assert status in (0, 1)
-        assert at_fork and all(at_fork)
+    def test_nlm_joint_with_two_workers(self, tmp_path):
+        # the rotated tiles have holes, which NLM's layout fills
+        # (`denoisers.fill_holes_nearest`), in the caller and in its child
+        argv = ["joint", "--texture", "texture-a", "--texture-size", "32"]
+        argv += ["--transform", "rotation", "--angle", "20", "--denoiser", "nlm"]
+        argv += ["--nlm-h2", "0.05", "--workers", "2", "--out-image", str(tmp_path / "o.pgm")]
+        assert status_without_scipy(argv) == 0
+
+    def test_inspect_graph(self, tmp_path):
+        argv = ["inspect-graph", "--texture", "texture-b", "--texture-size", "32"]
+        argv += ["--denoiser", "nlm", "--nlm-h2", "0.02", "--out", str(tmp_path / "e.txt")]
+        assert status_without_scipy(argv) == 0
 
 
 class FullStdout(io.StringIO):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from mixedgraph import denoisers
 from mixedgraph.denoisers import (
@@ -213,6 +214,45 @@ class TestNlmMatrix:
             m = nlm_matrix(coords, y, KernelParams())
             np.testing.assert_array_equal(m, m.swapaxes(-1, -2))
             assert np.all(m.sum(axis=-1) > 0.0)
+
+
+class TestFillHolesNearest:
+    """`fill_holes_nearest` picks the cells that scipy's Euclidean distance transform picks."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        h=st.integers(1, 30),
+        w=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        empty_lines=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy(self, h, w, density, empty_lines, seed):
+        rng = np.random.default_rng(seed)
+        valid = rng.random((h, w)) < density
+        if empty_lines:
+            valid[rng.random(h) < 0.5] = False
+            valid[:, rng.random(w) < 0.5] = False
+        if not valid.any():
+            valid.flat[rng.integers(h * w)] = True
+        grid = np.arange(h * w, dtype=float).reshape(h, w)
+        _, (ri, ci) = ndimage.distance_transform_edt(~valid, return_indices=True)
+        assert fill_holes_nearest(grid, valid).tobytes() == grid[ri, ci].tobytes()
+
+    def test_one_valid_cell_fills_the_grid(self):
+        grid = np.arange(35.0).reshape(7, 5)
+        for cell in np.ndindex(grid.shape):
+            valid = np.zeros(grid.shape, dtype=bool)
+            valid[cell] = True
+            np.testing.assert_array_equal(fill_holes_nearest(grid, valid), grid[cell])
+
+    def test_full_grid_returned_as_is(self):
+        grid = np.arange(6.0).reshape(2, 3)
+        assert fill_holes_nearest(grid, np.ones(grid.shape, dtype=bool)) is grid
+
+    def test_no_valid_cell_rejected(self):
+        with pytest.raises(ValueError, match="no valid cells"):
+            fill_holes_nearest(np.zeros((3, 4)), np.zeros((3, 4), dtype=bool))
 
 
 def loop_nlm_matrix(coords, intensities, params):

@@ -124,6 +124,14 @@ class TestCertifyDenoiser:
         assert op.certified_symmetric and not op.certified_pd
         assert not op.certified
 
+    def test_near_symmetric_reported_not_rewritten(self):
+        # within TAU_SYM of symmetric, but not exactly: the flag says so,
+        # and the operator holds the matrix it was given
+        psi = np.array([[0.75, 0.25], [0.25 + 1e-15, 0.75]])
+        op = certify_denoiser(psi)
+        assert not op.certified_symmetric and not op.certified
+        assert op.matrix.tobytes() == psi.tobytes()
+
     def test_balanced_gaussian_kernel_certified(self):
         coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]]
         op = sinkhorn_balance(gaussian_matrix(coords, KernelParams()))
@@ -176,7 +184,9 @@ class TestCertificationWithoutSpectrum:
             basis[:, 0] = 1.0
             evals[0] = 1.0
         q, _ = np.linalg.qr(basis)
-        self.check_flags(certify_denoiser((q * evals) @ q.T))
+        psi = (q * evals) @ q.T
+        # rounding leaves Q diag(evals) Q^T a few ulps from symmetric
+        self.check_flags(certify_denoiser(0.5 * (psi + psi.T)))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -8,6 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.linalg import sqrtm
 
 from mixedgraph import jointsolver, pipeline
@@ -134,6 +137,28 @@ class TestSyntheticTexture:
     def test_too_small_rejected(self, size):
         with pytest.raises(ValueError, match="at least 2"):
             synthetic_texture("texture-a", size)
+
+
+class TestWrapGaussian:
+    """`pipeline._wrap_gaussian` gives the bits of scipy's wrap-mode Gaussian filter."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        h=st.integers(1, 600),
+        w=st.integers(1, 600),
+        sigma=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # sides below the radius (32 at sigma 8) wrap round more than once
+    @example(h=1, w=600, sigma=8.0, seed=0)
+    @example(h=5, w=3, sigma=8.0, seed=1)
+    # texture-b's two filters
+    @example(h=64, w=64, sigma=6.0, seed=2)
+    @example(h=64, w=64, sigma=1.2, seed=3)
+    def test_matches_scipy(self, h, w, sigma, seed):
+        x = np.random.default_rng(seed).standard_normal((h, w))
+        want = ndimage.gaussian_filter(x, sigma, mode="wrap")
+        assert pipeline._wrap_gaussian(x, sigma).tobytes() == want.tobytes()
 
 
 class TestNoise:
