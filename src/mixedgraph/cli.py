@@ -269,10 +269,11 @@ def main(argv=None) -> int:
         return _failed(args.image or args.texture, exc)
     if isinstance(setup, pipeline.ExperimentConfig):
         try:
+            interpolators.require_tileable(image.pixels.shape)
             # an image command's config has one variance: one noisy image
             shape = (len(setup.noise_variances),) + image.pixels.shape
             pipeline.require_memory(setup, shape)
-        except TileMemoryError as exc:
+        except (PatchGeometryError, TileMemoryError) as exc:
             return _failed(name, exc)
     try:
         if args.out:  # before any tile is solved; a missing file is created empty

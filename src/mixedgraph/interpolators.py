@@ -268,16 +268,22 @@ def tile_spans(length, patch_size):
     return [(s, min(patch_size, length - s)) for s in range(0, length, patch_size)]
 
 
+def require_tileable(image_size) -> None:
+    """Raise PatchGeometryError unless the image has two pixels or more each way."""
+    if min(image_size) < 2:
+        raise PatchGeometryError("image too small to tile")
+
+
 def tile_image(image_size, transform, patch_size: int):
     """Non-overlapping tiling of the output domain into patch jobs, row-major.
 
     Boundary tiles smaller than the patch size are processed as-is; tiles
     whose real-output set is empty are skipped (their pixels stay invalid).
-    Tiles of one shape are built in batches of up to TILE_BATCH.
+    Tiles of one shape are built in batches of up to TILE_BATCH.  An image
+    of one row or one column raises PatchGeometryError (`require_tileable`).
     """
+    require_tileable(image_size)
     h, w = image_size
-    if h < 2 or w < 2:
-        raise ValueError("image too small to tile")
     by_size = {}
     for r0, rows in tile_spans(h, patch_size):
         for c0, cols in tile_spans(w, patch_size):

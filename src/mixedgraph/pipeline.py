@@ -163,6 +163,10 @@ def load_pgm(path) -> ImageBuffer:
             f"truncated raster at byte {pos + len(raster)}", offset=pos + len(raster)
         )
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    over = np.flatnonzero(pixels > maxval)
+    if over.size:
+        at = pos + int(over[0])
+        raise ImageIOError(f"sample {data[at]} above maxval {maxval} at byte {at}", offset=at)
     return ImageBuffer.from_array(pixels / float(maxval))
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import errno
 import io
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mixedgraph
-from mixedgraph import cli, denoisers, pipeline
+from mixedgraph import cli, denoisers, interpolators, pipeline
 from mixedgraph.cli import main
 from mixedgraph.errors import BalanceError, ImageIOError
 from mixedgraph.interpolators import Rotation, build_patch_operator
@@ -111,7 +112,7 @@ class TestExperimentCommand:
         "texture-b,homography(1,0.2,0;0.1,1,0;0,0,1),nlm,sequential,0.06,18.285342,44\n"
     )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_failed_tiles_exit_nonzero(self, workers, tmp_path, capsys):
         out = tmp_path / "cm.csv"
         assert run_cli(self.FAILING + ["--workers", workers, "--out-csv", str(out)]) == 1
@@ -123,6 +124,125 @@ class TestExperimentCommand:
             f"44 of 47 tiles failed at variance 0.02; first: {first}\n"
             f"44 of 47 tiles failed at variance 0.06; first: {first}\n"
         )
+
+
+ROTATION = ["--transform", "rotation", "--angle", "20"]
+HOMOGRAPHY = ["--transform", "homography", "--homography", "1,0.2,0;0.1,1,0;0,0,1"]
+TEXTURE_A = ["--texture", "texture-a", "--texture-size", "32"]
+TEXTURE_B = ["--texture", "texture-b", "--texture-size", "32"]
+# (exit status, command line) of runs whose forked children, which inherit
+# the one-thread BLAS setting, must write the serial run's bytes
+SAME_BYTES = {
+    "rotation": (0, ["experiment", *TEXTURE_A, *ROTATION, "--variances", "0.02,0.06"]),
+    # at spatial variance 4 no bilateral denoiser clears the Schur bound's
+    # margin, so each one is certified by the Cholesky fallback
+    "cholesky-fallback": (
+        0,
+        ["experiment", *TEXTURE_A, *ROTATION, "--variances", "0.02,0.06", "--spatial-var", "4"],
+    ),
+    # each process computes the Gaussian denoisers of its own chunks
+    "gaussian": (
+        0,
+        ["experiment", *TEXTURE_B, *HOMOGRAPHY, "--denoiser", "gaussian", "--variances", "0.02,0.06"],
+    ),
+    # and the NLM gather indices and in-window pair lists
+    "nlm": (
+        0,
+        ["experiment", *TEXTURE_B, *HOMOGRAPHY, "--denoiser", "nlm", "--nlm-h2", "0.05"]
+        + ["--variances", "0.08,0.125"],
+    ),
+    # at five variances a chunk stacks two tiles of five kernels each
+    "five-variances": (
+        0,
+        ["experiment", *TEXTURE_A, *ROTATION, "--variances", "0.02,0.04,0.06,0.08,0.10"],
+    ),
+    # an image command has one noisy image, so a chunk stacks 8 tiles
+    "joint-bilateral": (
+        0,
+        ["joint", "--texture", "texture-a", "--texture-size", "64", *ROTATION]
+        + ["--denoiser", "bilateral"],
+    ),
+    # at h2 0.3 chunks mix certified and failed NLM filters: the run exits 1
+    # for its failed tiles and still writes the same image
+    "joint-nlm-fails": (
+        1,
+        ["joint", "--texture", "texture-b", "--texture-size", "64", *HOMOGRAPHY]
+        + ["--denoiser", "nlm", "--nlm-h2", "0.3"],
+    ),
+    # the 10 x 2 and 2 x 10 edge tiles share a pixel count but not a
+    # pattern, so they make separate chunks, and each process computes each
+    # pattern's work
+    "edge-patterns": (
+        0,
+        ["experiment", *TEXTURE_A, "--transform", "identity", "--denoiser", "gaussian"]
+        + ["--variances", "0.02,0.06"],
+    ),
+    # each process keeps only the work of the last pattern it solved
+    # (`test_patch_15_tiles_have_many_one_tile_patterns`)
+    "one-tile-patterns": (
+        0,
+        ["experiment", "--texture", "texture-a", "--texture-size", "64", *ROTATION]
+        + ["--denoiser", "gaussian", "--patch-size", "15", "--variances", "0.02,0.06"],
+    ),
+    # a tile keeps its taps, and each process builds the dense rows of the
+    # chunks it solves; patch 30 gives tiles of several sizes
+    "joint-patch-30": (
+        0,
+        ["joint", "--texture", "texture-b", "--texture-size", "64", *HOMOGRAPHY]
+        + ["--patch-size", "30"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SAME_BYTES)
+def test_every_worker_count_writes_the_same_bytes(case, tmp_path, monkeypatch):
+    # 3 workers exceed a two-core machine's cores.  The stitched stacks are
+    # compared too: an 8-bit image or a PSNR of six decimals rounds away a
+    # change in their last bits
+    status, argv = SAME_BYTES[case]
+    flag = "--out-csv" if argv[0] == "experiment" else "--out-image"
+    run_patches, stacks, written = pipeline._run_patches, [], []
+
+    def recording(images, config):
+        jobs, outputs, valid, errors = run_patches(images, config)
+        stacks.append([stack.tobytes() for stack in outputs.values()] + [valid.tobytes()])
+        return jobs, outputs, valid, errors
+
+    monkeypatch.setattr(pipeline, "_run_patches", recording)
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert run_cli(argv + ["--workers", str(workers), flag, str(out)]) == status
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    assert len(stacks) == 3 and stacks[1] == stacks[0] and stacks[2] == stacks[0]
+
+
+def test_patch_15_tiles_have_many_one_tile_patterns():
+    # 13 of the 14 offset patterns of the rotated 64 px image's patch-15
+    # tiles hold one tile, so most chunks are of a pattern other than the
+    # last one their process solved
+    jobs = interpolators.tile_image((64, 64), Rotation(20.0), 15)
+    tiles = collections.Counter(pipeline._pattern(job.operator) for job in jobs)
+    assert len(tiles) == 14 and list(tiles.values()).count(1) == 13
+
+
+@pytest.mark.parametrize(
+    "flags", [["--denoiser", "identity"], ["--kappa", "0"]], ids=["identity-denoiser", "kappa-0"]
+)
+def test_joint_limits_are_the_interpolation(flags, tmp_path):
+    # the paper's limiting cases: with the identity denoiser, or at kappa 0
+    # whatever the denoiser, the joint MAP output is the plain interpolation
+    interpolated, joint = tmp_path / "i.pgm", tmp_path / "j.pgm"
+    assert run_cli(["interpolate", *TEXTURE_A, *ROTATION, "--out-image", str(interpolated)]) == 0
+    assert run_cli(["joint", *TEXTURE_A, *ROTATION, *flags, "--out-image", str(joint)]) == 0
+    assert joint.read_bytes() == interpolated.read_bytes()
+
+
+def test_huge_spatial_variance_ends(tmp_path):
+    # the eigenvalue floor's series is not summed where
+    # q = exp(-1 / (2 spatial_var)) is near 1
+    args = ["joint", "--texture", "texture-a", "--texture-size", "16", "--spatial-var", "1e300"]
+    assert run_cli(args + ["--out-image", str(tmp_path / "sv.pgm")]) in (0, 1)
 
 
 class TestImageCommands:
@@ -167,7 +287,7 @@ class TestImageCommands:
         outs = {}
         for mode in ("joint", "sequential"):
             out = tmp_path / f"{mode}.pgm"
-            run_cli(
+            assert run_cli(
                 [
                     mode,
                     "--image",
@@ -179,7 +299,7 @@ class TestImageCommands:
                     "--out-image",
                     str(out),
                 ]
-            )
+            ) == 0
             outs[mode] = load_pgm(out).pixels
         assert outs["joint"].shape == outs["sequential"].shape
         assert np.any(outs["joint"] != outs["sequential"])
@@ -210,6 +330,7 @@ class TestImageCommands:
             (None, "No such file or directory"),
             (b"P6\n2 2\n255\n" + bytes(12), "not a binary PGM (magic b'P6')"),
             (b"P5\n-5 -5\n255\n" + bytes(25), "non-positive image size -5x-5"),
+            (b"P5\n2 2\n100\n" + bytes([0, 50, 200, 25]), "sample 200 above maxval 100 at byte 13"),
         ],
     )
     def test_unreadable_image_is_one_line(self, tmp_path, capsys, content, reason):
@@ -456,13 +577,32 @@ def test_flag_not_taken_is_usage_error(command, flag, tmp_path, monkeypatch, cap
     assert f"error: unrecognized arguments: {flag} {VALUE[flag]}" in err
 
 
-@pytest.mark.parametrize("command", ["joint", "experiment"])
-def test_image_too_small_to_tile_is_one_line(command, capsys):
-    args = [command, "--texture", "texture-a", "--texture-size", "2"]
-    assert run_cli(args + ["--transform", "rotation", "--angle", "20"]) == 1
+IMAGE_COMMANDS = ["denoise", "interpolate", "sequential", "joint"]
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [("joint", None), ("experiment", None)]
+    + [(command, size) for command in IMAGE_COMMANDS + ["experiment"] for size in ["1 5", "5 1"]],
+)
+def test_image_too_small_to_tile_is_one_line(command, size, tmp_path, capsys):
+    # a 2 px texture tiles, but no rotated tile has a real output; an image
+    # of one row or one column is refused before the output file is created
+    out = tmp_path / "out"
+    flag = "--out-csv" if command == "experiment" else "--out-image"
+    if size is None:
+        args = [command, "--texture", "texture-a", "--texture-size", "2"]
+        args += ["--transform", "rotation", "--angle", "20"]
+        name, reason = "texture-a", "no valid patch jobs for this transform"
+    else:
+        name, reason = tmp_path / "in.pgm", "image too small to tile"
+        name.write_bytes(f"P5\n{size}\n255\n".encode() + bytes(range(0, 250, 50)))
+        args = [command, "--image", str(name)]
+    assert run_cli(args + [flag, str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "texture-a: no valid patch jobs for this transform\n"
+    assert captured.err == f"{name}: {reason}\n"
+    assert out.exists() == (size is None)
 
 
 @pytest.mark.parametrize("command", ["joint", "experiment"])
@@ -648,15 +788,18 @@ def test_full_stdout_is_one_line(command, flag, fails, tmp_path, monkeypatch, ca
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("flags", [[], ["--out-csv", "{out}"]])
-def test_full_stdout_device_is_one_line(flags, tmp_path):
+@pytest.mark.parametrize(
+    "command, flags",
+    [("experiment", []), ("experiment", ["--out-csv", "{out}"]), ("joint", ["--out-image", "{out}"])],
+)
+def test_full_stdout_device_is_one_line(command, flags, tmp_path):
     # a real, buffered stdout on a full device: the failed flush leaves
     # its bytes in the buffer, and the interpreter's exit must not flush
     # them again (a second error and exit status 120)
     env = dict(os.environ, PYTHONPATH=str(Path(mixedgraph.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
-    args = ["experiment", "--texture", "texture-a", "--texture-size", "16"]
-    args += [flag.format(out=tmp_path / "out.csv") for flag in flags]
+    args = [command, "--texture", "texture-a", "--texture-size", "16"]
+    args += [flag.format(out=tmp_path / "out.pgm") for flag in flags]
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "mixedgraph.cli", *args],
@@ -789,22 +932,21 @@ def test_vanishing_back_projection_is_one_line(capsys):
 
 
 # a flag that a command takes, but that its other flags would leave unread
-TEXTURE = ["--texture", "texture-a", "--texture-size", "32"]
 IGNORED = {
     "angle-without-rotation": (
         "interpolate",
-        TEXTURE + ["--angle", "20"],
+        TEXTURE_A + ["--angle", "20"],
         "an angle applies only to the rotation transform",
     ),
     "angle-with-homography": (
         "joint",
-        TEXTURE + ["--transform", "homography", "--homography", "1,0,0;0,1,0;0,0,1"]
+        TEXTURE_A + ["--transform", "homography", "--homography", "1,0,0;0,1,0;0,0,1"]
         + ["--angle", "20"],
         "an angle applies only to the rotation transform",
     ),
     "matrix-with-rotation": (
         "experiment",
-        TEXTURE + ["--transform", "rotation", "--angle", "20"]
+        TEXTURE_A + ["--transform", "rotation", "--angle", "20"]
         + ["--homography", "1,0,0;0,1,0;0,0,1"],
         "a matrix applies only to the homography transform",
     ),

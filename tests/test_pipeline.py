@@ -82,6 +82,14 @@ class TestPgmIO:
             load_pgm(path)
         assert excinfo.value.offset == len(header) - 1  # end of the header's last token
 
+    def test_sample_above_maxval_reports_offset(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        header = b"P5\n2 2\n100\n"
+        path.write_bytes(header + bytes([0, 100, 200, 101]))
+        with pytest.raises(ImageIOError, match="^sample 200 above maxval 100 at byte 13$") as excinfo:
+            load_pgm(path)
+        assert excinfo.value.offset == len(header) + 2  # the first sample above 100
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "trunc.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
