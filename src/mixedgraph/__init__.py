@@ -32,7 +32,6 @@ from .jointsolver import (
     JointSolution,
     SolverWeights,
     block_inverse,
-    cg_solve,
     derive_operators,
     joint_nonseparable,
     joint_separable,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -110,6 +111,8 @@ def _make(cls, values):
 def _priors(args):
     """Denoiser kind, KernelParams and SolverWeights of the flags; bad values raise ValueError."""
     values = vars(args)
+    if not math.isfinite(values.get("weight_tol", 0.0)):
+        raise ValueError(f"weight tolerance must be finite, got {args.weight_tol}")
     kind = values.get("denoiser_kind", pipeline.ExperimentConfig.denoiser_kind)
     return kind, _make(denoisers.KernelParams, values), _make(jointsolver.SolverWeights, values)
 
@@ -231,7 +234,7 @@ def _cmd_inspect_graph(args, priors, image, name):
     kind, params, weights = priors
     (r0, c0), n = args.origin, args.size
     tile = image.pixels[r0 : r0 + n, c0 : c0 + n]
-    if n < 1 or tile.shape != (n, n):
+    if n < 1 or min(r0, c0) < 0 or tile.shape != (n, n):
         raise SystemExit("patch is empty or extends past the image boundary")
     rr, cc = np.mgrid[r0 : r0 + n, c0 : c0 + n]
     coords = np.column_stack([rr.ravel(), cc.ravel()])
@@ -276,10 +279,13 @@ def main(argv=None) -> int:
         except (PatchGeometryError, TileMemoryError) as exc:
             return _failed(name, exc)
     try:
-        if args.out:  # before any tile is solved; a missing file is created empty
+        if args.out:  # before any tile is solved
             if args.run is _run_mode:
                 pipeline.png_module(args.out)  # a PNG needs Pillow
+            existed = os.path.lexists(args.out)
             open(args.out, "a").close()
+            if not existed:  # a run that fails before it writes leaves no file behind
+                os.remove(args.out)
     except (OSError, ImageIOError) as exc:
         return _cannot("write", args.out, exc)
     try:

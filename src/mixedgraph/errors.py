@@ -26,7 +26,7 @@ class BalanceError(MixedGraphError):
 
 
 class SolverError(MixedGraphError):
-    """Iterative solver failed; carries the best iterate found."""
+    """A linear solve failed or was inaccurate; carries its solution, if any, and residual."""
 
     def __init__(self, message, best_x=None, residual=None, iterations=None):
         super().__init__(message)

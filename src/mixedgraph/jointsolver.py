@@ -5,9 +5,9 @@ coefficient matrices.  The non-separable joint problem is solved in output
 space, one dense n x n system per tile, by `output_space_solve`: the
 pipeline calls it on a chunk of tiles, and `reduced_nonseparable` on one
 tile behind its certification and dimension checks.  The assembled 2m x 2m
-systems, solved by conjugate gradient or a dense factorization, and the
-closed-form derived operators are kept as the reference solutions that the
-tests hold that solve to.
+systems, each solved by one dense factorization, and the closed-form
+derived operators are kept as the reference solutions that the tests hold
+that solve to.
 """
 
 from __future__ import annotations
@@ -111,61 +111,6 @@ def block_inverse(system: BlockSystem) -> np.ndarray:
     dcp = d_inv @ system.c @ p
     bottom = np.hstack([-dcp, d_inv + dcp @ system.b @ d_inv])
     return np.vstack([top, bottom])
-
-
-def cg_solve(c, b, tol: float = 1e-8, max_iter=None):
-    """Conjugate gradient for a symmetric PD matrix or matrix-free product.
-
-    Returns (x, stats) where stats is a dict with `iterations` and
-    `residual` (relative).  Raises SolverError, carrying the best iterate,
-    if the relative residual is not reduced below `tol` within `max_iter`.
-    """
-    b = as_vector(b)
-    n = len(b)
-    if callable(c):
-        matvec = c
-    else:
-        c = np.asarray(c, dtype=float)
-        # One O(n^2) norm, against O(iterations * n^2) for the iteration.
-        if np.linalg.norm(c - c.T) > 1e-8 * max(np.linalg.norm(c), 1.0):
-            raise PreconditionError("CG requires a symmetric matrix")
-        matvec = lambda v: c @ v
-    if max_iter is None:
-        max_iter = 10 * n
-
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros(n), {"iterations": 0, "residual": 0.0}
-
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    best_x, best_res = x.copy(), np.linalg.norm(r) / b_norm
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        cp = matvec(p)
-        denom = p @ cp
-        if denom <= 0.0:
-            break
-        alpha = rr / denom
-        x = x + alpha * p
-        r = r - alpha * cp
-        res = np.linalg.norm(r) / b_norm
-        if res < best_res:
-            best_res, best_x = res, x.copy()
-        if res <= tol:
-            return x, {"iterations": iterations, "residual": res}
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise SolverError(
-        f"CG did not converge (relative residual {best_res:.3e} "
-        f"after {iterations} iterations)",
-        best_x=best_x,
-        residual=best_res,
-        iterations=iterations,
-    )
 
 
 def _laplacian_matrix(l) -> np.ndarray:
@@ -284,33 +229,26 @@ def joint_nonseparable(
 ) -> JointSolution:
     """Joint problem with the smoothness prior on interpolated pixels.
 
-    Solves the assembled 2m x 2m system by conjugate gradient ("cg", the
-    default) or a dense factorization ("direct").
+    Solves the assembled 2m x 2m system with one dense LU factorization
+    and reports its relative residual; a singular system raises
+    SolverError.  ``method`` must be "cg" or "direct", but both run that
+    solve, and ``cg_tol`` is unused: they are kept for the callers that
+    pass them.
     """
+    if method not in ("cg", "direct"):
+        raise ValueError(f"unknown solve method {method!r}")
     y = as_vector(y)
     m, n = graph.original_count, graph.new_count
     if len(y) != m:
         raise ValueError("signal length does not match original pixel count")
     coeff = nonseparable_matrix(graph, lbar, weights)
     rhs = np.concatenate([y, np.zeros(n)])
-    if method == "direct":
-        try:
-            x = np.linalg.solve(coeff, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("joint system is singular") from exc
-        res = np.linalg.norm(coeff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        return JointSolution(
-            full_signal=x, original_count=m, iterations=1, residual=res
-        )
-    if method != "cg":
-        raise ValueError(f"unknown solve method {method!r}")
-    x, stats = cg_solve(coeff, rhs, tol=cg_tol)
-    return JointSolution(
-        full_signal=x,
-        original_count=m,
-        iterations=stats["iterations"],
-        residual=stats["residual"],
-    )
+    try:
+        x = np.linalg.solve(coeff, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("joint system is singular") from exc
+    res = np.linalg.norm(coeff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return JointSolution(full_signal=x, original_count=m, iterations=1, residual=res)
 
 
 def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWeights):

@@ -86,17 +86,27 @@ class TestExperimentCommand:
         assert got.startswith(CSV_HEADER)
         assert ",joint," in got and ",sequential," not in got
 
-    def test_every_tile_failed_is_one_line(self, capsys):
+    # the run leaves no CSV file that it created, and a file that was
+    # there keeps its bytes
+    @pytest.mark.parametrize("out", [None, "new", "existing"])
+    def test_every_tile_failed_is_one_line(self, out, tmp_path, capsys):
         args = ["experiment", "--texture", "texture-a", "--texture-size", "48"]
         args += ["--transform", "homography", "--homography", "1,0.1,0;0.05,1,0;0,0,1"]
         args += ["--denoiser", "nlm", "--mode", "joint"]
-        assert run_cli(args) == 1
+        path = tmp_path / "out.csv"
+        if out == "existing":
+            path.write_bytes(b"kept")
+        assert run_cli(args + (["--out-csv", str(path)] if out else [])) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
             r"texture-a: all \d+ tiles failed at variance 0\.02; first: tile at \(\d+, \d+\): .+\n",
             captured.err,
         )
+        if out == "existing":
+            assert path.read_bytes() == b"kept"
+        else:
+            assert not path.exists()
 
     # NLM at h2 0.3 fails certification on 44 of this image's 47 tiles at
     # each variance; its CSV is pinned, since failed tiles set the exit
@@ -438,21 +448,13 @@ class TestInspectGraph:
         with pytest.raises(SystemExit):
             run_cli(["inspect-graph", "--texture", "texture-a", "--size", "0"])
 
-    def test_out_of_bounds_origin(self):
-        with pytest.raises(SystemExit):
-            run_cli(
-                [
-                    "inspect-graph",
-                    "--texture",
-                    "texture-a",
-                    "--texture-size",
-                    "30",
-                    "--origin",
-                    "28,28",
-                    "--size",
-                    "10",
-                ]
-            )
+    # a negative row or column would slice from the image's far side
+    @pytest.mark.parametrize("origin, size", [("28,28", "10"), ("-3,0", "2"), ("0,-5", "3")])
+    def test_out_of_bounds_origin(self, origin, size):
+        args = ["inspect-graph", "--texture", "texture-a", "--texture-size", "30"]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(args + [f"--origin={origin}", "--size", size])
+        assert excinfo.value.code == "patch is empty or extends past the image boundary"
 
 
 SOURCE = ["--config", "--image", "--texture", "--texture-size"]
@@ -587,7 +589,8 @@ IMAGE_COMMANDS = ["denoise", "interpolate", "sequential", "joint"]
 )
 def test_image_too_small_to_tile_is_one_line(command, size, tmp_path, capsys):
     # a 2 px texture tiles, but no rotated tile has a real output; an image
-    # of one row or one column is refused before the output file is created
+    # of one row or one column is refused before the output path is checked.
+    # Neither leaves an output file
     out = tmp_path / "out"
     flag = "--out-csv" if command == "experiment" else "--out-image"
     if size is None:
@@ -602,7 +605,7 @@ def test_image_too_small_to_tile_is_one_line(command, size, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{name}: {reason}\n"
-    assert out.exists() == (size is None)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["joint", "experiment"])
@@ -616,7 +619,9 @@ def test_killed_worker_is_one_line(command, tmp_path, monkeypatch, capsys):
         return pid
 
     monkeypatch.setattr(os, "fork", fork_and_kill_the_child)
+    out = tmp_path / "out"
     args = [command, "--texture", "texture-a", "--texture-size", "30", "--workers", "2"]
+    args += ["--out-csv" if command == "experiment" else "--out-image", str(out)]
     assert run_cli(args + ["--transform", "rotation", "--angle", "20"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -626,6 +631,7 @@ def test_killed_worker_is_one_line(command, tmp_path, monkeypatch, capsys):
     )
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("out", ["no-such-dir", "/dev/full", "full-disk"])
@@ -902,6 +908,15 @@ NON_FINITE = {
         "rotation angle must be finite, got inf",
     ),
     "seed-negative": ("experiment", ["--seed", "-1"], "seed must be non-negative, got -1"),
+    # an edge list of no edges, or of every pair, with exit 0
+    **{
+        f"weight-tol-{value}": (
+            "inspect-graph",
+            [f"--weight-tol={value}"],
+            f"weight tolerance must be finite, got {value}",
+        )
+        for value in ("nan", "inf", "-inf")
+    },
 }
 
 
@@ -1100,8 +1115,8 @@ class TestConfigFile:
         assert "homography(-1,0,29;0,1,0;0,0,1)" in capsys.readouterr().out
 
 
-# for each flag that an image command or experiment takes, (usual values,
-# values that are not finite, extreme or malformed)
+# for each flag that a command takes, (usual values, values that are not
+# finite, extreme or malformed)
 BAD_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", ""]
 BAD_INTS = ["", "-1", "0", "1e300", "x"]
 FUZZ = {
@@ -1125,6 +1140,9 @@ FUZZ = {
     "--method": (["cg", "direct"], ["lu"]),
     "--variances": (["0.02", "0.02,0.06"], ["", "nan", "0.02,inf", "0", "1e-300", "1e300"]),
     "--mode": (["joint", "sequential", "both"], ["all"]),
+    "--origin": (["0,0", "5,5", "2,12"], ["-3,0", "0,-1", "-12,-12", "20,0", "0,30", "1", ""]),
+    "--size": (["2", "4", "10"], BAD_INTS + ["1", "40"]),
+    "--weight-tol": (["0", "1e-12", "0.01"], BAD_FLOATS),
 }
 # drawn with the transform they go with
 TRANSFORM_FLAG = {"rotation": "--angle", "homography": "--homography"}
@@ -1135,34 +1153,42 @@ def command_lines(draw):
     """A command line, each of whose values is usual three times in four.
 
     The flags are drawn from the command's own; --workers is left out, so
-    that no example starts processes.
+    that no example starts processes.  inspect-graph always gets the three
+    flags that pick its patch and its edges.  Each value is joined to its
+    flag with "=", so that a value that starts with "-" is read as a value.
     """
 
     def value(flag):
         usual, bad = FUZZ[flag]
         return draw(st.sampled_from(usual if not bad or draw(st.integers(0, 3)) else bad))
 
-    command = draw(st.sampled_from(sorted(set(TAKES) - {"inspect-graph"})))
+    command = draw(st.sampled_from(sorted(TAKES)))
     texture = draw(st.sampled_from(["texture-a", "texture-b"]))
-    argv = [command, "--texture", texture, "--texture-size", value("--texture-size")]
+    argv = [command, "--texture", texture, f"--texture-size={value('--texture-size')}"]
+    always = ["--origin", "--size", "--weight-tol"] if command == "inspect-graph" else []
+    drawn = [f for f in TAKES[command] if f in FUZZ and f not in always + ["--texture-size"]]
     if "--transform" in TAKES[command]:
         transform = draw(st.sampled_from(["identity", "rotation", "homography"]))
         argv += ["--transform", transform]
         if transform in TRANSFORM_FLAG:
-            argv += [TRANSFORM_FLAG[transform], value(TRANSFORM_FLAG[transform])]
-    drawn = [flag for flag in TAKES[command] if flag in FUZZ and flag not in argv]
-    drawn = [flag for flag in drawn if flag not in TRANSFORM_FLAG.values()]
-    for flag in draw(st.lists(st.sampled_from(drawn), unique=True, max_size=4)):
-        argv += [flag, value(flag)]
+            argv.append(f"{TRANSFORM_FLAG[transform]}={value(TRANSFORM_FLAG[transform])}")
+        drawn = [flag for flag in drawn if flag not in TRANSFORM_FLAG.values()]
+    for flag in always + draw(st.lists(st.sampled_from(drawn), unique=True, max_size=4)):
+        argv.append(f"{flag}={value(flag)}")
     return argv
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=72, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=command_lines())
 def test_any_command_line_exits_cleanly(argv, tmp_path_factory):
-    """Exit status 0, 1 or 2 and never an exception; exit 0 only with finite output."""
+    """Exit status 0, 1 or 2 and never an exception; exit 0 only with a sound output.
+
+    The output is sound when an image is finite, a CSV's PSNRs are
+    finite, and an edge list is of a patch inside the image and numbers
+    its nodes below size squared.
+    """
     saved = []
-    if argv[0] != "experiment":
+    if argv[0] not in ("experiment", "inspect-graph"):
         argv = argv + ["--out-image", str(tmp_path_factory.mktemp("out") / "x.pgm")]
     stdout = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
@@ -1171,9 +1197,17 @@ def test_any_command_line_exits_cleanly(argv, tmp_path_factory):
             with contextlib.redirect_stderr(io.StringIO()):
                 status = main(argv)
         except SystemExit as exc:
-            status = exc.code
+            # the interpreter prints a message and exits with status 1
+            status = 1 if isinstance(exc.code, str) else exc.code
     assert status in (0, 1, 2)
-    if status == 0 and argv[0] == "experiment":
+    if status == 0 and argv[0] == "inspect-graph":
+        args = cli._parsers()[1]["inspect-graph"].parse_args(argv[1:])
+        (r0, c0), n, side = args.origin, args.size, args.texture_size
+        assert 0 <= min(r0, c0) and max(r0, c0) + n <= side
+        for line in stdout.getvalue().splitlines():
+            i, j, w = line.split()
+            assert 0 <= int(i) <= int(j) < n * n and math.isfinite(float(w))
+    elif status == 0 and argv[0] == "experiment":
         # psnr_db is the last field but one; a homography's label holds commas
         rows = [line.rsplit(",", 2) for line in stdout.getvalue().splitlines()[1:]]
         assert rows and all(math.isfinite(float(row[1])) for row in rows)

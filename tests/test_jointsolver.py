@@ -37,7 +37,6 @@ from mixedgraph.jointsolver import (
     BlockSystem,
     SolverWeights,
     block_inverse,
-    cg_solve,
     derive_operators,
     gradient_denoise,
     gradient_interpolate,
@@ -241,15 +240,33 @@ class TestJointNonseparable:
         want = np.concatenate([y, theta @ y])
         assert np.linalg.norm(sol.full_signal - want) <= 1e-6 * np.linalg.norm(want)
 
-    def test_cg_matches_dense_oracle(self):
+    def test_every_method_runs_the_one_dense_solve(self):
         rng = np.random.default_rng(6)
         graph, _, lbar, _ = self.make_instance(rng, 4)
         w = SolverWeights()
         y = rng.normal(size=4)
-        sol = joint_nonseparable(y, graph, lbar, w, method="cg")
+        cg = joint_nonseparable(y, graph, lbar, w, method="cg", cg_tol=1e-3)
+        direct = joint_nonseparable(y, graph, lbar, w, method="direct")
+        assert cg.full_signal.tobytes() == direct.full_signal.tobytes()
+        assert (cg.iterations, cg.residual) == (direct.iterations, direct.residual)
         coeff = nonseparable_matrix(graph, lbar, w)
         dense = np.linalg.solve(coeff, np.concatenate([y, np.zeros(4)]))
-        assert np.linalg.norm(sol.full_signal - dense) <= 1e-7 * np.linalg.norm(dense)
+        assert direct.full_signal.tobytes() == dense.tobytes()
+        assert direct.residual <= 1e-12
+
+    def test_unknown_method_rejected(self):
+        graph, _, lbar, _ = self.make_instance(np.random.default_rng(7), 4)
+        with pytest.raises(ValueError, match="unknown solve method 'lu'"):
+            joint_nonseparable(np.ones(4), graph, lbar, SolverWeights(), method="lu")
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_singular_system_raises(self, method):
+        # [[1 + gamma, -gamma], [-gamma, gamma + kappa lbar]] = [[2, -1], [-1, 0.5]]
+        # has an exact zero pivot
+        graph = interpolator_to_adjacency([[1.0]])
+        weights = SolverWeights(mu=0.3, gamma=1.0, kappa=0.5)
+        with pytest.raises(SolverError, match="^joint system is singular$"):
+            joint_nonseparable([1.0], graph, [[-1.0]], weights, method=method)
 
     @pytest.mark.parametrize("n", [3, 6, 10])
     def test_matches_derived_operators(self, n):
@@ -344,53 +361,6 @@ class TestBlockInverse:
         )
         with pytest.raises(SingularOperatorError):
             block_inverse(sys)
-
-
-class TestCgSolve:
-    def test_identity_one_iteration(self):
-        b = np.array([1.0, -2.0, 3.0])
-        x, stats = cg_solve(np.eye(3), b)
-        np.testing.assert_allclose(x, b, atol=1e-12)
-        assert stats["iterations"] == 1
-
-    def test_diagonal_finite_termination(self):
-        d = np.diag([1.0, 2.0, 3.0, 4.0])
-        b = np.ones(4)
-        x, stats = cg_solve(d, b, tol=1e-12)
-        np.testing.assert_allclose(x, 1.0 / np.diag(d), atol=1e-10)
-        assert stats["iterations"] <= 4
-
-    def test_random_spd_matches_factorization(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(50, 50))
-        c = a @ a.T + 50 * np.eye(50)
-        b = rng.normal(size=50)
-        x, _ = cg_solve(c, b, tol=1e-10)
-        assert np.linalg.norm(x - np.linalg.solve(c, b)) <= 1e-7 * np.linalg.norm(b)
-
-    def test_matrix_free(self):
-        rng = np.random.default_rng(13)
-        diag = rng.uniform(1.0, 100.0, 30)
-        b = rng.normal(size=30)
-        x, _ = cg_solve(lambda v: diag * v, b, tol=1e-10)
-        np.testing.assert_allclose(x, b / diag, atol=1e-8)
-
-    def test_asymmetric_matrix_rejected_at_any_size(self):
-        rng = np.random.default_rng(15)
-        a = rng.normal(size=(40, 40))
-        c = a @ a.T + 40 * np.eye(40)
-        c[0, 39] += 1.0
-        with pytest.raises(PreconditionError):
-            cg_solve(c, rng.normal(size=40))
-
-    def test_max_iter_failure_carries_best_iterate(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(20, 20))
-        c = a @ a.T + 0.01 * np.eye(20)
-        with pytest.raises(SolverError) as excinfo:
-            cg_solve(c, rng.normal(size=20), tol=1e-14, max_iter=2)
-        assert excinfo.value.best_x is not None
-        assert excinfo.value.residual > 0
 
 
 def warped_tile(transform, origin, kind, seed):
