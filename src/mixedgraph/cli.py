@@ -52,7 +52,7 @@ def _parsers():
     tiling.add_argument("--workers", type=int)
     sweep.add_argument("--seed", type=int)
     sweep.add_argument(
-        "--method", choices=pipeline.METHODS, help="checked, but every value runs the same solve"
+        "--method", choices=jointsolver.METHODS, help="checked, but every value runs the same solve"
     )
     sweep.add_argument("--variances", help="comma-separated noise variances")
     sweep.add_argument("--mode", choices=pipeline.MODES)
@@ -111,8 +111,11 @@ def _make(cls, values):
 def _priors(args):
     """Denoiser kind, KernelParams and SolverWeights of the flags; bad values raise ValueError."""
     values = vars(args)
-    if not math.isfinite(values.get("weight_tol", 0.0)):
-        raise ValueError(f"weight tolerance must be finite, got {args.weight_tol}")
+    tol = values.get("weight_tol", 0.0)
+    if not math.isfinite(tol):
+        raise ValueError(f"weight tolerance must be finite, got {tol}")
+    if tol < 0:  # it would keep pairs that have no edge
+        raise ValueError(f"weight tolerance must be non-negative, got {tol}")
     kind = values.get("denoiser_kind", pipeline.ExperimentConfig.denoiser_kind)
     return kind, _make(denoisers.KernelParams, values), _make(jointsolver.SolverWeights, values)
 

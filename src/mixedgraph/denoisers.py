@@ -5,15 +5,16 @@ original-pixel sets and interpolated-pixel sets of any size.  `KINDS` names
 the denoiser kinds; the raw kernel of a kind in `SIGNAL_FREE` depends on the
 coordinates alone.  The intensity-dependent constructors also take a stack
 of V signals (V, n) and return one kernel per signal (V, n, n), doing the
-work that depends only on the coordinates once; `coordinate_factor` returns
-that work (for a signal-free kind, the whole kernel), so that a caller can
-reuse it for coordinate sets that differ by a shift.  Raw kernels are
-symmetric and nonnegative; `sinkhorn_balance` turns one into a
-doubly-stochastic operator suitable for the denoiser/graph mapping, and
-`sinkhorn_scale` balances a stack.  `eigenvalue_floor` bounds a balanced
-kernel's smallest eigenvalue from below, so that certification can prove
-it PD without a factorization; `coordinate_work` returns the factor and
-the floor with one check of the coordinates.
+work that depends only on the coordinates once.  `coordinate_work` does
+that work, and is the one check of a kind and its coordinates: it returns
+the factor of the raw kernel that depends on the coordinates alone (for a
+signal-free kind, the whole kernel), which `build_denoiser` takes back so
+that a caller can reuse it for coordinate sets that differ by a shift,
+and a floor that bounds a balanced kernel's smallest eigenvalue from
+below, so that certification can prove it PD without a factorization.
+Raw kernels are symmetric and nonnegative; `sinkhorn_balance` turns one
+into a doubly-stochastic operator suitable for the denoiser/graph
+mapping, and `sinkhorn_scale` balances a stack.
 """
 
 from __future__ import annotations
@@ -71,16 +72,6 @@ class KernelParams:
             raise ValueError("NLM patch must be smaller than the search window")
 
 
-def _as_coords(coords) -> np.ndarray:
-    c = np.asarray(coords, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 2:
-        raise ValueError(f"coords must be an (n, 2) array, got shape {c.shape}")
-    s = c[np.lexsort((c[:, 1], c[:, 0]))]
-    if np.any((s[1:] == s[:-1]).all(axis=1)):
-        raise ValueError("duplicate coordinates")
-    return c
-
-
 def _pairwise_sq_dist(c: np.ndarray) -> np.ndarray:
     """Squared distances between the (row, col) points c (..., n, 2), as (..., n, n).
 
@@ -98,14 +89,9 @@ def _pairwise_sq_dist(c: np.ndarray) -> np.ndarray:
     return d
 
 
-def _spatial_factor(c: np.ndarray, var: float) -> np.ndarray:
-    """exp(-|c_i - c_j|^2 / (2 var)) for every pair of coordinates."""
-    return np.exp(-_pairwise_sq_dist(c) / (2.0 * var))
-
-
 def gaussian_matrix(coords, params: KernelParams) -> np.ndarray:
     """Spatial Gaussian kernel; unit diagonal, symmetric, strictly positive."""
-    return coordinate_factor("gaussian", coords, params)
+    return build_denoiser("gaussian", coords, None, params)
 
 
 def _as_intensities(intensities, n: int) -> np.ndarray:
@@ -121,7 +107,7 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     For a stack of signals (V, n) the spatial factor is computed once and
     each signal gets its own range factor: the result is (V, n, n).
     """
-    return _bilateral(coordinate_factor("bilateral", coords, params), intensities, params)
+    return build_denoiser("bilateral", coords, intensities, params)
 
 
 def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.ndarray:
@@ -179,11 +165,11 @@ def nlm_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
     exactly 1.  The result is bit for bit the full pairwise kernel with the
     pairs outside the window zeroed.
     """
-    return _nlm(coordinate_factor("nlm", coords, params), intensities, params)
+    return build_denoiser("nlm", coords, intensities, params)
 
 
 def _nlm_layout(c: np.ndarray, params: KernelParams) -> tuple:
-    """NLM's ``(gather, (i, j))`` for checked coordinates; see `coordinate_factor`.
+    """NLM's ``(gather, (i, j))`` for checked coordinates; see `coordinate_work`.
 
     The pairs are listed in row-major order of the (n, n) kernel's upper
     triangle, each unordered in-window pair once.
@@ -357,44 +343,50 @@ def identity_operator(n: int) -> DenoiserOperator:
     )
 
 
-def coordinate_factor(kind: str, coords, params: KernelParams):
-    """The part of a denoiser kind's raw kernel that depends only on the coordinates.
-
-    Checks the coordinates: an (n, 2) array without duplicates.  For a kind
-    in `SIGNAL_FREE` the factor is the whole raw kernel (n, n): the identity,
-    or the spatial factor for "gaussian"; for "bilateral" it is the spatial
-    factor; for "nlm" it is ``(gather, (i, j))``: each coordinate's patch
-    as indices into the signal (n, k*k), holes filled, and the in-window
-    pair list, the row and column indices, with i < j, of every pair of
-    coordinates within the search window.  For integer coordinates it is
-    the same, bit for bit, when every coordinate is shifted by one offset.
-    """
-    return _factor(kind, _checked(kind, coords), params)
-
-
-def eigenvalue_floor(kind: str, coords, params: KernelParams) -> float | None:
-    """A floor f with lambda_min(psi) >= f * min_i psi_ii for every psi = D W D.
-
-    W is a raw kernel of the kind on these coordinates, and D any positive
-    diagonal scaling, such as Sinkhorn's.  For "gaussian" and "bilateral"
-    on integer coordinates, f = theta_4(0, q)^2 with q = exp(-1 / (2
-    spatial_var)), the minimum of the spatial Gaussian's symbol on the
-    integer lattice, which bounds lambda_min of the spatial factor S of any
-    set of distinct pixels from below (Grenander and Szego, Toeplitz Forms,
-    1958).  W = S o R, with the range factor R PSD with unit diagonal (R = 1
-    for "gaussian"), so psi = S o (D R D), and Schur's bound
-    lambda_min(A o B) >= lambda_min(A) min_i B_ii for PSD A and B (Horn and
-    Johnson, Topics in Matrix Analysis, Thm 5.3.4) gives f.  For "identity"
-    f = 1.  None for "nlm", whose 0/1 window is not PSD, and for
-    coordinates that are not all integers.
-    """
-    return _floor(kind, _checked(kind, coords), params)
-
-
 def coordinate_work(kind: str, coords, params: KernelParams) -> tuple:
-    """``(coordinate_factor, eigenvalue_floor)`` of the coordinates, checked once."""
-    c = _checked(kind, coords)
-    return _factor(kind, c, params), _floor(kind, c, params)
+    """``(factor, floor)``: what a denoiser kind's raw kernel takes from its coordinates alone.
+
+    Checks the kind, one of `KINDS`, and the coordinates, an (n, 2) array
+    without duplicates, and raises ValueError otherwise; no other function
+    here checks them.
+
+    The factor is, for a kind in `SIGNAL_FREE`, the whole raw kernel
+    (n, n): the identity, or the spatial factor for "gaussian"; for
+    "bilateral" it is the spatial factor; for "nlm" it is ``(gather, (i,
+    j))``: each coordinate's patch as indices into the signal (n, k*k),
+    holes filled, and the in-window pair list, the row and column
+    indices, with i < j, of every pair of coordinates within the search
+    window.  For integer coordinates it is the same, bit for bit, when
+    every coordinate is shifted by one offset.
+
+    The floor is an f with lambda_min(psi) >= f * min_i psi_ii for every
+    psi = D W D, W a raw kernel of the kind on these coordinates and D
+    any positive diagonal scaling, such as Sinkhorn's.  For "gaussian"
+    and "bilateral" on integer coordinates, f = theta_4(0, q)^2 with q =
+    exp(-1 / (2 spatial_var)), the minimum of the spatial Gaussian's
+    symbol on the integer lattice, which bounds lambda_min of the spatial
+    factor S of any set of distinct pixels from below (Grenander and
+    Szego, Toeplitz Forms, 1958).  W = S o R, with the range factor R PSD
+    with unit diagonal (R = 1 for "gaussian"), so psi = S o (D R D), and
+    Schur's bound lambda_min(A o B) >= lambda_min(A) min_i B_ii for PSD A
+    and B (Horn and Johnson, Topics in Matrix Analysis, Thm 5.3.4) gives
+    f.  For "identity" f = 1.  None for "nlm", whose 0/1 window is not
+    PSD, and for coordinates that are not all integers.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown denoiser kind {kind!r}")
+    c = np.asarray(coords, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 2:
+        raise ValueError(f"coords must be an (n, 2) array, got shape {c.shape}")
+    s = c[np.lexsort((c[:, 1], c[:, 0]))]
+    if np.any((s[1:] == s[:-1]).all(axis=1)):
+        raise ValueError("duplicate coordinates")
+    if kind == "identity":
+        return np.eye(len(c)), 1.0
+    if kind == "nlm":
+        return _nlm_layout(c, params), None
+    floor = _theta4(0.5 / params.spatial_var) ** 2 if np.array_equal(c, np.rint(c)) else None
+    return np.exp(-_pairwise_sq_dist(c) / (2.0 * params.spatial_var)), floor
 
 
 def coordinate_work_size(kind: str, n: int, params: KernelParams) -> int:
@@ -408,28 +400,6 @@ def coordinate_work_size(kind: str, n: int, params: KernelParams) -> int:
     if kind == "nlm":
         return n * (params.nlm_patch_size**2 + min(params.nlm_search_window**2, n))
     return n * n
-
-
-def _checked(kind: str, coords) -> np.ndarray:
-    if kind not in KINDS:
-        raise ValueError(f"unknown denoiser kind {kind!r}")
-    return _as_coords(coords)
-
-
-def _factor(kind: str, c: np.ndarray, params: KernelParams):
-    if kind == "identity":
-        return np.eye(len(c))
-    if kind == "nlm":
-        return _nlm_layout(c, params)
-    return _spatial_factor(c, params.spatial_var)
-
-
-def _floor(kind: str, c: np.ndarray, params: KernelParams) -> float | None:
-    if kind == "identity":
-        return 1.0
-    if kind == "nlm" or not np.array_equal(c, np.rint(c)):
-        return None
-    return _theta4(0.5 / params.spatial_var) ** 2
 
 
 def _theta4(tau: float) -> float:
@@ -464,13 +434,13 @@ def _theta4(tau: float) -> float:
 def build_denoiser(kind: str, coords, intensities, params: KernelParams, factor=None):
     """Raw kernel matrix for a named denoiser kind (before balancing).
 
-    ``factor``, if given, is ``coordinate_factor(kind, coords, params)``,
+    ``factor``, if given, is ``coordinate_work(kind, coords, params)[0]``,
     which is then neither computed nor checked again.  For a stack of
     signals (V, n), a kind that depends on them gives one kernel per
     signal (V, n, n).
     """
     if factor is None:
-        factor = coordinate_factor(kind, coords, params)
+        factor = coordinate_work(kind, coords, params)[0]
     if kind in SIGNAL_FREE:
         return factor
     if kind == "bilateral":

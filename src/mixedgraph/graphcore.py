@@ -226,7 +226,7 @@ def _is_pd(a: np.ndarray) -> np.ndarray:
 def schur_bound(psi, eig_floor) -> np.ndarray:
     """``eig_floor * min_i psi_ii`` of each filter of a stack (V, n, n).
 
-    For a floor ``eig_floor`` from `denoisers.eigenvalue_floor` this is a
+    For the floor ``eig_floor`` of `denoisers.coordinate_work` this is a
     lower bound on each filter's smallest eigenvalue.
     """
     return eig_floor * np.diagonal(psi, axis1=1, axis2=2).min(axis=-1, initial=np.inf)
@@ -236,7 +236,7 @@ def certify_symmetric(psi, eig_floor=None) -> tuple:
     """PD and non-expansiveness flags of a stack (V, n, n) of symmetric filters.
 
     ``eig_floor``, if given, is a floor f with lambda_min >= f * min_i psi_ii
-    for every filter of the stack (`denoisers.eigenvalue_floor`); a
+    for every filter of the stack (the floor of `denoisers.coordinate_work`); a
     filter whose `schur_bound` is at least ``SCHUR_MARGIN`` is PD.  Any
     other filter is PD when a Cholesky
     factorization of ``psi - PD_EIG_MIN * I`` succeeds; for it, ``psi``'s

@@ -26,6 +26,9 @@ from .graphcore import (
     require_certified,
 )
 
+# the settable values of a solve method; every one runs the same dense solve
+METHODS = ("cg", "direct")
+
 
 @dataclass(frozen=True)
 class SolverWeights:
@@ -231,11 +234,11 @@ def joint_nonseparable(
 
     Solves the assembled 2m x 2m system with one dense LU factorization
     and reports its relative residual; a singular system raises
-    SolverError.  ``method`` must be "cg" or "direct", but both run that
+    SolverError.  ``method`` must be one of `METHODS`, but each runs that
     solve, and ``cg_tol`` is unused: they are kept for the callers that
     pass them.
     """
-    if method not in ("cg", "direct"):
+    if method not in METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     y = as_vector(y)
     m, n = graph.original_count, graph.new_count

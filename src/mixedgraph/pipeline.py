@@ -33,7 +33,6 @@ PSNR_CAP_DB = 99.0
 TEXTURE_SIZE = 512
 CSV_HEADER = "image,transform,denoiser,mode,variance,psnr_db,patches_failed"
 MODES = ("joint", "sequential", "both")
-METHODS = ("cg", "direct", "closed-form")
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown denoiser kind {self.denoiser_kind!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.method not in METHODS:
+        if self.method not in jointsolver.METHODS:
             raise ValueError(f"unknown solve method {self.method!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
@@ -330,8 +329,8 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
     kernels are built by one `denoisers.build_denoiser` on the pattern's
     factor, and balanced and certified by one `denoisers.sinkhorn_scale`
     and one `graphcore.certify_symmetric`, with the pattern's eigenvalue
-    floor.  A denoiser is certified PD by the Schur bound of
-    `denoisers.eigenvalue_floor` where that clears
+    floor.  A denoiser is certified PD by the Schur bound of the floor of
+    `denoisers.coordinate_work` where that clears
     `graphcore.SCHUR_MARGIN`, and by a Cholesky factorization otherwise
     (always for NLM).  A denoiser of a kind in `denoisers.SIGNAL_FREE`
     does not depend on the signal, so K = 1: psi is the pattern's one
@@ -359,7 +358,7 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
 def _balance(kernel, kind, floor):
     """The ``(psi, errors)`` of `build_patch_denoiser` of a stack of raw kernels.
 
-    ``floor`` is `denoisers.eigenvalue_floor` of the kernels' coordinates, or None.
+    ``floor`` is `denoisers.coordinate_work`'s floor of the kernels' coordinates, or None.
     """
     psi, errors = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks

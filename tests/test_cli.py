@@ -917,6 +917,12 @@ NON_FINITE = {
         )
         for value in ("nan", "inf", "-inf")
     },
+    # every pair i <= j, zero weights included, with exit 0
+    "weight-tol--1": (
+        "inspect-graph",
+        ["--weight-tol=-1"],
+        "weight tolerance must be non-negative, got -1.0",
+    ),
 }
 
 
@@ -1206,7 +1212,7 @@ def test_any_command_line_exits_cleanly(argv, tmp_path_factory):
         assert 0 <= min(r0, c0) and max(r0, c0) + n <= side
         for line in stdout.getvalue().splitlines():
             i, j, w = line.split()
-            assert 0 <= int(i) <= int(j) < n * n and math.isfinite(float(w))
+            assert 0 <= int(i) <= int(j) < n * n and math.isfinite(float(w)) and float(w) != 0
     elif status == 0 and argv[0] == "experiment":
         # psnr_db is the last field but one; a homography's label holds commas
         rows = [line.rsplit(",", 2) for line in stdout.getvalue().splitlines()[1:]]

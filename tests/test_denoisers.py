@@ -14,7 +14,7 @@ from mixedgraph.denoisers import (
     _pairwise_sq_dist,
     bilateral_matrix,
     build_denoiser,
-    coordinate_factor,
+    coordinate_work,
     fill_holes_nearest,
     gaussian_matrix,
     identity_operator,
@@ -330,7 +330,7 @@ class TestNlmPairList:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(coords=integer_coords(), params=nlm_params())
     def test_layout_lists_each_pair_once(self, coords, params):
-        gather, (i, j) = coordinate_factor("nlm", coords, params)
+        gather, (i, j) = coordinate_work("nlm", coords, params)[0]
         assert gather.shape == (len(coords), params.nlm_patch_size**2)
         assert np.all(i < j)
         pairs = list(zip(i.tolist(), j.tolist()))
@@ -528,6 +528,57 @@ class TestPermutationEquivariance:
         perm = rng.permutation(20)
         mp = build_denoiser(kind, coords[perm], intens[perm], params)
         np.testing.assert_array_equal(mp, m[np.ix_(perm, perm)])
+
+
+@st.composite
+def holed_coords(draw):
+    """Integer coordinates of a box of up to 10 x 10 with holes, offset by up to 10^4."""
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    mask[draw(st.integers(0, h * w - 1))] = True
+    offset = draw(st.tuples(st.integers(-(10**4), 10**4), st.integers(-(10**4), 10**4)))
+    return (np.argwhere(mask.reshape(h, w)) + offset).astype(float)
+
+
+def factor_arrays(factor):
+    """Each array of a factor, one matrix or NLM's ``(gather, (i, j))``, as comparable bytes."""
+    arrays = [factor[0], *factor[1]] if isinstance(factor, tuple) else [factor]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestCoordinateWork:
+    """One tile's coordinate work serves every tile of its offset pattern."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        coords=holed_coords(),
+        shift=st.tuples(st.integers(-(10**4), 10**4), st.integers(-(10**4), 10**4)),
+        kind=st.sampled_from(KINDS),
+        params=nlm_params(),
+        spatial_var=st.sampled_from([0.3, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_integer_shift_changes_no_bit(self, coords, shift, kind, params, spatial_var, seed):
+        params = replace(params, spatial_var=spatial_var)
+        factor, floor = coordinate_work(kind, coords, params)
+        moved, moved_floor = coordinate_work(kind, coords + shift, params)
+        assert moved_floor == floor
+        assert factor_arrays(moved) == factor_arrays(factor)
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (2, len(coords)))
+        want = build_denoiser(kind, coords, y, params)
+        assert build_denoiser(kind, coords, y, params, moved).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coords=holed_coords(), params=nlm_params(), seed=st.integers(0, 2**32 - 1))
+    def test_named_constructors_are_build_denoiser(self, coords, params, seed):
+        y = np.random.default_rng(seed).uniform(0.0, 1.0, (2, len(coords)))
+        for kind, got in (
+            ("gaussian", gaussian_matrix(coords, params)),
+            ("bilateral", bilateral_matrix(coords, y, params)),
+            ("nlm", nlm_matrix(coords, y, params)),
+        ):
+            want = build_denoiser(kind, coords, y, params)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestIdentityOperator:

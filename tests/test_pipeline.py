@@ -459,10 +459,12 @@ class TestRunExperiment:
     def test_method_is_a_no_op(self):
         img = synthetic_texture("texture-a", 30)
         csvs = {
-            method: run_experiment(self.make_config(method=method), img, "t")[1]
-            for method in ("cg", "direct", "closed-form")
+            run_experiment(self.make_config(method=method), img, "t")[1]
+            for method in jointsolver.METHODS
         }
-        assert csvs["cg"] == csvs["direct"] == csvs["closed-form"]
+        assert jointsolver.METHODS == ("cg", "direct") and len(csvs) == 1
+        with pytest.raises(ValueError, match="unknown solve method 'closed-form'"):
+            self.make_config(method="closed-form")
 
 
     def test_every_tile_failed_names_variance_and_tile(self):

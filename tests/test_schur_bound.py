@@ -1,7 +1,7 @@
 """PD certification by the Schur bound, and its Cholesky fallback.
 
-For the Gaussian and bilateral kinds on integer coordinates,
-`denoisers.eigenvalue_floor` gives theta_4(0, q)^2, a lower bound on the
+For the Gaussian and bilateral kinds on integer coordinates, the floor of
+`denoisers.coordinate_work` is theta_4(0, q)^2, a lower bound on the
 smallest eigenvalue of the spatial factor S, and lambda_min(psi) >= floor *
 min_i psi_ii for every balanced psi (`graphcore.schur_bound`).  A filter
 whose bound clears `SCHUR_MARGIN` is PD without a factorization; every
@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedgraph import denoisers, graphcore
-from mixedgraph.denoisers import KernelParams, eigenvalue_floor
+from mixedgraph.denoisers import KernelParams, coordinate_work
 from mixedgraph.errors import PatchGeometryError
 from mixedgraph.graphcore import PD_EIG_MIN, SCHUR_MARGIN, _is_pd, schur_bound
 from mixedgraph.interpolators import Homography, Rotation, build_patch_operator, tile_image
@@ -78,8 +78,8 @@ def integer_coords(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(coords=integer_coords(), var=st.one_of(SPATIAL_VARS, st.floats(4.0, 1e300)))
 def test_floor_bounds_the_spatial_factor(coords, var):
-    floor = eigenvalue_floor("gaussian", coords, KernelParams(spatial_var=var))
-    assert floor == eigenvalue_floor("bilateral", coords, KernelParams(spatial_var=var))
+    floor = coordinate_work("gaussian", coords, KernelParams(spatial_var=var))[1]
+    assert floor == coordinate_work("bilateral", coords, KernelParams(spatial_var=var))[1]
     assert floor <= np.linalg.eigvalsh(spatial(coords, var)).min() + 1e-12
 
 
@@ -116,7 +116,7 @@ def test_schur_bound_bounds_each_filter(
     kernel = denoisers.build_denoiser(kind, op.target_coords, signals, params)
     kernels = np.broadcast_to(kernel, (len(signals),) + kernel.shape[-2:])
     psi, _ = denoisers.sinkhorn_scale(kernels)
-    floor = eigenvalue_floor(kind, op.target_coords, params)
+    floor = coordinate_work(kind, op.target_coords, params)[1]
     bound = schur_bound(psi, floor)
     assert np.all(bound <= np.linalg.eigvalsh(psi)[:, 0] + 1e-12)
     clears = bound >= SCHUR_MARGIN
@@ -128,17 +128,17 @@ def test_schur_bound_bounds_each_filter(
 def test_floor_values():
     box = np.argwhere(np.ones((4, 4)))
     default = KernelParams()
-    assert eigenvalue_floor("identity", box + 0.5, default) == 1.0
-    assert eigenvalue_floor("nlm", box, default) is None
-    assert eigenvalue_floor("gaussian", box + 0.5, default) is None
-    assert eigenvalue_floor("bilateral", box * 1.0 + 1e-12, default) is None
-    assert eigenvalue_floor("bilateral", box, default) == pytest.approx(0.3904, abs=1e-4)
+    assert coordinate_work("identity", box + 0.5, default)[1] == 1.0
+    assert coordinate_work("nlm", box, default)[1] is None
+    assert coordinate_work("gaussian", box + 0.5, default)[1] is None
+    assert coordinate_work("bilateral", box * 1.0 + 1e-12, default)[1] is None
+    assert coordinate_work("bilateral", box, default)[1] == pytest.approx(0.3904, abs=1e-4)
     # at spatial_var 4 no filter can clear the margin: every one falls back
-    assert eigenvalue_floor("bilateral", box, KernelParams(spatial_var=4.0)) < 1e-15
+    assert coordinate_work("bilateral", box, KernelParams(spatial_var=4.0))[1] < 1e-15
     with pytest.raises(ValueError, match="duplicate"):
-        eigenvalue_floor("gaussian", np.zeros((2, 2)), default)
+        coordinate_work("gaussian", np.zeros((2, 2)), default)
     with pytest.raises(ValueError, match="unknown denoiser kind"):
-        eigenvalue_floor("median", box, default)
+        coordinate_work("median", box, default)
 
 
 def test_stack_with_some_filters_below_the_margin(monkeypatch):
