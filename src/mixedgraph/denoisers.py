@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalanceError
+from .errors import BALANCE, BalanceError, outcome_text
 from .graphcore import TAU_DS, TAU_SYM, DenoiserOperator, as_signals, certify_denoiser
 
 KINDS = ("gaussian", "bilateral", "nlm", "identity")
@@ -261,9 +261,9 @@ def sinkhorn_balance(
         raise ValueError("kernel must be nonnegative")
     if np.any(np.diagonal(w) <= 0.0):
         raise ValueError("kernel must have a strictly positive diagonal")
-    (psi,), (error,) = sinkhorn_scale(w[None], tol=tol, max_iter=max_iter)
-    if error is not None:
-        raise error
+    (psi,), (residual,) = sinkhorn_scale(w[None], tol=tol, max_iter=max_iter)
+    if residual > tol:
+        raise BalanceError(outcome_text(BALANCE, residual), residual=float(residual))
     return certify_denoiser(psi, kind=kind)
 
 
@@ -282,9 +282,9 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
     as the kernel builders' kernels are (`_pairwise_sq_dist` differences
     directly, and `_nlm` writes one weight to both (i, j) and (j, i)).
 
-    Returns ``(psi, errors)``: the V balanced kernels, and for each either
-    None or the BalanceError (with the final residual) of a row-sum
-    residual still above `tol` after `max_iter` iterations.
+    Returns ``(psi, residual)``: the V balanced kernels, and each one's
+    final row-sum residual, float64 (V,).  A kernel whose residual is
+    still above `tol` after `max_iter` iterations did not converge.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 3 or w.shape[1] != w.shape[2]:
@@ -320,15 +320,7 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
 
     psi = d * d.swapaxes(1, 2)
     psi *= w
-    errors = [
-        BalanceError(
-            f"Sinkhorn balancing did not converge (residual {r:.3e})", residual=r
-        )
-        if r > tol
-        else None
-        for r in residual
-    ]
-    return psi, errors
+    return psi, np.array(residual)
 
 
 def identity_operator(n: int) -> DenoiserOperator:

@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the outcome codes of a tile."""
+
+# The outcome of one tile on one image, as an int8 code: OK, or the first
+# check that failed it, in the order the pipeline runs them.
+OK, BALANCE, CERTIFICATION, SOLVER, NOT_FINITE = range(5)
+_TEXTS = (
+    None,
+    "Sinkhorn balancing did not converge (residual {detail:.3e})",
+    "{kind} denoiser failed certification on patch",
+    "reduced joint system is singular",
+    "tile output is not finite",
+)
+
+
+def outcome_text(code, detail=0.0, kind="custom"):
+    """The error text of an outcome ``code``, or None for OK.
+
+    ``detail`` is the Sinkhorn residual, which a BALANCE text states, and
+    ``kind`` the denoiser kind, which a CERTIFICATION text names.
+    """
+    return None if code == OK else _TEXTS[code].format(detail=detail, kind=kind)
 
 
 class MixedGraphError(Exception):

@@ -21,7 +21,8 @@ from .errors import DegenerateGraphError, PreconditionError, SingularOperatorErr
 TAU_SYM = 1e-10
 # PSD slack relative to the spectral norm.
 TAU_PSD = 1e-8
-# Relative pivot threshold below which a matrix is treated as singular.
+# Relative pivot threshold below which a matrix is treated as singular; a
+# homography's matrix is tested divided by its largest absolute entry.
 PIVOT_RTOL = 1e-12
 # A square interpolator is singular unless sigma_min > SV_RTOL * sigma_max.
 SV_RTOL = 1e-10

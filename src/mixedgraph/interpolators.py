@@ -55,7 +55,18 @@ class Rotation:
 
 @dataclass(frozen=True)
 class Homography:
-    """Projective warp; output pixels back-project through the inverse matrix."""
+    """Projective warp; output pixels back-project through the inverse matrix.
+
+    The matrix is defined up to scale (Hartley and Zisserman, Multiple View
+    Geometry, 2nd ed., 2004, section 2.3), and so are both of its checks,
+    against `graphcore.PIVOT_RTOL`: a matrix is singular when, divided by
+    its largest absolute entry, its determinant is below it in size; and a
+    back-projected point vanishes when its homogeneous coordinate w is at
+    most that times the sum of the absolute terms that make it.  So s H,
+    for s a power of 2 that neither overflows nor underflows an entry, is
+    accepted exactly when H is, and gives the same source points bit for
+    bit.
+    """
 
     matrix: tuple
 
@@ -65,7 +76,7 @@ class Homography:
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("homography entries must be finite")
-        if abs(np.linalg.det(m)) < 1e-12:
+        if abs(np.linalg.det(m / (np.abs(m).max() or 1.0))) < PIVOT_RTOL:
             raise DegenerateTransformError("homography matrix is singular")
         object.__setattr__(self, "matrix", tuple(map(tuple, m)))
 
@@ -79,10 +90,8 @@ class Homography:
         # differently
         src = pts @ hinv.T
         wcoord = src[..., 2]
-        if np.any(np.abs(wcoord) < 1e-12):
-            raise DegenerateTransformError(
-                "back-projection has a vanishing homogeneous coordinate"
-            )
+        if np.any(np.abs(wcoord) <= PIVOT_RTOL * (np.abs(pts) @ np.abs(hinv[2]))):
+            raise DegenerateTransformError("back-projection has a vanishing homogeneous coordinate")
         return np.stack([src[..., 1] / wcoord, src[..., 0] / wcoord], axis=-1)
 
     def label(self) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SingularOperatorError, SolverError
+from .errors import SOLVER, PreconditionError, SingularOperatorError, SolverError, outcome_text
 from .graphcore import (
     DenoiserOperator,
     DirectedInterpGraph,
@@ -273,7 +273,7 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     eigenvalues then lie in ``(PD_EIG_MIN, 1 + NONEXPANSIVE_SLACK]``, so it
     is nonsingular, as `graphcore.denoiser_to_laplacian` requires.  The
     dimensions are checked, and the solve is `output_space_solve` of a
-    chunk of one tile, whose SolverError is raised.
+    chunk of one tile; a singular system raises SolverError.
     """
     require_certified(psi)
     y = as_vector(y)
@@ -281,10 +281,10 @@ def reduced_nonseparable(y, theta_real, psi: DenoiserOperator, weights: SolverWe
     n, m = theta_real.shape
     if len(y) != m or psi.matrix.shape != (n, n):
         raise ValueError("dimension mismatch between signal, interpolator, and denoiser")
-    ty = np.matmul(theta_real, y[:, None])[:, 0]
-    z, errors = output_space_solve(ty[None, None], [theta_real], psi.matrix[None, None], weights.c)
-    if errors[0, 0] is not None:
-        raise errors[0, 0]
+    ty = np.matmul(theta_real, y[:, None])[None, None, :, 0]
+    z, singular = output_space_solve(ty, [theta_real], psi.matrix[None, None], weights.c)
+    if singular[0, 0]:
+        raise SolverError(outcome_text(SOLVER))
     return z[0, 0]
 
 
@@ -306,13 +306,13 @@ def output_space_solve(ty, thetas, psi, c: float):
     LAPACK routine on each system, so every signal gets the bits it would
     get alone.  Only when that solve fails is each (tile, image) solved
     alone, so that a singular system fails only the signals it serves.
-    Returns ``(z, errors)``: the outputs ``psi inv(A) ty``, (T, V, n), and
-    a (T, V) object array of None or the SolverError of each (tile,
-    image), whose row of z is NaN.
+    Returns ``(z, singular)``: the outputs ``psi inv(A) ty``, (T, V, n),
+    and a boolean (T, V) array that is True where a (tile, image)'s
+    system is singular, whose row of z is NaN.
     """
-    errors = np.full(ty.shape[:2], None, dtype=object)
+    singular = np.zeros(ty.shape[:2], dtype=bool)
     if c == 0:
-        return ty, errors
+        return ty, singular
     a = np.empty(psi.shape)
     for theta, tile_psi, tile_a in zip(thetas, psi, a):
         p = theta @ theta.T
@@ -321,29 +321,25 @@ def output_space_solve(ty, thetas, psi, c: float):
         tile_a *= c
         tile_a += tile_psi
     try:
-        return _solve(a, ty, psi), errors
-    except SolverError:
+        return _solve(a, ty, psi), singular
+    except np.linalg.LinAlgError:
         pass
     z = np.full(ty.shape, np.nan)
     a, psi = (np.broadcast_to(x, ty.shape[:2] + x.shape[2:]) for x in (a, psi))
     for u in np.ndindex(ty.shape[:2]):
         try:
             z[u] = _solve(a[u], ty[u], psi[u])
-        except SolverError as exc:
-            errors[u] = exc
-    return z, errors
+        except np.linalg.LinAlgError:
+            singular[u] = True
+    return z, singular
 
 
 def _solve(a, ty, psi) -> np.ndarray:
     """``psi inv(a) ty``, with ``a`` and ``psi`` (..., n, n) and ``ty`` (..., n) broadcast.
 
-    A singular system raises SolverError.
+    A singular system raises numpy's LinAlgError.
     """
-    try:
-        v = np.linalg.solve(a, ty[..., None])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("reduced joint system is singular") from exc
-    return np.matmul(psi, v)[..., 0]
+    return np.matmul(psi, np.linalg.solve(a, ty[..., None]))[..., 0]
 
 
 def derive_operators(graph: DirectedInterpGraph, lbar, weights: SolverWeights):

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import denoisers, graphcore, interpolators, jointsolver
-from .errors import ImageIOError, PatchGeometryError, PreconditionError
-from .errors import TileMemoryError, TilesFailedError, WorkerError
+from . import denoisers, errors, graphcore, interpolators, jointsolver
+from .errors import ImageIOError, PatchGeometryError, TileMemoryError, TilesFailedError, WorkerError
 from .interpolators import OPERATOR_BYTES, ROW_TAPS
 
 PSNR_CAP_DB = 99.0
@@ -97,14 +96,27 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.method not in jointsolver.METHODS:
             raise ValueError(f"unknown solve method {self.method!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not 1 <= self.workers <= max_workers():
+            raise ValueError(f"workers must be from 1 to {max_workers()}, got {self.workers}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def modes(self):
         return ("joint", "sequential") if self.mode == "both" else (self.mode,)
+
+
+def max_workers() -> int:
+    """The most workers a run takes: 4 times the CPUs this process may run on.
+
+    `_deal` forks a child for each worker but one, up to one per record of
+    its pipe, and there are up to 1024 records: ``workers=1000`` would fork
+    607 children on criterion 8's 512 px rotation+bilateral input (608
+    records).  Past the CPUs, more processes only take turns on them.  Four
+    per CPU still lets a 2-CPU machine run 3 workers in 3 processes.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 4 * (cpus or 1)
 
 
 @dataclass(frozen=True)
@@ -322,10 +334,11 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
     interpolations of the V noisy inputs; kernel weights are computed from
     them clipped to [0, 1] (for kernel evaluation only).  ``work`` is
     `_coordinate_work` of the pattern, or None to compute it from the
-    first tile.  Returns ``(psi, errors)``: the denoisers (T, K, n, n),
-    K = V, one per signal, and a (T, V) object array that holds, for each
-    tile and signal, None or the first error that fails its denoiser: a
-    BalanceError, or a PreconditionError when certification fails.  The
+    first tile.  Returns ``(psi, code, detail)``: the denoisers (T, K, n,
+    n), K = V, one per signal; an int8 (T, V) outcome code of each tile
+    and signal, `errors.OK` or the first check that failed its denoiser,
+    `errors.BALANCE` before `errors.CERTIFICATION`; and a float64 (T, V)
+    detail, its Sinkhorn residual.  The
     kernels are built by one `denoisers.build_denoiser` on the pattern's
     factor, and balanced and certified by one `denoisers.sinkhorn_scale`
     and one `graphcore.certify_symmetric`, with the pattern's eigenvalue
@@ -335,38 +348,36 @@ def build_patch_denoiser(ops, interp_values, config, work=None):
     (always for NLM).  A denoiser of a kind in `denoisers.SIGNAL_FREE`
     does not depend on the signal, so K = 1: psi is the pattern's one
     denoiser as a read-only view (T, 1, n, n) that serves each tile's V
-    signals, and its error fills errors.
+    signals, and its code and detail fill the grid's.
     """
     kind = config.denoiser_kind
     if work is None:
         work = _coordinate_work(ops[0], config)
     t, v, n = interp_values.shape
     if kind in denoisers.SIGNAL_FREE:
-        psi, (error,) = work
-        return np.broadcast_to(psi, (t, 1, n, n)), np.full((t, v), error, dtype=object)
+        psi, (code,), (detail,) = work
+        return np.broadcast_to(psi, (t, 1, n, n)), np.full((t, v), code), np.full((t, v), detail)
     factor, floor = work
     clipped = np.clip(interp_values, 0.0, 1.0).reshape(t * v, n)
     # the kernels are not named here, so that _balance can free them
-    psi, errors = _balance(
+    psi, code, detail = _balance(
         denoisers.build_denoiser(kind, ops[0].target_coords, clipped, config.kernel_params, factor),
-        kind,
         floor,
     )
-    return psi.reshape(t, v, n, n), np.array(errors, dtype=object).reshape(t, v)
+    return psi.reshape(t, v, n, n), code.reshape(t, v), detail.reshape(t, v)
 
 
-def _balance(kernel, kind, floor):
-    """The ``(psi, errors)`` of `build_patch_denoiser` of a stack of raw kernels.
+def _balance(kernel, floor):
+    """The ``(psi, code, detail)`` of `build_patch_denoiser` of a stack of raw kernels.
 
     ``floor`` is `denoisers.coordinate_work`'s floor of the kernels' coordinates, or None.
     """
-    psi, errors = denoisers.sinkhorn_scale(kernel)
+    psi, residual = denoisers.sinkhorn_scale(kernel)
     del kernel  # freed before certification allocates its stacks
     pd, nonexpansive = graphcore.certify_symmetric(psi, floor)
-    for i, certified in enumerate(pd & nonexpansive):
-        if errors[i] is None and not certified:
-            errors[i] = PreconditionError(f"{kind} denoiser failed certification on patch")
-    return psi, errors
+    code = np.where(pd & nonexpansive, errors.OK, errors.CERTIFICATION).astype(np.int8)
+    code[residual > graphcore.TAU_DS] = errors.BALANCE
+    return psi, code, residual
 
 
 def _coordinate_work(op, config):
@@ -374,13 +385,13 @@ def _coordinate_work(op, config):
 
     That is ``(factor, floor)``, from `denoisers.coordinate_work`; or for
     a kind in `denoisers.SIGNAL_FREE` the whole balanced and certified
-    ``(psi, errors)`` of its one kernel, with psi (1, n, n).  Every tile of
-    the pattern gets the same bits from it.
+    ``(psi, code, detail)`` of its one kernel (`_balance`), with psi (1,
+    n, n).  Every tile of the pattern gets the same bits from it.
     """
     kind = config.denoiser_kind
     factor, floor = denoisers.coordinate_work(kind, op.target_coords, config.kernel_params)
     if kind in denoisers.SIGNAL_FREE:
-        return _balance(factor[None], kind, floor)
+        return _balance(factor[None], floor)
     return factor, floor
 
 
@@ -431,7 +442,7 @@ def chunk_tiles(n, signals) -> int:
 def run_patch(job, images, config):
     """Solve one tile on V noisy images: `run_chunk` of the chunk of one tile.
 
-    Returns `run_chunk`'s ``(joint, sequential, errors)``, with T = 1.
+    Returns `run_chunk`'s ``(joint, sequential, code, detail)``, with T = 1.
     """
     return run_chunk([job], images, config)
 
@@ -442,11 +453,13 @@ def run_chunk(jobs, images, config, work=None):
     ``images`` is a stack (V, H, W) of noisy images, or a sequence of V
     images of one shape.  ``work`` is the pattern's coordinate-only work
     (`_coordinate_work`), or None to compute it from the first tile.
-    Returns ``(joint, sequential, errors)`` on one (tile, image) grid: the
-    outputs (T, V, n) of each mode, None for a mode that was not run or
-    a chunk whose every denoiser failed, and a (T, V) object array of
-    None or the text of the error that failed that tile on that image.
-    The outputs of a failed (tile, image) are not defined.
+    Returns ``(joint, sequential, code, detail)`` on one (tile, image)
+    grid: the outputs (T, V, n) of each mode, None for a mode that was not
+    run or a chunk whose every denoiser failed; an int8 (T, V) outcome
+    code, `errors.OK` or the first check that failed that tile on that
+    image; and a float64 (T, V) detail, its Sinkhorn residual
+    (`build_patch_denoiser`).  `_tile_errors` turns them into text.  The
+    outputs of a failed (tile, image) are not defined.
 
     Each tile's dense real rows theta_r are built from its taps once, on
     entry, and held only while the chunk is solved.  The chunk's kernels
@@ -456,9 +469,9 @@ def run_chunk(jobs, images, config, work=None):
     broadcast over the chunk's tiles and signals.  A chunk whose every
     denoiser failed is not solved.  Otherwise every denoiser is solved,
     whether or not it passed, and each (tile, image) then keeps its first
-    error: balance, certification, then solver; an output that is not
-    finite fails it as a solver failure, found by one check per output
-    stack.  The joint output is the non-separable MAP solution,
+    failure: balance, certification, then solver; an output that is not
+    finite fails it last, found by one check per output stack.  The joint
+    output is the non-separable MAP solution,
     `jointsolver.output_space_solve` of the whole chunk, which returns the
     interpolation ty = theta_r y itself at kappa = 0.  Stacked products
     and solves run the same BLAS/LAPACK routine per matrix as a
@@ -475,20 +488,18 @@ def run_chunk(jobs, images, config, work=None):
         src = op.source_coords
         y = images[:, src[:, 0], src[:, 1]]
         ty[i] = np.matmul(theta, y[..., None])[..., 0]
-    psi, errors = build_patch_denoiser(ops, ty, config, work)
+    psi, code, detail = build_patch_denoiser(ops, ty, config, work)
     joint = sequential = None
-    if np.equal(errors, None).any():
+    if (code == errors.OK).any():
         if "sequential" in config.modes:
             sequential = np.matmul(psi, ty[..., None])[..., 0]
         if "joint" in config.modes:
-            joint, solver_errors = jointsolver.output_space_solve(
-                ty, thetas, psi, config.weights.c
-            )
-            errors = np.where(np.equal(errors, None), solver_errors, errors)
+            joint, singular = jointsolver.output_space_solve(ty, thetas, psi, config.weights.c)
+            code[(code == errors.OK) & singular] = errors.SOLVER
         outputs = [x for x in (joint, sequential) if x is not None]
         finite = np.logical_and.reduce([np.isfinite(x).all(axis=-1) for x in outputs])
-        errors = np.where(np.equal(errors, None) & ~finite, "tile output is not finite", errors)
-    return joint, sequential, np.where(np.not_equal(errors, None), errors.astype(str), None)
+        code[(code == errors.OK) & ~finite] = errors.NOT_FINITE
+    return joint, sequential, code, detail
 
 
 def process_image(config: ExperimentConfig, image) -> StitchedImage:
@@ -500,16 +511,24 @@ def process_image(config: ExperimentConfig, image) -> StitchedImage:
     mode = config.mode
     if mode not in ("joint", "sequential"):
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
-    jobs, outputs, valid, errors = _run_patches(_pixels(image)[None], config)
-    tile_errors = _tile_errors(jobs, errors[:, 0])
+    jobs, outputs, valid, *outcome = _run_patches(_pixels(image)[None], config)
+    (tile_errors,) = _tile_errors(jobs, *outcome, config.denoiser_kind)
     return StitchedImage(
         pixels=outputs[mode][0], validity=valid[0], tile_count=len(jobs), tile_errors=tile_errors
     )
 
 
-def _tile_errors(jobs, errors):
-    """``tile at (r, c): <error>`` of each job whose entry of ``errors`` is not None."""
-    return tuple(f"tile at {job.origin}: {e}" for job, e in zip(jobs, errors) if e is not None)
+def _tile_errors(jobs, code, detail, kind):
+    """Per image, ``tile at (r, c): <error>`` of each job that failed on it.
+
+    ``code`` and ``detail`` are the jobs' (tiles, V) outcome codes and
+    details (`_run_patches`), and ``kind`` their denoiser kind; the error
+    is `errors.outcome_text`.  This is the one place that the pipeline
+    turns outcomes into text.
+    """
+    text = functools.partial(errors.outcome_text, kind=kind)
+    texts = (map(text, c, d) for c, d in zip(code.T.tolist(), detail.T.tolist()))
+    return tuple(tuple(f"tile at {j.origin}: {e}" for j, e in zip(jobs, t) if e) for t in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +676,9 @@ def _deal(count, solve, workers):
 
     `_run_patches` deals the indices of its chunks of tiles this way.
     One pipe is filled with fixed-size records and its write end closed,
-    then up to ``workers - 1`` children are forked.  Each record names one
+    then up to ``workers - 1`` children are forked, each after numpy's BLAS
+    thread pool is shut down, so that no child is forked from a process of
+    several threads.  Each record names one
     index, or a run of consecutive indices when there are more indices
     than records fit in the pipe at once.  Every process, this one
     included, reads one record at a time until the pipe is empty, so each
@@ -686,6 +707,8 @@ def _deal(count, solve, workers):
     children = {}  # the read end of a child's result pipe -> its pid, or None
     try:
         for _ in range(min(workers, len(starts)) - 1):
+            for shutdown in _blas_shutdowns():  # a no-op once the pool is down
+                shutdown()
             out, into = os.pipe()
             children[out] = None
             try:
@@ -838,10 +861,11 @@ def require_memory(config, shape) -> None:
 def _run_patches(images, config):
     """Tile a stack (V, H, W) of images and run `run_chunk` on every chunk of tiles.
 
-    Returns ``(jobs, outputs, valid, errors)``: ``outputs`` maps each mode
-    of ``config.modes`` to its stitched stack (V, H, W), ``valid`` is the
-    stacks' validity (V, H, W), and ``errors`` a (tiles, V) object array of
-    None or the error text of each job on each image (`run_chunk`).  Each
+    Returns ``(jobs, outputs, valid, code, detail)``: ``outputs`` maps
+    each mode of ``config.modes`` to its stitched stack (V, H, W), ``valid``
+    is the stacks' validity (V, H, W), and ``code`` and ``detail`` are the
+    int8 and float64 (tiles, V) outcome of each job on each image
+    (`run_chunk`).  Each
     chunk's (tile, image) grid is written into the stacks by one fancy
     assignment per mode, at its tiles' target pixels; a failed (tile,
     image) is written as 0 and left invalid, and so is a pixel no tile
@@ -882,18 +906,19 @@ def _run_patches(images, config):
         per_chunk = _deal(len(chunks), solve, config.workers)
     outputs = {mode: np.zeros(images.shape) for mode in config.modes}
     valid = np.zeros(images.shape, dtype=bool)
-    errors = np.empty((len(jobs), len(images)), dtype=object)
-    for (_, tiles), (joint, sequential, chunk_errors) in zip(chunks, per_chunk):
+    code = np.empty((len(jobs), len(images)), dtype=np.int8)
+    detail = np.empty(code.shape)
+    for (_, tiles), (joint, sequential, chunk_code, chunk_detail) in zip(chunks, per_chunk):
         targets = np.array([jobs[i].operator.target_coords for i in tiles])
         # (V, 1) images against (T, 1, n) rows and columns: the (T, V, n) grid
         grid = (np.arange(len(images))[:, None], targets[:, None, :, 0], targets[:, None, :, 1])
-        ok = np.equal(chunk_errors, None)[..., None]
+        ok = (chunk_code == errors.OK)[..., None]
         for mode, x in (("joint", joint), ("sequential", sequential)):
             if x is not None:
                 outputs[mode][grid] = np.where(ok, x, 0.0)
         valid[grid] = ok
-        errors[tiles] = chunk_errors
-    return jobs, outputs, valid, errors
+        code[tiles], detail[tiles] = chunk_code, chunk_detail
+    return jobs, outputs, valid, code, detail
 
 
 def _chunks(jobs, signals):
@@ -943,11 +968,11 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     for vi, var in enumerate(config.noise_variances):
         noisy[vi] = add_gaussian_noise(clean, var, config.seed ^ vi)
 
-    jobs, outputs, valid, errors = _run_patches(noisy, config)
+    jobs, outputs, valid, *outcome = _run_patches(noisy, config)
     ref, _ = build_reference(jobs, clean, clean.shape)
 
     transform_label = config.transform.label()
-    tile_errors = tuple(_tile_errors(jobs, column) for column in errors.T)
+    tile_errors = _tile_errors(jobs, *outcome, config.denoiser_kind)
     rows = []
     points = {mode: [] for mode in config.modes}
     for vi, (var, failed) in enumerate(zip(config.noise_variances, tile_errors)):

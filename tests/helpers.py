@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from mixedgraph.errors import outcome_text
 from mixedgraph.pipeline import add_gaussian_noise
 
 SIZE = 32
@@ -23,11 +24,21 @@ def outcome(error, *arrays):
     return error, *as_bytes
 
 
-def outcomes(results):
-    """`outcome` of every (tile, image) of a sequence of `run_chunk` results, one list per tile."""
+def error_texts(code, detail, kind):
+    """The `outcome_text` of each entry of an outcome grid, None for OK, as nested lists."""
+    if code.ndim == 0:
+        return outcome_text(code, detail, kind)
+    return [error_texts(c, d, kind) for c, d in zip(code, detail)]
+
+
+def outcomes(results, kind):
+    """`outcome` of every (tile, image) of a sequence of `run_chunk` results, one list per tile.
+
+    ``kind`` is the results' denoiser kind, which a certification error names.
+    """
     per_tile = []
-    for joint, sequential, errors in results:
-        for i, tile_errors in enumerate(errors):
+    for joint, sequential, code, detail in results:
+        for i, tile_errors in enumerate(error_texts(code, detail, kind)):
             per_tile.append([
                 outcome(error, *(None if x is None else x[i, s] for x in (joint, sequential)))
                 for s, error in enumerate(tile_errors)

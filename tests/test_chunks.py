@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import mixedgraph
 from mixedgraph import cli, denoisers, interpolators, pipeline
 from mixedgraph.denoisers import KINDS, KernelParams
-from mixedgraph.errors import TileMemoryError
+from mixedgraph.errors import OK, TileMemoryError
 from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import (
@@ -42,7 +42,7 @@ from mixedgraph.pipeline import (
     synthetic_texture,
 )
 
-from helpers import SIZE, noisy_stack, outcomes, pattern
+from helpers import SIZE, error_texts, noisy_stack, outcomes, pattern
 
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
@@ -98,7 +98,8 @@ def per_tile_run(jobs, images, config):
     valid = np.zeros(images.shape, dtype=bool)
     errors = []
     for job in jobs:
-        joint, sequential, (tile_errors,) = run_patch(job, images, config)
+        joint, sequential, (code,), (detail,) = run_patch(job, images, config)
+        tile_errors = error_texts(code, detail, config.denoiser_kind)
         rows, cols = job.operator.target_coords.T
         for s, error in enumerate(tile_errors):
             if error is None:
@@ -106,14 +107,17 @@ def per_tile_run(jobs, images, config):
                 for mode, x in (("joint", joint), ("sequential", sequential)):
                     if mode in outputs:
                         outputs[mode][s, rows, cols] = x[0, s]
-        errors.append(list(tile_errors))
+        errors.append(tile_errors)
     return outputs, valid, errors
 
 
-def assert_same_run(got, want):
-    """`_run_patches`' ``(outputs, valid, errors)`` equal `per_tile_run`'s, byte for byte."""
-    (outputs, valid, errors), (want_outputs, want_valid, want_errors) = got, want
-    assert errors.tolist() == want_errors
+def assert_same_run(got, want, kind):
+    """`_run_patches`' ``(outputs, valid, code, detail)`` equal `per_tile_run`'s, byte for byte.
+
+    ``kind`` is the runs' denoiser kind, which a certification error names.
+    """
+    (outputs, valid, code, detail), (want_outputs, want_valid, want_errors) = got, want
+    assert error_texts(code, detail, kind) == want_errors
     assert valid.tobytes() == want_valid.tobytes()
     assert outputs.keys() == want_outputs.keys()
     for mode, stack in outputs.items():
@@ -160,7 +164,7 @@ def test_chunk_matches_its_tiles_alone(
             patch.setattr(np.linalg, "solve", singular_where(poison))
         got = run_chunk(chunk, images, config, work)
         want = [run_patch(job, images, config) for job in chunk]
-    assert outcomes([got]) == outcomes(want)
+    assert outcomes([got], kind) == outcomes(want, kind)
 
 
 def test_tiles_of_one_pixel_count_split_by_pattern():
@@ -177,8 +181,8 @@ def test_tiles_of_one_pixel_count_split_by_pattern():
     assert len(chunks) == 2 and set(chunks[0] + chunks[1]) == edge
     assert all(len({pattern(jobs[i]) for i in tiles}) == 1 for tiles in chunks)
     images = noisy_stack(1, config.noise_variances)
-    got = [outcomes([run_chunk([jobs[i] for i in tiles], images, config)]) for tiles in chunks]
-    assert got == [outcomes([run_patch(jobs[i], images, config) for i in tiles]) for tiles in chunks]
+    got = [outcomes([run_chunk([jobs[i] for i in t], images, config)], "nlm") for t in chunks]
+    assert got == [outcomes([run_patch(jobs[i], images, config) for i in t], "nlm") for t in chunks]
     errors = [error for chunk in got for results in chunk for error, *_ in results]
     assert None in errors and "nlm denoiser failed certification on patch" in errors
 
@@ -202,7 +206,8 @@ def test_nlm_hole_tiles_share_patterns():
         chunk = [jobs[i] for i in tiles]
         work = pipeline._coordinate_work(groups[key][-1].operator, config)
         got = run_chunk(chunk, images, config, work)
-        assert outcomes([got]) == outcomes([run_patch(job, images, config) for job in chunk])
+        want = [run_patch(job, images, config) for job in chunk]
+        assert outcomes([got], "nlm") == outcomes(want, "nlm")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -217,8 +222,8 @@ def test_full_chunk_of_rotated_tiles(kind):
     assert len(chunk) == STACK_KERNELS and len(ps) == len(chunk)
     image = add_gaussian_noise(synthetic_texture("texture-a", 64), 0.02, 3).pixels[None]
     got = run_chunk(chunk, image, config)
-    assert outcomes([got]) == outcomes([run_patch(job, image, config) for job in chunk])
-    assert np.equal(got[2], None).all()
+    assert outcomes([got], kind) == outcomes([run_patch(job, image, config) for job in chunk], kind)
+    assert (got[2] == OK).all()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -274,11 +279,11 @@ def test_chunk_with_no_passing_denoiser_is_not_solved(monkeypatch):
     jobs, *got = pipeline._run_patches(image, config)
     monkeypatch.undo()
     chunks = [tiles for _, tiles in pipeline._chunks(jobs, 1)]
-    errors = got[-1]
-    passing = [tiles for tiles in chunks if any(errors[i, 0] is None for i in tiles)]
+    code = got[-2]
+    passing = [tiles for tiles in chunks if any(code[i, 0] == OK for i in tiles)]
     assert 0 < len(passing) < len(chunks)
     assert solved == [len(tiles) for tiles in passing]
-    assert_same_run(got, per_tile_run(jobs, image, config))
+    assert_same_run(got, per_tile_run(jobs, image, config), "nlm")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -303,7 +308,7 @@ def test_stacks_hold_each_tile_outputs(workers):
     for job in jobs:
         covered[tuple(job.operator.target_coords.T)] = True
     assert not covered.all()
-    assert_same_run(got, want)
+    assert_same_run(got, want, "nlm")
 
 
 def test_pool_writes_the_serial_gaussian_csv():

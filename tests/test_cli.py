@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import mixedgraph
 from mixedgraph import cli, denoisers, interpolators, pipeline
 from mixedgraph.cli import main
-from mixedgraph.errors import BalanceError, ImageIOError
+from mixedgraph.errors import OK, BalanceError, ImageIOError
 from mixedgraph.interpolators import Rotation, build_patch_operator
 from mixedgraph.pipeline import (
     CSV_HEADER,
@@ -214,9 +215,9 @@ def test_every_worker_count_writes_the_same_bytes(case, tmp_path, monkeypatch):
     run_patches, stacks, written = pipeline._run_patches, [], []
 
     def recording(images, config):
-        jobs, outputs, valid, errors = run_patches(images, config)
+        jobs, outputs, valid, *outcome = run_patches(images, config)
         stacks.append([stack.tobytes() for stack in outputs.values()] + [valid.tobytes()])
-        return jobs, outputs, valid, errors
+        return jobs, outputs, valid, *outcome
 
     monkeypatch.setattr(pipeline, "_run_patches", recording)
     for workers in (1, 2, 3):
@@ -439,9 +440,9 @@ class TestInspectGraph:
         op = build_patch_operator(IDENTITY, origin, (10, 10), (32, 32)).operator
         ty = op.real_matrix @ pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
         config = ExperimentConfig(IDENTITY, kind, denoisers.KernelParams(**params))
-        want, errors = pipeline.build_patch_denoiser([op], ty[None, None], config)
+        want, code, _ = pipeline.build_patch_denoiser([op], ty[None, None], config)
         assert psi.matrix.tobytes() == want[0, 0].tobytes()
-        assert psi.certified == (errors[0, 0] is None)
+        assert psi.certified == (code[0, 0] == OK)
         assert status == (0 if psi.certified else 1)
 
     def test_empty_patch_rejected(self):
@@ -941,6 +942,50 @@ def test_non_finite_values_are_usage_errors(command, flags, message, tmp_path, c
         f"mixedgraph {command}: error: {message}"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["joint", "experiment"])
+def test_workers_above_the_cap_fork_nothing(command, monkeypatch, capsys):
+    def fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cap = pipeline.max_workers()
+    args = [command, "--texture", "texture-a", "--texture-size", "24"]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(args + ["--workers", str(cap + 1)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"mixedgraph {command}: error: workers must be from 1 to {cap}, got {cap + 1}"
+    ]
+
+
+# a homography is defined up to scale: any multiple of the identity is the
+# identity, and a matrix singular but for its scale is refused on one line
+# with no warning of an overflow
+@pytest.mark.parametrize("scale", ["1", "0.5", "1e5", "1e-5", "1e200"])
+def test_scaled_identity_homography_is_the_identity(scale, tmp_path):
+    args = ["joint", "--texture", "texture-a", "--texture-size", "32"]
+    assert run_cli(args + ["--out-image", str(tmp_path / "identity.pgm")]) == 0
+    h = ["--transform", "homography", "--homography", f"{scale},0,0;0,{scale},0;0,0,{scale}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args + h + ["--out-image", str(tmp_path / "scaled.pgm")]) == 0
+    assert (tmp_path / "scaled.pgm").read_bytes() == (tmp_path / "identity.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("h", ["1e300,0,0;0,1e300,0;0,0,1", "0,0,0;0,0,0;0,0,0"])
+def test_singular_but_for_scale_homography_is_one_line(h, capsys):
+    args = ["joint", "--texture", "texture-a", "--texture-size", "32"]
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as excinfo:
+        warnings.simplefilter("error")
+        run_cli(args + ["--transform", "homography", "--homography", h])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "mixedgraph joint: error: homography matrix is singular"
+    ]
 
 
 def test_vanishing_back_projection_is_one_line(capsys):

@@ -147,6 +147,37 @@ class TestHomographyOperator:
             Homography(((1, 0, 0), (2, 0, 0), (0, 0, 1)))
 
 
+def warp_or_error(matrix):
+    """The taps of every tile of a 16 x 16 image warped by ``matrix``, or its error text."""
+    try:
+        jobs = tile_image((16, 16), Homography(matrix), 8)
+    except DegenerateTransformError as exc:
+        return str(exc)
+    ops = [job.operator for job in jobs]
+    fields = ("source_coords", "target_coords", "tap_row", "tap_col", "tap_weight")
+    return [[getattr(op, name).tobytes() for name in fields] for op in ops]
+
+
+# small dyadic entries make singular matrices and vanishing back-projections
+# common; no entry is so small that a scale by 2^-60 would round it
+ENTRIES = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
+    st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix=st.lists(ENTRIES, min_size=9, max_size=9), k=st.integers(-60, 60))
+@example(matrix=[1.0, 0, 0, 0, 1, 0, 0, 0, 1], k=-17)  # about 1e-5
+@example(matrix=[1.0, 0, 0, 0, 1, 0, 0, 0, 1], k=664)  # about 1e200
+@example(matrix=[1.0, 0, 0, 0, 1, 0, 0.5, 0.5, 1], k=40)  # w vanishes
+@example(matrix=[1.0, 0, 0, 0, 1, 0, 0, 0, 2.0**-1000], k=997)  # singular at any scale
+def test_homography_is_defined_up_to_scale(matrix, k):
+    # s H for s = 2^k is accepted exactly when H is, and gives the same taps bit for bit
+    h = np.reshape(matrix, (3, 3))
+    assert warp_or_error(np.ldexp(h, k)) == warp_or_error(h)
+
+
 class TestPadFullRank:
     def test_square_invertible_unchanged(self):
         theta = np.array([[0.5, 0.5], [0.0, 1.0]])

@@ -520,8 +520,8 @@ class TestOutputSpaceSolve:
         assume(all(psi.certified for tile_psis in psis for psi in tile_psis))
         weights = SolverWeights(kappa=kappa)
         psi = np.array([[p.matrix for p in tile_psis] for tile_psis in psis])
-        z, errors = output_space_solve(ty, thetas, psi, weights.c)
-        assert errors.tolist() == [[None] * signals] * len(ops)
+        z, singular = output_space_solve(ty, thetas, psi, weights.c)
+        assert singular.tolist() == [[False] * signals] * len(ops)
         assert z.shape == ty.shape
         for i, (theta, tile_ys, tile_psis) in enumerate(zip(thetas, ys, psis)):
             for s, y in enumerate(tile_ys):

@@ -114,7 +114,7 @@ def ref_run_patch(job, pixels, config, max_iter):
 
 def failed_and_outcome(job, images, config):
     """(failed, error, joint bytes, sequential bytes) of `run_patch` on each image."""
-    (per_image,) = outcomes([run_patch(job, images, config)])
+    (per_image,) = outcomes([run_patch(job, images, config)], config.denoiser_kind)
     return [(error is not None, error, *arrays) for error, *arrays in per_image]
 
 

@@ -2,9 +2,11 @@ import os
 import resource
 import select
 import signal
+import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from scipy import ndimage
 from scipy.linalg import sqrtm
 
 from mixedgraph import jointsolver, pipeline
+from mixedgraph.errors import BALANCE, CERTIFICATION, NOT_FINITE, OK, SOLVER, outcome_text
 from mixedgraph.errors import ImageIOError, TilesFailedError, WorkerError
+from mixedgraph.graphcore import TAU_DS
 from mixedgraph.interpolators import Homography, Rotation, tile_image
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import (
@@ -35,6 +39,8 @@ from mixedgraph.pipeline import (
     save_pgm,
     synthetic_texture,
 )
+
+from helpers import error_texts
 
 MAGNIFY_4X = Homography(((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 1.0)))
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -251,8 +257,8 @@ class TestRunPatch:
         img = synthetic_texture("texture-a", 32)
         config = identity_config(patch_size=8)
         job = tile_image((32, 32), config.transform, 8)[0]
-        joint, sequential, errors = run_patch(job, [img.pixels], config)
-        assert errors.tolist() == [[None]]
+        joint, sequential, code, detail = run_patch(job, [img.pixels], config)
+        assert error_texts(code, detail, config.denoiser_kind) == [[None]]
         tc = job.operator.target_coords
         want = img.pixels[tc[:, 0], tc[:, 1]]
         np.testing.assert_allclose(sequential[0, 0], want, atol=1e-8)
@@ -265,8 +271,8 @@ class TestRunPatch:
         config = identity_config(transform=Rotation(15.0), patch_size=8)
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        joint, sequential, errors = run_patch(job, [img.pixels], config)
-        assert errors.tolist() == [[None]]
+        joint, sequential, code, detail = run_patch(job, [img.pixels], config)
+        assert error_texts(code, detail, config.denoiser_kind) == [[None]]
         np.testing.assert_allclose(joint[0, 0], sequential[0, 0], atol=1e-6)
 
     def test_bilateral_patch_runs_both_modes(self):
@@ -276,8 +282,8 @@ class TestRunPatch:
         )
         jobs = tile_image((48, 48), config.transform, 8)
         job = next(j for j in jobs if j.origin == (16, 16))
-        joint, sequential, errors = run_patch(job, [img.pixels], config)
-        assert errors.tolist() == [[None]]
+        joint, sequential, code, detail = run_patch(job, [img.pixels], config)
+        assert error_texts(code, detail, config.denoiser_kind) == [[None]]
         assert joint.shape == sequential.shape == (1, 1, 64)
         assert np.linalg.norm(joint - sequential) > 1e-8
 
@@ -385,11 +391,12 @@ class TestProcessImage:
         op = job.operator
         n, m = op.real_matrix.shape
         assert n > m
-        joint, sequential, errors = run_patch(job, [img.pixels], config)
-        assert errors.tolist() == [[None]]
+        joint, sequential, code, detail = run_patch(job, [img.pixels], config)
+        assert error_texts(code, detail, config.denoiser_kind) == [[None]]
         y = img.pixels[op.source_coords[:, 0], op.source_coords[:, 1]]
-        ((psi,),), ((err,),) = build_patch_denoiser([op], (op.real_matrix @ y)[None, None], config)
-        assert err is None
+        ty = (op.real_matrix @ y)[None, None]
+        ((psi,),), ((code,),), _ = build_patch_denoiser([op], ty, config)
+        assert code == OK
         wts = config.weights
         lap = (np.linalg.inv(psi) - np.eye(n)) / wts.mu
         a = np.sqrt(wts.gamma / (1.0 + wts.gamma))
@@ -536,6 +543,36 @@ class TestOneBlasThread:
         assert got == want
 
 
+# In a new interpreter, which loads numpy's OpenBLAS and, unlike this one,
+# not scipy's: the thread count of the process at each of its forks.
+FORK_THREADS = """
+import os, numpy as np
+from mixedgraph.interpolators import Rotation
+from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
+product = np.random.default_rng(0).standard_normal((400, 400))
+product @ product
+fork, threads = os.fork, []
+def counting_fork():
+    threads.append(len(os.listdir("/proc/self/task")))
+    return fork()
+os.fork = counting_fork
+config = ExperimentConfig(transform=Rotation(20.0), noise_variances=(0.02, 0.06), workers=3)
+run_experiment(config, synthetic_texture("texture-a", 32))
+print(threads)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc (Linux)")
+def test_children_are_forked_from_one_thread():
+    # a threaded BLAS product leaves numpy's OpenBLAS pool running; no
+    # child may be forked while its threads live
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", FORK_THREADS], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[1, 1]\n"
+
+
 def test_pool_run_leaves_no_spinning_blas_thread():
     # OpenBLAS shuts its pool down at each fork, and restoring two threads
     # afterwards starts a new pool, whose thread spins for about 0.1 s
@@ -596,6 +633,37 @@ class TestKeepHeap:
         assert got == want
 
 
+class TestOutcomeCodes:
+    """A (tile, image)'s outcome is an int8 code and a float64 detail; its text is formed last."""
+
+    def test_each_code_has_its_text(self):
+        assert (OK, BALANCE, CERTIFICATION, SOLVER, NOT_FINITE) == tuple(range(5))
+        assert [outcome_text(code, 1.2345e-5, "nlm") for code in range(5)] == [
+            None,
+            "Sinkhorn balancing did not converge (residual 1.234e-05)",
+            "nlm denoiser failed certification on patch",
+            "reduced joint system is singular",
+            "tile output is not finite",
+        ]
+
+    def test_outcomes_are_int8_and_float64(self):
+        # NLM at the CLI's h^2 on a homography: some tiles pass and some fail
+        config = ExperimentConfig(
+            transform=Homography(PAPER_H), denoiser_kind="nlm", noise_variances=(0.02, 0.06)
+        )
+        clean = synthetic_texture("texture-b", 40).pixels
+        images = np.stack([add_gaussian_noise(clean, v, i) for i, v in enumerate((0.02, 0.06))])
+        jobs, outputs, valid, code, detail = pipeline._run_patches(images, config)
+        assert (code.dtype, detail.dtype, code.shape) == (np.int8, np.float64, (len(jobs), 2))
+        assert set(code.ravel().tolist()) == {OK, CERTIFICATION}
+        assert detail.max() <= TAU_DS  # every Sinkhorn residual converged
+        passing = int(np.flatnonzero((code == OK).any(axis=1))[0])
+        joint, sequential, *chunk = run_chunk([jobs[passing]], images, config)
+        assert [x.dtype for x in chunk] == [np.int8, np.float64]
+        for x in (joint, sequential, *chunk, *outputs.values(), valid, code, detail):
+            assert x.dtype != object
+
+
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("mode", ["joint", "sequential"])
     def test_tile_fails_as_solver_failure(self, mode, monkeypatch):
@@ -603,8 +671,8 @@ class TestNonFiniteOutput:
             return np.full(ty.shape, np.nan)
 
         def nan_denoiser(*args):
-            psi, errors = build_patch_denoiser(*args)
-            return np.full(psi.shape, np.nan), errors
+            psi, code, detail = build_patch_denoiser(*args)
+            return np.full(psi.shape, np.nan), code, detail
 
         img = add_gaussian_noise(synthetic_texture("texture-a", 24), 0.02, 1)
         config = ExperimentConfig(transform=Rotation(20.0), mode=mode)
@@ -675,6 +743,14 @@ class TestConfigValidation:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             identity_config(workers=workers)
+
+    def test_workers_above_four_per_cpu_rejected(self):
+        # four per CPU this process may run on
+        cap = pipeline.max_workers()
+        assert cap >= 4 and cap % 4 == 0
+        assert identity_config(workers=cap).workers == cap
+        with pytest.raises(ValueError, match=f"workers must be from 1 to {cap}, got {cap + 1}"):
+            identity_config(workers=cap + 1)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="noise variance"):
@@ -769,7 +845,8 @@ class TestForkedWorkers:
         csv = run_experiment(serial, self.IMAGE, "tex")[1]
         modes = ("joint", "sequential")
         images = {mode: process_image(replace(serial, mode=mode), self.IMAGE) for mode in modes}
-        for workers in (2, 3, tiles + 2):
+        # more workers than tiles where the cap allows it
+        for workers in (2, 3, min(tiles + 2, pipeline.max_workers())):
             config = replace(self.CONFIG, workers=workers)
             assert run_experiment(config, self.IMAGE, "tex")[1] == csv
             for mode, want in images.items():

@@ -176,7 +176,7 @@ def cholesky_only(psi, eig_floor=None):
 
 
 def tile_outcomes(jobs, images, config):
-    return outcomes(run_patch(job, images, config) for job in jobs)
+    return outcomes((run_patch(job, images, config) for job in jobs), config.denoiser_kind)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bilateral"])

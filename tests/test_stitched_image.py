@@ -28,6 +28,8 @@ from mixedgraph.interpolators import Homography, Rotation
 from mixedgraph.jointsolver import SolverWeights
 from mixedgraph.pipeline import ExperimentConfig, add_gaussian_noise, synthetic_texture
 
+from helpers import error_texts
+
 PAPER_H = ((1.0, 0.2, 0.0), (0.1, 1.0, 0.0), (0.0, 0.0, 1.0))
 VARIANCES = (0.001, 0.02, 0.05, 0.1, 0.2)
 # NLM at the CLI's h^2 fails most tiles' certification, and a small h^2
@@ -130,7 +132,8 @@ def test_stitched_pixels_solve_each_tile_system(
         patch_size=patch,
         workers=workers,
     )
-    jobs, outputs, valid, errors = pipeline._run_patches(images, config)
+    jobs, outputs, valid, code, detail = pipeline._run_patches(images, config)
+    errors = error_texts(code, detail, kind)
     reference, mask = pipeline.build_reference(jobs, clean, clean.shape)
 
     covered = np.zeros(clean.shape, dtype=bool)
@@ -148,7 +151,7 @@ def test_stitched_pixels_solve_each_tile_system(
         for s, image in enumerate(images):
             y = image[rows, cols]
             psi, error = denoiser(kind, op.target_coords, theta @ y, params)
-            assert errors[t, s] == error, (job.origin, s)
+            assert errors[t][s] == error, (job.origin, s)
             if psi is None:
                 assert not ok[s].any()
                 assert not joint[s].any() and not sequential[s].any()
