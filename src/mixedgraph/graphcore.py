@@ -391,10 +391,15 @@ def interpolator_to_adjacency(theta) -> DirectedInterpGraph:
 
 
 def require_nonsingular(mat, error, what):
-    """Raise ``error(what ...)`` unless the square ``mat`` has sigma_min > SV_RTOL * sigma_max."""
+    """Raise ``error(what ...)`` unless the square ``mat`` has sigma_min > SV_RTOL * sigma_max.
+
+    The zero matrix, whose singular values have no ratio, is refused as
+    ``sigma_max = 0``.
+    """
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= SV_RTOL * svals[0]:
-        raise error(f"{what} (sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})")
+        ratio = f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}" if svals[0] else "sigma_max = 0"
+        raise error(f"{what} ({ratio})")
 
 
 def export_edges(graph: UndirectedGraph, weight_tol: float = 0.0) -> str:

@@ -320,7 +320,9 @@ def parse_transform(spec: str, angle=None, h=None):
         if h is None:
             raise ValueError("homography transform requires a matrix")
         if isinstance(h, str):
-            rows = [[float(v) for v in row.split(",")] for row in h.split(";")]
-            h = rows
+            rows = [row.split(",") for row in h.split(";")]
+            if [len(row) for row in rows] != [3, 3, 3]:
+                raise ValueError(f"homography must be 3x3, got {h!r}")
+            h = [[float(v) for v in row] for row in rows]
         return Homography(tuple(map(tuple, np.asarray(h, dtype=float))))
     raise ValueError(f"unknown transform {spec!r}")

@@ -113,7 +113,9 @@ def max_workers() -> int:
     its pipe, and there are up to 1024 records: ``workers=1000`` would fork
     607 children on criterion 8's 512 px rotation+bilateral input (608
     records).  Past the CPUs, more processes only take turns on them.  Four
-    per CPU still lets a 2-CPU machine run 3 workers in 3 processes.
+    per CPU still lets a 2-CPU machine run 3 workers in 3 processes.  Each
+    worker runs BLAS on one thread (`_tile_process`), so k workers run k
+    BLAS threads.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return 4 * (cpus or 1)
@@ -542,84 +544,28 @@ _BLAS_SYMBOLS = (
 )
 
 
-def _openblas_libraries():
-    """The OpenBLAS libraries bundled with numpy, loaded."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            yield ctypes.CDLL(str(path))
-        except OSError:
-            continue
-
-
 @functools.cache
 def _blas_pools():
-    """(getter, setter) pairs of the OpenBLAS libraries bundled with numpy.
+    """(getter, setter, shutdown) of each OpenBLAS library bundled with numpy.
 
     Found on first use: numpy's library directory is searched, and a
     library with neither symbol pair (another BLAS, MKL) is left out.
+    ``shutdown`` is the library's ``blas_thread_shutdown_``, which joins
+    its pool's threads, or a no-op where it has none.
     """
     pools = []
-    for lib in _openblas_libraries():
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
         for get, set_ in _BLAS_SYMBOLS:
             if hasattr(lib, get) and hasattr(lib, set_):
                 getter, setter = getattr(lib, get), getattr(lib, set_)
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                pools.append((getter, setter))
+                pools.append((getter, setter, getattr(lib, "blas_thread_shutdown_", lambda: 0)))
     return tuple(pools)
-
-
-@functools.cache
-def _blas_shutdowns():
-    """The pool shutdown, ``blas_thread_shutdown_``, of each OpenBLAS bundled with numpy."""
-    shutdowns = []
-    for lib in _openblas_libraries():
-        if hasattr(lib, "blas_thread_shutdown_"):
-            shutdown = lib.blas_thread_shutdown_
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            shutdowns.append(shutdown)
-    return tuple(shutdowns)
-
-
-# How many times this process has forked.  OpenBLAS shuts its thread pool
-# down at each fork (its own fork handler).
-_forks = 0
-
-
-def _count_fork():
-    global _forks
-    _forks += 1
-
-
-os.register_at_fork(after_in_parent=_count_fork)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS pool at one thread.
-
-    Every matrix of the tile path is at most about 130 x 130, too small for
-    BLAS threads to pay off, and the children of `_deal` would oversubscribe
-    the cores; they inherit the setting.  The previous counts are restored
-    on exit.  A fork shuts the pool down, and raising the count again then
-    starts a new pool, whose threads spin for about 0.1 s; so after a body
-    that forked the pool is shut down once more, and the next BLAS call
-    that wants threads starts it.
-    """
-    pools = _blas_pools()
-    saved = [get() for get, _ in pools]
-    forks = _forks
-    for _, set_ in pools:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(pools, saved):
-            set_(count)
-        if pools and _forks != forks:
-            for shutdown in _blas_shutdowns():
-                shutdown()
 
 
 @functools.cache
@@ -634,34 +580,60 @@ def _mallopt():
 
 
 @contextlib.contextmanager
-def _keep_heap():
-    """Run the body with glibc's heap keeping the memory a tile frees.
+def _tile_process(forks):
+    """Run the body with this process's BLAS pool and heap set for the tile path.
 
-    By default glibc maps a block above its dynamic mmap threshold on its
-    own, and trims the top of the heap back to the kernel once the free
-    space there exceeds twice that threshold.  A chunk of tiles has two
-    (K, n, n) stacks live at once (640 KB each for K = 8 kernels of
-    n = 100), so each chunk would hand its memory back and the next would
-    page-fault it in again.  On entry, the mmap threshold is set to 4 MiB,
-    above the largest tile temporary (the largest arrays seen on the tile
-    path by a tracing run: a chunk's (K, n, n) stacks, 1.1 MB at n = 100
-    for the largest K of up to 14 variances, the 14 kernels of two tiles
-    at V = 7 (`chunk_tiles`), and NLM's (P, 9) pair differences of one
-    signal, 173 KB with P = 2,400 pairs of a 10 x 10 tile; each tile's
-    dense rows, built for its chunk, are about 100 KB at n = 100), so
-    image-scale arrays still get their own mappings; and the trim
-    threshold to 32 MiB, the most freed
-    memory the heap's top keeps resident.  Either setting alone turns off
-    glibc's dynamic thresholds, so both are set.  The children of `_deal`
-    inherit them.  glibc has no getter for them, so they stay set after the
-    body, for the rest of the process.
-    Where the C library has no ``mallopt``, this does nothing.
+    numpy's bundled OpenBLAS pools are set to one thread: every matrix of
+    the tile path is at most about 130 x 130, too small for BLAS threads to
+    pay off, and the children of `_deal` would oversubscribe the cores;
+    they inherit the setting.  The previous counts are restored on exit.
+    When the body may fork (``forks``), the pools are also shut down on
+    entry, so that no child is forked from a process of several threads
+    (which ``os.fork()`` warns about from Python 3.12 on); at one thread
+    no BLAS call of the tile path starts them again.  Any call of a
+    setter starts a shut-down pool again, whose threads spin for about
+    0.1 s, so each pool is shut down after its setter, and once more
+    after its count is restored on exit; the next BLAS call that wants
+    threads starts it.  A body that does not fork keeps its pool as it
+    was: shutting it down would make every serial run pay a restart.
+
+    glibc's heap is set to keep the memory a tile frees.  By default glibc
+    maps a block above its dynamic mmap threshold on its own, and trims
+    the top of the heap back to the kernel once the free space there
+    exceeds twice that threshold.  A chunk of tiles has two (K, n, n)
+    stacks live at once (640 KB each for K = 8 kernels of n = 100), so
+    each chunk would hand its memory back and the next would page-fault it
+    in again.  The mmap threshold is set to 4 MiB, above the largest tile
+    temporary (the largest arrays seen on the tile path by a tracing run:
+    a chunk's (K, n, n) stacks, 1.1 MB at n = 100 for the largest K of up
+    to 14 variances, the 14 kernels of two tiles at V = 7 (`chunk_tiles`),
+    and NLM's (P, 9) pair differences of one signal, 173 KB with P = 2,400
+    pairs of a 10 x 10 tile; each tile's dense rows, built for its chunk,
+    are about 100 KB at n = 100), so image-scale arrays still get their
+    own mappings; and the trim threshold to 32 MiB, the most freed memory
+    the heap's top keeps resident.  Either setting alone turns off glibc's
+    dynamic thresholds, so both are set.  The children of `_deal` inherit
+    them.  glibc has no getter for them, so they stay set after the body,
+    for the rest of the process.  Where the C library has no ``mallopt``,
+    the heap is left as it is.
     """
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-    yield
+    pools = _blas_pools()
+    saved = [get() for get, _, _ in pools]
+    for _, set_, shutdown in pools:
+        set_(1)
+        if forks:
+            shutdown()
+    try:
+        yield
+    finally:
+        for (_, set_, shutdown), count in zip(pools, saved):
+            set_(count)
+            if forks:
+                shutdown()
 
 
 # Each record of `_deal`'s pipe is the first index of a run.  All of
@@ -676,9 +648,10 @@ def _deal(count, solve, workers):
 
     `_run_patches` deals the indices of its chunks of tiles this way.
     One pipe is filled with fixed-size records and its write end closed,
-    then up to ``workers - 1`` children are forked, each after numpy's BLAS
-    thread pool is shut down, so that no child is forked from a process of
-    several threads.  Each record names one
+    then up to ``workers - 1`` children are forked; the caller runs this
+    inside `_tile_process`, which has shut numpy's BLAS thread pool down,
+    so no child is forked from a process of several threads.  Each record
+    names one
     index, or a run of consecutive indices when there are more indices
     than records fit in the pipe at once.  Every process, this one
     included, reads one record at a time until the pipe is empty, so each
@@ -707,8 +680,6 @@ def _deal(count, solve, workers):
     children = {}  # the read end of a child's result pipe -> its pid, or None
     try:
         for _ in range(min(workers, len(starts)) - 1):
-            for shutdown in _blas_shutdowns():  # a no-op once the pool is down
-                shutdown()
             out, into = os.pipe()
             children[out] = None
             try:
@@ -881,13 +852,12 @@ def _run_patches(images, config):
     (`_coordinate_work`) of the last pattern it solved, and computes it
     again only for a chunk of another pattern; the chunks of one pattern
     are consecutive, and each process draws its chunks in ascending order.
-    numpy's BLAS runs on one thread throughout, and after a run that
-    forked its pool is shut down again once its count is restored
-    (`_one_blas_thread`); the heap keeps the memory the tiles free
-    (`_keep_heap`).
+    The whole run is one `_tile_process`: numpy's BLAS on one thread, its
+    pool shut down around a run that may fork, and a heap that keeps the
+    memory the tiles free.
     """
     require_memory(config, images.shape)
-    with _one_blas_thread(), _keep_heap():
+    with _tile_process(forks=config.workers > 1):
         jobs = interpolators.tile_image(
             images.shape[1:], config.transform, config.patch_size
         )

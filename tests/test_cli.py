@@ -988,6 +988,17 @@ def test_singular_but_for_scale_homography_is_one_line(h, capsys):
     ]
 
 
+@pytest.mark.parametrize("h", ["1,0;0,1,0;0,0,1", "1,0,0;0,1,0", "1,0,0,0;0,1,0;0,0,1"])
+def test_homography_not_three_by_three_is_one_line(h, capsys):
+    args = ["joint", "--texture", "texture-a", "--texture-size", "32"]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(args + ["--transform", "homography", "--homography", h])
+    assert excinfo.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+        f"mixedgraph joint: error: homography must be 3x3, got {h!r}"
+    ]
+
+
 def test_vanishing_back_projection_is_one_line(capsys):
     args = ["joint", "--texture", "texture-a", "--texture-size", "24"]
     args += ["--transform", "homography", "--homography", "1,0,0;0,1,0;0.5,0.5,1"]

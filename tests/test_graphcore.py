@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -276,6 +278,13 @@ class TestInterpolatorToAdjacency:
             interpolator_to_adjacency(np.ones((3, 3)))
         with pytest.raises(SingularOperatorError):
             interpolator_to_adjacency(np.ones((2, 3)))
+
+    def test_zero_matrix_rejected_without_warning(self):
+        # its singular values have no ratio: no 0/0, no nan in the message
+        with warnings.catch_warnings(), pytest.raises(SingularOperatorError) as excinfo:
+            warnings.simplefilter("error")
+            interpolator_to_adjacency(np.zeros((2, 2)))
+        assert str(excinfo.value) == "interpolator is numerically singular (sigma_max = 0)"
 
 
 class TestExportEdges:

@@ -472,3 +472,7 @@ class TestParseTransform:
             parse_transform("identity", angle=0.0)
         with pytest.raises(ValueError, match="a matrix applies only"):
             parse_transform("rotation", angle=20, h=np.eye(3))
+        # a matrix string that is not 3 rows of 3 values
+        for h in ["1,0;0,1,0;0,0,1", "1,0,0,0;0,1,0;0,0,1", "1,0,0;0,1,0", ""]:
+            with pytest.raises(ValueError, match="^homography must be 3x3, got "):
+                parse_transform("homography", h=h)

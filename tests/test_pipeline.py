@@ -489,7 +489,7 @@ class TestRunExperiment:
 
 
 def blas_thread_counts():
-    return [get() for get, _ in pipeline._blas_pools()]
+    return [get() for get, _, _ in pipeline._blas_pools()]
 
 
 class TestOneBlasThread:
@@ -504,10 +504,10 @@ class TestOneBlasThread:
         if not pools:
             pytest.skip("numpy bundles no OpenBLAS with a thread setter")
         found = blas_thread_counts()
-        for _, set_ in pools:
+        for _, set_, _ in pools:
             set_(2)
         yield
-        for (_, set_), count in zip(pools, found):
+        for (_, set_, _), count in zip(pools, found):
             set_(count)
 
     def test_pool_run_restores_counts_and_matches_serial(self, two_threads):
@@ -573,25 +573,54 @@ def test_children_are_forked_from_one_thread():
     assert run.stdout == "[1, 1]\n"
 
 
-def test_pool_run_leaves_no_spinning_blas_thread():
+# In a new interpreter with numpy's OpenBLAS pool running: the threads of
+# the process before and after a serial run.
+SERIAL_THREADS = """
+import os, numpy as np
+from mixedgraph.interpolators import Rotation
+from mixedgraph.pipeline import ExperimentConfig, run_experiment, synthetic_texture
+product = np.random.default_rng(0).standard_normal((400, 400))
+product @ product
+before = sorted(os.listdir("/proc/self/task"))
+config = ExperimentConfig(transform=Rotation(20.0), noise_variances=(0.02, 0.06), workers=1)
+run_experiment(config, synthetic_texture("texture-a", 32))
+print(len(before), sorted(os.listdir("/proc/self/task")) == before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc (Linux)")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs no pool on one CPU")
+def test_serial_run_keeps_the_blas_pool():
+    # a run that cannot fork leaves numpy's pool as it found it: shutting
+    # it down would make every serial run pay a restart of its threads
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parent.parent))
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    run = subprocess.run(
+        [sys.executable, "-c", SERIAL_THREADS], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "2 True\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_run_leaves_no_spinning_blas_thread(workers):
     # OpenBLAS shuts its pool down at each fork, and restoring two threads
     # afterwards starts a new pool, whose thread spins for about 0.1 s
-    # unless the pool is shut down again
+    # unless the pool is shut down again; a serial run keeps its pool idle
     pools = pipeline._blas_pools()
     if not pools:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter")
     found = blas_thread_counts()
-    for _, set_ in pools:
+    for _, set_, _ in pools:
         set_(2)
     try:
-        config = replace(TestOneBlasThread.CONFIG, workers=2)
+        config = replace(TestOneBlasThread.CONFIG, workers=workers)
         run_experiment(config, synthetic_texture("texture-a", 32), "tex")
         start = time.process_time()
         time.sleep(0.3)
         assert time.process_time() - start <= 0.02
         assert blas_thread_counts() == [2]
     finally:
-        for (_, set_), count in zip(pools, found):
+        for (_, set_, _), count in zip(pools, found):
             set_(count)
 
 
