@@ -14,7 +14,10 @@ and a floor that bounds a balanced kernel's smallest eigenvalue from
 below, so that certification can prove it PD without a factorization.
 Raw kernels are symmetric and nonnegative; `sinkhorn_balance` turns one
 into a doubly-stochastic operator suitable for the denoiser/graph
-mapping, and `sinkhorn_scale` balances a stack.
+mapping, and `sinkhorn_scale` balances a stack.  Sinkhorn stops at a
+row-sum residual of `SINKHORN_STOP`, a decade below the slack of the
+non-expansiveness certificate, which the n * eps rounding of forming a
+balanced kernel cannot use up.
 """
 
 from __future__ import annotations
@@ -27,13 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BALANCE, BalanceError, outcome_text
-from .graphcore import TAU_DS, TAU_SYM, DenoiserOperator, as_signals, certify_denoiser
+from .graphcore import (
+    NONEXPANSIVE_SLACK,
+    TAU_DS,
+    TAU_SYM,
+    DenoiserOperator,
+    as_signals,
+    certify_denoiser,
+)
 
 KINDS = ("gaussian", "bilateral", "nlm", "identity")
 # the kinds whose raw kernel depends on the coordinates alone
 SIGNAL_FREE = ("identity", "gaussian")
 # Sinkhorn's iteration cap; its tolerance is TAU_DS, the doubly-stochastic flag's
 SINKHORN_MAX_ITER = 1000
+# Sinkhorn's stop, a decade below the row-sum certificate's slack (see sinkhorn_scale)
+SINKHORN_STOP = NONEXPANSIVE_SLACK / 10
 
 
 def require_integers(config, *names):
@@ -274,13 +286,17 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
 
     Uses the symmetric one-vector iteration d <- sqrt(d / (W d)) of Knight
     (SIAM J. Matrix Anal. Appl. 2008) on all V kernels at once.  Each
-    kernel iterates past `tol` toward machine precision while progress is
-    being made and stops by its own residual; a kernel that has stopped
-    keeps its d while the others go on, so every kernel gets the scaling
-    it would get alone.  psi = diag(d) W diag(d) is formed as (d d^T) o W:
-    d_i d_j rounds as d_j d_i does, so psi is exactly symmetric when W is,
-    as the kernel builders' kernels are (`_pairwise_sq_dist` differences
-    directly, and `_nlm` writes one weight to both (i, j) and (j, i)).
+    kernel iterates past `tol` while progress is being made, until its
+    residual is at most `SINKHORN_STOP`, and stops by its own residual.
+    Forming psi and summing its rows adds about n * eps to that residual
+    (1e-14 at n = 100), so a kernel stopped there meets
+    `graphcore.certify_symmetric`'s row-sum bound, 1 + `NONEXPANSIVE_SLACK`,
+    with a decade to spare.  A kernel that has stopped keeps its d while
+    the others go on, so every kernel gets the scaling it would get alone.
+    psi = diag(d) W diag(d) is formed as (d d^T) o W: d_i d_j rounds as
+    d_j d_i does, so psi is exactly symmetric when W is, as the kernel
+    builders' kernels are (`_pairwise_sq_dist` differences directly, and
+    `_nlm` writes one weight to both (i, j) and (j, i)).
 
     Returns ``(psi, residual)``: the V balanced kernels, and each one's
     final row-sum residual, float64 (V,).  A kernel whose residual is
@@ -303,8 +319,8 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
         going = []
         for i in active:
             prev, residual[i] = residual[i], now[i]
-            # Stop at machine precision, or once below tol with progress stalled.
-            if not (now[i] < 1e-13 or tol >= now[i] > 0.5 * prev):
+            # Stop at SINKHORN_STOP, or once below tol with progress stalled.
+            if not (now[i] <= SINKHORN_STOP or tol >= now[i] > 0.5 * prev):
                 going.append(i)
         if not going:
             break

@@ -290,8 +290,8 @@ def _wrap_gaussian(x, sigma):
 
 def add_gaussian_noise(image, variance: float, seed: int):
     """Add i.i.d. zero-mean Gaussian noise; output is NOT clipped to [0, 1]."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not (math.isfinite(variance) and variance > 0):
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     pixels = _pixels(image)
     rng = np.random.default_rng(seed)
     noisy = pixels + rng.normal(0.0, np.sqrt(variance), pixels.shape)
@@ -303,13 +303,16 @@ def add_gaussian_noise(image, variance: float, seed: int):
 def psnr(reference, test, mask=None) -> float:
     """Peak-signal-to-noise ratio in dB (peak 1.0); 99 dB for a zero error.
 
-    Raises ValueError when a pixel inside the mask is not finite.
+    Raises ValueError for a mask that is not a boolean array of the images'
+    shape, and when a pixel inside the mask is not finite.
     """
     ref, tst = _pixels(reference), _pixels(test)
     if ref.shape != tst.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {tst.shape}")
     if mask is None:
         mask = np.ones(ref.shape, dtype=bool)
+    elif np.asarray(mask).dtype != bool or np.shape(mask) != ref.shape:
+        raise ValueError(f"mask must be a boolean array of shape {ref.shape}")
     for image in (reference, test):
         if isinstance(image, ImageBuffer):
             mask = mask & image.validity

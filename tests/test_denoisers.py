@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from mixedgraph import denoisers
+from mixedgraph import denoisers, graphcore
 from mixedgraph.denoisers import (
     KINDS,
     SINKHORN_MAX_ITER,
+    SINKHORN_STOP,
     KernelParams,
     _pairwise_sq_dist,
     bilateral_matrix,
@@ -23,7 +25,7 @@ from mixedgraph.denoisers import (
     sinkhorn_scale,
 )
 from mixedgraph.errors import BALANCE, BalanceError, outcome_text
-from mixedgraph.graphcore import TAU_DS
+from mixedgraph.graphcore import NONEXPANSIVE_SLACK, TAU_DS
 
 
 def grid_coords(h, w):
@@ -518,6 +520,36 @@ class TestSinkhornScaleStack:
             if r <= TAU_DS:
                 balanced = sinkhorn_balance(w[k], max_iter=max_iter).matrix
                 assert balanced.tobytes() == got.tobytes()
+
+
+class TestSinkhornStop:
+    """A kernel stopped at `SINKHORN_STOP` keeps the row-sum certificate's margin."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        kind=st.sampled_from(["bilateral", "gaussian", "nlm"]),
+        spatial_var=st.sampled_from([0.3, 1.0, 4.0]),
+        images=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stopped_kernel_is_nonexpansive_by_row_sums(
+        self, shape, kind, spatial_var, images, seed
+    ):
+        coords = grid_coords(*shape)
+        signals = np.random.default_rng(seed).uniform(0.0, 1.0, (images, len(coords)))
+        params = KernelParams(spatial_var=spatial_var, nlm_h2=0.05)
+        w = build_denoiser(kind, coords, signals, params)
+        psi, residual = sinkhorn_scale(w if w.ndim == 3 else w[None])
+        stopped = np.flatnonzero(residual <= SINKHORN_STOP)
+        assert len(stopped)
+        for k in stopped:
+            assert psi[k].sum(axis=1).max() <= 1.0 + NONEXPANSIVE_SLACK
+            # an infinite floor passes the PD check by the Schur bound, so a
+            # factorization could only come from the non-expansiveness check
+            with mock.patch.object(graphcore, "_is_pd", side_effect=AssertionError):
+                _, (nonexpansive,) = graphcore.certify_symmetric(psi[k : k + 1], np.inf)
+            assert nonexpansive
 
 
 class TestPermutationEquivariance:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedgraph import denoisers
-from mixedgraph.denoisers import KernelParams, fill_holes_nearest
+from mixedgraph.denoisers import SINKHORN_STOP, KernelParams, fill_holes_nearest
 from mixedgraph.errors import BalanceError, PatchGeometryError, PreconditionError
 from mixedgraph.graphcore import NONEXPANSIVE_SLACK, PD_EIG_MIN
 from mixedgraph.interpolators import Homography, Rotation, build_patch_operator
@@ -62,7 +62,7 @@ def ref_balance(w, max_iter, tol=1e-8):
         wd = w @ d
         prev = residual
         residual = np.abs(d * wd - 1.0).max()
-        if residual < 1e-13 or (residual <= tol and residual > 0.5 * prev):
+        if residual <= SINKHORN_STOP or (residual <= tol and residual > 0.5 * prev):
             break
         d = np.sqrt(d / wd)
     else:

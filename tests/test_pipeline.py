@@ -194,6 +194,12 @@ class TestNoise:
         noisy = add_gaussian_noise(np.zeros((64, 64)), 0.25, 0)
         assert noisy.min() < 0.0
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, variance):
+        # NaN is not <= 0, and either value gave a non-finite image
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            add_gaussian_noise(np.zeros((4, 4)), variance, 0)
+
 
 class TestPsnr:
     def test_uniform_offset(self):
@@ -219,6 +225,21 @@ class TestPsnr:
         tst = np.array([[0.0, 1.0], [0.0, 0.0]])
         mask = np.array([[True, False], [True, True]])
         assert psnr(ref, tst, mask) == 99.0
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            # 0/1 integers index rows 0 and 1 instead of masking pixels
+            np.array([[1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]),
+            np.ones((4, 3), dtype=bool),
+        ],
+        ids=["integer", "wrong-shape"],
+    )
+    def test_bad_mask_rejected(self, mask):
+        rng = np.random.default_rng(0)
+        ref, tst = rng.uniform(0, 1, (2, 4, 4))
+        with pytest.raises(ValueError, match=r"mask must be a boolean array of shape \(4, 4\)"):
+            psnr(ref, tst, mask)
 
     def test_cap_only_for_zero_error(self):
         a = np.full((4, 4), 0.5)
