@@ -252,6 +252,17 @@ def _cmd_inspect_graph(args, priors, image, name):
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv`` (default ``sys.argv[1:]``); the exit status.
+
+    A bad flag is a usage error, exit status 2.  An input that cannot be
+    read and an output that cannot be written are checked before any tile
+    is solved; they, and each error of the run, print one stderr line and
+    exit with status 1.  The run checks itself: `pipeline.process_image`
+    and `pipeline.run_experiment` each make the memory check
+    (`pipeline.require_memory`) first, and tiling refuses an image too
+    small to tile, so their TileMemoryError and PatchGeometryError are
+    reported here with the run's other errors.
+    """
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first word names the subcommand; its own parser reads, and rejects, the rest
@@ -273,14 +284,6 @@ def main(argv=None) -> int:
         return _cannot("read", args.image, exc)
     except MemoryError as exc:
         return _failed(args.image or args.texture, exc)
-    if isinstance(setup, pipeline.ExperimentConfig):
-        try:
-            interpolators.require_tileable(image.pixels.shape)
-            # an image command's config has one variance: one noisy image
-            shape = (len(setup.noise_variances),) + image.pixels.shape
-            pipeline.require_memory(setup, shape)
-        except (PatchGeometryError, TileMemoryError) as exc:
-            return _failed(name, exc)
     try:
         if args.out:  # before any tile is solved
             if args.run is _run_mode:
@@ -294,7 +297,12 @@ def main(argv=None) -> int:
     try:
         return args.run(args, setup, image, name)
     except (
-        PatchGeometryError, TilesFailedError, WorkerError, DegenerateTransformError, MemoryError
+        PatchGeometryError,
+        TileMemoryError,
+        TilesFailedError,
+        WorkerError,
+        DegenerateTransformError,
+        MemoryError,
     ) as exc:
         return _failed(name, exc)
 

@@ -253,10 +253,11 @@ def sinkhorn_balance(
 ) -> DenoiserOperator:
     """Balance a symmetric nonnegative kernel into a doubly stochastic operator.
 
-    Raises ValueError unless the kernel is square, symmetric to within
-    `TAU_SYM`, nonnegative and has a positive diagonal.  Balances 0.5 (W +
-    W^T), which is W for an exactly symmetric W, with `sinkhorn_scale`, then
-    certifies the result (symmetry, PD, non-expansiveness) and records the flags.
+    Raises ValueError unless the kernel is square, finite, symmetric to
+    within `TAU_SYM`, nonnegative and has a positive diagonal.  Balances
+    0.5 (W + W^T), which is W for an exactly symmetric W, with
+    `sinkhorn_scale`, then certifies the exactly symmetric result by
+    `graphcore.certify_denoiser`'s one rule and records the flags.
 
     Raises BalanceError (with the final residual) if the row-sum residual
     is still above `tol` after `max_iter` iterations.
@@ -264,6 +265,8 @@ def sinkhorn_balance(
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"kernel must be square, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("kernel must be finite")
     # the norms and the average are needed only for a kernel not exactly symmetric
     if not np.array_equal(w, w.T):
         if np.linalg.norm(w - w.T) > TAU_SYM * max(np.linalg.norm(w), 1.0):
@@ -340,15 +343,8 @@ def sinkhorn_scale(w, tol: float = TAU_DS, max_iter: int = SINKHORN_MAX_ITER):
 
 
 def identity_operator(n: int) -> DenoiserOperator:
-    """The do-nothing denoiser; trivially certified and doubly stochastic."""
-    return DenoiserOperator(
-        matrix=np.eye(n),
-        kind="identity",
-        certified_symmetric=True,
-        certified_pd=True,
-        certified_nonexpansive=True,
-        doubly_stochastic=True,
-    )
+    """The do-nothing denoiser of n pixels, certified by `graphcore.certify_denoiser`."""
+    return certify_denoiser(np.eye(n), kind="identity")
 
 
 def coordinate_work(kind: str, coords, params: KernelParams) -> tuple:

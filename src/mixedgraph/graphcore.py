@@ -281,30 +281,29 @@ def certify_denoiser(psi_matrix, kind: str = "custom") -> DenoiserOperator:
     """Check symmetry, positive definiteness, and non-expansiveness of a filter.
 
     Failing checks never raise; they produce an uncertified operator that
-    downstream mappings reject.  The operator holds the matrix as given,
-    and is certified symmetric only if it equals its transpose exactly;
-    `sinkhorn_balance` is where a kernel within `TAU_SYM` of symmetric is
-    made exactly symmetric.  A symmetric filter is certified without its
-    spectrum, by `certify_symmetric`.
+    downstream mappings reject.  The operator holds the matrix as given.
+    There is one rule: a filter is certified symmetric only if it equals
+    its transpose exactly, and only a symmetric filter is checked for PD
+    and non-expansiveness, without its spectrum, by `certify_symmetric`.
+    A filter that is not exactly symmetric has both flags False: they are
+    neither computed nor assumed, since the denoiser/graph mapping needs
+    symmetry.  `sinkhorn_balance` is where a kernel within `TAU_SYM` of
+    symmetric is made exactly symmetric.  This is the one constructor of
+    `DenoiserOperator` in the package.
     """
     psi = np.asarray(psi_matrix, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise ValueError(f"denoiser matrix must be square, got shape {psi.shape}")
 
     symmetric = bool(np.array_equal(psi, psi.T))
+    pd = nonexpansive = False
     if symmetric:
         (pd,), (nonexpansive,) = certify_symmetric(psi[None])
-    else:
-        evals = np.linalg.eigvals(psi)
-        pd = False
-        nonexpansive = np.abs(evals).max(initial=0.0) <= 1.0 + NONEXPANSIVE_SLACK
-
-    row = psi.sum(axis=1)
-    col = psi.sum(axis=0)
+    # np.all has an identity, so a 0 x 0 filter is doubly stochastic
     ds = bool(
         np.all(psi >= -TAU_DS)
-        and np.abs(row - 1.0).max() <= TAU_DS
-        and np.abs(col - 1.0).max() <= TAU_DS
+        and np.all(np.abs(psi.sum(axis=1) - 1.0) <= TAU_DS)
+        and np.all(np.abs(psi.sum(axis=0) - 1.0) <= TAU_DS)
     )
     return DenoiserOperator(
         matrix=psi,

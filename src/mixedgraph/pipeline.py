@@ -511,12 +511,15 @@ def process_image(config: ExperimentConfig, image) -> StitchedImage:
     """Run every patch job in ``config.mode``, joint or sequential, and stitch the outputs.
 
     The image's stitched pixels and validity are that mode's stack and the
-    validity of `_run_patches` on the one image.
+    validity of `_run_patches` on the one image.  A run that would not fit
+    in memory raises TileMemoryError first (`require_memory`).
     """
     mode = config.mode
     if mode not in ("joint", "sequential"):
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
-    jobs, outputs, valid, *outcome = _run_patches(_pixels(image)[None], config)
+    images = _pixels(image)[None]
+    require_memory(config, images.shape)
+    jobs, outputs, valid, *outcome = _run_patches(images, config)
     (tile_errors,) = _tile_errors(jobs, *outcome, config.denoiser_kind)
     return StitchedImage(
         pixels=outputs[mode][0], validity=valid[0], tile_count=len(jobs), tile_errors=tile_errors
@@ -818,7 +821,8 @@ def require_memory(config, shape) -> None:
     The run's operators and chunks need about `tile_peak_bytes`; the
     machine's memory is ``os.sysconf("SC_PHYS_PAGES")`` pages.  Nothing is
     allocated.  Where the system does not report its memory, nothing is
-    checked.
+    checked.  `process_image` and `run_experiment` call it, once per run,
+    before they allocate an array of the run.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -843,9 +847,9 @@ def _run_patches(images, config):
     chunk's (tile, image) grid is written into the stacks by one fancy
     assignment per mode, at its tiles' target pixels; a failed (tile,
     image) is written as 0 and left invalid, and so is a pixel no tile
-    targets.  No tile raises PatchGeometryError.  A run that would not
-    fit in memory raises TileMemoryError before anything is built
-    (`require_memory`).
+    targets.  No tile raises PatchGeometryError.  Memory is not checked
+    here: `process_image` and `run_experiment`, its callers, own that
+    check (`require_memory`) and make it before they allocate.
     The tiles hold their taps, and are grouped into chunks of one offset
     pattern (`_chunks`), which are dealt to this process and
     ``config.workers - 1`` children forked from it (`_deal`; none at one
@@ -859,7 +863,6 @@ def _run_patches(images, config):
     pool shut down around a run that may fork, and a heap that keeps the
     memory the tiles free.
     """
-    require_memory(config, images.shape)
     with _tile_process(forks=config.workers > 1):
         jobs = interpolators.tile_image(
             images.shape[1:], config.transform, config.patch_size
@@ -932,12 +935,19 @@ def build_reference(jobs, clean_pixels, shape):
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     """Sweep noise variances and score both modes; returns (curves, csv_text).
 
-    Each curve holds the tile count and, per variance, the errors of the
+    A run that would not fit in memory raises TileMemoryError first
+    (`require_memory`), before any noisy image is drawn.  Variance i gets
+    the noise of seed ``config.seed ^ i``, so the seeds s and s ^ 1 draw
+    the same standard-normal fields for variances 0 and 1, in swapped
+    order: seed 0's variance 1 is seed 1's variance 0, scaled.  Each
+    curve holds the tile count and, per variance, the errors of the
     tiles that failed.  Raises TilesFailedError, naming the variance and
     the first tile's error, when every tile fails at some variance.
     """
     clean = _pixels(image)
-    noisy = np.empty((len(config.noise_variances),) + clean.shape)
+    shape = (len(config.noise_variances),) + clean.shape
+    require_memory(config, shape)
+    noisy = np.empty(shape)
     for vi, var in enumerate(config.noise_variances):
         noisy[vi] = add_gaussian_noise(clean, var, config.seed ^ vi)
 

@@ -597,6 +597,17 @@ class TestRequireMemory:
         with pytest.raises(TileMemoryError):
             pipeline.process_image(replace(config, mode="joint"), image)
 
+    def test_rejected_before_any_noise_is_drawn(self, monkeypatch):
+        config = replace(self.CONFIG, noise_variances=(0.02, 0.06))
+        memory(monkeypatch, pipeline.tile_peak_bytes(config, (2, 32, 32)) - 4096)
+
+        def no_noise(*args, **kwargs):
+            raise AssertionError("drew noise for a run that cannot fit in memory")
+
+        monkeypatch.setattr(pipeline, "add_gaussian_noise", no_noise)
+        with pytest.raises(TileMemoryError):
+            run_experiment(config, synthetic_texture("texture-a", 32))
+
     def test_unreported_memory_is_not_checked(self, monkeypatch):
         def no_sysconf(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
@@ -623,6 +634,22 @@ def test_cli_rejects_an_oversized_tile_first(command, flag, tmp_path, monkeypatc
         "texture-a: tiles of patch size 200 need about 79.1 GiB, more than the 8.0 GiB of memory\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["joint", "experiment"])
+def test_cli_run_estimates_its_memory_once(command, monkeypatch):
+    # the run owns the memory check; the CLI makes none of its own
+    calls = []
+    estimate = pipeline.tile_peak_bytes
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(pipeline, "tile_peak_bytes", counted)
+    args = [command, "--texture", "texture-a", "--texture-size", "16"]
+    assert cli.main(args + ["--transform", "rotation", "--angle", "20"]) == 0
+    assert len(calls) == 1
 
 
 def test_nlm_window_wider_than_the_tile_is_charged_the_tile(tmp_path, monkeypatch):

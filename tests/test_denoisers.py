@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +25,7 @@ from mixedgraph.denoisers import (
     sinkhorn_scale,
 )
 from mixedgraph.errors import BALANCE, BalanceError, outcome_text
-from mixedgraph.graphcore import NONEXPANSIVE_SLACK, TAU_DS
+from mixedgraph.graphcore import NONEXPANSIVE_SLACK, TAU_DS, DenoiserOperator
 
 
 def grid_coords(h, w):
@@ -456,12 +456,18 @@ class TestSymmetryCheck:
 
     def test_nan_kernel_is_not_rejected_as_asymmetric(self):
         # NaN fails the exact test and every norm comparison, as before, so
-        # the kernel passes the checks and fails in certification instead
+        # the symmetry check passes it and the finiteness check refuses it
         w = np.eye(3) + 0.1
         w[0, 1] = np.nan
         assert not norm_test_rejects(w)
-        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        with pytest.raises(ValueError, match="finite"):
             sinkhorn_balance(w, max_iter=3)
+
+    def test_infinite_kernel_is_refused(self):
+        w = np.eye(3) + 0.1
+        w[1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn_balance(w)
 
     def test_sign_and_diagonal(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -622,3 +628,23 @@ class TestIdentityOperator:
         y = np.arange(5.0)
         np.testing.assert_array_equal(op.matrix @ y, y)
         assert op.certified and op.doubly_stochastic
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_certified_like_any_filter(self, n):
+        # certify_denoiser finds the identity certified and doubly
+        # stochastic, the 0 x 0 one included
+        want = DenoiserOperator(
+            matrix=np.eye(n),
+            kind="identity",
+            certified_symmetric=True,
+            certified_pd=True,
+            certified_nonexpansive=True,
+            doubly_stochastic=True,
+        )
+        got = identity_operator(n)
+        for f in fields(DenoiserOperator):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "matrix":
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            else:
+                assert type(a) is type(b) and a == b

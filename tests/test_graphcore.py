@@ -134,6 +134,42 @@ class TestCertifyDenoiser:
         assert not op.certified_symmetric and not op.certified
         assert op.matrix.tobytes() == psi.tobytes()
 
+    def test_asymmetric_doubling_matrix_is_not_nonexpansive(self):
+        # its spectrum is {0}, but it doubles e_2
+        op = certify_denoiser([[0.0, 2.0], [0.0, 0.0]])
+        assert not op.certified_pd and not op.certified_nonexpansive
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        diagonal=st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=7),
+        stretch=st.floats(1.5, 100.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_asymmetric_flags_are_false_without_a_spectrum(self, diagonal, stretch, seed):
+        # Q T Q^T for an upper-triangular T: the spectral radius is T's
+        # largest |diagonal| entry, below 1, and the largest singular value,
+        # at least T's entry `stretch`, is above 1.  An asymmetric filter's
+        # flags are False, never computed from its spectrum
+        n = len(diagonal)
+        rng = np.random.default_rng(seed)
+        t = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) + np.diag(diagonal)
+        t[0, -1] = stretch
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        psi = q @ t @ q.T
+        assume(not np.array_equal(psi, psi.T))
+        assert np.abs(np.linalg.eigvals(psi)).max() < 1.0
+        assert np.linalg.norm(psi, 2) > 1.0
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("computed a spectrum")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+                mp.setattr(np.linalg, name, no_spectrum)
+            op = certify_denoiser(psi)
+        assert not op.certified_symmetric
+        assert not op.certified_pd and not op.certified_nonexpansive
+
     def test_balanced_gaussian_kernel_certified(self):
         coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]]
         op = sinkhorn_balance(gaussian_matrix(coords, KernelParams()))
