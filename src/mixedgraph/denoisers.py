@@ -35,7 +35,6 @@ from .graphcore import (
     TAU_DS,
     TAU_SYM,
     DenoiserOperator,
-    as_signals,
     certify_denoiser,
 )
 
@@ -107,7 +106,10 @@ def gaussian_matrix(coords, params: KernelParams) -> np.ndarray:
 
 
 def _as_intensities(intensities, n: int) -> np.ndarray:
-    y = as_signals(intensities)
+    """A float signal (n,) or stack of V signals (V, n) from anything array-like."""
+    y = np.asarray(intensities, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D signal or a stack of them, got shape {y.shape}")
     if y.shape[-1] != n:
         raise ValueError("intensities length must match coords")
     return y
@@ -124,7 +126,8 @@ def bilateral_matrix(coords, intensities, params: KernelParams) -> np.ndarray:
 
 def _bilateral(spatial: np.ndarray, intensities, params: KernelParams) -> np.ndarray:
     y = _as_intensities(intensities, len(spatial))
-    if y.min() < 0.0 or y.max() > 1.0:
+    # written so that a NaN, which compares False, fails it
+    if not (0.0 <= y.min() and y.max() <= 1.0):
         raise ValueError("intensities must lie in [0, 1]")
     # The range factor, and then the kernel, are built in place in one
     # buffer of the output's size.

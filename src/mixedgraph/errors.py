@@ -46,11 +46,10 @@ class BalanceError(MixedGraphError):
 
 
 class SolverError(MixedGraphError):
-    """A linear solve failed or was inaccurate; carries its solution, if any, and residual."""
+    """A linear solve failed or was inaccurate; carries its residual and iterations, if any."""
 
-    def __init__(self, message, best_x=None, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
-        self.best_x = best_x
         self.residual = residual
         self.iterations = iterations
 

@@ -11,7 +11,6 @@ block).  Both directions of the mapping are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,14 +44,6 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_signals(x) -> np.ndarray:
-    """`as_vector`, but a stack of V signals (V, n) is accepted too."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"expected a 1-D signal or a stack of them, got shape {v.shape}")
-    return v
-
-
 def _rel_asym(m: np.ndarray) -> float:
     denom = np.linalg.norm(m)
     if denom == 0.0:
@@ -62,16 +53,15 @@ def _rel_asym(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Symmetric adjacency/degree/Laplacian bundle for an undirected graph.
+    """Symmetric adjacency/Laplacian bundle for an undirected graph.
 
-    ``laplacian`` is the combinatorial Laplacian (degree minus adjacency);
+    ``laplacian`` is the combinatorial Laplacian (degree minus adjacency,
+    the degrees being the adjacency's row sums);
     ``generalized_laplacian`` additionally keeps self-loop mass on the
     diagonal, and is the matrix used by the MAP solvers.
     """
 
-    node_count: int
     adjacency: np.ndarray
-    degree: np.ndarray
     laplacian: np.ndarray
     generalized_laplacian: np.ndarray
     self_loop_flag: bool
@@ -84,14 +74,10 @@ class UndirectedGraph:
         if _rel_asym(a) > TAU_SYM:
             raise ValueError("adjacency is not symmetric within tolerance")
         a = 0.5 * (a + a.T)
-        n = a.shape[0]
-        deg = np.diag(a.sum(axis=1))
-        lap = deg - a
+        lap = np.diag(a.sum(axis=1)) - a
         loops = np.diag(np.diag(a))
         return cls(
-            node_count=n,
             adjacency=a,
-            degree=deg,
             laplacian=lap,
             generalized_laplacian=lap + loops,
             self_loop_flag=bool(np.any(np.abs(np.diag(a)) > 0.0)),
@@ -111,17 +97,13 @@ class UndirectedGraph:
         if _rel_asym(lg) > TAU_SYM:
             raise ValueError("generalized Laplacian is not symmetric within tolerance")
         lg = 0.5 * (lg + lg.T)
-        n = lg.shape[0]
         a = -lg.copy()
         self_loops = lg.sum(axis=1)
         np.fill_diagonal(a, self_loops)
-        deg = np.diag(a.sum(axis=1))
-        lap = deg - a
+        lap = np.diag(a.sum(axis=1)) - a
         scale = max(np.abs(lg).max(), 1.0)
         return cls(
-            node_count=n,
             adjacency=a,
-            degree=deg,
             laplacian=lap,
             generalized_laplacian=lg,
             self_loop_flag=bool(np.any(np.abs(self_loops) > TAU_SYM * scale)),
@@ -141,7 +123,7 @@ class RandomWalkView:
 
     @classmethod
     def from_graph(cls, graph: UndirectedGraph) -> "RandomWalkView":
-        deg = np.diag(graph.degree)
+        deg = graph.adjacency.sum(axis=1)
         if np.any(deg <= 0.0):
             raise DegenerateGraphError("graph has zero-degree nodes")
         inv_d = (1.0 / deg)[:, None]
@@ -175,8 +157,8 @@ class DirectedInterpGraph:
 class DenoiserOperator:
     """A square filter matrix with recorded (never assumed) property flags.
 
-    ``spectrum`` and ``eigvecs`` (ascending, from ``eigh``) are computed on
-    first access and cached; they are None for an asymmetric matrix.
+    No spectrum is stored: `denoiser_to_laplacian`, the one function
+    that needs it, computes it.
     """
 
     matrix: np.ndarray
@@ -194,34 +176,23 @@ class DenoiserOperator:
             and self.certified_nonexpansive
         )
 
-    @cached_property
-    def _eigh(self):
-        if not self.certified_symmetric:
-            return None, None
-        return np.linalg.eigh(self.matrix)
-
-    @property
-    def spectrum(self) -> np.ndarray | None:
-        return self._eigh[0]
-
-    @property
-    def eigvecs(self) -> np.ndarray | None:
-        return self._eigh[1]
-
 
 def _is_pd(a: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack (V, n, n) have a Cholesky factorization.
+    """Which matrices of a stack (V, n, n) have a finite Cholesky factorization.
 
     One stacked factorization; the matrices are factored one at a time
-    only when it raises.
+    only when it raises.  numpy's Cholesky can return NaN factors without
+    raising, so a factor whose diagonal is not finite counts as failed:
+    a NaN or inf anywhere in a matrix's lower triangle reaches its
+    factor's diagonal.
     """
     try:
-        np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.zeros(1, dtype=bool)
         return np.concatenate([_is_pd(m[None]) for m in a])
-    return np.ones(len(a), dtype=bool)
+    return np.isfinite(np.einsum("...ii->...i", factor)).all(axis=-1)
 
 
 def schur_bound(psi, eig_floor) -> np.ndarray:
@@ -246,8 +217,10 @@ def certify_symmetric(psi, eig_floor=None) -> tuple:
     largest absolute row sum, a bound on its spectral radius, is at most
     ``1 + NONEXPANSIVE_SLACK`` (always so for a nonnegative doubly
     stochastic filter), or else when ``(1 + slack) I - psi`` and, unless
-    ``psi`` is PD, ``(1 + slack) I + psi`` factor.  No spectrum is computed.
-    Returns two boolean arrays of length V.
+    ``psi`` is PD, ``(1 + slack) I + psi`` factor.  A factor counts only
+    when it is finite (`_is_pd`), and a non-finite row sum bounds nothing,
+    so a filter with a NaN or inf entry is neither PD nor non-expansive.
+    No spectrum is computed.  Returns two boolean arrays of length V.
     """
     bound = 1.0 + NONEXPANSIVE_SLACK
     eye = np.eye(psi.shape[-1])
@@ -322,10 +295,9 @@ def glr(graph: UndirectedGraph, x) -> float:
     weights are nonnegative.
     """
     v = as_vector(x)
-    if len(v) != graph.node_count:
-        raise ValueError(
-            f"signal length {len(v)} != node count {graph.node_count}"
-        )
+    n = len(graph.adjacency)
+    if len(v) != n:
+        raise ValueError(f"signal length {len(v)} != node count {n}")
     return float(v @ graph.laplacian @ v)
 
 
@@ -357,22 +329,23 @@ def denoiser_to_laplacian(psi: DenoiserOperator, mu: float) -> UndirectedGraph:
     """Map a certified denoiser to the undirected graph whose MAP filter it is.
 
     The generalized Laplacian is ``(inv(psi) - I) / mu``, formed from the
-    eigendecomposition of ``psi``; solving the Laplacian-regularized MAP
-    problem with weight ``mu`` then reproduces the denoiser exactly
-    (exercised by the roundtrip tests).  Raises PreconditionError unless
-    ``psi`` is certified and its spectrum is nonsingular within
-    ``PIVOT_RTOL``: these are the conditions under which ``psi`` is the MAP
-    filter of a Laplacian-regularized problem.
+    eigendecomposition of ``psi``, which is computed here, once per call,
+    and nowhere else in the package; `UndirectedGraph.from_generalized_laplacian`
+    symmetrizes it.  Solving the Laplacian-regularized MAP problem with
+    weight ``mu`` then reproduces the denoiser exactly (exercised by the
+    roundtrip tests).  Raises PreconditionError unless ``psi`` is
+    certified and its spectrum is nonsingular within ``PIVOT_RTOL``: these
+    are the conditions under which ``psi`` is the MAP filter of a
+    Laplacian-regularized problem.  A certified filter is PD, so only a
+    hand-flagged `DenoiserOperator` reaches the ``PIVOT_RTOL`` test.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     require_certified(psi)
-    spectrum, v = psi.spectrum, psi.eigvecs
+    spectrum, v = np.linalg.eigh(psi.matrix)
     if np.abs(spectrum).min() <= PIVOT_RTOL * np.abs(spectrum).max():
         raise PreconditionError("denoiser matrix is singular within pivot tolerance")
-    lg = (v * ((1.0 / spectrum - 1.0) / mu)) @ v.T
-    lg = 0.5 * (lg + lg.T)
-    return UndirectedGraph.from_generalized_laplacian(lg)
+    return UndirectedGraph.from_generalized_laplacian((v * ((1.0 / spectrum - 1.0) / mu)) @ v.T)
 
 
 def interpolator_to_adjacency(theta) -> DirectedInterpGraph:
@@ -402,14 +375,13 @@ def require_nonsingular(mat, error, what):
 
 
 def export_edges(graph: UndirectedGraph, weight_tol: float = 0.0) -> str:
-    """Serialize a graph as `i j w` lines (0-based, upper triangle + self-loops)."""
-    lines = []
+    """Serialize a graph as `i j w` lines (0-based, upper triangle + self-loops).
+
+    An edge is written when its weight's absolute value exceeds
+    ``weight_tol``, in row-major order, so each row's self-loop comes
+    first.
+    """
     a = graph.adjacency
-    n = graph.node_count
-    for i in range(n):
-        if abs(a[i, i]) > weight_tol:
-            lines.append(f"{i} {i} {float(a[i, i])!r}")
-        for j in range(i + 1, n):
-            if abs(a[i, j]) > weight_tol:
-                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    rows, cols = np.nonzero(np.triu(np.abs(a) > weight_tol))
+    lines = [f"{i} {j} {float(a[i, j])!r}" for i, j in zip(rows.tolist(), cols.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -166,7 +166,7 @@ def map_interpolate(y, graph: DirectedInterpGraph, gamma: float) -> np.ndarray:
         raise SolverError("interpolation system is singular", residual=None) from exc
     res = np.linalg.norm(coeff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if res > 1e-6:
-        raise SolverError("interpolation solve inaccurate", best_x=x, residual=res)
+        raise SolverError("interpolation solve inaccurate", residual=res)
     return x
 
 
@@ -201,9 +201,7 @@ def joint_separable(
         gap = np.linalg.norm(x_num - x) / max(np.linalg.norm(x), 1e-300)
         if gap > 1e-6:
             raise SolverError(
-                f"closed form and numerical solve disagree ({gap:.3e})",
-                best_x=x_num,
-                residual=gap,
+                f"closed form and numerical solve disagree ({gap:.3e})", residual=gap
             )
     return JointSolution(full_signal=x, original_count=m)
 

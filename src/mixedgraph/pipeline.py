@@ -123,11 +123,10 @@ def max_workers() -> int:
 
 @dataclass(frozen=True)
 class PsnrCurve:
+    """One mode's PSNR per noise variance, with the run's tile count and failed tiles."""
+
     mode: str
     points: tuple  # ((variance, psnr_db), ...)
-    image_name: str
-    transform_label: str
-    denoiser_kind: str
     tile_count: int = 0
     tile_errors: tuple = ()  # per point, the failed tiles' errors, as StitchedImage's
 
@@ -511,13 +510,15 @@ def process_image(config: ExperimentConfig, image) -> StitchedImage:
     """Run every patch job in ``config.mode``, joint or sequential, and stitch the outputs.
 
     The image's stitched pixels and validity are that mode's stack and the
-    validity of `_run_patches` on the one image.  A run that would not fit
-    in memory raises TileMemoryError first (`require_memory`).
+    validity of `_run_patches` on the one image.  An image that is not a
+    finite 2-D array raises ValueError first (`ImageBuffer.from_array`),
+    and then a run that would not fit in memory raises TileMemoryError
+    (`require_memory`).
     """
     mode = config.mode
     if mode not in ("joint", "sequential"):
         raise ValueError(f"mode must be 'joint' or 'sequential', got {mode!r}")
-    images = _pixels(image)[None]
+    images = ImageBuffer.from_array(_pixels(image)).pixels[None]
     require_memory(config, images.shape)
     jobs, outputs, valid, *outcome = _run_patches(images, config)
     (tile_errors,) = _tile_errors(jobs, *outcome, config.denoiser_kind)
@@ -935,8 +936,10 @@ def build_reference(jobs, clean_pixels, shape):
 def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     """Sweep noise variances and score both modes; returns (curves, csv_text).
 
-    A run that would not fit in memory raises TileMemoryError first
-    (`require_memory`), before any noisy image is drawn.  Variance i gets
+    An image that is not a finite 2-D array raises ValueError first
+    (`ImageBuffer.from_array`), and then a run that would not fit in
+    memory raises TileMemoryError (`require_memory`), before any noisy
+    image is drawn.  Variance i gets
     the noise of seed ``config.seed ^ i``, so the seeds s and s ^ 1 draw
     the same standard-normal fields for variances 0 and 1, in swapped
     order: seed 0's variance 1 is seed 1's variance 0, scaled.  Each
@@ -944,7 +947,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
     tiles that failed.  Raises TilesFailedError, naming the variance and
     the first tile's error, when every tile fails at some variance.
     """
-    clean = _pixels(image)
+    clean = ImageBuffer.from_array(_pixels(image)).pixels
     shape = (len(config.noise_variances),) + clean.shape
     require_memory(config, shape)
     noisy = np.empty(shape)
@@ -972,15 +975,7 @@ def run_experiment(config: ExperimentConfig, image, image_name: str = "image"):
             )
 
     curves = [
-        PsnrCurve(
-            mode=mode,
-            points=tuple(points[mode]),
-            image_name=image_name,
-            transform_label=transform_label,
-            denoiser_kind=config.denoiser_kind,
-            tile_count=len(jobs),
-            tile_errors=tile_errors,
-        )
+        PsnrCurve(mode, tuple(points[mode]), tile_count=len(jobs), tile_errors=tile_errors)
         for mode in config.modes
     ]
     csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"

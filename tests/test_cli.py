@@ -590,8 +590,8 @@ IMAGE_COMMANDS = ["denoise", "interpolate", "sequential", "joint"]
 )
 def test_image_too_small_to_tile_is_one_line(command, size, tmp_path, capsys):
     # a 2 px texture tiles, but no rotated tile has a real output; an image
-    # of one row or one column is refused before the output path is checked.
-    # Neither leaves an output file
+    # of one row or one column is refused by tiling, inside the run, after
+    # the output path is checked.  Neither leaves an output file
     out = tmp_path / "out"
     flag = "--out-csv" if command == "experiment" else "--out-image"
     if size is None:

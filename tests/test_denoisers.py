@@ -110,9 +110,14 @@ class TestBilateralMatrix:
         np.testing.assert_allclose(m, m.T)
         assert np.all(m > 0.0) and np.all(m <= 1.0)
 
-    def test_out_of_range_intensities_rejected(self):
-        with pytest.raises(ValueError):
-            bilateral_matrix([[0, 0], [0, 1]], [0.0, 1.5], KernelParams())
+    @pytest.mark.parametrize(
+        "intensities",
+        [[0.0, 1.5], [-0.5, 1.0], [np.nan, 0.5], [0.5, np.nan], [[0.0, 1.0], [0.5, np.nan]]],
+    )
+    def test_out_of_range_intensities_rejected(self, intensities):
+        # a NaN compares False with both bounds, and is out of range too
+        with pytest.raises(ValueError, match=r"^intensities must lie in \[0, 1\]$"):
+            bilateral_matrix([[0, 0], [0, 1]], intensities, KernelParams())
 
 
 def formula_spatial(coords, var):

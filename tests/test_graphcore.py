@@ -10,9 +10,11 @@ from mixedgraph.errors import DegenerateGraphError, PreconditionError, SingularO
 from mixedgraph.graphcore import (
     NONEXPANSIVE_SLACK,
     PD_EIG_MIN,
+    DenoiserOperator,
     RandomWalkView,
     UndirectedGraph,
     certify_denoiser,
+    certify_symmetric,
     denoiser_to_laplacian,
     export_edges,
     glr,
@@ -246,11 +248,42 @@ class TestCertificationWithoutSpectrum:
         assume(clear_of_thresholds(np.linalg.eigvalsh(psi), (PD_EIG_MIN,)))
         self.check_flags(certify_denoiser(psi))
 
-    def test_spectrum_readable(self):
-        op = certify_denoiser(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
-        np.testing.assert_allclose(op.spectrum, [1.0 / 3.0, 1.0])
-        np.testing.assert_allclose(np.abs(op.eigvecs), np.sqrt(0.5))
-        assert certify_denoiser([[0.0, 1.0], [0.0, 0.0]]).spectrum is None
+
+def identity_with(entries, value, n=3):
+    """The n x n identity with ``value`` at each (i, j) of ``entries``, as a stack of one."""
+    psi = np.eye(n)[None]
+    for i, j in entries:
+        psi[0, i, j] = value
+    return psi
+
+
+NON_FINITE_FILTERS = {
+    "nan-stack": lambda: np.full((1, 3, 3), np.nan),
+    "nan-diagonal": lambda: identity_with([(1, 1)], np.nan),
+    "inf-diagonal": lambda: identity_with([(1, 1)], np.inf),
+    # numpy's Cholesky factors this one without raising
+    "inf-off-diagonal": lambda: identity_with([(0, 2), (2, 0)], np.inf),
+}
+
+
+class TestNonFiniteFilters:
+    """A filter with a NaN or inf entry is neither PD nor non-expansive."""
+
+    @pytest.mark.parametrize("name", NON_FINITE_FILTERS)
+    def test_not_certified(self, name):
+        pd, nonexpansive = certify_symmetric(NON_FINITE_FILTERS[name]())
+        assert not pd.any() and not nonexpansive.any()
+
+    @pytest.mark.parametrize("name", NON_FINITE_FILTERS)
+    def test_finite_filter_of_the_stack_still_certified(self, name):
+        # one stacked factorization, which does not raise for a NaN factor
+        stack = np.concatenate([np.eye(3)[None], NON_FINITE_FILTERS[name]()])
+        pd, nonexpansive = certify_symmetric(stack)
+        assert pd.tolist() == [True, False] and nonexpansive.tolist() == [True, False]
+
+    def test_inf_filter_is_not_certified(self):
+        # exactly symmetric, so certify_denoiser checks it
+        assert not certify_denoiser(NON_FINITE_FILTERS["inf-off-diagonal"]()[0]).certified
 
 
 class TestDenoiserToLaplacian:
@@ -277,7 +310,7 @@ class TestDenoiserToLaplacian:
         coords = rng.uniform(0, 4, (12, 2))
         psi = sinkhorn_balance(gaussian_matrix(coords, KernelParams()))
         g = denoiser_to_laplacian(psi, 0.3)
-        lam = np.sort(psi.spectrum)
+        lam = np.linalg.eigvalsh(psi.matrix)
         expected = np.sort((1.0 / lam - 1.0) / 0.3)
         got = np.sort(np.linalg.eigvalsh(g.generalized_laplacian))
         np.testing.assert_allclose(got, expected, atol=1e-8)
@@ -286,6 +319,17 @@ class TestDenoiserToLaplacian:
         op = certify_denoiser([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(PreconditionError):
             denoiser_to_laplacian(op, 0.3)
+
+    def test_hand_flagged_singular_rejected(self):
+        # a certified filter is PD, so only flags set by hand reach the pivot test
+        psi = DenoiserOperator(
+            matrix=np.diag([1.0, 1e-13]),
+            certified_symmetric=True,
+            certified_pd=True,
+            certified_nonexpansive=True,
+        )
+        with pytest.raises(PreconditionError, match="singular within pivot tolerance"):
+            denoiser_to_laplacian(psi, 0.3)
 
 
 class TestInterpolatorToAdjacency:
@@ -323,7 +367,54 @@ class TestInterpolatorToAdjacency:
         assert str(excinfo.value) == "interpolator is numerically singular (sigma_max = 0)"
 
 
+def loop_edges(graph, weight_tol=0.0):
+    """`export_edges` as a loop over the pairs i <= j, the reference."""
+    lines = []
+    a = graph.adjacency
+    n = len(a)
+    for i in range(n):
+        if abs(a[i, i]) > weight_tol:
+            lines.append(f"{i} {i} {float(a[i, i])!r}")
+        for j in range(i + 1, n):
+            if abs(a[i, j]) > weight_tol:
+                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+EDGE_WEIGHTS = (0.0, -0.0, 0.25, -0.25, 1e-12, -1.5, 3.0, np.nan)
+EDGE_TOLS = (0.0, 1e-12, 0.25, -1.0)
+
+
 class TestExportEdges:
+    @pytest.mark.parametrize("weight_tol", EDGE_TOLS)
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            np.zeros((0, 0)),
+            [[0.25]],
+            [[0.25, -0.25, 0.0], [-0.25, 0.0, 1e-12], [0.0, 1e-12, -1.5]],
+            [[np.nan, 0.5], [0.5, -0.0]],
+            [[-0.0, -0.0], [-0.0, -0.0]],
+        ],
+        ids=["empty", "one-self-loop", "signs-and-tolerances", "nan", "negative-zero"],
+    )
+    def test_matches_the_per_pair_loop(self, adjacency, weight_tol):
+        g = UndirectedGraph.from_adjacency(adjacency)
+        assert export_edges(g, weight_tol) == loop_edges(g, weight_tol)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 12),
+        weight_tol=st.sampled_from(EDGE_TOLS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_graphs_match_the_per_pair_loop(self, n, weight_tol, seed):
+        # symmetric by mirroring the upper triangle, which keeps -0.0 and NaN
+        a = np.random.default_rng(seed).choice(EDGE_WEIGHTS, (n, n))
+        a = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
+        g = UndirectedGraph.from_adjacency(a)
+        assert export_edges(g, weight_tol) == loop_edges(g, weight_tol)
+
     def test_format(self):
         g = two_node_graph(0.5)
         assert export_edges(g) == "0 1 0.5\n"

@@ -523,7 +523,11 @@ class TestOneBlasThread:
         """numpy's OpenBLAS pool at two threads, and as found again afterwards."""
         pools = pipeline._blas_pools()
         if not pools:
-            pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+            # an OpenBLAS whose setter has another name would leave the
+            # tile path on unpinned BLAS threads
+            bundled = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+            assert not bundled, f"no thread setter found in numpy's {[b.name for b in bundled]}"
+            pytest.skip("numpy bundles no OpenBLAS")
         found = blas_thread_counts()
         for _, set_, _ in pools:
             set_(2)
@@ -750,6 +754,36 @@ class TestNoSpectrumOnTilePath:
         assert not out.tile_errors and out.validity.any()
         _, csv_text = run_experiment(replace(config, denoiser_kind="gaussian"), img, "t")
         assert csv_text.count(",0\n") == 2  # both modes, no failed tiles
+
+
+class TestArrayImageChecked:
+    """An array image is checked by `ImageBuffer.from_array` before memory is."""
+
+    @staticmethod
+    def bad_image(bad):
+        pixels = synthetic_texture("texture-a", 32).pixels.copy()
+        if bad == "nan-pixel":
+            pixels[5, 5] = np.nan
+            return pixels
+        return np.stack([pixels] * 3)
+
+    @pytest.mark.parametrize("run", [process_image, run_experiment])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("nan-pixel", "image contains non-finite pixels"), ("stack", "expected a 2-D image")],
+        ids=["nan-pixel", "stack"],
+    )
+    def test_refused_first(self, run, bad, message, monkeypatch):
+        # past the edge, a NaN pixel turns its tiles' kernels NaN, which
+        # run Sinkhorn to its iteration cap, and a stack of images fails
+        # inside tiling with numpy's unpacking error
+        def memory_checked(*args):
+            raise AssertionError("memory checked before the image")
+
+        monkeypatch.setattr(pipeline, "require_memory", memory_checked)
+        config = ExperimentConfig(transform=Rotation(20.0), mode="joint")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run(config, self.bad_image(bad))
 
 
 class TestConfigValidation:
